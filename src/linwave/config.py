@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .slices import kasner_exponents
+
 BACKGROUND_KINDS = ("minkowski-torus", "kasner")
 GENERATORS = ("random-smooth", "gauge-producing", "standing-wave", "snapshot")
 
@@ -159,13 +161,12 @@ def _validate(cfg: RunConfig, path) -> None:
         p = cfg.get("background.p")
         if p is None:
             raise ConfigError(f"{path}: kasner background requires background.p")
-        arr = np.asarray(p, float)
-        if arr.shape != (3,):
-            raise ConfigError(f"{path}: background.p must be a triple")
-        if abs(arr.sum() - 1.0) > 1e-12 or abs((arr ** 2).sum() - 1.0) > 1e-12:
-            raise ConfigError(
-                f"{path}: background.p must satisfy sum p = sum p^2 = 1, got {p}"
-            )
+        try:
+            kasner_exponents(p)
+        except ValueError:
+            need = (f"satisfy sum p = sum p^2 = 1, got {p}" if np.shape(p) == (3,)
+                    else "be a triple")
+            raise ConfigError(f"{path}: background.p must {need}") from None
         t0 = cfg.get("evolve.t0")
         if t0 is not None and t0 <= 0:
             raise ConfigError(f"{path}: evolve.t0 must be positive on kasner")

@@ -32,11 +32,10 @@ from .fields import (
 from .slices import SliceGeometry, _full_from_sym2, _sym2_from_full
 from .spacetime import (
     CauchyJet,
-    SpacetimeBackground,
-    family_matrices,
+    FamilyAction,
     induced_data_state,
     nu_jet_conversion,
-    st_ncomp,
+    st_pairs,
 )
 
 ORACLE_EPS = 1e-5
@@ -393,22 +392,14 @@ def normal_identities(jet: CauchyJet, closure: np.ndarray | None = None) -> dict
     modes = lat.modes
     U, Udot = nu_jet_conversion(jet)
     if closure is None:
-        W0, W1, W2 = family_matrices(bg, "lichnerowicz", t, modes)
-        if np.max(np.abs(W2 - np.eye(W2.shape[1])[None])) > 1e-12:
+        wave = FamilyAction(bg, "lichnerowicz", t, modes)
+        if not wave.is_monic():
             raise ValueError("wave operator not monic in d/dt; cannot close the jet")
-        Uddot = -(
-            np.einsum("kij,kj->ki", W1, Udot) + np.einsum("kij,kj->ki", W0, U)
-        )
+        Uddot = -(wave.apply(1, Udot) + wave.apply(0, U))
     else:
         Uddot = closure
-    R0, R1, R2 = family_matrices(bg, "d_ric", t, modes)
-    R = (
-        np.einsum("kij,kj->ki", R0, U)
-        + np.einsum("kij,kj->ki", R1, Udot)
-        + np.einsum("kij,kj->ki", R2, Uddot)
-    )
-    from .spacetime import st_pairs
-
+    dric = FamilyAction(bg, "d_ric", t, modes)
+    R = dric.apply(0, U) + dric.apply(1, Udot) + dric.apply(2, Uddot)
     dim = n + 1
     pairs = st_pairs(dim)
     Rfull = np.zeros((len(modes), dim, dim), complex)

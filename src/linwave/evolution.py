@@ -30,10 +30,8 @@ from .spacetime import (
     CauchyJet,
     FamilyAction,
     SpacetimeBackground,
-    family_matrices,
     induced_data_state,
     nu_jet_conversion,
-    st_ncomp,
     st_pairs,
 )
 
@@ -184,38 +182,46 @@ def _minkowski_state(lattice, U0, Ud0, s):
     return U, Ud
 
 
-def _wave_matrices(bg: SpacetimeBackground, lattice, t: float):
-    W0, W1, W2 = family_matrices(bg, "lichnerowicz", t, lattice.modes)
-    eye = np.eye(W2.shape[1])
-    if np.max(np.abs(W2 - eye[None])) > 1e-12:
+def _wave_acceleration(bg: SpacetimeBackground, modes, t: float, U, Ud):
+    """d^2U/dt^2 from box_L h = 0, whose operator must be monic in d/dt."""
+    act = FamilyAction(bg, "lichnerowicz", t, modes)
+    if not act.is_monic():
         raise ValueError("wave operator is not monic in d/dt")
-    return W0, W1
+    return -(act.apply(1, Ud) + act.apply(0, U))
 
 
-def _integrate_segment(bg, lattice, t0, U0, Ud0, t1, dt):
-    """Classical RK4 on the first-order mode system from t0 to t1."""
+def _rk4(acc, t0, y, t1, dt):
+    """Classical RK4 for y' = acc(t, y), y a tuple of arrays, from t0 to t1
+    in ceil(|t1 - t0| / dt) equal steps."""
     span = t1 - t0
     steps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
     h = span / steps
-    U, Ud = U0.copy(), Ud0.copy()
     t = t0
-    modes = lattice.modes
 
-    def acc(tt, u, ud):
-        act = FamilyAction(bg, "lichnerowicz", tt, modes)
-        if not act.is_monic():
-            raise ValueError("wave operator is not monic in d/dt")
-        return -(act.apply(1, ud) + act.apply(0, u))
+    def axpy(y, c, k):
+        return tuple(a + c * b for a, b in zip(y, k))
 
     for _ in range(steps):
-        k1u, k1v = Ud, acc(t, U, Ud)
-        k2u, k2v = Ud + 0.5 * h * k1v, acc(t + 0.5 * h, U + 0.5 * h * k1u, Ud + 0.5 * h * k1v)
-        k3u, k3v = Ud + 0.5 * h * k2v, acc(t + 0.5 * h, U + 0.5 * h * k2u, Ud + 0.5 * h * k2v)
-        k4u, k4v = Ud + h * k3v, acc(t + h, U + h * k3u, Ud + h * k3v)
-        U = U + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        Ud = Ud + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        k1 = acc(t, y)
+        k2 = acc(t + 0.5 * h, axpy(y, 0.5 * h, k1))
+        k3 = acc(t + 0.5 * h, axpy(y, 0.5 * h, k2))
+        k4 = acc(t + h, axpy(y, h, k3))
+        y = tuple(
+            a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        )
         t += h
-    return U, Ud
+    return y
+
+
+def _integrate_segment(bg, lattice, t0, U0, Ud0, t1, dt):
+    """RK4 on the first-order mode system (U, dU/dt) of box_L h = 0."""
+    modes = lattice.modes
+
+    def acc(t, y):
+        return (y[1], _wave_acceleration(bg, modes, t, *y))
+
+    return _rk4(acc, t0, (U0, Ud0), t1, dt)
 
 
 def evolve_state(bg: SpacetimeBackground, lattice, t0: float, U0, Ud0,
@@ -291,9 +297,7 @@ def wave_energies(bg: SpacetimeBackground, lattice, t: float, U, Ud,
     w = _st_weights(bg.dim)
     stack = [U, Ud]
     if J >= 1:
-        W0, W1 = _wave_matrices(bg, lattice, t)
-        Udd = -(np.einsum("kij,kj->ki", W1, Ud) + np.einsum("kij,kj->ki", W0, U))
-        stack.append(Udd)
+        stack.append(_wave_acceleration(bg, lattice.modes, t, U, Ud))
     out = []
     for j in range(J + 1):
         mult = (1.0 + k2) ** (sobolev_order - j)
@@ -313,9 +317,8 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0,
     gauge, d1, d2, en = [], [], [], []
     for i, t in enumerate(traj.times):
         U, Ud = traj.states[i], traj.derivs[i]
-        D0, D1 = family_matrices(bg, "div_trace_reversed", t, lat.modes)
-        G = np.einsum("kij,kj->ki", D0, U) + np.einsum("kij,kj->ki", D1, Ud)
-        gauge.append(_coeff_norm(G))
+        div = FamilyAction(bg, "div_trace_reversed", t, lat.modes)
+        gauge.append(_coeff_norm(div.apply(0, U) + div.apply(1, Ud)))
         htilde, mtilde = induced_data_state(bg, t, lat, U, Ud)
         res = dphi(InitialDataPair(htilde, mtilde, bg.slice_at(t)))
         d1.append(res.norms["dphi1_H0"])
@@ -370,9 +373,8 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
         Vs, Vds = _recover_kasner(bg, lat, traj, V, Vd)
     dev, rel = [], []
     for i, t in enumerate(times):
-        L0, L1 = family_matrices(bg, "lie_of_g", t, lat.modes)
-        lie = np.einsum("kij,kj->ki", L0, Vs[i]) + np.einsum("kij,kj->ki", L1, Vds[i])
-        diff = traj.states[i] - lie
+        lie = FamilyAction(bg, "lie_of_g", t, lat.modes)
+        diff = traj.states[i] - (lie.apply(0, Vs[i]) + lie.apply(1, Vds[i]))
         d = _coeff_norm(diff, wsym)
         s = _coeff_norm(traj.states[i], wsym)
         dev.append(d)
@@ -390,15 +392,13 @@ def _recover_minkowski(bg, lat, traj, V0, Vd0):
     w = np.sqrt(k2)
     nz = w > 0
     U0, Ud0 = traj.states[0], traj.derivs[0]
-    D0, D1 = family_matrices(bg, "div_trace_reversed", traj.times[0], lat.modes)
+    div = FamilyAction(bg, "div_trace_reversed", traj.times[0], lat.modes)
+    D0Ud0 = div.apply(0, Ud0)
     # S(t) = A cos(w s) + B sin(w s) with the harmonic evolution of (U, Ud)
-    A = -(np.einsum("kij,kj->ki", D0, U0) + np.einsum("kij,kj->ki", D1, Ud0))
+    A = -(div.apply(0, U0) + div.apply(1, Ud0))
     B = np.zeros_like(A)
-    B[nz] = -(
-        np.einsum("kij,kj->ki", D0[nz], Ud0[nz]) / w[nz][:, None]
-        - w[nz][:, None] * np.einsum("kij,kj->ki", D1[nz], U0[nz])
-    )
-    S1 = -np.einsum("kij,kj->ki", D0[~nz], Ud0[~nz])  # zero mode: S = A + S1 s
+    B[nz] = -(D0Ud0[nz] / w[nz][:, None] - w[nz][:, None] * div.apply(1, U0)[nz])
+    S1 = -D0Ud0[~nz]  # zero mode: S = A + S1 s
     Vs, Vds = [], []
     for tau in traj.times:
         s = tau - traj.times[0]
@@ -433,36 +433,21 @@ def _recover_kasner(bg, lat, traj, V0, Vd0):
 
     def acc(t, y):
         U, Ud, V, Vd = y
-        wave = FamilyAction(bg, "lichnerowicz", t, modes)
+        Udd = _wave_acceleration(bg, modes, t, U, Ud)
         conn = FamilyAction(bg, "connection_wave", t, modes)
-        if not (wave.is_monic() and conn.is_monic()):
+        if not conn.is_monic():
             raise ValueError("wave operator is not monic in d/dt")
         div = FamilyAction(bg, "div_trace_reversed", t, modes)
-        Udd = -(wave.apply(1, Ud) + wave.apply(0, U))
         src = -(div.apply(0, U) + div.apply(1, Ud))
         Vdd = src - (conn.apply(1, Vd) + conn.apply(0, V))
         return (Ud, Udd, Vd, Vdd)
 
-    def axpy(y, c, k):
-        return tuple(a + c * b for a, b in zip(y, k))
-
     Vs, Vds = [V0.copy()], [Vd0.copy()]
-    y = (traj.states[0].copy(), traj.derivs[0].copy(), V0.copy(), Vd0.copy())
+    y = (traj.states[0], traj.derivs[0], V0, Vd0)
     t = traj.times[0]
     for tau in traj.times[1:]:
-        span = tau - t
-        steps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
-        h = span / steps
-        for _ in range(steps):
-            k1 = acc(t, y)
-            k2 = acc(t + 0.5 * h, axpy(y, 0.5 * h, k1))
-            k3 = acc(t + 0.5 * h, axpy(y, 0.5 * h, k2))
-            k4 = acc(t + h, axpy(y, h, k3))
-            y = tuple(
-                a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-            )
-            t += h
+        y = _rk4(acc, t, y, tau, dt)
+        t = tau
         Vs.append(y[2].copy())
         Vds.append(y[3].copy())
     return Vs, Vds
@@ -479,61 +464,34 @@ def lie_trajectory(bg: SpacetimeBackground, lattice, times, W0, Wd0,
     connection wave equation nabla*nabla W = 0 from the jet (W0, Wd0).
 
     Such an h solves box_L h = 0, so this produces exact pure-gauge
-    solutions to compare against.  Time derivatives of the assembled Lie
-    operator matrices are taken by central differences (step 1e-6).
+    solutions to compare against.  The time derivative of the Lie operator
+    is exact: each coefficient of its family is a power of t (see
+    family_coefficients), differentiated in closed form.
     """
     times = np.asarray(times, float)
-    k2 = np.einsum("ma,ma->m", lattice.modes.astype(float), lattice.modes.astype(float))
+
+    def oneform_acc(tt, y):
+        act = FamilyAction(bg, "connection_wave", tt, lattice.modes)
+        return (y[1], -(act.apply(1, y[1]) + act.apply(0, y[0])))
+
     states, derivs = [], []
-    W, Wd, t = W0.copy(), Wd0.copy(), times[0]
+    W, Wd, t = W0, Wd0, times[0]
     for tau in times:
         if bg.kind == "minkowski-torus":
             W, Wd = _minkowski_state(lattice, W0, Wd0, tau - times[0])
         elif not np.isclose(tau, t, rtol=0, atol=1e-14):
             if dt is None or dt <= 0:
                 raise ValueError("time-dependent backgrounds need a positive dt")
-            W, Wd = _integrate_oneform_segment(bg, lattice, t, W, Wd, tau, dt)
+            W, Wd = _rk4(oneform_acc, t, (W, Wd), tau, dt)
             t = tau
-        C0, C1, _ = family_matrices(bg, "connection_wave", tau, lattice.modes)
-        Wdd = -(np.einsum("kij,kj->ki", C1, Wd) + np.einsum("kij,kj->ki", C0, W))
-        L0, L1 = family_matrices(bg, "lie_of_g", tau, lattice.modes)
-        eps = 1e-6
-        L0p, L1p = family_matrices(bg, "lie_of_g", tau + eps, lattice.modes)
-        L0m, L1m = family_matrices(bg, "lie_of_g", tau - eps, lattice.modes)
-        dL0 = (L0p - L0m) / (2 * eps)
-        dL1 = (L1p - L1m) / (2 * eps)
-        h = np.einsum("kij,kj->ki", L0, W) + np.einsum("kij,kj->ki", L1, Wd)
-        hd = (
-            np.einsum("kij,kj->ki", dL0, W)
-            + np.einsum("kij,kj->ki", L0, Wd)
-            + np.einsum("kij,kj->ki", dL1, Wd)
-            + np.einsum("kij,kj->ki", L1, Wdd)
+        Wdd = oneform_acc(tau, (W, Wd))[1]
+        lie = FamilyAction(bg, "lie_of_g", tau, lattice.modes)
+        rate = lie.rate()
+        states.append(lie.apply(0, W) + lie.apply(1, Wd))
+        derivs.append(
+            rate.apply(0, W) + lie.apply(0, Wd) + rate.apply(1, Wd) + lie.apply(1, Wdd)
         )
-        states.append(h)
-        derivs.append(hd)
     return Trajectory(bg, lattice, times, np.array(states), np.array(derivs), dt=dt)
-
-
-def _integrate_oneform_segment(bg, lattice, t0, W0, Wd0, t1, dt):
-    span = t1 - t0
-    steps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
-    h = span / steps
-    W, Wd, t = W0.copy(), Wd0.copy(), t0
-    modes = lattice.modes
-
-    def acc(tt, u, ud):
-        act = FamilyAction(bg, "connection_wave", tt, modes)
-        return -(act.apply(1, ud) + act.apply(0, u))
-
-    for _ in range(steps):
-        k1u, k1v = Wd, acc(t, W, Wd)
-        k2u, k2v = Wd + 0.5 * h * k1v, acc(t + 0.5 * h, W + 0.5 * h * k1u, Wd + 0.5 * h * k1v)
-        k3u, k3v = Wd + 0.5 * h * k2v, acc(t + 0.5 * h, W + 0.5 * h * k2u, Wd + 0.5 * h * k2v)
-        k4u, k4v = Wd + h * k3v, acc(t + h, W + h * k3u, Wd + h * k3v)
-        W = W + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        Wd = Wd + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        t += h
-    return W, Wd
 
 
 def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:

@@ -65,6 +65,21 @@ class SliceGeometry:
         return abs(self.scal) <= 1e-10 and np.max(np.abs(self.extrinsic)) <= 1e-13
 
 
+def kasner_exponents(p) -> np.ndarray:
+    """The Kasner exponents as a float triple; ValueError unless
+    sum p = sum p^2 = 1 (to 1e-12)."""
+    p = np.asarray(p, float)
+    if p.shape != (3,):
+        raise ValueError("Kasner exponents must be a triple")
+    s1, s2 = float(np.sum(p)), float(np.sum(p ** 2))
+    if abs(s1 - 1.0) > 1e-12 or abs(s2 - 1.0) > 1e-12:
+        raise ValueError(
+            f"Kasner exponents must satisfy sum p = sum p^2 = 1; "
+            f"got sum p = {s1!r}, sum p^2 = {s2!r}"
+        )
+    return p
+
+
 def slice_geometry(kind: str, **params) -> SliceGeometry:
     """Construct and validate a background slice.
 
@@ -76,16 +91,8 @@ def slice_geometry(kind: str, **params) -> SliceGeometry:
         n = int(params.get("n", 3))
         return SliceGeometry(kind, n, np.eye(n), np.zeros((n, n)), {})
     if kind == "kasner":
-        p = np.asarray(params["p"], float)
+        p = kasner_exponents(params["p"])
         t0 = float(params.get("t0", 1.0))
-        if p.shape != (3,):
-            raise ValueError("Kasner exponents must be a triple")
-        s1, s2 = float(np.sum(p)), float(np.sum(p ** 2))
-        if abs(s1 - 1.0) > 1e-12 or abs(s2 - 1.0) > 1e-12:
-            raise ValueError(
-                f"Kasner exponents must satisfy sum p = sum p^2 = 1; "
-                f"got sum p = {s1!r}, sum p^2 = {s2!r}"
-            )
         if t0 <= 0:
             raise ValueError("Kasner slice time must be positive (t = 0 is singular)")
         g = np.diag(t0 ** (2 * p))

@@ -24,13 +24,14 @@ RingR h(X,Y) = tr_g h(R(.,X)Y, .), box_L h = nabla*nabla h - 2 RingR h.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .fields import SpectralField, sym2_index_pairs, zero_field
-from .slices import SliceGeometry, slice_geometry
+from .slices import SliceGeometry, kasner_exponents, slice_geometry
 
 OPERATOR_KINDS = (
     "lichnerowicz",
@@ -90,15 +91,7 @@ class SpacetimeBackground:
             if self.n not in (2, 3):
                 raise ValueError("spatial dimension must be 2 or 3")
         elif self.kind == "kasner":
-            p = np.asarray(self.p, float)
-            if p.shape != (3,):
-                raise ValueError("Kasner exponents must be a triple")
-            s1, s2 = float(np.sum(p)), float(np.sum(p ** 2))
-            if abs(s1 - 1.0) > 1e-12 or abs(s2 - 1.0) > 1e-12:
-                raise ValueError(
-                    f"Kasner exponents must satisfy sum p = sum p^2 = 1; "
-                    f"got sum p = {s1!r}, sum p^2 = {s2!r}"
-                )
+            kasner_exponents(self.p)
         else:
             raise ValueError(f"unknown spacetime kind {self.kind!r}")
 
@@ -516,26 +509,33 @@ def _component_weights(w: np.ndarray, ncomp: int) -> np.ndarray:
 
 
 def _homothety_exponents(background: SpacetimeBackground, kind: str, shapes) -> list:
-    """Exponent tables E_j with C_j(t) = C_j(1) * t**E_j on Kasner."""
-    w = np.concatenate([[1.0], 1.0 - np.asarray(background.p, float)])
+    """Exponent tables E_j with C_j(t) = C_j(1) * t**E_j on Kasner.
+
+    Weights are integer rows over (1, p_1, ..., p_n), so an exponent in
+    which the p_i cancel is an exact integer (0 for a constant entry)."""
+    n = background.n
+    w = np.zeros((n + 1, n + 1), int)  # w_t = 1, w_i = 1 - p_i
+    w[:, 0] = 1
+    w[1:, 1:] = -np.eye(n, dtype=int)
     ws = w[1:]
-    n = len(ws)
     mono = np.concatenate([
-        [0.0], ws, 2.0 * ws, [ws[a] + ws[b] for a in range(n) for b in range(a + 1, n)]
+        np.zeros((1, n + 1), int), ws, 2 * ws,
+        [ws[a] + ws[b] for a in range(n) for b in range(a + 1, n)],
     ])
     # every kind but lie_of_g contracts once with g^{-1}, which scales by lam^-2
-    c = 0.0 if kind == "lie_of_g" else -2.0
+    c = 0 if kind == "lie_of_g" else -2
+    p1 = np.concatenate([[1.0], np.asarray(background.p, float)])
     out = []
     for j, (_, ncomp_out, ncomp_in) in enumerate(shapes):
         w_out = _component_weights(w, ncomp_out)
         w_in = _component_weights(w, ncomp_in)
-        out.append(
-            j + c + mono[:, None, None] - w_out[None, :, None] + w_in[None, None, :]
-        )
+        N = mono[:, None, None] - w_out[None, :, None] + w_in[None, None, :]
+        N[..., 0] += j + c
+        out.append(N @ p1)
     return out
 
 
-# (background kind, n, p, operator kind) -> (C_j(1) list, E_j list)
+# (background kind, n, p, operator kind) -> (C_j(1) list, E_j list, live_j list)
 _TABLES: dict = {}
 
 
@@ -561,6 +561,23 @@ def family_coefficients(background: SpacetimeBackground, kind: str, t: float) ->
     every kind except lie_of_g (c = 0), which is the one kind without a
     g^{-1} contraction.  On the Minkowski torus E = 0.
     """
+    A, E, _ = _coefficient_table(background, kind, t)
+    return [C * t ** e for C, e in zip(A, E)]
+
+
+def _coefficient_rates(background: SpacetimeBackground, kind: str, t: float) -> list:
+    """Exact time derivatives d/dt C_j(t) = E_j * C_j(1) * t**(E_j - 1) of
+    the family_coefficients tables; identically zero where E = 0, so on the
+    Minkowski torus."""
+    A, E, _ = _coefficient_table(background, kind, t)
+    return [C * e * t ** np.where(e == 0, 0.0, e - 1.0) for C, e in zip(A, E)]
+
+
+def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
+    """(C_j(1), E_j, live_j) lists for a (background, kind), assembled on
+    first use; live_j holds the monomials p >= 1 whose block C_j[p] is not
+    identically zero, which is the same at every t.  Refuses t <= 0 on
+    Kasner."""
     background._check_time(t)
     p = background.p
     key = (
@@ -574,9 +591,9 @@ def family_coefficients(background: SpacetimeBackground, kind: str, t: float) ->
             E = [np.zeros(C.shape) for C in A]
         else:
             E = _homothety_exponents(background, kind, [C.shape for C in A])
-        table = _TABLES[key] = (A, E)
-    A, E = table
-    return [C * t ** e for C, e in zip(A, E)]
+        live = [1 + np.flatnonzero(np.any(C[1:], axis=(1, 2))) for C in A]
+        table = _TABLES[key] = (A, E, live)
+    return table
 
 
 def monomial_basis(modes) -> np.ndarray:
@@ -591,17 +608,27 @@ def monomial_basis(modes) -> np.ndarray:
 
 
 class FamilyAction:
-    """Matrix-free evaluation of a mode-operator family on state vectors."""
+    """Matrix-free evaluation of a mode-operator family on state vectors:
+    the one per-mode operator evaluator.  M_j(t, k) is never materialised;
+    apply contracts the monomial basis of every mode and the state with the
+    polynomial coefficients C_j(t) of family_coefficients."""
 
     def __init__(self, background, kind, t, modes):
-        self.coeffs = family_coefficients(background, kind, t)
+        self.background, self.kind, self.t = background, kind, t
         self.basis = monomial_basis(modes)
-        # (npoly * ncomp_in, ncomp_out) layout for a single matmul in apply
-        self._flat = [
-            np.ascontiguousarray(
-                C.transpose(0, 2, 1).reshape(-1, C.shape[1]).astype(complex)
-            )
-            for C in self.coeffs
+        self._live = _coefficient_table(background, kind, t)[2]
+        self._load(family_coefficients(background, kind, t))
+
+    def _load(self, coeffs):
+        self.coeffs = coeffs
+        # per order j: the constant-monomial block as a (ncomp_in, ncomp_out)
+        # matrix, and the blocks of the live monomials (most blocks are
+        # identically zero) in a (len(live) * ncomp_in, ncomp_out) layout
+        # for one matmul
+        self._terms = [
+            (C[0].T.astype(complex),
+             C[live].transpose(0, 2, 1).reshape(-1, C.shape[1]).astype(complex))
+            for C, live in zip(coeffs, self._live)
         ]
 
     def order(self) -> int:
@@ -616,21 +643,20 @@ class FamilyAction:
 
     def apply(self, j: int, u: np.ndarray) -> np.ndarray:
         """M_j(k) u_k for all modes, without materializing the matrices."""
-        W = (self.basis[:, :, None] * u[:, None, :]).reshape(u.shape[0], -1)
-        return W @ self._flat[j]
+        (const, flat), live = self._terms[j], self._live[j]
+        out = u @ const
+        if len(live):
+            basis = np.ascontiguousarray(self.basis[:, live])
+            W = (basis[:, :, None] * u[:, None, :]).reshape(u.shape[0], -1)
+            out += W @ flat
+        return out
 
-
-def family_matrices(background: SpacetimeBackground, kind: str, t: float, modes) -> list:
-    """Evaluate a mode operator on many modes at once.
-
-    Returns [M_0, M_1, ...] with M_j of shape (num_modes, ncomp_out, ncomp_in);
-    see :func:`family_coefficients` for the underlying reconstruction.
-    """
-    basis = monomial_basis(modes)
-    return [
-        np.einsum("mp,pij->mij", basis, C).astype(complex)
-        for C in family_coefficients(background, kind, t)
-    ]
+    def rate(self) -> FamilyAction:
+        """The family of exact time derivatives d/dt M_j(t, k) on the same
+        modes (zero on the Minkowski torus)."""
+        out = copy.copy(self)
+        out._load(_coefficient_rates(self.background, self.kind, self.t))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -772,10 +798,10 @@ def induced_data_state(
     kx[:, 1:] = lattice.modes.astype(float)
     gam = background.gamma_derivs(t, 0)[0]
     # (nabla h)_{abc} = partial_a h_bc - Gamma^m_{ab} h_mc - Gamma^m_{ac} h_bm
-    grad = 1j * np.einsum("ka,kbc->kabc", kx, H)
+    grad = 1j * (kx[:, :, None, None] * H[:, None])
     grad[:, 0] += Hdot
-    grad -= np.einsum("mab,kmc->kabc", gam, H)
-    grad -= np.einsum("mac,kbm->kabc", gam, H)
+    grad -= np.einsum("mab,kmc->kabc", gam, H, optimize=True)
+    grad -= np.einsum("mac,kbm->kabc", gam, H, optimize=True)
     ktilde = background.slice_at(t).extrinsic
     sp_pairs = sym2_index_pairs(n)
     h_sp = np.stack([H[:, 1 + i, 1 + j] for i, j in sp_pairs], axis=-1)

@@ -23,7 +23,11 @@ from linwave.fields import (
     zero_field,
 )
 from linwave.slices import _sym2_from_full, apply_slice_operator, slice_geometry
-from linwave.spacetime import family_matrices, induced_data_state, spacetime_background
+from linwave.spacetime import (
+    assemble_mode_operator,
+    induced_data_state,
+    spacetime_background,
+)
 
 KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
 TORUS = slice_geometry("flat-torus", n=3)
@@ -310,12 +314,15 @@ def test_kasner_gauge_data_matches_spacetime_lie_oracle():
     beta = zero_field(lat, "one-form")
     V = np.zeros((lat.num_modes, 4), complex)
     V[:, 0] = -N.coeffs[:, 0]  # V_0 = g_00 V^0 = -N
-    L0, L1 = family_matrices(bg, "lie_of_g", t0, lat.modes)
-    U = np.einsum("kij,kj->ki", L0, V)
+    # direct per-mode symbolic assembly of the Lie operator's V coefficient
+    ops = [assemble_mode_operator(bg, "lie_of_g", k) for k in lat.modes]
+
+    def L0(t):
+        return np.stack([op.matrices(t)[0] for op in ops])
+
+    U = np.einsum("kij,kj->ki", L0(t0), V)
     dt = 1e-6
-    L0p, _ = family_matrices(bg, "lie_of_g", t0 + dt, lat.modes)
-    L0m, _ = family_matrices(bg, "lie_of_g", t0 - dt, lat.modes)
-    Udot = np.einsum("kij,kj->ki", (L0p - L0m) / (2 * dt), V)
+    Udot = np.einsum("kij,kj->ki", (L0(t0 + dt) - L0(t0 - dt)) / (2 * dt), V)
     htilde, mtilde = induced_data_state(bg, t0, lat, U, Udot)
     gp = gauge_producing_data(N, beta, bg.slice_at(t0))
     assert np.max(np.abs(htilde.coeffs - gp.h.coeffs)) < 1e-6

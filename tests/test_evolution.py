@@ -16,7 +16,12 @@ from linwave.evolution import (
 )
 from linwave.fields import ModeLattice, SpectralField, random_field, zero_field
 from linwave.slices import apply_slice_operator, slice_geometry
-from linwave.spacetime import family_matrices, nu_jet_conversion, spacetime_background
+from linwave.spacetime import (
+    FamilyAction,
+    assemble_mode_operator,
+    nu_jet_conversion,
+    spacetime_background,
+)
 
 KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
 MINK = spacetime_background("minkowski-torus", n=3)
@@ -44,8 +49,11 @@ def standing_wave_pair(lat):
 
 
 def gauge_residual_norm(bg, lat, t, U, Ud):
-    D0, D1 = family_matrices(bg, "div_trace_reversed", t, lat.modes)
-    G = np.einsum("kij,kj->ki", D0, U) + np.einsum("kij,kj->ki", D1, Ud)
+    # direct per-mode symbolic assembly, independent of FamilyAction
+    G = [
+        assemble_mode_operator(bg, "div_trace_reversed", k).apply(t, [U[i], Ud[i]])
+        for i, k in enumerate(lat.modes)
+    ]
     return float(np.max(np.abs(G)))
 
 
@@ -209,6 +217,39 @@ def test_gauge_recovery_on_kasner():
     w = trajectory_difference(trh, trg)
     rec = recover_gauge_vector(w)
     assert rec.relative_deviation.max() < 1e-8
+
+
+def test_lie_trajectory_derivative_is_exact():
+    # at the first sample W = W0 exactly, so d/dt (L_0 W + L_1 W') is fixed by
+    # the operators alone: against the central difference (step 1e-6) of the
+    # direct per-mode assembly on Kasner; on the static Minkowski torus
+    # dL/dt is exactly zero and drops out
+    rng = np.random.default_rng(8)
+    lat = ModeLattice(3, 1)
+    W0 = hermitian_pair(lat, rng, 4)
+    Wd0 = hermitian_pair(lat, rng, 4)
+    eps = 1e-6
+    for bg, t in ((KAS, 1.3), (MINK, 0.0)):
+        traj = lie_trajectory(bg, lat, [t], W0, Wd0, dt=1e-2)
+        want = []
+        for i, k in enumerate(lat.modes):
+            C0, C1, _ = assemble_mode_operator(bg, "connection_wave", k).matrices(t)
+            Wdd = -(C1 @ Wd0[i] + C0 @ W0[i])
+            L0, L1 = assemble_mode_operator(bg, "lie_of_g", k).matrices(t)
+            L0p, L1p = assemble_mode_operator(bg, "lie_of_g", k).matrices(t + eps)
+            L0m, L1m = assemble_mode_operator(bg, "lie_of_g", k).matrices(t - eps)
+            want.append(
+                (L0p - L0m) / (2 * eps) @ W0[i] + L0 @ Wd0[i]
+                + (L1p - L1m) / (2 * eps) @ Wd0[i] + L1 @ Wdd
+            )
+        want = np.array(want)
+        err = np.max(np.abs(traj.derivs[0] - want))
+        assert err <= 1e-8 * np.max(np.abs(want)), (bg.kind, err)
+    lie = FamilyAction(MINK, "lie_of_g", 0.0, lat.modes)
+    conn = FamilyAction(MINK, "connection_wave", 0.0, lat.modes)
+    Wdd = -(conn.apply(1, Wd0) + conn.apply(0, W0))
+    exact = lie.apply(0, Wd0) + lie.apply(1, Wdd)
+    assert np.array_equal(traj.derivs[0], exact)
 
 
 def test_tt_wave_is_not_gauge():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from linwave.fields import ModeLattice, random_field
+from linwave.evolution import Trajectory, diagnostics, wave_energies
+from linwave.fields import ModeLattice, component_weights, random_field
 from linwave.spacetime import (
     OPERATOR_KINDS,
     CauchyJet,
+    FamilyAction,
     assemble_mode_operator,
     family_coefficients,
     fd_d_ric,
@@ -188,6 +190,22 @@ def test_mode_operator_rejects_unknown_kind():
         assemble_mode_operator(MINK, "bogus", K)
 
 
+# non-probe modes (|k_a| up to 3, all three axes mixed) next to two probes
+APPLY_MODES = np.array(
+    [[2, -1, 3], [0, 3, -2], [-3, 2, 1], [1, 1, 1], [0, 0, 0], [0, 1, 1]], float
+)
+
+
+def _kasner_triples():
+    # the generic triple is p_i = 1/3 + 2/3 cos(0.7 + 2 pi i / 3)
+    generic = tuple(1 / 3 + 2 / 3 * np.cos(0.7 + 2 * np.pi * i / 3) for i in range(3))
+    return (KASNER_P, (1.0, 0.0, 0.0), generic)
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def _probe_modes(n):
     """k = 0, +-e_a and e_a + e_b: the ten probes that fix a quadratic in k."""
     eye = np.eye(n)
@@ -197,12 +215,10 @@ def _probe_modes(n):
 
 
 def test_family_coefficient_table_matches_direct_assembly():
-    # C_j(1) * t**E_j against the symbolic jet assembly at t itself; the
-    # generic triple is p_i = 1/3 + 2/3 cos(0.7 + 2 pi i / 3)
-    generic = tuple(1 / 3 + 2 / 3 * np.cos(0.7 + 2 * np.pi * i / 3) for i in range(3))
+    # C_j(1) * t**E_j against the symbolic jet assembly at t itself
     modes = _probe_modes(3)
     basis = monomial_basis(modes)
-    for p in (KASNER_P, (1.0, 0.0, 0.0), generic):
+    for p in _kasner_triples():
         bg = spacetime_background("kasner", p=p)
         for kind in OPERATOR_KINDS:
             for t in (0.3, 1.0, 1.7, 2.9):
@@ -229,3 +245,83 @@ def test_family_coefficients_refuse_kasner_singularity():
     for t in (0.0, -1.0):
         with pytest.raises(ValueError, match="Kasner time must be positive"):
             family_coefficients(KAS, "lichnerowicz", t)
+
+
+def _dense_reference(bg, kind, t, modes, us):
+    """sum_j M_j(k) u_j per mode from direct symbolic assembly, and the
+    largest matrix entry."""
+    out, scale = [], 0.0
+    for i, k in enumerate(modes):
+        mats = assemble_mode_operator(bg, kind, k).matrices(t)
+        out.append(sum(M @ u[i] for M, u in zip(mats, us)))
+        scale = max(scale, max(float(np.max(np.abs(M))) for M in mats))
+    return np.array(out), scale
+
+
+def test_family_action_matches_direct_assembly():
+    rng = np.random.default_rng(6)
+    backgrounds = [MINK] + [spacetime_background("kasner", p=p) for p in _kasner_triples()]
+    for bg in backgrounds:
+        for kind in OPERATOR_KINDS:
+            ncomp = 10 if kind in ("lichnerowicz", "div_trace_reversed", "d_ric") else 4
+            for t in (0.3, 1.7):
+                act = FamilyAction(bg, kind, t, APPLY_MODES)
+                for j in range(act.order() + 1):
+                    u = _complex_normal(rng, (len(APPLY_MODES), ncomp))
+                    u /= np.max(np.abs(u))
+                    us = [np.zeros_like(u)] * j + [u]
+                    want, scale = _dense_reference(bg, kind, t, APPLY_MODES, us)
+                    err = float(np.max(np.abs(act.apply(j, u) - want)))
+                    # killing_wave vanishes identically: scale by at least 1
+                    scale = max(1.0, scale)
+                    assert err <= 1e-13 * scale, (bg.p, kind, t, j, err / scale)
+
+
+def test_wave_energies_and_gauge_residual_match_dense_reference():
+    rng = np.random.default_rng(7)
+    lat = ModeLattice(3, 1)
+    times = np.array([1.0, 1.7])
+
+    shape = (len(times), lat.num_modes, 10)
+    traj = Trajectory(
+        KAS, lat, times, _complex_normal(rng, shape), _complex_normal(rng, shape), dt=1e-2
+    )
+    diag = diagnostics(traj)
+    k2 = np.sum(lat.modes.astype(float) ** 2, axis=1)
+    w = component_weights("sym2", 4)
+    for i, t in enumerate(times):
+        U, Ud = traj.states[i], traj.derivs[i]
+        G, _ = _dense_reference(KAS, "div_trace_reversed", t, lat.modes, [U, Ud])
+        want = np.sqrt(np.sum(np.abs(G) ** 2))
+        assert abs(diag.gauge_residual[i] - want) <= 1e-13 * want
+        Udd, _ = _dense_reference(KAS, "lichnerowicz", t, lat.modes, [U, Ud])
+        stack = [U, Ud, -Udd]
+        for j in (0, 1):
+            dens = (k2[:, None] * np.abs(stack[j]) ** 2 + np.abs(stack[j + 1]) ** 2) @ w
+            want = np.sqrt(np.sum((1.0 + k2) ** -j * dens))
+            assert abs(diag.energies[i, j] - want) <= 1e-13 * want
+            got = wave_energies(KAS, lat, t, U, Ud)[j]
+            assert abs(got - want) <= 1e-13 * want
+
+
+def test_family_action_rate_is_exact_derivative():
+    # against a central difference of the direct assembly (step 1e-6, whose
+    # truncation and cancellation error is ~1e-10 relative) on Kasner; the
+    # Minkowski torus is static, so the rate is exactly zero there
+    rng = np.random.default_rng(8)
+    u = _complex_normal(rng, (len(APPLY_MODES), 4))
+    eps = 1e-6
+    for p in _kasner_triples():
+        bg = spacetime_background("kasner", p=p)
+        for t in (0.3, 1.7):
+            rate = FamilyAction(bg, "lie_of_g", t, APPLY_MODES).rate()
+            for j in (0, 1):
+                us = [np.zeros_like(u)] * j + [u]
+                plus, _ = _dense_reference(bg, "lie_of_g", t + eps, APPLY_MODES, us)
+                minus, _ = _dense_reference(bg, "lie_of_g", t - eps, APPLY_MODES, us)
+                want = (plus - minus) / (2 * eps)
+                err = float(np.max(np.abs(rate.apply(j, u) - want)))
+                assert err <= 1e-8 * float(np.max(np.abs(want))), (p, t, j)
+    for t in (0.0, 1.7):
+        rate = FamilyAction(MINK, "lie_of_g", t, APPLY_MODES).rate()
+        assert all(np.max(np.abs(rate.apply(j, u))) == 0.0 for j in (0, 1))
