@@ -8,10 +8,13 @@ Nonlinear constraints of a slice (g~, k~):
 dphi evaluates the full linearisation around the background slice data,
 including every extrinsic-curvature term; dphi_oracle re-derives it from
 the nonlinear map by central differencing, with the nonlinear scalar
-curvature computed pointwise through 4th-order finite differences whose
-stencil values come from phase-shifted spectral synthesis (exact offset
-grids, no interpolation).  normal_identities checks the two identities
-linking the linearised Ricci tensor to dphi on extendable Cauchy jets.
+curvature computed pointwise through 4th-order finite differences.  On a
+band-limited field each stencil is an exact Fourier multiplier, so the
+grid values and every stencil come from one batched synthesis of the
+coefficients times the stencil symbols: the numbers the stencils give on
+exact offset grids, with no interpolation and no differencing of grids.
+normal_identities checks the two identities linking the linearised Ricci
+tensor to dphi on extendable Cauchy jets.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from .fields import (
     sobolev_norm,
     sym2_index_pairs,
     synthesize_shifted,
-    zero_field,
 )
-from .slices import SliceGeometry, _full_from_sym2, _sym2_from_full
+from .slices import SliceGeometry, _full_from_sym2
 from .spacetime import (
     CauchyJet,
     FamilyAction,
@@ -101,14 +103,15 @@ def phi(gdata, kdata, geom: SliceGeometry, npts: int | None = None,
         G = inv.sym6_to_mat(G) if np.shape(G) == (6,) else np.asarray(G, float)
         K = inv.sym6_to_mat(K) if np.shape(K) == (6,) else np.asarray(K, float)
         return _phi_invariant(G, K)
-    gs = _shifted_samples(gdata, npts, step, second=True)
-    ks = _shifted_samples(kdata, npts, step, second=False)
-    p1, p2 = _phi_pointwise(gs, ks, gdata.lattice.n, step)
     lat = gdata.lattice
-    return (
-        analyze(p1, "scalar", lat),
-        analyze(p2, "one-form", lat),
-    )
+    npts = _grid_size(lat, npts)
+    g, dg, d2g = _stencil_samples(gdata, npts, step, second=True)
+    k, dk, _ = _stencil_samples(kdata, npts, step, second=False)
+    return _torus_constraint_fields(*_phi_pointwise(g, dg, d2g, k, dk), lat, npts)
+
+
+def _grid_size(lat, npts: int | None) -> int:
+    return max(lat.modes_per_axis, 16) if npts is None else npts
 
 
 def _phi_invariant(G: np.ndarray, K: np.ndarray):
@@ -123,83 +126,66 @@ def _phi_invariant(G: np.ndarray, K: np.ndarray):
     return phi1, divk
 
 
-def _shifted_samples(field: SpectralField, npts: int | None, step: float,
-                     second: bool) -> dict:
-    """Sample a band-limited sym2 field on the base grid and on the exact
-    offset grids a 4th-order stencil needs, as full (..., n, n) matrices."""
-    lat = field.lattice
-    n = lat.n
-    if npts is None:
-        npts = max(lat.modes_per_axis, 16)
+def _stencil_symbols(lat, step: float, second: bool) -> np.ndarray:
+    """Fourier symbols of the identity and of the 4th-order stencils at
+    `step`, shape (nsym, num_modes): the identity, D_a for each axis, then
+    (with `second`) D_a D_b over the sym2 index pairs a <= b.
 
-    def grab(shift):
-        arr = synthesize_shifted(field, npts, shift)
-        imag = float(np.max(np.abs(arr.imag)))
-        if imag > 1e-10 * max(1.0, float(np.max(np.abs(arr.real)))):
-            raise ValueError("metric samples came out complex; data not real")
-        return _full_from_sym2(arr.real.reshape(npts ** n, -1), n)
-
-    offs = (-2, -1, 1, 2)
-    out = {"0": grab(None), "npts": npts}
-    for a in range(n):
-        for mshift in offs:
-            e = np.zeros(n)
-            e[a] = mshift * step
-            out[f"{a}:{mshift}"] = grab(e)
+    On exp(i k.x) a stencil sum_m w_m f(x + m step e_a) is the multiplier
+    sum_m w_m exp(i m theta), theta = k_a step.  With the weights
+    (-1, 8, -8, 1) at m = (2, 1, -1, -2) over 12 step this is
+    i (8 sin theta - sin 2 theta) / (6 step); with (-1, 16, -30, 16, -1) at
+    m = (2, 1, 0, -1, -2) over 12 step^2 it is
+    (4 sin^2 theta - 64 sin^2(theta / 2)) / (12 step^2), written through
+    cos x = 1 - 2 sin^2(x / 2) so the O(1) weights never cancel.  D_a D_b
+    for a != b is the product of the two first-derivative symbols.  Every
+    symbol but the identity is exactly 0 at k = 0.
+    """
+    theta = lat.modes * step
+    first = 1j * (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * step)
+    rows = [np.ones(lat.num_modes)] + [first[:, a] for a in range(lat.n)]
     if second:
-        for a in range(n):
-            for b in range(a + 1, n):
-                for ma in offs:
-                    for mb in offs:
-                        e = np.zeros(n)
-                        e[a] = ma * step
-                        e[b] = mb * step
-                        out[f"{a}{b}:{ma}{mb}"] = grab(e)
-    return out
+        diag = (4.0 * np.sin(theta) ** 2 - 64.0 * np.sin(0.5 * theta) ** 2) / (12.0 * step ** 2)
+        rows += [diag[:, a] if a == b else first[:, a] * first[:, b]
+                 for a, b in sym2_index_pairs(lat.n)]
+    return np.stack(rows)
 
 
-def _stencil_first(samp: dict, axis: int, step: float) -> np.ndarray:
-    return (
-        -samp[f"{axis}:2"] + 8 * samp[f"{axis}:1"]
-        - 8 * samp[f"{axis}:-1"] + samp[f"{axis}:-2"]
-    ) / (12 * step)
+def _stencil_samples(field: SpectralField, npts: int, step: float, second: bool):
+    """Values of a band-limited sym2 field on the npts^n grid and its
+    4th-order stencil derivatives there, as full (..., p, n, n) matrices.
+
+    The stencils act as exact Fourier multipliers (`_stencil_symbols`), so
+    the values and every stencil come from one batched synthesis: the same
+    numbers as differencing exact offset grids, without the differencing.
+    Returns (f, df, d2f) with df[a] = D_a f and d2f[a, b] = D_a D_b f;
+    d2f is None unless `second`.
+    """
+    n = field.lattice.n
+    arr = synthesize_shifted(field, npts, None, _stencil_symbols(field.lattice, step, second))
+    grids = arr.reshape(len(arr), -1)
+    imag = np.max(np.abs(grids.imag), axis=1)
+    if np.any(imag > 1e-10 * np.maximum(1.0, np.max(np.abs(grids.real), axis=1))):
+        raise ValueError("metric samples came out complex; data not real")
+    full = _full_from_sym2(arr.real.reshape(len(arr), npts ** n, -1), n)
+    f, df = full[0], full[1:n + 1]
+    if not second:
+        return f, df, None
+    d2f = np.empty((n, n) + f.shape)
+    for c, (a, b) in enumerate(sym2_index_pairs(n), start=n + 1):
+        d2f[a, b] = d2f[b, a] = full[c]
+    return f, df, d2f
 
 
-def _stencil_second_diag(samp: dict, axis: int, step: float) -> np.ndarray:
-    return (
-        -samp[f"{axis}:2"] + 16 * samp[f"{axis}:1"] - 30 * samp["0"]
-        + 16 * samp[f"{axis}:-1"] - samp[f"{axis}:-2"]
-    ) / (12 * step ** 2)
-
-
-def _stencil_second_cross(samp: dict, a: int, b: int, step: float) -> np.ndarray:
-    w = {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0}
-    acc = 0.0
-    for ma, wa in w.items():
-        for mb, wb in w.items():
-            acc = acc + wa * wb * samp[f"{a}{b}:{ma}{mb}"]
-    return acc / (144 * step ** 2)
-
-
-def _phi_pointwise(gs: dict, ks: dict, n: int, step: float):
+def _phi_pointwise(g, dg, d2g, k, dk):
     """Pointwise constraints from sampled metric/extrinsic data.
 
-    Axis conventions: p = grid point; dg has axes [a, p, c, d] = d_a g_cd,
-    d2g has axes [e, a, p, c, d] = d_e d_a g_cd.
+    Axis conventions: p = grid point; g and k have axes [p, c, d]; dg and
+    dk have axes [a, p, c, d] = d_a g_cd; d2g has axes [e, a, p, c, d] =
+    d_e d_a g_cd.  Returns Phi_1 with axes [p] and Phi_2 with axes [p, x].
     """
-    npts = gs["npts"]
-    g = gs["0"]
-    k = ks["0"]
     gi = np.linalg.inv(g)
-    dg = np.stack([_stencil_first(gs, a, step) for a in range(n)])
-    dk = np.stack([_stencil_first(ks, a, step) for a in range(n)])
-    d2g = np.zeros((n, n) + g.shape)
-    for a in range(n):
-        d2g[a, a] = _stencil_second_diag(gs, a, step)
-        for b in range(a + 1, n):
-            d2g[a, b] = _stencil_second_cross(gs, a, b, step)
-            d2g[b, a] = d2g[a, b]
-    dgi = -np.einsum("pce,apef,pfd->apcd", gi, dg, gi)
+    dgi = -np.einsum("pce,apef,pfd->apcd", gi, dg, gi, optimize=True)
     # Koszul bracket br[a, p, d, b] = d_a g_db + d_b g_da - d_d g_ab
     br = (
         np.einsum("apdb->apdb", dg)
@@ -211,30 +197,37 @@ def _phi_pointwise(gs: dict, ks: dict, n: int, step: float):
         + np.einsum("ebpda->eapdb", d2g)
         - np.einsum("edpab->eapdb", d2g)
     )
-    gam = 0.5 * np.einsum("pcd,apdb->pcab", gi, br)
+    gam = 0.5 * np.einsum("pcd,apdb->pcab", gi, br, optimize=True)
     dgam = 0.5 * (
-        np.einsum("epcd,apdb->epcab", dgi, br)
-        + np.einsum("pcd,eapdb->epcab", gi, dbr)
+        np.einsum("epcd,apdb->epcab", dgi, br, optimize=True)
+        + np.einsum("pcd,eapdb->epcab", gi, dbr, optimize=True)
     )
     ric = (
         np.einsum("cpcab->pab", dgam)
         - np.einsum("apccb->pab", dgam)
-        + np.einsum("pccm,pmab->pab", gam, gam)
-        - np.einsum("pcam,pmcb->pab", gam, gam)
+        + np.einsum("pccm,pmab->pab", gam, gam, optimize=True)
+        - np.einsum("pcam,pmcb->pab", gam, gam, optimize=True)
     )
     scal = np.einsum("pab,pab->p", gi, ric)
-    kk = np.einsum("pia,pjb,pij,pab->p", gi, gi, k, k)
+    kk = np.einsum("pia,pjb,pij,pab->p", gi, gi, k, k, optimize=True)
     trk = np.einsum("pij,pij->p", gi, k)
     phi1 = scal - kk + trk ** 2
     divk = (
-        np.einsum("pab,apbx->px", gi, dk)
-        - np.einsum("pab,pmab,pmx->px", gi, gam, k)
-        - np.einsum("pab,pmax,pbm->px", gi, gam, k)
+        np.einsum("pab,apbx->px", gi, dk, optimize=True)
+        - np.einsum("pab,pmab,pmx->px", gi, gam, k, optimize=True)
+        - np.einsum("pab,pmax,pbm->px", gi, gam, k, optimize=True)
     )
     dtrk = np.einsum("xpab,pab->px", dgi, k) + np.einsum("pab,xpab->px", gi, dk)
-    phi2 = divk - dtrk
-    shape = (npts,) * n
-    return phi1.reshape(shape), phi2.reshape(shape + (n,))
+    return phi1, divk - dtrk
+
+
+def _torus_constraint_fields(p1, p2, lat, npts: int):
+    """Analyze pointwise Phi_1, Phi_2 (flattened npts^n grid) into fields."""
+    shape = (npts,) * lat.n
+    return (
+        analyze(p1.reshape(shape), "scalar", lat),
+        analyze(p2.reshape(shape + (lat.n,)), "one-form", lat),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +317,12 @@ def _dphi_invariant(pair: InitialDataPair) -> ConstraintResidual:
 def dphi_oracle(pair: InitialDataPair, eps: float = ORACLE_EPS,
                 step: float = ORACLE_STEP, npts: int | None = None) -> ConstraintResidual:
     """Central-difference linearisation of the nonlinear map:
-    [Phi(g~ + eps h~, k~ + eps m~) - Phi(g~ - eps h~, k~ - eps m~)] / (2 eps)."""
+    [Phi(g~ + eps h~, k~ + eps m~) - Phi(g~ - eps h~, k~ - eps m~)] / (2 eps).
+
+    On tori Phi is evaluated pointwise on the npts^n grid, its derivatives
+    by 4th-order stencils at `step` applied as exact Fourier multipliers
+    (see `_stencil_symbols`); the oracle never calls `dphi`.
+    """
     geom = pair.geom
     if not geom.is_torus:
         G, K = geom.metric, geom.extrinsic
@@ -343,28 +341,17 @@ def dphi_oracle(pair: InitialDataPair, eps: float = ORACLE_EPS,
     if getattr(pair.h, "dirac", None) is not None or getattr(pair.m, "dirac", None) is not None:
         raise ValueError("oracle needs pointwise values; distributional data rejected")
     lat = pair.h.lattice
-    n = lat.n
-    hs = _shifted_samples(pair.h, npts, step, second=True)
-    ms = _shifted_samples(pair.m, npts, step, second=False)
+    npts = _grid_size(lat, npts)
+    h, dh, d2h = _stencil_samples(pair.h, npts, step, second=True)
+    m, dm, _ = _stencil_samples(pair.m, npts, step, second=False)
     G, K = pair.geom.metric, pair.geom.extrinsic
-
-    def with_background(samples, base, scale):
-        out = {"npts": samples["npts"]}
-        for key, val in samples.items():
-            if key == "npts":
-                continue
-            out[key] = base[None] + scale * val
-        return out
-
-    results = []
-    for sign in (+1.0, -1.0):
-        gs = with_background(hs, G, sign * eps)
-        ks = with_background(ms, K, sign * eps)
-        results.append(_phi_pointwise(gs, ks, n, step))
-    p1 = (results[0][0] - results[1][0]) / (2 * eps)
-    p2 = (results[0][1] - results[1][1]) / (2 * eps)
-    scalar = analyze(p1, "scalar", lat)
-    oneform = analyze(p2, "one-form", lat)
+    # The stencil symbols vanish at k = 0, so the constant background enters
+    # the values only: the stencils of g~ +- eps h~ are +- eps times those
+    # of h~, and G never cancels between offset grids.
+    p1p, p2p = _phi_pointwise(G + eps * h, eps * dh, eps * d2h, K + eps * m, eps * dm)
+    p1m, p2m = _phi_pointwise(G - eps * h, -eps * dh, -eps * d2h, K - eps * m, -eps * dm)
+    scalar, oneform = _torus_constraint_fields(
+        (p1p - p1m) / (2 * eps), (p2p - p2m) / (2 * eps), lat, npts)
     orders = (pair.order - 2.0, pair.order - 1.0)
     return ConstraintResidual(scalar, oneform, _torus_norms(scalar, oneform, orders))
 

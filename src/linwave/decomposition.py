@@ -371,11 +371,10 @@ def _moncrief_torus(pair: InitialDataPair, geom: SliceGeometry) -> MoncriefSplit
         A[:, ncomp + c, n] = -k[:, a] * k[:, b]
     x = np.concatenate([pair.h.coeffs, pair.m.coeffs], axis=1)
     wsq = np.concatenate([sq, sq])
-    u = np.zeros((m, n + 1), complex)
-    for i in range(m):
-        u[i], *_ = np.linalg.lstsq(
-            wsq[:, None] * A[i], wsq * x[i], rcond=KERNEL_TOL
-        )
+    # minimum-norm least squares for every mode at once; singular values at
+    # or below KERNEL_TOL times the largest are dropped, as lstsq's rcond does
+    pinv = np.linalg.pinv(wsq[:, None] * A, rcond=KERNEL_TOL)
+    u = np.einsum("mic,mc->mi", pinv, wsq * x)
     gauge = np.einsum("mci,mi->mc", A, u)
     beta = SpectralField(lat, "one-form", u[:, :n])
     N = SpectralField(lat, "scalar", u[:, n:])

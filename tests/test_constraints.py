@@ -3,14 +3,22 @@ import pytest
 
 import linwave.invariant as inv
 from linwave.constraints import (
+    ORACLE_STEP,
     InitialDataPair,
+    _stencil_samples,
     dphi,
     dphi_oracle,
     normal_identities,
     phi,
 )
-from linwave.fields import ModeLattice, distributional_coefficients, random_field, zero_field
-from linwave.slices import _sym2_from_full, slice_geometry
+from linwave.fields import (
+    ModeLattice,
+    distributional_coefficients,
+    random_field,
+    synthesize_shifted,
+    zero_field,
+)
+from linwave.slices import _full_from_sym2, _sym2_from_full, slice_geometry
 from linwave.spacetime import CauchyJet, spacetime_background
 
 KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
@@ -113,6 +121,106 @@ def test_oracle_rejects_distributional_data():
     # but dphi itself operates mode by mode and accepts it
     res = dphi(pair)
     assert np.isfinite(res.scalar.coeffs).all()
+
+
+def test_oracle_rejects_complex_samples():
+    lat = ModeLattice(3, 2)
+    h = random_field(lat, "sym2", np.random.default_rng(16), decay=2.0)
+    h.coeffs[lat.mode_index((1, 0, 0))] += 1e-3j  # breaks c_{-k} = conj(c_k)
+    pair = InitialDataPair(h, zero_field(lat, "sym2"), slice_geometry("flat-torus", n=3))
+    with pytest.raises(ValueError, match="came out complex"):
+        dphi_oracle(pair)
+
+
+FIRST_WEIGHTS = {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0}  # over 12 step
+SECOND_WEIGHTS = {2: -1.0, 1: 16.0, 0: -30.0, -1: 16.0, -2: -1.0}  # over 12 step^2
+
+
+def offset_grid_stencils(field, npts, step):
+    """Reference: 4th-order differences of exact offset grids, each from its
+    own synthesize_shifted call.  Returns {key: (stencil, scale)} over the
+    stored sym2 components; the scale is sum |w| max|f| / denominator, the
+    largest value any term of the stencil can take."""
+    n = field.lattice.n
+
+    def grid(offsets):
+        shift = np.zeros(n)
+        for axis, m in offsets:
+            shift[axis] += m * step
+        return synthesize_shifted(field, npts, shift).real.reshape(npts ** n, -1)
+
+    fmax = float(np.max(np.abs(grid(()))))
+    out = {}
+    for a in range(n):
+        out[a] = (sum(w * grid([(a, m)]) for m, w in FIRST_WEIGHTS.items()) / (12 * step),
+                  18.0 * fmax / (12 * step))
+        out[a, a] = (sum(w * grid([(a, m)]) for m, w in SECOND_WEIGHTS.items())
+                     / (12 * step ** 2), 64.0 * fmax / (12 * step ** 2))
+        for b in range(a + 1, n):
+            out[a, b] = (sum(wa * wb * grid([(a, ma), (b, mb)])
+                             for ma, wa in FIRST_WEIGHTS.items()
+                             for mb, wb in FIRST_WEIGHTS.items()) / (144 * step ** 2),
+                         324.0 * fmax / (144 * step ** 2))
+    return out
+
+
+def test_stencil_multipliers_match_offset_grid_differences():
+    # full metric data G + h~ (background on the zero mode) on the flat 3-torus,
+    # a Kasner slice and the flat 2-torus; measured worst 2.0e-16 of the
+    # scale (the reference's own round-off, up to 4.9e-10 of a second
+    # derivative, comes from G cancelling between offset grids)
+    rng = np.random.default_rng(14)
+    cases = [(slice_geometry("flat-torus", n=3), 3),
+             (slice_geometry("kasner", p=KASNER_P, t0=1.3), 3),
+             (slice_geometry("flat-torus", n=2), 2)]
+    worst = 0.0
+    for geom, n in cases:
+        lat = ModeLattice(n, 2)
+        field = random_field(lat, "sym2", rng, decay=2.0)
+        field.coeffs[lat.mode_index((0,) * n)] += _sym2_from_full(geom.metric, n)
+        npts = 16
+        f, df, d2f = _stencil_samples(field, npts, ORACLE_STEP, second=True)
+        ref = offset_grid_stencils(field, npts, ORACLE_STEP)
+        values = synthesize_shifted(field, npts).real.reshape(npts ** n, -1)
+        assert np.max(np.abs(_sym2_from_full(f, n) - values)) <= 1e-14 * np.max(np.abs(values))
+        for key, (stencil, scale) in ref.items():
+            got = df[key] if isinstance(key, int) else d2f[key]
+            worst = max(worst, float(np.max(np.abs(_sym2_from_full(got, n) - stencil))) / scale)
+            if not isinstance(key, int):
+                assert np.array_equal(d2f[key[::-1]], got)
+    assert worst <= 1e-14, worst
+
+
+def test_stencils_of_a_constant_field_are_exactly_zero():
+    geom = slice_geometry("kasner", p=KASNER_P, t0=1.3)
+    g, k = background_pair(geom, ModeLattice(3, 2))
+    for field, const, second in ((g, geom.metric, True), (k, geom.extrinsic, False)):
+        f, df, d2f = _stencil_samples(field, 16, ORACLE_STEP, second)
+        assert np.max(np.abs(f - const)) <= 1e-15
+        assert not np.any(df)
+        assert d2f is None or not np.any(d2f)
+
+
+def test_oracle_catches_a_dropped_extrinsic_curvature_term():
+    # dphi with the A_up h~ term of DPhi_1 removed, computed here: the oracle
+    # must reject it by orders of magnitude and still accept the true dphi
+    # (measured: 1.2e-1 against 1.6e-8 of the scale)
+    rng = np.random.default_rng(15)
+    geom = slice_geometry("kasner", p=KASNER_P, t0=1.3)
+    lat = ModeLattice(3, 2)
+    pair = InitialDataPair(
+        random_field(lat, "sym2", rng, decay=2.0),
+        random_field(lat, "sym2", rng, decay=2.0),
+        geom,
+    )
+    K, gi = geom.extrinsic, geom.metric_inv
+    A_up = gi @ (2.0 * (K @ gi @ K - np.trace(gi @ K) * K)) @ gi
+    dropped = np.einsum("ab,kab->k", A_up, _full_from_sym2(pair.h.coeffs, 3))
+    true, oracle = dphi(pair), dphi_oracle(pair)
+    scale = np.max(np.abs(true.scalar.coeffs))
+    assert np.max(np.abs(true.scalar.coeffs - oracle.scalar.coeffs)) < 1e-6 * scale
+    wrong = true.scalar.coeffs[:, 0] - dropped
+    assert np.max(np.abs(wrong - oracle.scalar.coeffs[:, 0])) > 1e-3 * scale
 
 
 def test_pair_validation():
