@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: background, decompose, moncrief, gauge-data, evolve, check,
-spectrum.  Exit codes: 0 success with all checks passing, 1 check failure,
-2 usage or configuration error.  JSON reports share the top-level shape
-{"suite": ..., "background": ..., "results": [...], "pass": ...} and are
-serialized with sorted keys; CSV floats use 17 significant digits so they
-round-trip exactly.
+spectrum.  Exit codes: 0 success with all checks passing, 1 check failure
+or internal error (a broken invariant of the computation, printed as
+"internal error: ..." naming the layer), 2 usage or configuration error.
+JSON reports share the top-level shape {"suite": ..., "background": ...,
+"results": [...], "pass": ...} and are serialized with sorted keys; CSV
+floats use 17 significant digits so they round-trip exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .fields import (
     SpectralField,
     dirac_partial_sum,
     random_field,
+    sym2_from_full,
     zero_field,
 )
 from .slices import constraint_residual, slice_geometry
@@ -182,15 +184,12 @@ def _initial_pair(cfg, geom):
         return gauge_producing_data(
             random_field(lat, "scalar", rng), random_field(lat, "one-form", rng), geom
         )
-    # standing-wave: a transverse-traceless cos(x^1) polarization
+    # standing-wave: cos(x^1) times the polarization diag(0, 1/2, -1/2),
+    # transverse-traceless; on the 2-torus its block diag(0, 1/2)
+    pol = sym2_from_full(np.diag([0.0, 0.5, -0.5])[:geom.n, :geom.n], geom.n)
     h = zero_field(lat, "sym2")
     for k in [(1,) + (0,) * (geom.n - 1), (-1,) + (0,) * (geom.n - 1)]:
-        i = lat.mode_index(k)
-        if geom.n == 3:
-            h.coeffs[i, 3] = 0.5   # dx^2 dx^2
-            h.coeffs[i, 5] = -0.5  # dx^3 dx^3
-        else:
-            h.coeffs[i, 2] = 0.5
+        h.coeffs[lat.mode_index(k)] = pol
     return InitialDataPair(h, zero_field(lat, "sym2"), geom)
 
 
@@ -448,6 +447,9 @@ def run_cli(argv=None) -> int:
     except (ConfigError, SnapshotError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except RuntimeError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 1
 
 
 def main() -> None:

@@ -28,16 +28,17 @@ from .fields import (
     SpectralField,
     analyze,
     sobolev_norm,
+    sym2_from_full,
     sym2_index_pairs,
+    sym2_to_full,
     synthesize_shifted,
 )
-from .slices import SliceGeometry, _full_from_sym2
+from .slices import SliceGeometry
 from .spacetime import (
     CauchyJet,
     FamilyAction,
     induced_data_state,
     nu_jet_conversion,
-    st_pairs,
 )
 
 ORACLE_EPS = 1e-5
@@ -100,8 +101,8 @@ def phi(gdata, kdata, geom: SliceGeometry, npts: int | None = None,
     if not geom.is_torus:
         G = gdata.components if isinstance(gdata, inv.InvariantField) else gdata
         K = kdata.components if isinstance(kdata, inv.InvariantField) else kdata
-        G = inv.sym6_to_mat(G) if np.shape(G) == (6,) else np.asarray(G, float)
-        K = inv.sym6_to_mat(K) if np.shape(K) == (6,) else np.asarray(K, float)
+        G = sym2_to_full(G, 3) if np.shape(G) == (6,) else np.asarray(G, float)
+        K = sym2_to_full(K, 3) if np.shape(K) == (6,) else np.asarray(K, float)
         return _phi_invariant(G, K)
     lat = gdata.lattice
     npts = _grid_size(lat, npts)
@@ -167,14 +168,12 @@ def _stencil_samples(field: SpectralField, npts: int, step: float, second: bool)
     imag = np.max(np.abs(grids.imag), axis=1)
     if np.any(imag > 1e-10 * np.maximum(1.0, np.max(np.abs(grids.real), axis=1))):
         raise ValueError("metric samples came out complex; data not real")
-    full = _full_from_sym2(arr.real.reshape(len(arr), npts ** n, -1), n)
+    full = sym2_to_full(arr.real.reshape(len(arr), npts ** n, -1), n)
     f, df = full[0], full[1:n + 1]
     if not second:
         return f, df, None
-    d2f = np.empty((n, n) + f.shape)
-    for c, (a, b) in enumerate(sym2_index_pairs(n), start=n + 1):
-        d2f[a, b] = d2f[b, a] = full[c]
-    return f, df, d2f
+    # the D_a D_b rows are themselves sym2-ordered in (a, b)
+    return f, df, full[sym2_to_full(np.arange(n + 1, len(full)), n)]
 
 
 def _phi_pointwise(g, dg, d2g, k, dk):
@@ -252,8 +251,8 @@ def _dphi_torus(pair: InitialDataPair, norm_orders=None) -> ConstraintResidual:
     K = geom.extrinsic
     modes = lat.modes.astype(float)
     kup = modes @ gi.T
-    h = _full_from_sym2(pair.h.coeffs, n)
-    m = _full_from_sym2(pair.m.coeffs, n)
+    h = sym2_to_full(pair.h.coeffs, n)
+    m = sym2_to_full(pair.m.coeffs, n)
     tr_h = np.einsum("ab,kab->k", gi, h)
     tr_m = np.einsum("ab,kab->k", gi, m)
     k2 = np.einsum("ka,ka->k", kup, modes)
@@ -290,12 +289,12 @@ def _dphi_invariant(pair: InitialDataPair) -> ConstraintResidual:
     geom = pair.geom
     geo = geom.invariant_geometry
     gi = geom.metric_inv
-    G6 = inv.mat_to_sym6(geom.metric)
+    G6 = sym2_from_full(geom.metric, 3)
     ric = geom.ricci
     h6 = pair.h.components
     m6 = pair.m.components
-    hmat = inv.sym6_to_mat(h6)
-    mmat = inv.sym6_to_mat(m6)
+    hmat = sym2_to_full(h6, 3)
+    mmat = sym2_to_full(m6, 3)
     # k~ = 0 on the invariant backend: DPhi reduces to
     # (div div h~ - g~(Ric, h~),  div(m~ - (tr m~) g~));  d tr terms are
     # derivatives of invariant scalars and vanish identically.
@@ -326,8 +325,8 @@ def dphi_oracle(pair: InitialDataPair, eps: float = ORACLE_EPS,
     geom = pair.geom
     if not geom.is_torus:
         G, K = geom.metric, geom.extrinsic
-        hmat = inv.sym6_to_mat(pair.h.components)
-        mmat = inv.sym6_to_mat(pair.m.components)
+        hmat = sym2_to_full(pair.h.components, 3)
+        mmat = sym2_to_full(pair.m.components, 3)
         p1p, p2p = _phi_invariant(G + eps * hmat, K + eps * mmat)
         p1m, p2m = _phi_invariant(G - eps * hmat, K - eps * mmat)
         scalar = inv.InvariantField("scalar", np.array([(p1p - p1m) / (2 * eps)]))
@@ -375,24 +374,15 @@ def normal_identities(jet: CauchyJet, closure: np.ndarray | None = None) -> dict
     bg = jet.background
     t = jet.t0
     lat = jet.lattice
-    n = bg.n
     modes = lat.modes
     U, Udot = nu_jet_conversion(jet)
     if closure is None:
-        wave = FamilyAction(bg, "lichnerowicz", t, modes)
-        if not wave.is_monic():
-            raise ValueError("wave operator not monic in d/dt; cannot close the jet")
-        Uddot = -(wave.apply(1, Udot) + wave.apply(0, U))
+        Uddot = FamilyAction(bg, "lichnerowicz", t, modes).monic_closure(U, Udot)
     else:
         Uddot = closure
     dric = FamilyAction(bg, "d_ric", t, modes)
     R = dric.apply(0, U) + dric.apply(1, Udot) + dric.apply(2, Uddot)
-    dim = n + 1
-    pairs = st_pairs(dim)
-    Rfull = np.zeros((len(modes), dim, dim), complex)
-    for c, (a, b) in enumerate(pairs):
-        Rfull[:, a, b] = R[:, c]
-        Rfull[:, b, a] = R[:, c]
+    Rfull = sym2_to_full(R, bg.dim)
     giful = bg.metric_inv_derivs(t, 0)[0]
     lhs1 = np.einsum("ab,kab->k", giful, Rfull) + 2.0 * Rfull[:, 0, 0]
     lhs2 = Rfull[:, 0, 1:]

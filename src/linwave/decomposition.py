@@ -26,8 +26,16 @@ import numpy as np
 
 from . import invariant as inv
 from .constraints import InitialDataPair
-from .fields import SpectralField, sobolev_norm, zero_field
-from .slices import SliceGeometry, _full_from_sym2, _sym2_from_full, apply_slice_operator
+from .fields import (
+    SpectralField,
+    component_weights,
+    sobolev_norm,
+    sym2_from_full,
+    sym2_index_pairs,
+    sym2_to_full,
+    zero_field,
+)
+from .slices import SliceGeometry, apply_slice_operator
 
 KERNEL_TOL = 1e-10
 
@@ -190,7 +198,7 @@ def _split_solve_torus(source: SpectralField, which, params,
     k = lat.modes.astype(float)
     kup = k @ gi.T
     k2 = np.einsum("ma,ma->m", kup, k)
-    alpha = _full_from_sym2(source.coeffs, n)
+    alpha = sym2_to_full(source.coeffs, n)
     tr = np.einsum("ab,mab->m", gi, alpha)
     div = 1j * np.einsum("ma,mab->mb", kup, alpha)
     # Ric = 0: C = 0 by convention, and the g~(., Ric) source terms vanish.
@@ -210,7 +218,7 @@ def _split_solve_torus(source: SpectralField, which, params,
     phi = SpectralField(lat, "scalar", u[:, :1])
     omega = SpectralField(lat, "one-form", u[:, 1:])
     Lw = apply_slice_operator(geom, "conformal_killing", omega)
-    gsym = _sym2_from_full(geom.metric, n)
+    gsym = sym2_from_full(geom.metric, n)
     gamma = SpectralField(
         lat, "sym2", source.coeffs - Lw.coeffs - u[:, :1] * gsym[None]
     )
@@ -224,7 +232,7 @@ def _split_solve_invariant(source: inv.InvariantField, which, params,
     geo = geom.invariant_geometry
     gi = geom.metric_inv
     ric = geom.ricci
-    amat = inv.sym6_to_mat(source.components)
+    amat = sym2_to_full(source.components, 3)
     gRR = float(np.einsum("ac,bd,ab,cd->", gi, gi, ric, ric))
     gaR = float(np.einsum("ac,bd,ab,cd->", gi, gi, amat, ric))
     C = gaR / gRR if gRR > KERNEL_TOL else 0.0
@@ -248,7 +256,7 @@ def _split_solve_invariant(source: inv.InvariantField, which, params,
     gamma = inv.InvariantField(
         "sym2",
         source.components - Lw.components - C * geo.ricci_sym6()
-        - u[0] * inv.mat_to_sym6(geom.metric),
+        - u[0] * sym2_from_full(geom.metric, 3),
     )
     res = DecompositionResult(gamma, omega, C, phi)
     res.residuals = _split_report(source, res, which, geom)
@@ -258,7 +266,7 @@ def _split_solve_invariant(source: inv.InvariantField, which, params,
 def _split_report(source, res: DecompositionResult, which, geom) -> dict:
     if geom.is_torus:
         Lw = apply_slice_operator(geom, "conformal_killing", res.omega)
-        gsym = _sym2_from_full(geom.metric, geom.n)
+        gsym = sym2_from_full(geom.metric, geom.n)
         recon = res.gamma_part.coeffs + Lw.coeffs + res.phi.coeffs * gsym[None]
         scale = max(np.max(np.abs(source.coeffs)), 1e-30)
         rec = float(np.max(np.abs(recon - source.coeffs)) / scale)
@@ -268,7 +276,7 @@ def _split_report(source, res: DecompositionResult, which, geom) -> dict:
         recon = (
             res.gamma_part.components + Lw.components
             + res.C * geo.ricci_sym6()
-            + res.phi.components[0] * inv.mat_to_sym6(geom.metric)
+            + res.phi.components[0] * sym2_from_full(geom.metric, 3)
         )
         scale = max(np.max(np.abs(source.components)), 1e-30)
         rec = float(np.max(np.abs(recon - source.components)) / scale)
@@ -292,7 +300,7 @@ def gamma_equation_norms(field, which: str, geom: SliceGeometry) -> dict:
         k = lat.modes.astype(float)
         kup = k @ gi.T
         k2 = np.einsum("ma,ma->m", kup, k)
-        h = _full_from_sym2(field.coeffs, geom.n)
+        h = sym2_to_full(field.coeffs, geom.n)
         tr = np.einsum("ab,mab->m", gi, h)
         if which == "position":
             scalar = k2 * tr  # Delta tr h - g(Ric, h) with Ric = 0
@@ -310,7 +318,7 @@ def gamma_equation_norms(field, which: str, geom: SliceGeometry) -> dict:
         }
     geo = geom.invariant_geometry
     gi = geom.metric_inv
-    hmat = inv.sym6_to_mat(field.components)
+    hmat = sym2_to_full(field.components, 3)
     gRh = float(np.einsum("ac,bd,ab,cd->", gi, gi, geom.ricci, hmat))
     vol = geo.volume
     sign = -1.0 if which == "position" else 1.0
@@ -320,7 +328,7 @@ def gamma_equation_norms(field, which: str, geom: SliceGeometry) -> dict:
     else:
         tr = float(np.einsum("ab,ab->", gi, hmat))
         shifted = inv.InvariantField(
-            "sym2", field.components - tr * inv.mat_to_sym6(geom.metric)
+            "sym2", field.components - tr * sym2_from_full(geom.metric, 3)
         )
         v = inv.operator_matrix(geo, "div")(shifted).components
     gram = inv.gram_matrix(geo, "one-form")
@@ -355,8 +363,6 @@ def moncrief_project(pair: InitialDataPair) -> MoncriefSplit:
 def _moncrief_torus(pair: InitialDataPair, geom: SliceGeometry) -> MoncriefSplit:
     lat = pair.h.lattice
     n = geom.n
-    from .fields import component_weights, sym2_index_pairs
-
     w = component_weights("sym2", n)
     sq = np.sqrt(w)
     pairs = sym2_index_pairs(n)
@@ -419,8 +425,8 @@ def moncrief_p_star(h, m, geom: SliceGeometry):
         lat = h.lattice
         gi = geom.metric_inv
         kup = lat.modes.astype(float) @ gi.T
-        hf = _full_from_sym2(h.coeffs, geom.n)
-        mf = _full_from_sym2(m.coeffs, geom.n)
+        hf = sym2_to_full(h.coeffs, geom.n)
+        mf = sym2_to_full(m.coeffs, geom.n)
         row1 = -2j * np.einsum("ma,mab->mb", kup, hf)
         row2 = -np.einsum("ma,mb,mab->m", kup, kup, mf)
         return (
@@ -492,8 +498,8 @@ def gauge_producing_data(N, beta, geom: SliceGeometry) -> InitialDataPair:
         pot = 2.0 * K @ gi @ K - geom.ricci - np.trace(gi @ K) * K
         m = lie_k + hess + pot[None] * Ncol[:, None, None]
         return InitialDataPair(
-            SpectralField(lat, "sym2", _sym2_from_full(h, n)),
-            SpectralField(lat, "sym2", _sym2_from_full(m, n)),
+            SpectralField(lat, "sym2", sym2_from_full(h, n)),
+            SpectralField(lat, "sym2", sym2_from_full(m, n)),
             geom,
         )
     if not isinstance(N, inv.InvariantField):

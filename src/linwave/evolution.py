@@ -24,15 +24,19 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .constraints import InitialDataPair, dphi
-from .fields import SpectralField, component_weights, sym2_index_pairs, zero_field
-from .slices import _full_from_sym2, _sym2_from_full
+from .fields import (
+    SpectralField,
+    component_weights,
+    sym2_from_full,
+    sym2_to_full,
+    zero_field,
+)
 from .spacetime import (
     CauchyJet,
     FamilyAction,
     SpacetimeBackground,
     induced_data_state,
     nu_jet_conversion,
-    st_pairs,
 )
 
 SLICE_MATCH_TOL = 1e-12
@@ -139,8 +143,8 @@ def build_cauchy_jet(pair: InitialDataPair, background: SpacetimeBackground,
     n = geom.n
     gi = geom.metric_inv
     K = geom.extrinsic
-    h = _full_from_sym2(pair.h.coeffs, n)
-    m = _full_from_sym2(pair.m.coeffs, n)
+    h = sym2_to_full(pair.h.coeffs, n)
+    m = sym2_to_full(pair.m.coeffs, n)
     tr_h = np.einsum("ab,kab->k", gi, h)
     tr_m = np.einsum("ab,kab->k", gi, m)
     kup = lat.modes.astype(float) @ gi.T
@@ -156,7 +160,7 @@ def build_cauchy_jet(pair: InitialDataPair, background: SpacetimeBackground,
         SpectralField(lat, "sym2", pair.h.coeffs.copy()),
         SpectralField(lat, "scalar", -2.0 * tr_m[:, None]),
         SpectralField(lat, "one-form", div_hbar),
-        SpectralField(lat, "sym2", _sym2_from_full(2.0 * m - mix, n)),
+        SpectralField(lat, "sym2", sym2_from_full(2.0 * m - mix, n)),
     )
 
 
@@ -180,14 +184,6 @@ def _minkowski_state(lattice, U0, Ud0, s):
     U[~nz] += s * Ud0[~nz]
     Ud[nz] += -(w[nz] * np.sin(w[nz] * s))[:, None] * U0[nz]
     return U, Ud
-
-
-def _wave_acceleration(bg: SpacetimeBackground, modes, t: float, U, Ud):
-    """d^2U/dt^2 from box_L h = 0, whose operator must be monic in d/dt."""
-    act = FamilyAction(bg, "lichnerowicz", t, modes)
-    if not act.is_monic():
-        raise ValueError("wave operator is not monic in d/dt")
-    return -(act.apply(1, Ud) + act.apply(0, U))
 
 
 def _rk4(acc, t0, y, t1, dt):
@@ -216,10 +212,10 @@ def _rk4(acc, t0, y, t1, dt):
 
 def _integrate_segment(bg, lattice, t0, U0, Ud0, t1, dt):
     """RK4 on the first-order mode system (U, dU/dt) of box_L h = 0."""
-    modes = lattice.modes
+    wave = FamilyAction(bg, "lichnerowicz", t0, lattice.modes)
 
     def acc(t, y):
-        return (y[1], _wave_acceleration(bg, modes, t, *y))
+        return (y[1], wave.at(t).monic_closure(*y))
 
     return _rk4(acc, t0, (U0, Ud0), t1, dt)
 
@@ -268,10 +264,6 @@ def evolve(jet: CauchyJet, t_end: float, dt: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _st_weights(dim: int) -> np.ndarray:
-    return component_weights("sym2", dim)
-
-
 def _coeff_norm(arr: np.ndarray, weights=None) -> float:
     """Coefficient l2 norm with component multiplicities; np.sum uses
     pairwise summation, which keeps the reduction deterministic."""
@@ -294,10 +286,11 @@ def wave_energies(bg: SpacetimeBackground, lattice, t: float, U, Ud,
         raise ValueError("energies are available for J in {0, 1}")
     k = lattice.modes.astype(float)
     k2 = np.einsum("ma,ma->m", k, k)
-    w = _st_weights(bg.dim)
+    w = component_weights("sym2", bg.dim)
     stack = [U, Ud]
     if J >= 1:
-        stack.append(_wave_acceleration(bg, lattice.modes, t, U, Ud))
+        wave = FamilyAction(bg, "lichnerowicz", t, lattice.modes)
+        stack.append(wave.monic_closure(U, Ud))
     out = []
     for j in range(J + 1):
         mult = (1.0 + k2) ** (sobolev_order - j)
@@ -342,20 +335,13 @@ def extract_induced_data(traj: Trajectory, tau: float) -> InitialDataPair:
 # ---------------------------------------------------------------------------
 
 
-def _gauge_initial_state(bg: SpacetimeBackground, lattice, t0, U0):
+def _gauge_initial_state(bg: SpacetimeBackground, U0):
     """V|_Sigma = 0 and nabla_nu V|_Sigma = 1/2 h(nu,nu) nu + h(nu,.)#,
     written as the coordinate one-form state (V, dV/dt)."""
-    dim = bg.dim
-    pairs = st_pairs(dim)
-    num = U0.shape[0]
-    V0 = np.zeros((num, dim), complex)
-    Vd0 = np.zeros((num, dim), complex)
-    h00 = U0[:, pairs.index((0, 0))]
-    Vd0[:, 0] = 0.5 * h00  # (1/2 h(nu,nu) nu)^flat_0 + h_00 = -1/2 h00 + h00
-    for i in range(1, dim):
-        Vd0[:, i] = U0[:, pairs.index((0, i))]
+    Vd0 = sym2_to_full(U0, bg.dim)[:, 0].astype(complex)  # h(nu, .)
+    Vd0[:, 0] *= 0.5  # (1/2 h(nu,nu) nu)^flat_0 + h_00 = -1/2 h00 + h00
     # V = 0 on the slice, so the Christoffel correction to dV/dt vanishes
-    return V0, Vd0
+    return np.zeros_like(Vd0), Vd0
 
 
 def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
@@ -364,9 +350,8 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
     bg = traj.background
     lat = traj.lattice
     times = traj.times
-    t0 = times[0]
-    V, Vd = _gauge_initial_state(bg, lat, t0, traj.states[0])
-    wsym = _st_weights(bg.dim)
+    V, Vd = _gauge_initial_state(bg, traj.states[0])
+    wsym = component_weights("sym2", bg.dim)
     if traj.dt is None:
         Vs, Vds = _recover_minkowski(bg, lat, traj, V, Vd)
     else:
@@ -402,15 +387,10 @@ def _recover_minkowski(bg, lat, traj, V0, Vd0):
     Vs, Vds = [], []
     for tau in traj.times:
         s = tau - traj.times[0]
+        V, Vd = _minkowski_state(lat, V0, Vd0, s)
+        # resonant particular solution with zero initial value and velocity
         c = np.cos(w * s)[:, None]
         sn = np.sin(w * s)[:, None]
-        V = c * V0
-        Vd = c * Vd0
-        sinc = np.zeros_like(w)
-        sinc[nz] = np.sin(w[nz] * s) / w[nz]
-        V += sinc[:, None] * Vd0
-        Vd[nz] += -(w[nz][:, None] * sn[nz]) * V0[nz]
-        # resonant particular solution with zero initial value and velocity
         wn = w[nz][:, None]
         V[nz] += A[nz] * s * sn[nz] / (2 * wn) + B[nz] * (sn[nz] - wn * s * c[nz]) / (
             2 * wn ** 2
@@ -418,7 +398,7 @@ def _recover_minkowski(bg, lat, traj, V0, Vd0):
         Vd[nz] += (
             A[nz] * (sn[nz] + wn * s * c[nz]) / (2 * wn) + B[nz] * s * sn[nz] / 2
         )
-        V[~nz] += s * Vd0[~nz] + A[~nz] * s ** 2 / 2 + S1 * s ** 3 / 6
+        V[~nz] += A[~nz] * s ** 2 / 2 + S1 * s ** 3 / 6
         Vd[~nz] += A[~nz] * s + S1 * s ** 2 / 2
         Vs.append(V)
         Vds.append(Vd)
@@ -429,17 +409,17 @@ def _recover_kasner(bg, lat, traj, V0, Vd0):
     """Joint 4th-order integration of (h, V): the source of the connection
     wave equation is evaluated from the co-evolved h state at every stage."""
     dt = traj.dt
-    modes = lat.modes
+    wave, div, conn = (
+        FamilyAction(bg, kind, traj.times[0], lat.modes)
+        for kind in ("lichnerowicz", "div_trace_reversed", "connection_wave")
+    )
 
     def acc(t, y):
         U, Ud, V, Vd = y
-        Udd = _wave_acceleration(bg, modes, t, U, Ud)
-        conn = FamilyAction(bg, "connection_wave", t, modes)
-        if not conn.is_monic():
-            raise ValueError("wave operator is not monic in d/dt")
-        div = FamilyAction(bg, "div_trace_reversed", t, modes)
-        src = -(div.apply(0, U) + div.apply(1, Ud))
-        Vdd = src - (conn.apply(1, Vd) + conn.apply(0, V))
+        Udd = wave.at(t).monic_closure(U, Ud)
+        div_t = div.at(t)
+        src = -(div_t.apply(0, U) + div_t.apply(1, Ud))
+        Vdd = src + conn.at(t).monic_closure(V, Vd)
         return (Ud, Udd, Vd, Vdd)
 
     Vs, Vds = [V0.copy()], [Vd0.copy()]
@@ -469,10 +449,10 @@ def lie_trajectory(bg: SpacetimeBackground, lattice, times, W0, Wd0,
     family_coefficients), differentiated in closed form.
     """
     times = np.asarray(times, float)
+    conn = FamilyAction(bg, "connection_wave", times[0], lattice.modes)
 
     def oneform_acc(tt, y):
-        act = FamilyAction(bg, "connection_wave", tt, lattice.modes)
-        return (y[1], -(act.apply(1, y[1]) + act.apply(0, y[0])))
+        return (y[1], conn.at(tt).monic_closure(*y))
 
     states, derivs = [], []
     W, Wd, t = W0, Wd0, times[0]

@@ -6,9 +6,15 @@ through its Fourier coefficients in the convention
     f(x) = sum_k  c_k  exp(i k.x),       k in Z^n, |k_i| <= nmax,
 
 so a real field satisfies the Hermitian symmetry c_{-k} = conj(c_k).
-Symmetric 2-tensors keep the upper-triangle components (i <= j) in
-lexicographic order; each off-diagonal component is stored once and
-counted twice in metric contractions.
+
+Stored components: a symmetric 2-tensor, on a slice (n = 2, 3) or in
+spacetime (n + 1, with index 0 the time direction), keeps its upper
+triangle (i <= j) in lexicographic order, `sym2_index_pairs`; each
+off-diagonal component is stored once and counted twice in metric
+contractions.  Snapshots write the components in this order.  This module
+is the one place that knows the layout: every other module converts
+between stored components and full matrices with `sym2_to_full` and
+`sym2_from_full`.
 """
 
 from __future__ import annotations
@@ -36,6 +42,22 @@ def rank_components(rank: str, n: int) -> int:
 def sym2_index_pairs(n: int) -> list[tuple[int, int]]:
     """Upper-triangle (i, j) pairs, i <= j, lexicographic."""
     return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def sym2_to_full(comp, n: int) -> np.ndarray:
+    """Stored components (..., ncomp) -> symmetric matrices (..., n, n)."""
+    slots = np.empty((n, n), int)
+    i, j = np.array(sym2_index_pairs(n)).T
+    slots[i, j] = slots[j, i] = np.arange(len(i))
+    return np.take(comp, slots, axis=-1)
+
+
+def sym2_from_full(full, n: int) -> np.ndarray:
+    """Matrices (..., n, n) -> their stored upper-triangle components
+    (..., ncomp); the lower triangle is not read."""
+    i, j = np.array(sym2_index_pairs(n)).T
+    full = np.asarray(full)
+    return np.take(full.reshape(full.shape[:-2] + (n * n,)), i * n + j, axis=-1)
 
 
 def component_weights(rank: str, n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-SYM2_PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+from .fields import sym2_from_full, sym2_to_full
 
 RANK_DIMS = {"scalar": 1, "one-form": 3, "sym2": 6}
 
@@ -29,18 +29,6 @@ def su2_structure_constants() -> np.ndarray:
         c[k, i, j] = 2.0 * s
         c[k, j, i] = -2.0 * s
     return c
-
-
-def sym6_to_mat(v: np.ndarray) -> np.ndarray:
-    m = np.zeros((3, 3), dtype=np.asarray(v).dtype)
-    for a, (i, j) in enumerate(SYM2_PAIRS):
-        m[i, j] = v[a]
-        m[j, i] = v[a]
-    return m
-
-
-def mat_to_sym6(m: np.ndarray) -> np.ndarray:
-    return np.array([m[i, j] for (i, j) in SYM2_PAIRS])
 
 
 @dataclass(frozen=True)
@@ -169,7 +157,7 @@ class InvariantGeometry:
         self.volume = 2.0 * np.pi ** 2 * np.sqrt(np.linalg.det(g))
 
     def ricci_sym6(self) -> np.ndarray:
-        return mat_to_sym6(self.ricci)
+        return sym2_from_full(self.ricci, 3)
 
 
 def invariant_geometry(frame: HomogeneousFrame) -> InvariantGeometry:
@@ -242,25 +230,9 @@ def _nabla_twotensor(geo: InvariantGeometry) -> np.ndarray:
     )
 
 
-def _sym_expand() -> np.ndarray:
-    """E[i, j, a]: 6 stored components -> full 3x3 symmetric tensor."""
-    e = np.zeros((3, 3, 6))
-    for a, (i, j) in enumerate(SYM2_PAIRS):
-        e[i, j, a] = 1.0
-        e[j, i, a] = 1.0
-    return e
-
-
-def _sym_restrict() -> np.ndarray:
-    """R[a, i, j]: full 3x3 -> 6 stored components (reads the upper triangle)."""
-    r = np.zeros((6, 3, 3))
-    for a, (i, j) in enumerate(SYM2_PAIRS):
-        if i == j:
-            r[a, i, j] = 1.0
-        else:
-            r[a, i, j] = 0.5
-            r[a, j, i] = 0.5
-    return r
+# E[a, i, j]: the full 3x3 symmetric tensor of the a-th stored component
+_EXPAND = sym2_to_full(np.eye(6), 3)
+_EXPAND.setflags(write=False)
 
 
 def gram_matrix(geo: InvariantGeometry, rank: str) -> np.ndarray:
@@ -271,8 +243,7 @@ def gram_matrix(geo: InvariantGeometry, rank: str) -> np.ndarray:
         return np.array([[vol]])
     if rank == "one-form":
         return vol * gi
-    exp = _sym_expand()
-    return vol * np.einsum("ija,ip,jq,pqb->ab", exp, gi, gi, exp)
+    return vol * np.einsum("aij,ip,jq,bpq->ab", _EXPAND, gi, gi, _EXPAND)
 
 
 def adjoint_matrix(geo: InvariantGeometry, op: OperatorMatrix) -> OperatorMatrix:
@@ -293,27 +264,26 @@ def operator_matrix(frame: HomogeneousFrame, kind: str, params=None) -> Operator
     geo = frame if isinstance(frame, InvariantGeometry) else InvariantGeometry(frame)
     g = geo.metric
     gi = geo.metric_inv
-    exp, res = _sym_expand(), _sym_restrict()
     n1 = _nabla_oneform(geo)
 
     def div_sym2() -> np.ndarray:
         n2 = _nabla_twotensor(geo)
-        return np.einsum("ab,abjpq,pqc->jc", gi, n2, exp)
+        return np.einsum("ab,abjpq,cpq->jc", gi, n2, _EXPAND)
 
     def lie_metric() -> np.ndarray:
         # (L_{omega#} g)_{ij} = (nabla_i omega)_j + (nabla_j omega)_i
         full = n1 + np.einsum("ajm->jam", n1)
-        return np.einsum("aij,ijm->am", res, full)
+        return np.ascontiguousarray(sym2_from_full(np.moveaxis(full, -1, 0), 3).T)
 
     def div_oneform() -> np.ndarray:
         return np.einsum("ab,abm->m", gi, n1)[None, :]
 
     def conformal_killing() -> np.ndarray:
-        gsym = mat_to_sym6(g)
+        gsym = sym2_from_full(g, 3)
         return lie_metric() - (2.0 / 3.0) * np.outer(gsym, div_oneform()[0])
 
     def trace() -> np.ndarray:
-        return np.einsum("ij,ija->a", gi, exp)[None, :]
+        return np.einsum("ij,aij->a", gi, _EXPAND)[None, :]
 
     def hodge_laplacian_oneform() -> np.ndarray:
         # d omega (e_i, e_j) = -omega([e_i, e_j]); delta on 2-forms via -div;
@@ -396,7 +366,6 @@ def block_adjoint(geo: InvariantGeometry, op: BlockOperator) -> BlockOperator:
 
 def _block_operator(geo: InvariantGeometry, kind: str, params) -> BlockOperator:
     gi = geo.metric_inv
-    exp = _sym_expand()
     ric6 = geo.ricci_sym6()
 
     if kind in ("moncrief_p", "moncrief_p_star"):
@@ -411,7 +380,7 @@ def _block_operator(geo: InvariantGeometry, kind: str, params) -> BlockOperator:
         # P*(h, m) = (-2 div h, div div m - g(Ric, m)); assembled directly.
         div = operator_matrix(geo, "div").matrix
         div1 = operator_matrix(geo, "div_oneform").matrix
-        ric_pair = np.einsum("ij,ip,jq,pqa->a", geo.ricci, gi, gi, exp)
+        ric_pair = np.einsum("ij,ip,jq,apq->a", geo.ricci, gi, gi, _EXPAND)
         mat = np.zeros((4, 12))
         mat[0:3, 0:6] = -2.0 * div
         mat[3, 6:12] = (div1 @ div) - ric_pair
@@ -421,7 +390,7 @@ def _block_operator(geo: InvariantGeometry, kind: str, params) -> BlockOperator:
     if not 0 < a * b < 2:
         raise ValueError(f"split operator requires 0 < a*b < 2, got a*b = {a * b}")
     ck = operator_matrix(geo, "conformal_killing").matrix
-    ric_pair_sym = np.einsum("ij,ip,jq,pqa->a", geo.ricci, gi, gi, exp)
+    ric_pair_sym = np.einsum("ij,ip,jq,apq->a", geo.ricci, gi, gi, _EXPAND)
     if kind == "split_p":
         # P(phi, omega) = (Delta phi + a g(Ric, L omega), L*L omega + b d phi);
         # invariant scalars kill the Delta phi and d phi terms.

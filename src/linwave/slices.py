@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariant as inv
-from .fields import SpectralField, l2_inner, sym2_index_pairs
+from .fields import SpectralField, l2_inner, sym2_from_full, sym2_to_full
 
 CONSTRAINT_TOL = 1e-12
 
@@ -149,21 +149,6 @@ TORUS_KINDS = (
 )
 
 
-def _sym2_from_full(full: np.ndarray, n: int) -> np.ndarray:
-    """(..., n, n) symmetric -> stored components (..., ncomp)."""
-    pairs = sym2_index_pairs(n)
-    return np.stack([full[..., i, j] for (i, j) in pairs], axis=-1)
-
-
-def _full_from_sym2(comp: np.ndarray, n: int) -> np.ndarray:
-    pairs = sym2_index_pairs(n)
-    out = np.zeros(comp.shape[:-1] + (n, n), dtype=comp.dtype)
-    for a, (i, j) in enumerate(pairs):
-        out[..., i, j] = comp[..., a]
-        out[..., j, i] = comp[..., a]
-    return out
-
-
 def apply_slice_operator(
     geom: SliceGeometry, kind: str, field
 ) -> "SpectralField | inv.InvariantField":
@@ -196,25 +181,25 @@ def _apply_torus(geom: SliceGeometry, kind: str, field: SpectralField) -> Spectr
 
     if kind == "divergence":
         if field.rank == "sym2":
-            h = _full_from_sym2(c, n)
+            h = sym2_to_full(c, n)
             return out("one-form", 1j * np.einsum("ma,maj->mj", kup, h))
         if field.rank == "one-form":
             return out("scalar", 1j * np.einsum("ma,ma->m", kup, c))
         raise ValueError("divergence acts on one-forms or sym2 tensors")
     if kind == "trace":
         _need(field, "sym2", kind)
-        h = _full_from_sym2(c, n)
+        h = sym2_to_full(c, n)
         return out("scalar", np.einsum("ij,mij->m", gi, h))
     if kind == "trace_reverse":
         _need(field, "sym2", kind)
-        h = _full_from_sym2(c, n)
+        h = sym2_to_full(c, n)
         tr = np.einsum("ij,mij->m", gi, h)
         hbar = h - 0.5 * tr[:, None, None] * g[None]
-        return out("sym2", _sym2_from_full(hbar, n))
+        return out("sym2", sym2_from_full(hbar, n))
     if kind == "hessian":
         _need(field, "scalar", kind)
         hess = -np.einsum("mi,mj,m->mij", modes, modes, c[:, 0])
-        return out("sym2", _sym2_from_full(hess, n))
+        return out("sym2", sym2_from_full(hess, n))
     if kind == "d":
         _need(field, "scalar", kind)
         return out("one-form", 1j * modes * c[:, :1])
@@ -224,17 +209,17 @@ def _apply_torus(geom: SliceGeometry, kind: str, field: SpectralField) -> Spectr
     if kind == "lie_metric":
         _need(field, "one-form", kind)
         lie = 1j * (np.einsum("mi,mj->mij", modes, c) + np.einsum("mj,mi->mij", modes, c))
-        return out("sym2", _sym2_from_full(lie, n))
+        return out("sym2", sym2_from_full(lie, n))
     if kind == "conformal_killing":
         _need(field, "one-form", kind)
         lie = 1j * (np.einsum("mi,mj->mij", modes, c) + np.einsum("mj,mi->mij", modes, c))
         div = 1j * np.einsum("ma,ma->m", kup, c)
         ck = lie - (2.0 / n) * div[:, None, None] * g[None]
-        return out("sym2", _sym2_from_full(ck, n))
+        return out("sym2", sym2_from_full(ck, n))
     if kind == "ckl_adjoint":
         # L* h = -2 div h + (2/n) d tr h
         _need(field, "sym2", kind)
-        h = _full_from_sym2(c, n)
+        h = sym2_to_full(c, n)
         div = 1j * np.einsum("ma,maj->mj", kup, h)
         tr = np.einsum("ij,mij->m", gi, h)
         return out("one-form", -2.0 * div + (2.0 / n) * 1j * modes * tr[:, None])
@@ -255,7 +240,7 @@ def _apply_invariant(geom: SliceGeometry, kind: str, field: inv.InvariantField):
         op = inv.operator_matrix(geo, "div" if field.rank == "sym2" else "div_oneform")
     elif kind == "trace_reverse":
         tr = inv.operator_matrix(geo, "trace")(field).components[0]
-        gsym = inv.mat_to_sym6(geom.metric)
+        gsym = sym2_from_full(geom.metric, 3)
         return inv.InvariantField("sym2", field.components - 0.5 * tr * gsym)
     elif kind == "laplacian":
         op = inv.operator_matrix(

@@ -30,7 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .fields import SpectralField, sym2_index_pairs, zero_field
+from .fields import SpectralField, sym2_from_full, sym2_to_full, zero_field
 from .slices import SliceGeometry, kasner_exponents, slice_geometry
 
 OPERATOR_KINDS = (
@@ -41,15 +41,6 @@ OPERATOR_KINDS = (
     "connection_wave",
     "killing_wave",
 )
-
-
-def st_pairs(dim: int) -> list[tuple[int, int]]:
-    """Stored (a, b) pairs, a <= b, for spacetime symmetric 2-tensors."""
-    return [(a, b) for a in range(dim) for b in range(a, dim)]
-
-
-def st_ncomp(dim: int) -> int:
-    return dim * (dim + 1) // 2
 
 
 def _pow_derivs(coef: float, expo: float, t: float, depth: int) -> np.ndarray:
@@ -154,12 +145,6 @@ class SpacetimeBackground:
         out += quad - np.transpose(quad, (0, 1, 2, 4, 3))
         return out
 
-    def riemann_low_derivs(self, t: float, depth: int) -> np.ndarray:
-        """R[d, c, e, b, f]: derivatives of g(R(d_c, d_e) d_b, d_f)."""
-        rup = self.riemann_up_derivs(t, depth)
-        g = self.metric_derivs(t, depth)
-        return _leib(g, rup, "af,abce->cebf")
-
     def ricci(self, t: float) -> np.ndarray:
         rup = self.riemann_up_derivs(t, 0)[0]
         return np.einsum("abae->be", rup)
@@ -228,15 +213,12 @@ def unknown_jet(bg: SpacetimeBackground, t: float, k, rank: str, depth: int) -> 
     k = np.asarray(k, float)
     dim = bg.dim
     if rank == "sym2":
-        pairs = st_pairs(dim)
-        data = np.zeros((depth + 1, 1, dim, dim, len(pairs)), complex)
-        for c, (a, b) in enumerate(pairs):
-            data[0, 0, a, b, c] = 1.0
-            data[0, 0, b, a, c] = 1.0
+        ncomp = dim * (dim + 1) // 2
+        data = np.zeros((depth + 1, 1, dim, dim, ncomp), complex)
+        data[0, 0] = np.moveaxis(sym2_to_full(np.eye(ncomp), dim), 0, -1)
     elif rank == "one-form":
         data = np.zeros((depth + 1, 1, dim, dim), complex)
-        for a in range(dim):
-            data[0, 0, a, a] = 1.0
+        data[0, 0] = np.eye(dim)
     else:
         raise ValueError(f"unsupported unknown rank {rank!r}")
     return JetTensor(bg, t, k, data)
@@ -413,19 +395,20 @@ _JET_FUNCS = {
 def jet_matrices(J: JetTensor) -> list[np.ndarray]:
     """Read the depth-0 slice off a rank-1 or rank-2 jet as component
     matrices [M_0, M_1, ...] with (T)_comp = sum_j M_j u^{(j)}."""
-    dim = J.bg.dim
     if J.rank == 1:
         return [J.data[0, j] for j in range(J.order + 1)]
     if J.rank == 2:
-        pairs = st_pairs(dim)
         out = []
-        for j in range(J.order + 1):
-            full = J.data[0, j]
-            asym = float(np.max(np.abs(full - np.transpose(full, (1, 0, 2)))))
+        for full in np.moveaxis(J.data[0], -1, 1):  # (ncomp_in, dim, dim) per order
+            asym = float(np.max(np.abs(full - np.transpose(full, (0, 2, 1)))))
             scale = max(1.0, float(np.max(np.abs(full))))
             if asym > 1e-10 * scale:
-                raise ValueError(f"rank-2 jet output not symmetric (defect {asym:.2e})")
-            out.append(np.stack([full[a, b] for a, b in pairs]))
+                raise RuntimeError(
+                    f"spacetime.jet_matrices: rank-2 jet output not symmetric "
+                    f"(defect {asym:.2e})"
+                )
+            # row-major (ncomp_out, ncomp_in), so M @ u keeps BLAS's row-major path
+            out.append(np.ascontiguousarray(sym2_from_full(full, J.bg.dim).T))
         return out
     raise ValueError("only rank-1/rank-2 jets convert to mode matrices")
 
@@ -505,7 +488,8 @@ def _component_weights(w: np.ndarray, ncomp: int) -> np.ndarray:
     the symmetric pair (a, b)."""
     if ncomp == len(w):
         return w
-    return np.array([w[a] + w[b] for a, b in st_pairs(len(w))])
+    wt = w.T  # (weight rows, index)
+    return sym2_from_full(wt[:, :, None] + wt[:, None, :], len(w)).T
 
 
 def _homothety_exponents(background: SpacetimeBackground, kind: str, shapes) -> list:
@@ -611,13 +595,25 @@ class FamilyAction:
     """Matrix-free evaluation of a mode-operator family on state vectors:
     the one per-mode operator evaluator.  M_j(t, k) is never materialised;
     apply contracts the monomial basis of every mode and the state with the
-    polynomial coefficients C_j(t) of family_coefficients."""
+    polynomial coefficients C_j(t) of family_coefficients.
+
+    The families returned by at() and rate() share the monomial basis and
+    apply's scratch buffers with this one, so one family must not be applied
+    from two threads at once."""
 
     def __init__(self, background, kind, t, modes):
         self.background, self.kind, self.t = background, kind, t
         self.basis = monomial_basis(modes)
         self._live = _coefficient_table(background, kind, t)[2]
+        self._scratch = {}  # order j -> (live basis columns, outer-product buffer)
         self._load(family_coefficients(background, kind, t))
+
+    def at(self, t: float) -> FamilyAction:
+        """The same family on the same modes at time t."""
+        out = copy.copy(self)
+        out.t = t
+        out._load(family_coefficients(self.background, self.kind, t))
+        return out
 
     def _load(self, coeffs):
         self.coeffs = coeffs
@@ -641,14 +637,33 @@ class FamilyAction:
         ref[0] = np.eye(lead.shape[1])
         return float(np.max(np.abs(lead - ref))) <= tol
 
+    def monic_closure(self, u: np.ndarray, ud: np.ndarray) -> np.ndarray:
+        """u'' = -(M_1 u' + M_0 u): the second time derivative that the
+        equation M_2 u'' + M_1 u' + M_0 u = 0 fixes when M_2 = identity."""
+        if not self.is_monic():
+            raise RuntimeError(
+                f"spacetime.FamilyAction: {self.kind} operator is not monic in "
+                f"d/dt at t = {self.t:g}; cannot solve for the second derivative"
+            )
+        return -(self.apply(1, ud) + self.apply(0, u))
+
     def apply(self, j: int, u: np.ndarray) -> np.ndarray:
         """M_j(k) u_k for all modes, without materializing the matrices."""
         (const, flat), live = self._terms[j], self._live[j]
         out = u @ const
         if len(live):
-            basis = np.ascontiguousarray(self.basis[:, live])
-            W = (basis[:, :, None] * u[:, None, :]).reshape(u.shape[0], -1)
-            out += W @ flat
+            if j not in self._scratch:
+                self._scratch[j] = (
+                    np.ascontiguousarray(self.basis[:, live]),
+                    np.empty((len(u), len(live), u.shape[1]), complex),
+                )
+            # W is kept across calls: a fresh W per call (about 180 kB at
+            # nmax 2) is paged in anew whenever glibc has trimmed the heap
+            # top under it, some 20k page faults and a quarter of the time
+            # of a short nmax-2 Kasner run
+            basis, W = self._scratch[j]
+            np.multiply(basis[:, :, None], u[:, None, :], out=W)
+            out += W.reshape(len(u), -1) @ flat
         return out
 
     def rate(self) -> FamilyAction:
@@ -699,79 +714,56 @@ def zero_cauchy_jet(background: SpacetimeBackground, t0: float, lattice) -> Cauc
     )
 
 
-def _jet_blocks_to_full(jet: CauchyJet, which: str) -> np.ndarray:
-    """Assemble (num_modes, st_ncomp) spacetime components from blocks."""
-    n = jet.background.n
-    dim = n + 1
-    nn, nf, sp = (
-        (jet.h_nn, jet.h_n, jet.h_sp) if which == "h" else (jet.dh_nn, jet.dh_n, jet.dh_sp)
+def _stored_from_blocks(nn: SpectralField, nf: SpectralField, sp: SpectralField):
+    """Stored spacetime components (num_modes, ncomp) of the tensor with
+    blocks h(nu,nu), h(nu,.) and h(.,.)."""
+    n = sp.lattice.n
+    full = np.zeros((sp.lattice.num_modes, n + 1, n + 1), complex)
+    full[:, 0, 0] = nn.coeffs[:, 0]
+    full[:, 0, 1:] = full[:, 1:, 0] = nf.coeffs
+    full[:, 1:, 1:] = sym2_to_full(sp.coeffs, n)
+    return sym2_from_full(full, n + 1)
+
+
+def _blocks_from_stored(lattice, comp: np.ndarray):
+    """Inverse of _stored_from_blocks: the (h(nu,nu), h(nu,.), h(.,.)) fields."""
+    n = lattice.n
+    full = sym2_to_full(comp, n + 1)
+    return (
+        SpectralField(lattice, "scalar", full[:, 0, :1].copy()),
+        SpectralField(lattice, "one-form", full[:, 0, 1:].copy()),
+        SpectralField(lattice, "sym2", sym2_from_full(full[:, 1:, 1:], n)),
     )
-    num = jet.lattice.num_modes
-    out = np.zeros((num, st_ncomp(dim)), complex)
-    pairs = st_pairs(dim)
-    spatial = sym2_index_pairs(n)
-    for c, (a, b) in enumerate(pairs):
-        if a == 0 and b == 0:
-            out[:, c] = nn.coeffs[:, 0]
-        elif a == 0:
-            out[:, c] = nf.coeffs[:, b - 1]
-        else:
-            out[:, c] = sp.coeffs[:, spatial.index((a - 1, b - 1))]
-    return out
+
+
+def _time_connection_terms(background: SpacetimeBackground, t: float, U: np.ndarray):
+    """Gamma^m_{0a} h_mb + Gamma^m_{0b} h_am in stored components, which is
+    d/dt h_ab - (nabla_nu h)_ab at unit lapse."""
+    gam0 = background.gamma_derivs(t, 0)[0][:, 0, :]  # Gamma^m_{0 a}
+    full = sym2_to_full(U, background.dim)
+    corr = np.einsum("ma,kmb->kab", gam0, full) + np.einsum("mb,kam->kab", gam0, full)
+    return sym2_from_full(corr, background.dim)
 
 
 def nu_jet_conversion(jet: CauchyJet) -> tuple[np.ndarray, np.ndarray]:
-    """CauchyJet -> per-mode state (U, dU/dt), each (num_modes, st_ncomp).
+    """CauchyJet -> per-mode state (U, dU/dt), each (num_modes, ncomp).
 
     With unit lapse, nu = d/dt on the slice and
     (nabla_nu h)_ab = d/dt h_ab - Gamma^m_{0a} h_mb - Gamma^m_{0b} h_am.
     """
-    bg = jet.background
-    dim = bg.dim
-    H = _jet_blocks_to_full(jet, "h")
-    Nu = _jet_blocks_to_full(jet, "dh")
-    gam0 = bg.gamma_derivs(jet.t0, 0)[0][:, 0, :]  # Gamma^m_{0 a}
-    pairs = st_pairs(dim)
-    full = np.zeros((H.shape[0], dim, dim), complex)
-    for c, (a, b) in enumerate(pairs):
-        full[:, a, b] = H[:, c]
-        full[:, b, a] = H[:, c]
-    corr = np.einsum("ma,kmb->kab", gam0, full) + np.einsum("mb,kam->kab", gam0, full)
-    Udot = Nu + np.stack([corr[:, a, b] for a, b in pairs], axis=-1)
-    return H, Udot
+    H = _stored_from_blocks(jet.h_nn, jet.h_n, jet.h_sp)
+    Nu = _stored_from_blocks(jet.dh_nn, jet.dh_n, jet.dh_sp)
+    return H, Nu + _time_connection_terms(jet.background, jet.t0, H)
 
 
 def state_to_nu_jet(
     background: SpacetimeBackground, t0: float, lattice, U: np.ndarray, Udot: np.ndarray
 ) -> CauchyJet:
     """Inverse of nu_jet_conversion: per-mode (U, dU/dt) -> CauchyJet."""
-    dim = background.dim
-    n = background.n
-    pairs = st_pairs(dim)
-    gam0 = background.gamma_derivs(t0, 0)[0][:, 0, :]
-    full = np.zeros((U.shape[0], dim, dim), complex)
-    for c, (a, b) in enumerate(pairs):
-        full[:, a, b] = U[:, c]
-        full[:, b, a] = U[:, c]
-    corr = np.einsum("ma,kmb->kab", gam0, full) + np.einsum("mb,kam->kab", gam0, full)
-    Nu = Udot - np.stack([corr[:, a, b] for a, b in pairs], axis=-1)
-
-    def blocks(arr):
-        spatial = sym2_index_pairs(n)
-        nn = arr[:, [pairs.index((0, 0))]]
-        nf = np.stack([arr[:, pairs.index((0, 1 + i))] for i in range(n)], axis=-1)
-        sp = np.stack(
-            [arr[:, pairs.index((1 + i, 1 + j))] for i, j in spatial], axis=-1
-        )
-        return (
-            SpectralField(lattice, "scalar", nn),
-            SpectralField(lattice, "one-form", nf),
-            SpectralField(lattice, "sym2", sp),
-        )
-
-    h_nn, h_n, h_sp = blocks(U)
-    dh_nn, dh_n, dh_sp = blocks(Nu)
-    return CauchyJet(background, t0, h_nn, h_n, h_sp, dh_nn, dh_n, dh_sp)
+    Nu = Udot - _time_connection_terms(background, t0, U)
+    return CauchyJet(
+        background, t0, *_blocks_from_stored(lattice, U), *_blocks_from_stored(lattice, Nu)
+    )
 
 
 def induced_data_state(
@@ -783,39 +775,22 @@ def induced_data_state(
     m~(X,Y) = -1/2 h(nu,nu) k~(X,Y) - 1/2 (nabla_X h)(nu,Y)
               - 1/2 (nabla_Y h)(nu,X) + 1/2 (nabla_nu h)(X,Y).
     """
+    # With unit lapse and zero shift Gamma^0_ij = k~_ij, Gamma^i_0j = k~^i_j
+    # and Gamma^i_jk = 0, so every k~^i_j h term cancels between the three
+    # covariant derivatives and, per mode,
+    # m~_ij = 1/2 (d/dt h_ij + h_00 k~_ij - i (k_i h_0j + k_j h_0i)).
     n = background.n
-    dim = n + 1
-    pairs = st_pairs(dim)
-    num = U.shape[0]
-    H = np.zeros((num, dim, dim), complex)
-    Hdot = np.zeros((num, dim, dim), complex)
-    for c, (a, b) in enumerate(pairs):
-        H[:, a, b] = U[:, c]
-        H[:, b, a] = U[:, c]
-        Hdot[:, a, b] = Udot[:, c]
-        Hdot[:, b, a] = Udot[:, c]
-    kx = np.zeros((num, dim))
-    kx[:, 1:] = lattice.modes.astype(float)
-    gam = background.gamma_derivs(t, 0)[0]
-    # (nabla h)_{abc} = partial_a h_bc - Gamma^m_{ab} h_mc - Gamma^m_{ac} h_bm
-    grad = 1j * (kx[:, :, None, None] * H[:, None])
-    grad[:, 0] += Hdot
-    grad -= np.einsum("mab,kmc->kabc", gam, H, optimize=True)
-    grad -= np.einsum("mac,kbm->kabc", gam, H, optimize=True)
+    H = sym2_to_full(U, n + 1)
     ktilde = background.slice_at(t).extrinsic
-    sp_pairs = sym2_index_pairs(n)
-    h_sp = np.stack([H[:, 1 + i, 1 + j] for i, j in sp_pairs], axis=-1)
-    m_sp = np.empty_like(h_sp)
-    for c, (i, j) in enumerate(sp_pairs):
-        m_sp[:, c] = (
-            -0.5 * H[:, 0, 0] * ktilde[i, j]
-            - 0.5 * grad[:, 1 + i, 0, 1 + j]
-            - 0.5 * grad[:, 1 + j, 0, 1 + i]
-            + 0.5 * grad[:, 0, 1 + i, 1 + j]
-        )
+    kh = 1j * lattice.modes[:, :, None] * H[:, 0, None, 1:]  # i k_i h_0j
+    m = 0.5 * (
+        sym2_to_full(Udot, n + 1)[:, 1:, 1:]
+        + H[:, 0, 0, None, None] * ktilde
+        - (kh + np.transpose(kh, (0, 2, 1)))
+    )
     return (
-        SpectralField(lattice, "sym2", h_sp),
-        SpectralField(lattice, "sym2", m_sp),
+        SpectralField(lattice, "sym2", sym2_from_full(H[:, 1:, 1:], n)),
+        SpectralField(lattice, "sym2", sym2_from_full(m, n)),
     )
 
 

@@ -227,6 +227,51 @@ def test_evolve_failing_tolerance_exits_one(tmp_path, capsys):
     assert rc == 1  # random data violate the constraints
 
 
+@pytest.mark.parametrize("n, polarization", [
+    (3, [0.0, 0.0, 0.0, 0.5, 0.0, -0.5]),  # (dx^2 dx^2 - dx^3 dx^3) / 2
+    (2, [0.0, 0.0, 0.5]),  # dx^2 dx^2 / 2
+])
+def test_standing_wave_generator(tmp_path, capsys, n, polarization):
+    cfg = tmp_path / "wave.cfg"
+    cfg.write_text(
+        "background.kind = minkowski-torus\n"
+        f"background.n = {n}\n"
+        "lattice.nmax = 1\n"
+        "initial.generator = standing-wave\n"
+        "evolve.samples = 2\n"
+    )
+    assert run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    init = load_pair(tmp_path / "r" / "initial")
+    lat = ModeLattice(n, 1)
+    want = np.zeros((lat.num_modes, len(polarization)), complex)
+    for k1 in (1, -1):
+        want[lat.mode_index((k1,) + (0,) * (n - 1))] = polarization
+    assert np.array_equal(init.h.coeffs, want)
+    assert not np.any(init.m.coeffs)
+
+
+def test_internal_failure_exits_one_not_two(tmp_path, capsys, monkeypatch):
+    # a broken invariant of the computation is not a usage error
+    from linwave.spacetime import FamilyAction
+
+    cfg = tmp_path / "kasner.cfg"
+    cfg.write_text(
+        "background.kind = kasner\n"
+        "background.p = 2/3, 2/3, -1/3\n"
+        "lattice.nmax = 1\n"
+        "evolve.t1 = 1.02\n"
+        "evolve.dt = 1e-2\n"
+        "evolve.samples = 2\n"
+    )
+    monkeypatch.setattr(FamilyAction, "is_monic", lambda self, tol=1e-12: False)
+    rc = run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("internal error: spacetime.FamilyAction: lichnerowicz operator")
+    assert "not monic in d/dt" in err
+
+
 def test_evolve_from_snapshot(tmp_path, capsys):
     rng = np.random.default_rng(4)
     lat = ModeLattice(3, 1)

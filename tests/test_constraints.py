@@ -15,10 +15,12 @@ from linwave.fields import (
     ModeLattice,
     distributional_coefficients,
     random_field,
+    sym2_from_full,
+    sym2_to_full,
     synthesize_shifted,
     zero_field,
 )
-from linwave.slices import _full_from_sym2, _sym2_from_full, slice_geometry
+from linwave.slices import slice_geometry
 from linwave.spacetime import CauchyJet, spacetime_background
 
 KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
@@ -28,8 +30,8 @@ def background_pair(geom, lat):
     g = zero_field(lat, "sym2")
     k = zero_field(lat, "sym2")
     i0 = lat.mode_index((0, 0, 0))
-    g.coeffs[i0] = _sym2_from_full(geom.metric, 3)
-    k.coeffs[i0] = _sym2_from_full(geom.extrinsic, 3)
+    g.coeffs[i0] = sym2_from_full(geom.metric, 3)
+    k.coeffs[i0] = sym2_from_full(geom.extrinsic, 3)
     return g, k
 
 
@@ -177,15 +179,15 @@ def test_stencil_multipliers_match_offset_grid_differences():
     for geom, n in cases:
         lat = ModeLattice(n, 2)
         field = random_field(lat, "sym2", rng, decay=2.0)
-        field.coeffs[lat.mode_index((0,) * n)] += _sym2_from_full(geom.metric, n)
+        field.coeffs[lat.mode_index((0,) * n)] += sym2_from_full(geom.metric, n)
         npts = 16
         f, df, d2f = _stencil_samples(field, npts, ORACLE_STEP, second=True)
         ref = offset_grid_stencils(field, npts, ORACLE_STEP)
         values = synthesize_shifted(field, npts).real.reshape(npts ** n, -1)
-        assert np.max(np.abs(_sym2_from_full(f, n) - values)) <= 1e-14 * np.max(np.abs(values))
+        assert np.max(np.abs(sym2_from_full(f, n) - values)) <= 1e-14 * np.max(np.abs(values))
         for key, (stencil, scale) in ref.items():
             got = df[key] if isinstance(key, int) else d2f[key]
-            worst = max(worst, float(np.max(np.abs(_sym2_from_full(got, n) - stencil))) / scale)
+            worst = max(worst, float(np.max(np.abs(sym2_from_full(got, n) - stencil))) / scale)
             if not isinstance(key, int):
                 assert np.array_equal(d2f[key[::-1]], got)
     assert worst <= 1e-14, worst
@@ -215,7 +217,7 @@ def test_oracle_catches_a_dropped_extrinsic_curvature_term():
     )
     K, gi = geom.extrinsic, geom.metric_inv
     A_up = gi @ (2.0 * (K @ gi @ K - np.trace(gi @ K) * K)) @ gi
-    dropped = np.einsum("ab,kab->k", A_up, _full_from_sym2(pair.h.coeffs, 3))
+    dropped = np.einsum("ab,kab->k", A_up, sym2_to_full(pair.h.coeffs, 3))
     true, oracle = dphi(pair), dphi_oracle(pair)
     scale = np.max(np.abs(true.scalar.coeffs))
     assert np.max(np.abs(true.scalar.coeffs - oracle.scalar.coeffs)) < 1e-6 * scale

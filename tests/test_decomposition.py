@@ -21,9 +21,11 @@ from linwave.fields import (
     distributional_coefficients,
     l2_inner,
     random_field,
+    sym2_from_full,
+    sym2_to_full,
     zero_field,
 )
-from linwave.slices import _sym2_from_full, apply_slice_operator, slice_geometry
+from linwave.slices import apply_slice_operator, slice_geometry
 from linwave.spacetime import (
     assemble_mode_operator,
     induced_data_state,
@@ -113,7 +115,7 @@ def test_invariant_adjoint_assembled_independently():
 
 def test_split_solve_constant_metric_source():
     cg = zero_field(LAT, "sym2")
-    cg.coeffs[LAT.mode_index((0, 0, 0))] = 0.7 * _sym2_from_full(TORUS.metric, 3)
+    cg.coeffs[LAT.mode_index((0, 0, 0))] = 0.7 * sym2_from_full(TORUS.metric, 3)
     r = split_solve(cg, "position", TORUS)
     assert np.max(np.abs(r.gamma_part.coeffs - cg.coeffs)) == 0.0
     assert np.max(np.abs(r.omega.coeffs)) == 0.0
@@ -161,7 +163,7 @@ def test_split_solve_berger_against_least_squares_oracle(which):
     div = inv.operator_matrix(geo, "div").matrix
     ric_row = np.zeros((1, 6))
     for c in range(6):
-        hm = inv.sym6_to_mat(np.eye(6)[c])
+        hm = sym2_to_full(np.eye(6)[c], 3)
         ric_row[0, c] = np.einsum("ac,bd,ab,cd->", gi, gi, BERGER.ricci, hm)
     constraints = np.vstack([div, ric_row])
     _, s, vt = np.linalg.svd(constraints)
@@ -214,7 +216,7 @@ def test_gamma_residual_on_derivative_dirac_line():
 
 
 def test_gamma_residual_on_constant_pair():
-    g6 = _sym2_from_full(TORUS.metric, 3)
+    g6 = sym2_from_full(TORUS.metric, 3)
     h = zero_field(LAT, "sym2")
     m = zero_field(LAT, "sym2")
     h.coeffs[LAT.mode_index((0, 0, 0))] = 0.3 * g6

@@ -14,11 +14,20 @@ from linwave.evolution import (
     trajectory_difference,
     wave_energies,
 )
-from linwave.fields import ModeLattice, SpectralField, random_field, zero_field
+from linwave.constraints import normal_identities
+from linwave.fields import (
+    ModeLattice,
+    SpectralField,
+    random_field,
+    sym2_from_full,
+    sym2_to_full,
+    zero_field,
+)
 from linwave.slices import apply_slice_operator, slice_geometry
 from linwave.spacetime import (
     FamilyAction,
     assemble_mode_operator,
+    induced_data_state,
     nu_jet_conversion,
     spacetime_background,
 )
@@ -90,6 +99,99 @@ def test_jet_gauge_residual_vanishes_on_kasner():
     jet = build_cauchy_jet(pair, KAS)
     U, Ud = nu_jet_conversion(jet)
     assert gauge_residual_norm(KAS, LAT, 1.0, U, Ud) < 1e-10
+
+
+def _induced_backgrounds():
+    return [
+        (spacetime_background("minkowski-torus", n=2), 0.0),
+        (MINK, 0.0),
+        (KAS, 1.3),
+    ]
+
+
+def test_induced_data_inverts_the_cauchy_jet():
+    # slice data -> gauge-choice jet -> per-mode state -> induced data is the
+    # identity: exact structure, independent of any time stepping
+    rng = np.random.default_rng(11)
+    for bg, t0 in _induced_backgrounds():
+        lat = ModeLattice(bg.n, 2)
+        geom = bg.slice_at(t0)
+        pair = InitialDataPair(
+            random_field(lat, "sym2", rng), random_field(lat, "sym2", rng), geom
+        )
+        U, Ud = nu_jet_conversion(build_cauchy_jet(pair, bg, t0=t0))
+        h, m = induced_data_state(bg, t0, lat, U, Ud)
+        for got, want in ((h, pair.h), (m, pair.m)):
+            err = np.max(np.abs(got.coeffs - want.coeffs))
+            assert err <= 1e-13 * np.max(np.abs(want.coeffs)), (bg.kind, bg.n, err)
+
+
+def _induced_m_from_full_gradient(bg, t, lat, U, Ud):
+    # the defining formula with the whole covariant gradient of h:
+    # m~ = -1/2 h(nu,nu) k~ - 1/2 (nabla_X h)(nu,Y) - 1/2 (nabla_Y h)(nu,X)
+    #      + 1/2 (nabla_nu h)(X,Y)
+    n = bg.n
+    H, Hdot = sym2_to_full(U, n + 1), sym2_to_full(Ud, n + 1)
+    kx = np.zeros((len(U), n + 1))
+    kx[:, 1:] = lat.modes
+    gam = bg.gamma_derivs(t, 0)[0]
+    # (nabla h)_{abc} = partial_a h_bc - Gamma^m_{ab} h_mc - Gamma^m_{ac} h_bm
+    grad = 1j * kx[:, :, None, None] * H[:, None]
+    grad[:, 0] += Hdot
+    grad -= np.einsum("mab,kmc->kabc", gam, H) + np.einsum("mac,kbm->kabc", gam, H)
+    mixed = grad[:, 1:, 0, 1:]  # (nabla_i h)(nu, j)
+    m = 0.5 * (
+        -H[:, 0, 0, None, None] * bg.slice_at(t).extrinsic
+        - mixed - np.swapaxes(mixed, 1, 2) + grad[:, 0, 1:, 1:]
+    )
+    return sym2_from_full(m, n)
+
+
+def test_induced_data_closed_form_matches_full_gradient():
+    rng = np.random.default_rng(12)
+    generic = spacetime_background(
+        "kasner", p=[1 / 3 + 2 / 3 * np.cos(0.7 + 2 * np.pi * i / 3) for i in range(3)]
+    )
+    for bg, t in _induced_backgrounds() + [(generic, 0.7)]:
+        lat = ModeLattice(bg.n, 2)
+        ncomp = (bg.n + 1) * (bg.n + 2) // 2
+        U = hermitian_pair(lat, rng, ncomp)
+        Ud = hermitian_pair(lat, rng, ncomp)
+        want = _induced_m_from_full_gradient(bg, t, lat, U, Ud)
+        got = induced_data_state(bg, t, lat, U, Ud)[1].coeffs
+        err = np.max(np.abs(got - want))
+        assert err <= 1e-14 * np.max(np.abs(want)), (bg.kind, bg.n, err)
+
+
+def test_every_closure_refuses_a_non_monic_operator(monkeypatch):
+    # the four places that solve for a second time derivative share one
+    # check and one message
+    lat = ModeLattice(3, 1)
+    rng = np.random.default_rng(13)
+    pair = InitialDataPair(
+        random_field(lat, "sym2", rng), random_field(lat, "sym2", rng),
+        KAS.slice_at(1.0),
+    )
+    jet = build_cauchy_jet(pair, KAS)
+    traj = evolve(jet, 1.02, dt=1e-2, sample_times=[1.0, 1.02])
+    W0 = hermitian_pair(lat, rng, 4)
+    refused = {"lichnerowicz", "connection_wave"}
+
+    def is_monic(self, tol=1e-12):
+        return self.kind not in refused
+
+    monkeypatch.setattr(FamilyAction, "is_monic", is_monic)
+    calls = [
+        lambda: evolve(jet, 1.02, dt=1e-2),
+        lambda: normal_identities(jet),
+        lambda: lie_trajectory(KAS, lat, [1.0, 1.01], W0, W0, dt=1e-2),
+    ]
+    for call in calls:
+        with pytest.raises(RuntimeError, match="operator is not monic in d/dt"):
+            call()
+    refused.discard("lichnerowicz")  # the gauge solve's own connection wave
+    with pytest.raises(RuntimeError, match="connection_wave operator is not monic in d/dt"):
+        recover_gauge_vector(traj)
 
 
 def test_evolve_zero_and_validation():

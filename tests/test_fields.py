@@ -12,6 +12,9 @@ from linwave.fields import (
     l2_inner,
     random_field,
     sobolev_norm,
+    sym2_from_full,
+    sym2_index_pairs,
+    sym2_to_full,
     synthesize,
     zero_field,
 )
@@ -23,6 +26,22 @@ def test_lattice_counts_and_lookup():
     assert np.array_equal(lat.modes[lat.mode_index((1, -2, 0))], (1, -2, 0))
     perm = lat.negation_permutation()
     assert np.array_equal(-lat.modes[perm], lat.modes)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sym2_converters_round_trip_in_index_pair_order(n):
+    rng = np.random.default_rng(n)
+    ncomp = n * (n + 1) // 2
+    c = rng.standard_normal((5, 2, ncomp)) + 1j * rng.standard_normal((5, 2, ncomp))
+    full = sym2_to_full(c, n)
+    assert full.shape == (5, 2, n, n)
+    assert np.array_equal(full, np.swapaxes(full, -1, -2))
+    assert np.array_equal(sym2_from_full(full, n), c)
+    for a, (i, j) in enumerate(sym2_index_pairs(n)):
+        assert np.array_equal(full[..., i, j], c[..., a])
+        assert np.array_equal(full[..., j, i], c[..., a])
+    # the upper triangle is what is stored; the lower one is never read
+    assert np.array_equal(sym2_from_full(np.triu(full[0, 0]), n), c[0, 0])
 
 
 def test_analyze_synthesize_round_trip():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import linwave.invariant as inv
-from linwave.fields import ModeLattice, random_field
+from linwave.fields import ModeLattice, random_field, sym2_from_full
 from linwave.slices import (
     apply_slice_operator,
     constraint_residual,
@@ -87,8 +87,7 @@ def test_trace_reverse_inverts_cleanly():
     tr = apply_slice_operator(geom, "trace", h)
     trbar = apply_slice_operator(geom, "trace", hbar)
     assert np.max(np.abs(trbar.coeffs + 0.5 * tr.coeffs)) < 1e-13
-    from linwave.slices import _sym2_from_full
-    gsym = _sym2_from_full(geom.metric, 3)
+    gsym = sym2_from_full(geom.metric, 3)
     rec = hbar.coeffs - trbar.coeffs * gsym[None]
     assert np.max(np.abs(rec - h.coeffs)) < 1e-13
 

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from linwave.evolution import Trajectory, diagnostics, wave_energies
-from linwave.fields import ModeLattice, component_weights, random_field
+from linwave.fields import (
+    ModeLattice,
+    component_weights,
+    random_field,
+    sym2_from_full,
+    sym2_index_pairs,
+    sym2_to_full,
+)
 from linwave.spacetime import (
     OPERATOR_KINDS,
     CauchyJet,
@@ -21,7 +28,6 @@ from linwave.spacetime import (
     monomial_basis,
     nu_jet_conversion,
     spacetime_background,
-    st_pairs,
     state_to_nu_jet,
     unknown_jet,
 )
@@ -30,7 +36,7 @@ KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
 MINK = spacetime_background("minkowski-torus", n=3)
 KAS = spacetime_background("kasner", p=KASNER_P)
 K = np.array([2.0, -1.0, 3.0])
-PAIRS = st_pairs(4)
+PAIRS = sym2_index_pairs(4)
 
 
 def quadratic_mode(rng, t0, k):
@@ -40,11 +46,7 @@ def quadratic_mode(rng, t0, k):
     def h_fn(x):
         dt = x[0] - t0
         vec = u[0] + u[1] * dt + 0.5 * u[2] * dt * dt
-        full = np.zeros((4, 4), complex)
-        for c, (a, b) in enumerate(PAIRS):
-            full[a, b] = vec[c]
-            full[b, a] = vec[c]
-        return full * np.exp(1j * (k @ x[1:]))
+        return sym2_to_full(vec, 4) * np.exp(1j * (k @ x[1:]))
 
     return u, h_fn
 
@@ -113,7 +115,7 @@ def test_kasner_lichnerowicz_against_fd_oracle():
     op = assemble_mode_operator(KAS, "lichnerowicz", K)
     got = op.apply(t0, [ui * ph for ui in u])
     fd = fd_lichnerowicz(KAS.metric_fn, h_fn, x)
-    want = np.array([fd[a, b] for a, b in PAIRS])
+    want = sym2_from_full(fd, 4)
     assert np.max(np.abs(got - want)) < 1e-6 * np.max(np.abs(want))
 
 
@@ -126,7 +128,7 @@ def test_kasner_d_ric_against_fd_oracle():
     op = assemble_mode_operator(KAS, "d_ric", K)
     got = op.apply(t0, [ui * ph for ui in u])
     fd = fd_d_ric(KAS.metric_fn, h_fn, x)
-    want = np.array([fd[a, b] for a, b in PAIRS])
+    want = sym2_from_full(fd, 4)
     assert np.max(np.abs(got - want)) < 1e-6 * np.max(np.abs(want))
 
 
@@ -183,6 +185,13 @@ def test_nu_conversion_is_identity_on_minkowski():
     assert np.max(np.abs(U[:, -6:] - sp)) == 0.0  # tangential block copied
     # with zero Christoffels, dU/dt equals the nabla_nu blocks verbatim
     assert np.max(np.abs(Ud[:, 0] - jet.dh_nn.coeffs[:, 0])) == 0.0
+
+
+def test_asymmetric_rank2_jet_is_an_internal_error():
+    J = unknown_jet(MINK, 0.0, K, "sym2", 0)
+    J.data[0, 0, 0, 1] += 1.0  # h_01 no longer equals h_10
+    with pytest.raises(RuntimeError, match="spacetime.jet_matrices: rank-2 jet"):
+        jet_matrices(J)
 
 
 def test_mode_operator_rejects_unknown_kind():
