@@ -289,7 +289,7 @@ def cmd_check(args) -> int:
                 _result(f"identity5_rel_{trial}", res["identity5_rel"], 1e-10)
             )
     else:  # constraints: dphi of gauge-producing data
-        geom = bg.slice_at(t) if bg.kind == "kasner" else slice_geometry("flat-torus", n=3)
+        geom = bg.slice_at(t)
         for trial in range(args.trials):
             pair = gauge_producing_data(
                 random_field(lat, "scalar", rng), random_field(lat, "one-form", rng),

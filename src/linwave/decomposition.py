@@ -29,6 +29,7 @@ from .constraints import InitialDataPair
 from .fields import (
     SpectralField,
     component_weights,
+    l2_inner,
     sobolev_norm,
     sym2_from_full,
     sym2_index_pairs,
@@ -440,8 +441,6 @@ def moncrief_p_star(h, m, geom: SliceGeometry):
 def _moncrief_report(split: MoncriefSplit, geom: SliceGeometry) -> dict:
     r1, r2 = moncrief_p_star(split.gamma_h, split.gamma_m, geom)
     if geom.is_torus:
-        from .fields import l2_inner
-
         ortho = l2_inner(split.gauge_h, split.gamma_h) + l2_inner(
             split.gauge_m, split.gamma_m
         )

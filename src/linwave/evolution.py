@@ -476,7 +476,7 @@ def lie_trajectory(bg: SpacetimeBackground, lattice, times, W0, Wd0,
 
 def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:
     """Pointwise difference of two trajectories on the same samples."""
-    if a.background is not b.background or a.lattice != b.lattice:
+    if a.background != b.background or a.lattice != b.lattice:
         raise ValueError("trajectories live on different backgrounds")
     if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-12:
         raise ValueError("trajectories have different sample times")

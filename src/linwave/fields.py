@@ -296,18 +296,10 @@ def component_gram(rank: str, n: int, metric: np.ndarray) -> np.ndarray:
         return np.ones((1, 1))
     if rank == "one-form":
         return ginv
-    # Contract full tensors T_ij S_pq g^ip g^jq, expanding each stored
-    # component into its symmetric index placements.
-    pairs = sym2_index_pairs(n)
-    gram = np.empty((len(pairs), len(pairs)))
-    for a, (i, j) in enumerate(pairs):
-        for b, (p, q) in enumerate(pairs):
-            total = 0.0
-            for ii, jj in {(i, j), (j, i)}:
-                for pp, qq in {(p, q), (q, p)}:
-                    total += ginv[ii, pp] * ginv[jj, qq]
-            gram[a, b] = total
-    return gram
+    # Contract full tensors T_ij S_pq g^ip g^jq: E^T (g^-1 x g^-1) E, where
+    # E[a] is the full symmetric matrix of the a-th stored component.
+    E = sym2_to_full(np.eye(rank_components(rank, n)), n)
+    return np.einsum("aij,ip,jq,bpq->ab", E, ginv, ginv, E)
 
 
 def sobolev_norm(field: SpectralField, s: float, truncation: int | None = None) -> float:

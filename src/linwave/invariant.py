@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import sym2_from_full, sym2_to_full
+from .fields import component_gram, sym2_from_full, sym2_to_full
 
 RANK_DIMS = {"scalar": 1, "one-form": 3, "sym2": 6}
 
@@ -237,13 +237,7 @@ _EXPAND.setflags(write=False)
 
 def gram_matrix(geo: InvariantGeometry, rank: str) -> np.ndarray:
     """Gram matrix of the volume-weighted invariant inner product."""
-    vol = geo.volume
-    gi = geo.metric_inv
-    if rank == "scalar":
-        return np.array([[vol]])
-    if rank == "one-form":
-        return vol * gi
-    return vol * np.einsum("aij,ip,jq,bpq->ab", _EXPAND, gi, gi, _EXPAND)
+    return geo.volume * component_gram(rank, 3, geo.metric)
 
 
 def adjoint_matrix(geo: InvariantGeometry, op: OperatorMatrix) -> OperatorMatrix:
@@ -316,8 +310,6 @@ def operator_matrix(frame: HomogeneousFrame, kind: str, params=None) -> Operator
     if kind == "ckl_normal":
         ck = OperatorMatrix("one-form", "sym2", conformal_killing())
         return adjoint_matrix(geo, ck).compose(ck)
-    if kind == "killing":
-        return OperatorMatrix("one-form", "sym2", lie_metric())
     if kind in ("moncrief_p", "moncrief_p_star", "split_p", "split_p_star"):
         return _block_operator(geo, kind, params)
     raise ValueError(f"unknown operator kind {kind!r}")

@@ -249,10 +249,7 @@ def _apply_invariant(geom: SliceGeometry, kind: str, field: inv.InvariantField):
     elif kind == "ckl_adjoint":
         op = inv.adjoint_matrix(geo, inv.operator_matrix(geo, "conformal_killing"))
     elif kind in ("trace", "hessian", "d", "lie_metric", "conformal_killing", "ckl_normal"):
-        op = inv.operator_matrix(geo, {"trace": "trace", "hessian": "hessian", "d": "d",
-                                       "lie_metric": "lie_metric",
-                                       "conformal_killing": "conformal_killing",
-                                       "ckl_normal": "ckl_normal"}[kind])
+        op = inv.operator_matrix(geo, kind)
     else:
         raise ValueError(f"unknown invariant operator kind {kind!r}")
     return op(field)
@@ -267,7 +264,3 @@ def slice_inner(geom: SliceGeometry, a, b) -> float:
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
     return float(a.components @ gram @ b.components)
-
-
-def slice_norm(geom: SliceGeometry, a) -> float:
-    return float(np.sqrt(max(slice_inner(geom, a, a), 0.0)))

@@ -77,15 +77,6 @@ def load_field(path) -> SpectralField:
     return SpectralField(lat, rank, coeffs.astype(complex))
 
 
-def load_sidecar(path) -> dict:
-    path = Path(path)
-    side = path.with_suffix(path.suffix + ".json")
-    if not side.exists():
-        return {}
-    with open(side) as f:
-        return json.load(f)
-
-
 def save_pair(pair: InitialDataPair, prefix) -> None:
     """Write an initial-data pair as <prefix>.h.lwf / <prefix>.m.lwf with a
     shared sidecar <prefix>.json recording the slice geometry."""
@@ -106,13 +97,16 @@ def save_pair(pair: InitialDataPair, prefix) -> None:
 
 
 def load_pair(prefix) -> InitialDataPair:
-    with open(f"{prefix}.json") as f:
+    side = f"{prefix}.json"
+    with open(side) as f:
         meta = json.load(f)
+    if not isinstance(meta, dict) or not isinstance(meta.get("geometry"), str):
+        raise SnapshotError(f"{side}: sidecar needs a string 'geometry'")
+    params = meta.get("parameters", {})
+    if not isinstance(params, dict):
+        raise SnapshotError(f"{side}: sidecar 'parameters' must be an object")
     h = load_field(f"{prefix}.h.lwf")
     m = load_field(f"{prefix}.m.lwf")
-    params = {
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in meta.get("parameters", {}).items()
-    }
+    params = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
     geom = slice_geometry(meta["geometry"], **params)
     return InitialDataPair(h, m, geom)

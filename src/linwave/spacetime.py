@@ -30,17 +30,8 @@ from math import comb
 
 import numpy as np
 
-from .fields import SpectralField, sym2_from_full, sym2_to_full, zero_field
+from .fields import SpectralField, sym2_from_full, sym2_to_full
 from .slices import SliceGeometry, kasner_exponents, slice_geometry
-
-OPERATOR_KINDS = (
-    "lichnerowicz",
-    "div_trace_reversed",
-    "d_ric",
-    "lie_of_g",
-    "connection_wave",
-    "killing_wave",
-)
 
 
 def _pow_derivs(coef: float, expo: float, t: float, depth: int) -> np.ndarray:
@@ -94,7 +85,9 @@ class SpacetimeBackground:
         if self.kind == "kasner" and t <= 0:
             raise ValueError("Kasner time must be positive (t = 0 is singular)")
 
-    def metric_derivs(self, t: float, depth: int) -> np.ndarray:
+    def _diagonal_derivs(self, t: float, depth: int, sign: int) -> np.ndarray:
+        """Time derivatives of diag(-1, t^(2 sign p_i)): the metric for
+        sign = 1, its inverse for sign = -1."""
         self._check_time(t)
         dim = self.dim
         out = np.zeros((depth + 1, dim, dim))
@@ -103,20 +96,14 @@ class SpacetimeBackground:
             out[0, 1:, 1:] = np.eye(self.n)
             return out
         for i, pi in enumerate(self.p):
-            out[:, 1 + i, 1 + i] = _pow_derivs(1.0, 2 * pi, t, depth)
+            out[:, 1 + i, 1 + i] = _pow_derivs(1.0, sign * 2 * pi, t, depth)
         return out
 
+    def metric_derivs(self, t: float, depth: int) -> np.ndarray:
+        return self._diagonal_derivs(t, depth, 1)
+
     def metric_inv_derivs(self, t: float, depth: int) -> np.ndarray:
-        self._check_time(t)
-        dim = self.dim
-        out = np.zeros((depth + 1, dim, dim))
-        out[0, 0, 0] = -1.0
-        if self.kind == "minkowski-torus":
-            out[0, 1:, 1:] = np.eye(self.n)
-            return out
-        for i, pi in enumerate(self.p):
-            out[:, 1 + i, 1 + i] = _pow_derivs(1.0, -2 * pi, t, depth)
-        return out
+        return self._diagonal_derivs(t, depth, -1)
 
     def gamma_derivs(self, t: float, depth: int) -> np.ndarray:
         """gamma[d, c, a, b] = d-th time derivative of Gamma^c_{ab}."""
@@ -148,10 +135,6 @@ class SpacetimeBackground:
     def ricci(self, t: float) -> np.ndarray:
         rup = self.riemann_up_derivs(t, 0)[0]
         return np.einsum("abae->be", rup)
-
-    def metric_fn(self, x: np.ndarray) -> np.ndarray:
-        """Pointwise metric for the finite-difference oracle; x = (t, x^i)."""
-        return self.metric_derivs(float(x[0]), 0)[0]
 
     def slice_at(self, t: float) -> SliceGeometry:
         if self.kind == "minkowski-torus":
@@ -251,15 +234,7 @@ def jet_apply(F_derivs: np.ndarray, J: JetTensor, sub: str) -> JetTensor:
     jin, jout = rest.split("->")
     # hidden axes: O = u-derivative order, Y = unknown component
     ss = f"{fin},O{jin}Y->O{jout}Y"
-    depth = min(J.depth, F_derivs.shape[0] - 1)
-    dim = J.bg.dim
-    out = np.zeros(
-        (depth + 1, J.order + 1) + (dim,) * len(jout) + (J.ncomp,), complex
-    )
-    for d in range(depth + 1):
-        for m in range(d + 1):
-            out[d] += comb(d, m) * np.einsum(ss, F_derivs[m], J.data[d - m])
-    return JetTensor(J.bg, J.t, J.k, out)
+    return JetTensor(J.bg, J.t, J.k, _leib(F_derivs, J.data, ss))
 
 
 def jet_nabla(J: JetTensor) -> JetTensor:
@@ -286,10 +261,7 @@ def jet_nabla(J: JetTensor) -> JetTensor:
     letters = "abcdef"[:r]
     for s in range(r):
         jin = letters[:s] + "z" + letters[s + 1 :]
-        ss = f"zn{letters[s]},O{jin}Y->On{letters}Y"
-        for d in range(depth + 1):
-            for m in range(d + 1):
-                out[d] -= comb(d, m) * np.einsum(ss, gam[m], pad[d - m])
+        out -= _leib(gam, pad, f"zn{letters[s]},O{jin}Y->On{letters}Y")
     return JetTensor(bg, t, J.k, out)
 
 
@@ -390,6 +362,7 @@ _JET_FUNCS = {
     "connection_wave": ("one-form", jet_connection_laplacian, 2),
     "killing_wave": ("one-form", jet_killing_wave, 2),
 }
+OPERATOR_KINDS = tuple(_JET_FUNCS)
 
 
 def jet_matrices(J: JetTensor) -> list[np.ndarray]:
@@ -425,18 +398,6 @@ class ModeOperator:
         rank, func, depth = _JET_FUNCS[self.kind]
         J = unknown_jet(self.background, t, np.asarray(self.k, float), rank, depth)
         return jet_matrices(func(J))
-
-    def apply(self, t: float, u_derivs) -> np.ndarray:
-        """Evaluate on a list/array of unknown derivative vectors [u, u', ...]."""
-        mats = self.matrices(t)
-        if len(u_derivs) < len(mats):
-            raise ValueError(
-                f"operator {self.kind} needs {len(mats) - 1} derivatives of u"
-            )
-        out = 0.0
-        for M, u in zip(mats, u_derivs):
-            out = out + M @ u
-        return out
 
 
 def assemble_mode_operator(background: SpacetimeBackground, kind: str, k) -> ModeOperator:
@@ -706,14 +667,6 @@ class CauchyJet:
         return self.h_nn.lattice
 
 
-def zero_cauchy_jet(background: SpacetimeBackground, t0: float, lattice) -> CauchyJet:
-    z = lambda r: zero_field(lattice, r)
-    return CauchyJet(
-        background, t0, z("scalar"), z("one-form"), z("sym2"),
-        z("scalar"), z("one-form"), z("sym2"),
-    )
-
-
 def _stored_from_blocks(nn: SpectralField, nf: SpectralField, sp: SpectralField):
     """Stored spacetime components (num_modes, ncomp) of the tensor with
     blocks h(nu,nu), h(nu,.) and h(.,.)."""
@@ -792,95 +745,3 @@ def induced_data_state(
         SpectralField(lattice, "sym2", sym2_from_full(H[:, 1:, 1:], n)),
         SpectralField(lattice, "sym2", sym2_from_full(m, n)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference tensor-calculus oracle (4th-order stencils, eps = 1e-3)
-# ---------------------------------------------------------------------------
-
-FD_EPS = 1e-3
-
-
-def fd_partial(fn, x: np.ndarray, axis: int, eps: float = FD_EPS):
-    """4th-order central difference of a (possibly tensor-valued) callable."""
-    e = np.zeros(len(x))
-    e[axis] = eps
-    return (
-        -fn(x + 2 * e) + 8 * fn(x + e) - 8 * fn(x - e) + fn(x - 2 * e)
-    ) / (12 * eps)
-
-
-def fd_christoffel(metric_fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
-    dim = len(x)
-    g = metric_fn(x)
-    gi = np.linalg.inv(g)
-    dg = np.stack([fd_partial(metric_fn, x, a, eps) for a in range(dim)])
-    return 0.5 * np.einsum(
-        "cd,adb->cab", gi, dg + np.transpose(dg, (2, 1, 0)) - np.transpose(dg, (1, 0, 2))
-    )
-
-
-def fd_covariant_derivative(metric_fn, tensor_fn, rank: int, eps: float = FD_EPS):
-    """Return a callable for nabla T (new lower index first); T all-lower."""
-
-    def out(x):
-        dim = len(x)
-        T = np.asarray(tensor_fn(x))
-        gam = fd_christoffel(metric_fn, x, eps)
-        dT = np.stack([fd_partial(tensor_fn, x, a, eps) for a in range(dim)])
-        res = dT.astype(complex)
-        for s in range(rank):
-            # -Gamma^z_{a i_s} T_{.. z ..}
-            Tm = np.moveaxis(T, s, 0)
-            corr = np.einsum("zas,z...->as...", gam, Tm)
-            res -= np.moveaxis(corr, 1, s + 1)
-        return res
-
-    return out
-
-
-def fd_riemann_up(metric_fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
-    """R^a_{bce} with R(d_c, d_e) d_b = R^a_{bce} d_a, by differencing Gamma."""
-    dim = len(x)
-    gfun = lambda y: fd_christoffel(metric_fn, y, eps)
-    gam = gfun(x)
-    dgam = np.stack([fd_partial(gfun, x, c, eps) for c in range(dim)])
-    out = (
-        np.einsum("caeb->abce", dgam)
-        - np.einsum("eacb->abce", dgam)
-        + np.einsum("acz,zeb->abce", gam, gam)
-        - np.einsum("aez,zcb->abce", gam, gam)
-    )
-    return out
-
-
-def fd_ricci(metric_fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
-    return np.einsum("abae->be", fd_riemann_up(metric_fn, x, eps))
-
-
-def fd_lichnerowicz(metric_fn, h_fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
-    """box_L h = nabla*nabla h - 2 RingR h at a point, by nested stencils."""
-    dim = len(x)
-    gi = np.linalg.inv(metric_fn(x))
-    grad1 = fd_covariant_derivative(metric_fn, h_fn, 2, eps)
-    grad2 = fd_covariant_derivative(metric_fn, grad1, 3, eps)
-    lap = -np.einsum("pq,pqab->ab", gi, grad2(x))
-    rup = fd_riemann_up(metric_fn, x, eps)
-    h = np.asarray(h_fn(x))
-    ring = np.einsum("ab,myax,mb->xy", gi, rup, h)
-    return lap - 2 * ring
-
-
-def fd_d_ric(metric_fn, h_fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
-    """Linearised Ricci by nested stencils (same Christoffel-variation form)."""
-    gi_x = np.linalg.inv(metric_fn(x))
-    grad1 = fd_covariant_derivative(metric_fn, h_fn, 2, eps)
-
-    def c_low(y):
-        D = grad1(y)
-        return 0.5 * (
-            np.einsum("axb->xab", D) + np.einsum("bxa->xab", D) - np.einsum("xab->xab", D)
-        )
-
-    K = fd_covariant_derivative(metric_fn, c_low, 3, eps)(x)
-    return np.einsum("ex,exab->ab", gi_x, K) - np.einsum("cx,axcb->ab", gi_x, K)

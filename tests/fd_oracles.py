@@ -1,0 +1,112 @@
+"""Independent finite-difference tensor calculus for the spacetime jet tests.
+
+The symbolic jet assembly in `linwave.spacetime` is checked against these
+pointwise oracles: Christoffel symbols, curvature and the operators
+box_L and DRic by nested 4th-order central differences (eps = 1e-3) of a
+callable metric x = (t, x^i) -> g(x).  Sign conventions are those of
+`linwave.spacetime`.
+"""
+
+import numpy as np
+
+FD_EPS = 1e-3
+
+
+def metric_fn(bg):
+    """Pointwise metric of a SpacetimeBackground as a callable of x = (t, x^i)."""
+    return lambda x: bg.metric_derivs(float(x[0]), 0)[0]
+
+
+def mode_apply(op, t: float, u_derivs) -> np.ndarray:
+    """Evaluate a ModeOperator on a list of unknown derivative vectors [u, u', ...]."""
+    mats = op.matrices(t)
+    if len(u_derivs) < len(mats):
+        raise ValueError(f"operator {op.kind} needs {len(mats) - 1} derivatives of u")
+    out = 0.0
+    for M, u in zip(mats, u_derivs):
+        out = out + M @ u
+    return out
+
+
+def fd_partial(fn, x: np.ndarray, axis: int, eps: float = FD_EPS):
+    """4th-order central difference of a (possibly tensor-valued) callable."""
+    e = np.zeros(len(x))
+    e[axis] = eps
+    return (
+        -fn(x + 2 * e) + 8 * fn(x + e) - 8 * fn(x - e) + fn(x - 2 * e)
+    ) / (12 * eps)
+
+
+def fd_christoffel(metric_fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
+    dim = len(x)
+    g = metric_fn(x)
+    gi = np.linalg.inv(g)
+    dg = np.stack([fd_partial(metric_fn, x, a, eps) for a in range(dim)])
+    return 0.5 * np.einsum(
+        "cd,adb->cab", gi, dg + np.transpose(dg, (2, 1, 0)) - np.transpose(dg, (1, 0, 2))
+    )
+
+
+def fd_covariant_derivative(metric_fn, tensor_fn, rank: int, eps: float = FD_EPS):
+    """Return a callable for nabla T (new lower index first); T all-lower."""
+
+    def out(x):
+        dim = len(x)
+        T = np.asarray(tensor_fn(x))
+        gam = fd_christoffel(metric_fn, x, eps)
+        dT = np.stack([fd_partial(tensor_fn, x, a, eps) for a in range(dim)])
+        res = dT.astype(complex)
+        for s in range(rank):
+            # -Gamma^z_{a i_s} T_{.. z ..}
+            Tm = np.moveaxis(T, s, 0)
+            corr = np.einsum("zas,z...->as...", gam, Tm)
+            res -= np.moveaxis(corr, 1, s + 1)
+        return res
+
+    return out
+
+
+def fd_riemann_up(metric_fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
+    """R^a_{bce} with R(d_c, d_e) d_b = R^a_{bce} d_a, by differencing Gamma."""
+    dim = len(x)
+    gfun = lambda y: fd_christoffel(metric_fn, y, eps)
+    gam = gfun(x)
+    dgam = np.stack([fd_partial(gfun, x, c, eps) for c in range(dim)])
+    out = (
+        np.einsum("caeb->abce", dgam)
+        - np.einsum("eacb->abce", dgam)
+        + np.einsum("acz,zeb->abce", gam, gam)
+        - np.einsum("aez,zcb->abce", gam, gam)
+    )
+    return out
+
+
+def fd_ricci(metric_fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
+    return np.einsum("abae->be", fd_riemann_up(metric_fn, x, eps))
+
+
+def fd_lichnerowicz(metric_fn, h_fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
+    """box_L h = nabla*nabla h - 2 RingR h at a point, by nested stencils."""
+    gi = np.linalg.inv(metric_fn(x))
+    grad1 = fd_covariant_derivative(metric_fn, h_fn, 2, eps)
+    grad2 = fd_covariant_derivative(metric_fn, grad1, 3, eps)
+    lap = -np.einsum("pq,pqab->ab", gi, grad2(x))
+    rup = fd_riemann_up(metric_fn, x, eps)
+    h = np.asarray(h_fn(x))
+    ring = np.einsum("ab,myax,mb->xy", gi, rup, h)
+    return lap - 2 * ring
+
+
+def fd_d_ric(metric_fn, h_fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
+    """Linearised Ricci by nested stencils (same Christoffel-variation form)."""
+    gi_x = np.linalg.inv(metric_fn(x))
+    grad1 = fd_covariant_derivative(metric_fn, h_fn, 2, eps)
+
+    def c_low(y):
+        D = grad1(y)
+        return 0.5 * (
+            np.einsum("axb->xab", D) + np.einsum("bxa->xab", D) - np.einsum("xab->xab", D)
+        )
+
+    K = fd_covariant_derivative(metric_fn, c_low, 3, eps)(x)
+    return np.einsum("ex,exab->ab", gi_x, K) - np.einsum("cx,axcb->ab", gi_x, K)

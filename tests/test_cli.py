@@ -294,3 +294,34 @@ def test_evolve_from_snapshot(tmp_path, capsys):
     assert rc == 0
     init = load_pair(tmp_path / "r" / "initial")
     assert np.array_equal(init.h.coeffs, pair.h.coeffs)
+
+
+def test_evolve_from_malformed_sidecar_is_a_usage_error(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    lat = ModeLattice(3, 1)
+    pair = InitialDataPair(
+        random_field(lat, "sym2", rng), random_field(lat, "sym2", rng),
+        slice_geometry("flat-torus", n=3),
+    )
+    save_pair(pair, tmp_path / "seed")
+    side = tmp_path / "seed.json"
+    meta = json.loads(side.read_text())
+    cfg = tmp_path / "snap.cfg"
+    cfg.write_text(
+        "background.kind = minkowski-torus\n"
+        "lattice.nmax = 1\n"
+        "initial.generator = snapshot\n"
+        "initial.snapshot = seed\n"
+    )
+    for bad in (
+        {k: v for k, v in meta.items() if k != "geometry"},
+        dict(meta, parameters=[3]),
+    ):
+        side.write_text(json.dumps(bad))
+        rc = run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "seed.json" in err
+        with pytest.raises(SnapshotError):
+            load_pair(tmp_path / "seed")
+

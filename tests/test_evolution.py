@@ -4,6 +4,7 @@ import pytest
 from linwave.constraints import InitialDataPair
 from linwave.decomposition import gauge_producing_data
 from linwave.evolution import (
+    Trajectory,
     build_cauchy_jet,
     diagnostics,
     evolve,
@@ -31,6 +32,8 @@ from linwave.spacetime import (
     nu_jet_conversion,
     spacetime_background,
 )
+
+from fd_oracles import mode_apply
 
 KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
 MINK = spacetime_background("minkowski-torus", n=3)
@@ -60,7 +63,7 @@ def standing_wave_pair(lat):
 def gauge_residual_norm(bg, lat, t, U, Ud):
     # direct per-mode symbolic assembly, independent of FamilyAction
     G = [
-        assemble_mode_operator(bg, "div_trace_reversed", k).apply(t, [U[i], Ud[i]])
+        mode_apply(assemble_mode_operator(bg, "div_trace_reversed", k), t, [U[i], Ud[i]])
         for i, k in enumerate(lat.modes)
     ]
     return float(np.max(np.abs(G)))
@@ -319,6 +322,27 @@ def test_gauge_recovery_on_kasner():
     w = trajectory_difference(trh, trg)
     rec = recover_gauge_vector(w)
     assert rec.relative_deviation.max() < 1e-8
+
+
+def test_trajectory_difference_compares_backgrounds_by_value():
+    rng = np.random.default_rng(9)
+    lat = ModeLattice(3, 1)
+    times = np.array([1.0, 1.5])
+    shape = (len(times), lat.num_modes, 10)
+
+    def traj(bg):
+        return Trajectory(bg, lat, times, rng.standard_normal(shape),
+                          rng.standard_normal(shape), dt=1e-2)
+
+    a = traj(spacetime_background("minkowski-torus", n=3))
+    b = traj(spacetime_background("minkowski-torus", n=3))
+    assert a.background is not b.background
+    w = trajectory_difference(a, b)
+    assert np.array_equal(w.states, a.states - b.states)
+    assert np.array_equal(w.derivs, a.derivs - b.derivs)
+    for other in (KAS, spacetime_background("minkowski-torus", n=2)):
+        with pytest.raises(ValueError, match="different backgrounds"):
+            trajectory_difference(a, traj(other))
 
 
 def test_lie_trajectory_derivative_is_exact():

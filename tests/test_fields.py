@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import linwave.invariant as inv
 from linwave.fields import (
     ModeLattice,
     SpectralField,
@@ -18,6 +19,7 @@ from linwave.fields import (
     synthesize,
     zero_field,
 )
+from linwave.slices import slice_geometry
 
 
 def test_lattice_counts_and_lookup():
@@ -88,6 +90,48 @@ def test_parseval_against_grid_quadrature():
     w = component_weights("sym2", 3)
     quad = np.sum(grid ** 2 * w) * (2 * np.pi / 12) ** 3
     assert abs(spectral - quad) < 1e-10 * max(1.0, abs(spectral))
+
+
+def test_metric_l2_inner_matches_grid_contraction():
+    # l2_inner with a constant metric G against grid quadrature of the
+    # pointwise contraction of full tensors, T_ij S_pq g^ip g^jq (T_i S_p g^ip)
+    rng = np.random.default_rng(12)
+    npts = 10
+    for n in (2, 3):
+        A = rng.standard_normal((n, n))
+        metrics = [A @ A.T + n * np.eye(n)]
+        if n == 3:
+            metrics.append(slice_geometry("kasner", p=(2 / 3, 2 / 3, -1 / 3), t0=1.3).metric)
+        lat = ModeLattice(n, 2)
+        for G in metrics:
+            gi = np.linalg.inv(G)
+            for rank in ("one-form", "sym2"):
+                a, b = random_field(lat, rank, rng), random_field(lat, rank, rng)
+                ga, gb = synthesize(a, npts), synthesize(b, npts)
+                if rank == "sym2":
+                    ga, gb = sym2_to_full(ga, n), sym2_to_full(gb, n)
+                    pointwise = np.einsum("...ij,...pq,ip,jq->...", ga, gb, gi, gi)
+                else:
+                    pointwise = np.einsum("...i,...p,ip->...", ga, gb, gi)
+                quad = np.sum(pointwise) * (2 * np.pi / npts) ** n
+                err = abs(l2_inner(a, b, metric=G) - quad)
+                assert err <= 1e-12 * abs(quad), (n, rank, err / abs(quad))
+
+
+def test_berger_gram_matrix_keeps_its_contraction():
+    # the invariant Gram matrix is vol * component_gram; bit for bit the
+    # volume-weighted contraction E^T (g^-1 x g^-1) E it replaced
+    E = sym2_to_full(np.eye(6), 3)
+    for lam in (0.3, 1.0, 2.5):
+        geo = inv.invariant_geometry(inv.berger_frame(lam))
+        vol, gi = geo.volume, geo.metric_inv
+        want = {
+            "scalar": np.array([[vol]]),
+            "one-form": vol * gi,
+            "sym2": vol * np.einsum("aij,ip,jq,bpq->ab", E, gi, gi, E),
+        }
+        for rank, w in want.items():
+            assert np.array_equal(inv.gram_matrix(geo, rank), w), (lam, rank)
 
 
 def test_sobolev_norm_of_constant_and_cosine():
