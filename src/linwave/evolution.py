@@ -11,10 +11,12 @@ produces a jet with vanishing harmonic-gauge residual on the slice; the
 wave equation box_L h = 0 then propagates both the gauge condition and the
 linearised constraints.  Each Fourier mode evolves independently: in
 closed form on the Minkowski torus, by a classical 4th-order one-step
-integrator on Kasner.  Diagnostics track the gauge residual, the
-constraint residuals of the induced data, and per-mode wave energies;
-the gauge vector field of a pure-gauge solution is recovered by solving
-the connection wave equation nabla*nabla V = -div(hbar).
+integrator on Kasner.  Real data (c_{-k} = conj(c_k)) are integrated on
+half the lattice and mirrored, with output identical to integrating every
+mode.  Diagnostics track the gauge residual, the constraint residuals of
+the induced data, and per-mode wave energies; the gauge vector field of
+a pure-gauge solution is recovered by solving the connection wave
+equation nabla*nabla V = -div(hbar).
 """
 
 from __future__ import annotations
@@ -210,14 +212,44 @@ def _rk4(acc, t0, y, t1, dt):
     return y
 
 
+def _on_real_half(lattice, y0, run):
+    """run(modes, y0) -> list of states, each a tuple of (modes, ncomp)
+    arrays, computed on the half of the lattice a real field determines.
+
+    The mode operators have real coefficients, so evolution keeps
+    c_{-k} = conj(c_k).  When every array of y0 satisfies it exactly, run
+    sees only the modes of lattice.half_indices() and the rest of each
+    result is mirrored; otherwise run sees the full lattice.  Each mode
+    evolves on its own, so the kept modes match a full-lattice run."""
+    perm = lattice.negation_permutation()
+    if not all(np.array_equal(x[perm], np.conj(x)) for x in y0):
+        return run(lattice.modes, y0)
+    half = lattice.half_indices()
+
+    def mirror(x):
+        full = np.empty((lattice.num_modes,) + x.shape[1:], x.dtype)
+        # conjugates first, so k = 0 keeps its own value; + 0.0 turns the
+        # -0.0 imaginary part that conj gives a real coefficient into +0.0
+        full[perm[half]] = np.conj(x) + 0.0
+        full[half] = x
+        return full
+
+    out = run(lattice.modes[half], tuple(x[half] for x in y0))
+    return [tuple(mirror(x) for x in y) for y in out]
+
+
 def _integrate_segment(bg, lattice, t0, U0, Ud0, t1, dt):
     """RK4 on the first-order mode system (U, dU/dt) of box_L h = 0."""
-    wave = FamilyAction(bg, "lichnerowicz", t0, lattice.modes)
 
-    def acc(t, y):
-        return (y[1], wave.at(t).monic_closure(*y))
+    def run(modes, y):
+        wave = FamilyAction(bg, "lichnerowicz", t0, modes)
 
-    return _rk4(acc, t0, (U0, Ud0), t1, dt)
+        def acc(t, y):
+            return (y[1], wave.at(t).monic_closure(*y))
+
+        return [_rk4(acc, t0, y, t1, dt)]
+
+    return _on_real_half(lattice, (U0, Ud0), run)[0]
 
 
 def evolve_state(bg: SpacetimeBackground, lattice, t0: float, U0, Ud0,
@@ -409,28 +441,31 @@ def _recover_kasner(bg, lat, traj, V0, Vd0):
     """Joint 4th-order integration of (h, V): the source of the connection
     wave equation is evaluated from the co-evolved h state at every stage."""
     dt = traj.dt
-    wave, div, conn = (
-        FamilyAction(bg, kind, traj.times[0], lat.modes)
-        for kind in ("lichnerowicz", "div_trace_reversed", "connection_wave")
-    )
 
-    def acc(t, y):
-        U, Ud, V, Vd = y
-        Udd = wave.at(t).monic_closure(U, Ud)
-        div_t = div.at(t)
-        src = -(div_t.apply(0, U) + div_t.apply(1, Ud))
-        Vdd = src + conn.at(t).monic_closure(V, Vd)
-        return (Ud, Udd, Vd, Vdd)
+    def run(modes, y):
+        wave, div, conn = (
+            FamilyAction(bg, kind, traj.times[0], modes)
+            for kind in ("lichnerowicz", "div_trace_reversed", "connection_wave")
+        )
 
-    Vs, Vds = [V0.copy()], [Vd0.copy()]
-    y = (traj.states[0], traj.derivs[0], V0, Vd0)
-    t = traj.times[0]
-    for tau in traj.times[1:]:
-        y = _rk4(acc, t, y, tau, dt)
-        t = tau
-        Vs.append(y[2].copy())
-        Vds.append(y[3].copy())
-    return Vs, Vds
+        def acc(t, y):
+            U, Ud, V, Vd = y
+            Udd = wave.at(t).monic_closure(U, Ud)
+            div_t = div.at(t)
+            src = -(div_t.apply(0, U) + div_t.apply(1, Ud))
+            Vdd = src + conn.at(t).monic_closure(V, Vd)
+            return (Ud, Udd, Vd, Vdd)
+
+        out = []
+        t = traj.times[0]
+        for tau in traj.times[1:]:
+            y = _rk4(acc, t, y, tau, dt)
+            t = tau
+            out.append(y)
+        return out
+
+    ys = _on_real_half(lat, (traj.states[0], traj.derivs[0], V0, Vd0), run)
+    return [V0.copy()] + [y[2] for y in ys], [Vd0.copy()] + [y[3] for y in ys]
 
 
 # ---------------------------------------------------------------------------
@@ -449,22 +484,31 @@ def lie_trajectory(bg: SpacetimeBackground, lattice, times, W0, Wd0,
     family_coefficients), differentiated in closed form.
     """
     times = np.asarray(times, float)
+
+    def run(modes, y):
+        conn = FamilyAction(bg, "connection_wave", times[0], modes)
+
+        def acc(tt, y):
+            return (y[1], conn.at(tt).monic_closure(*y))
+
+        out, t = [], times[0]
+        for tau in times:
+            if not np.isclose(tau, t, rtol=0, atol=1e-14):
+                if dt is None or dt <= 0:
+                    raise ValueError("time-dependent backgrounds need a positive dt")
+                y = _rk4(acc, t, y, tau, dt)
+                t = tau
+            out.append(y)
+        return out
+
+    if bg.kind == "minkowski-torus":
+        Ws = [_minkowski_state(lattice, W0, Wd0, tau - times[0]) for tau in times]
+    else:
+        Ws = _on_real_half(lattice, (W0, Wd0), run)
     conn = FamilyAction(bg, "connection_wave", times[0], lattice.modes)
-
-    def oneform_acc(tt, y):
-        return (y[1], conn.at(tt).monic_closure(*y))
-
     states, derivs = [], []
-    W, Wd, t = W0, Wd0, times[0]
-    for tau in times:
-        if bg.kind == "minkowski-torus":
-            W, Wd = _minkowski_state(lattice, W0, Wd0, tau - times[0])
-        elif not np.isclose(tau, t, rtol=0, atol=1e-14):
-            if dt is None or dt <= 0:
-                raise ValueError("time-dependent backgrounds need a positive dt")
-            W, Wd = _rk4(oneform_acc, t, (W, Wd), tau, dt)
-            t = tau
-        Wdd = oneform_acc(tau, (W, Wd))[1]
+    for tau, (W, Wd) in zip(times, Ws):
+        Wdd = conn.at(tau).monic_closure(W, Wd)
         lie = FamilyAction(bg, "lie_of_g", tau, lattice.modes)
         rate = lie.rate()
         states.append(lie.apply(0, W) + lie.apply(1, Wd))

@@ -114,6 +114,12 @@ class ModeLattice:
             perm = np.take(perm, rev, axis=ax)
         return perm.ravel()
 
+    def half_indices(self) -> np.ndarray:
+        """Indices idx <= negation_permutation()[idx]: k = 0 and one mode of
+        each +-k pair, whose coefficients determine a real field's."""
+        perm = self.negation_permutation()
+        return np.flatnonzero(np.arange(self.num_modes) <= perm)
+
 
 @dataclass
 class SpectralField:

@@ -91,6 +91,8 @@ def slice_geometry(kind: str, **params) -> SliceGeometry:
         n = int(params.get("n", 3))
         return SliceGeometry(kind, n, np.eye(n), np.zeros((n, n)), {})
     if kind == "kasner":
+        if "p" not in params:
+            raise ValueError("Kasner slice needs its exponent triple p")
         p = kasner_exponents(params["p"])
         t0 = float(params.get("t0", 1.0))
         if t0 <= 0:

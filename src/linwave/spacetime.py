@@ -521,8 +521,9 @@ def _coefficient_rates(background: SpacetimeBackground, kind: str, t: float) -> 
 def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
     """(C_j(1), E_j, live_j) lists for a (background, kind), assembled on
     first use; live_j holds the monomials p >= 1 whose block C_j[p] is not
-    identically zero, which is the same at every t.  Refuses t <= 0 on
-    Kasner."""
+    identically zero, which is the same at every t.  A leading coefficient
+    that is the identity at t = 1 must have exponent 0 on every nonzero
+    entry, so it is the identity at every t.  Refuses t <= 0 on Kasner."""
     background._check_time(t)
     p = background.p
     key = (
@@ -536,9 +537,24 @@ def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
             E = [np.zeros(C.shape) for C in A]
         else:
             E = _homothety_exponents(background, kind, [C.shape for C in A])
+        if _lead_is_identity(A[-1]) and np.any(E[-1][A[-1] != 0]):
+            raise RuntimeError(
+                f"spacetime.family_coefficients: the monic leading coefficient of "
+                f"{kind} has a nonzero exponent of t"
+            )
         live = [1 + np.flatnonzero(np.any(C[1:], axis=(1, 2))) for C in A]
         table = _TABLES[key] = (A, E, live)
     return table
+
+
+def _lead_is_identity(lead: np.ndarray, tol: float = 1e-12) -> bool:
+    """True when a leading coefficient (npoly, ncomp_out, ncomp_in) is the
+    identity matrix: its constant block is I and every k-monomial block 0."""
+    if lead.shape[1] != lead.shape[2]:
+        return False
+    ref = np.zeros_like(lead)
+    ref[0] = np.eye(lead.shape[1])
+    return float(np.max(np.abs(lead - ref))) <= tol
 
 
 def monomial_basis(modes) -> np.ndarray:
@@ -560,7 +576,9 @@ class FamilyAction:
 
     The families returned by at() and rate() share the monomial basis and
     apply's scratch buffers with this one, so one family must not be applied
-    from two threads at once."""
+    from two threads at once.  is_monic runs once per family: the leading
+    coefficient does not depend on t (see _coefficient_table), so at()
+    keeps the answer."""
 
     def __init__(self, background, kind, t, modes):
         self.background, self.kind, self.t = background, kind, t
@@ -568,6 +586,7 @@ class FamilyAction:
         self._live = _coefficient_table(background, kind, t)[2]
         self._scratch = {}  # order j -> (live basis columns, outer-product buffer)
         self._load(family_coefficients(background, kind, t))
+        self._monic = self.is_monic()
 
     def at(self, t: float) -> FamilyAction:
         """The same family on the same modes at time t."""
@@ -593,15 +612,12 @@ class FamilyAction:
 
     def is_monic(self, tol: float = 1e-12) -> bool:
         """True when the leading d/dt coefficient is the identity matrix."""
-        lead = self.coeffs[-1]
-        ref = np.zeros_like(lead)
-        ref[0] = np.eye(lead.shape[1])
-        return float(np.max(np.abs(lead - ref))) <= tol
+        return _lead_is_identity(self.coeffs[-1], tol)
 
     def monic_closure(self, u: np.ndarray, ud: np.ndarray) -> np.ndarray:
         """u'' = -(M_1 u' + M_0 u): the second time derivative that the
         equation M_2 u'' + M_1 u' + M_0 u = 0 fixes when M_2 = identity."""
-        if not self.is_monic():
+        if not self._monic:
             raise RuntimeError(
                 f"spacetime.FamilyAction: {self.kind} operator is not monic in "
                 f"d/dt at t = {self.t:g}; cannot solve for the second derivative"
@@ -632,6 +648,7 @@ class FamilyAction:
         modes (zero on the Minkowski torus)."""
         out = copy.copy(self)
         out._load(_coefficient_rates(self.background, self.kind, self.t))
+        out._monic = out.is_monic()
         return out
 
 

@@ -325,3 +325,30 @@ def test_evolve_from_malformed_sidecar_is_a_usage_error(tmp_path, capsys):
         with pytest.raises(SnapshotError):
             load_pair(tmp_path / "seed")
 
+
+
+def test_evolve_from_kasner_sidecar_without_exponents_is_a_usage_error(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    lat = ModeLattice(3, 1)
+    pair = InitialDataPair(
+        random_field(lat, "sym2", rng), random_field(lat, "sym2", rng),
+        slice_geometry("kasner", p=KASNER_P, t0=1.0),
+    )
+    save_pair(pair, tmp_path / "seed")
+    side = tmp_path / "seed.json"
+    meta = json.loads(side.read_text())
+    side.write_text(json.dumps(dict(meta, parameters={"t0": 1.0})))
+    cfg = tmp_path / "snap.cfg"
+    cfg.write_text(
+        "background.kind = kasner\n"
+        "background.p = 2/3, 2/3, -1/3\n"
+        "lattice.nmax = 1\n"
+        "initial.generator = snapshot\n"
+        "initial.snapshot = seed\n"
+        "evolve.t1 = 1.02\n"
+        "evolve.dt = 1e-2\n"
+    )
+    rc = run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Kasner slice needs its exponent triple p" in err

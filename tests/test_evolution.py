@@ -5,6 +5,8 @@ from linwave.constraints import InitialDataPair
 from linwave.decomposition import gauge_producing_data
 from linwave.evolution import (
     Trajectory,
+    _integrate_segment,
+    _rk4,
     build_cauchy_jet,
     diagnostics,
     evolve,
@@ -444,3 +446,143 @@ def test_energy_rejects_large_j():
     with pytest.raises(ValueError):
         wave_energies(MINK, LAT, 0.0, np.zeros((LAT.num_modes, 10)),
                       np.zeros((LAT.num_modes, 10)), J=3)
+
+
+# ---------------------------------------------------------------------------
+# Real data evolve on half the lattice
+# ---------------------------------------------------------------------------
+
+
+def _is_exactly_hermitian(arr, lat, axis=0):
+    perm = lat.negation_permutation()
+    return np.array_equal(np.take(arr, perm, axis=axis), np.conj(arr))
+
+
+def _count_builds(monkeypatch):
+    built = []
+    init = FamilyAction.__init__
+
+    def counting(self, background, kind, t, modes):
+        built.append((kind, len(modes)))
+        init(self, background, kind, t, modes)
+
+    monkeypatch.setattr(FamilyAction, "__init__", counting)
+    return built
+
+
+def test_half_indices_pick_one_mode_of_each_pair():
+    for lat in (ModeLattice(3, 8), ModeLattice(2, 3)):
+        half = lat.half_indices()
+        perm = lat.negation_permutation()
+        assert len(half) == (lat.num_modes + 1) // 2
+        assert np.array_equal(np.union1d(half, perm[half]), np.arange(lat.num_modes))
+        assert np.array_equal(np.intersect1d(half, perm[half]), [lat.mode_index((0,) * lat.n)])
+
+
+def test_half_lattice_evolution_is_bit_identical_to_full():
+    rng = np.random.default_rng(31)
+    U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
+    wave = FamilyAction(KAS, "lichnerowicz", 1.0, LAT.modes)
+
+    def acc(t, y):
+        return (y[1], wave.at(t).monic_closure(*y))
+
+    times = [1.0, 1.05, 1.1]
+    traj = evolve_state(KAS, LAT, 1.0, U0, Ud0, 1.1, 1e-2, sample_times=times)
+    y = (U0, Ud0)
+    for i, (t0, t1) in enumerate(zip(times, times[1:])):
+        y = _rk4(acc, t0, y, t1, 1e-2)
+        assert np.array_equal(traj.states[i + 1], y[0])
+        assert np.array_equal(traj.derivs[i + 1], y[1])
+        seg = _integrate_segment(KAS, LAT, t0, traj.states[i], traj.derivs[i], t1, 1e-2)
+        assert np.array_equal(seg[0], y[0]) and np.array_equal(seg[1], y[1])
+    assert _is_exactly_hermitian(traj.states, LAT, 1)
+    assert _is_exactly_hermitian(traj.derivs, LAT, 1)
+
+
+def test_real_data_take_the_half_lattice_and_complex_data_the_full(monkeypatch):
+    rng = np.random.default_rng(32)
+    U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
+    half = len(LAT.half_indices())
+    built = _count_builds(monkeypatch)
+    _integrate_segment(KAS, LAT, 1.0, U0, Ud0, 1.02, 1e-2)
+    assert built == [("lichnerowicz", half)]
+    built.clear()
+    Ud1 = Ud0.copy()
+    Ud1[0, 0] += 1e-12j  # a defect below HERMITIAN_TOL still takes the full lattice
+    _integrate_segment(KAS, LAT, 1.0, U0, Ud1, 1.02, 1e-2)
+    assert built == [("lichnerowicz", LAT.num_modes)]
+    built.clear()
+    W0, Wd0 = hermitian_pair(LAT, rng, 4), hermitian_pair(LAT, rng, 4)
+    traj = lie_trajectory(KAS, LAT, [1.0, 1.02], W0, Wd0, dt=1e-2)
+    assert ("connection_wave", half) in built
+    built.clear()
+    recover_gauge_vector(traj)
+    integrated = [b for b in built if b[0] in ("lichnerowicz", "connection_wave")]
+    assert integrated == [("lichnerowicz", half), ("connection_wave", half)]
+    built.clear()
+    recover_gauge_vector(Trajectory(KAS, LAT, traj.times, 1j * traj.states,
+                                    1j * traj.derivs, dt=traj.dt))
+    integrated = [b for b in built if b[0] in ("lichnerowicz", "connection_wave")]
+    assert integrated == [("lichnerowicz", LAT.num_modes), ("connection_wave", LAT.num_modes)]
+
+
+def test_half_lattice_runs_are_linear_in_complex_data():
+    # y and w are real data, so each runs on the half; y + i w is not, so it
+    # runs on the full lattice; the solution maps are linear over C
+    rng = np.random.default_rng(33)
+    lat = ModeLattice(3, 1)
+    times = [1.0, 1.03, 1.06]
+    Wy, Wdy, Ww, Wdw = (hermitian_pair(lat, rng, 4) for _ in range(4))
+    ly = lie_trajectory(KAS, lat, times, Wy, Wdy, dt=1e-2)
+    lw = lie_trajectory(KAS, lat, times, Ww, Wdw, dt=1e-2)
+    lc = lie_trajectory(KAS, lat, times, Wy + 1j * Ww, Wdy + 1j * Wdw, dt=1e-2)
+    for a in ("states", "derivs"):
+        want = getattr(lc, a)
+        got = getattr(ly, a) + 1j * getattr(lw, a)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), a
+        assert _is_exactly_hermitian(getattr(ly, a), lat, 1)
+    Uy, Udy, Uw, Udw = (hermitian_pair(lat, rng, 10) for _ in range(4))
+    ty = evolve_state(KAS, lat, 1.0, Uy, Udy, 1.06, 1e-2, sample_times=times)
+    tw = evolve_state(KAS, lat, 1.0, Uw, Udw, 1.06, 1e-2, sample_times=times)
+    tc = Trajectory(KAS, lat, ty.times, ty.states + 1j * tw.states,
+                    ty.derivs + 1j * tw.derivs, dt=1e-2)
+    ry, rw, rc = (recover_gauge_vector(tr) for tr in (ty, tw, tc))
+    for a in ("V", "Vdot"):
+        want = getattr(rc, a)
+        got = getattr(ry, a) + 1j * getattr(rw, a)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), a
+        assert _is_exactly_hermitian(getattr(ry, a), lat, 1)
+
+
+def test_symplectic_current_is_conserved_on_kasner():
+    # box_L is formally self-adjoint, so for two solutions u, v the current
+    # J_k = t (<u_k, nabla_nu v_k> - <nabla_nu u_k, v_k>) of each mode is
+    # conserved (sqrt(det g~) = t on Kasner); <a, b> = conj(a_ab) g^aa g^bb b_ab
+    # and (nabla_nu u)_ab = du_ab/dt - (q_a + q_b) u_ab / t with q = (0, p)
+    rng = np.random.default_rng(34)
+    lat = ModeLattice(3, 1)
+    times = np.linspace(1.0, 2.0, 5)
+    u, v = (
+        evolve_state(KAS, lat, 1.0, hermitian_pair(lat, rng, 10),
+                     hermitian_pair(lat, rng, 10), 2.0, 1e-3, sample_times=times)
+        for _ in range(2)
+    )
+    q = np.concatenate([[0.0], KASNER_P])
+
+    def current(i):
+        t = times[i]
+        ginv = np.concatenate([[-1.0], t ** (-2.0 * np.asarray(KASNER_P))])
+        U, V = sym2_to_full(u.states[i], 4), sym2_to_full(v.states[i], 4)
+        conn = (q[:, None] + q[None, :]) / t
+        dU = sym2_to_full(u.derivs[i], 4) - conn * U
+        dV = sym2_to_full(v.derivs[i], 4) - conn * V
+
+        def pair(a, b):
+            return np.einsum("kab,a,b,kab->k", np.conj(a), ginv, ginv, b)
+
+        return t * (pair(U, dV) - pair(dU, V))
+
+    J0 = current(0)
+    drift = max(np.max(np.abs(current(i) - J0)) for i in range(1, len(times)))
+    assert drift <= 1e-11 * np.max(np.abs(J0))

@@ -333,3 +333,38 @@ def test_family_action_rate_is_exact_derivative():
     for t in (0.0, 1.7):
         rate = FamilyAction(MINK, "lie_of_g", t, APPLY_MODES).rate()
         assert all(np.max(np.abs(rate.apply(j, u))) == 0.0 for j in (0, 1))
+
+
+def test_monic_check_runs_once_per_family(monkeypatch):
+    lat = ModeLattice(3, 1)
+    calls = []
+    is_monic = FamilyAction.is_monic
+
+    def counting(self, tol=1e-12):
+        calls.append(self.t)
+        return is_monic(self, tol)
+
+    monkeypatch.setattr(FamilyAction, "is_monic", counting)
+    wave = FamilyAction(KAS, "lichnerowicz", 1.0, lat.modes)
+    u = np.ones((lat.num_modes, 10), complex)
+    for t in (1.0, 1.5, 2.0):
+        wave.at(t).monic_closure(u, u)
+    assert calls == [1.0]
+
+
+def test_monic_lead_with_a_power_of_t_is_refused(monkeypatch):
+    # a monic leading coefficient that varied with t would make the check
+    # at the family's first time wrong at later ones
+    from linwave import spacetime
+
+    exponents = spacetime._homothety_exponents
+
+    def shifted(background, kind, shapes):
+        E = exponents(background, kind, shapes)
+        return E[:-1] + [E[-1] + 1.0]
+
+    monkeypatch.setattr(spacetime, "_TABLES", {})
+    monkeypatch.setattr(spacetime, "_homothety_exponents", shifted)
+    with pytest.raises(RuntimeError, match="lichnerowicz has a nonzero exponent of t"):
+        FamilyAction(KAS, "lichnerowicz", 1.0, ModeLattice(3, 1).modes)
+    FamilyAction(KAS, "div_trace_reversed", 1.0, ModeLattice(3, 1).modes)
