@@ -2,8 +2,9 @@
 
 Subcommands: background, decompose, moncrief, gauge-data, evolve, check,
 spectrum.  Exit codes: 0 success with all checks passing, 1 check failure
-or internal error (a broken invariant of the computation, printed as
-"internal error: ..." naming the layer), 2 usage or configuration error.
+or internal error (an InternalError: a broken invariant of the computation,
+printed as "internal error: ..." naming the layer), 2 usage or configuration
+error.  Any other exception propagates with its traceback.
 JSON reports share the top-level shape {"suite": ..., "background": ...,
 "results": [...], "pass": ...} and are serialized with sorted keys; CSV
 floats use 17 significant digits so they round-trip exactly.
@@ -24,6 +25,7 @@ from . import invariant as inv
 from .config import ConfigError, load_config
 from .constraints import InitialDataPair, dphi, normal_identities
 from .decomposition import gauge_producing_data, moncrief_project, split_solve
+from .errors import InternalError
 from .evolution import build_cauchy_jet, diagnostics, evolve
 from .fields import (
     ModeLattice,
@@ -447,7 +449,7 @@ def run_cli(argv=None) -> int:
     except (ConfigError, SnapshotError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except RuntimeError as exc:
+    except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 1
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import invariant as inv
 from .constraints import InitialDataPair
+from .errors import InternalError
 from .fields import (
     SpectralField,
     component_weights,
@@ -153,7 +154,9 @@ def kernel_basis(params: SplitOperatorParams, geom: SliceGeometry,
             for v in null:
                 if np.any(k != 0):
                     # the lemma predicts no nonzero-mode kernel on flat slices
-                    raise RuntimeError(f"unexpected kernel element at mode {k}")
+                    raise InternalError(
+                        f"decomposition.kernel_basis: unexpected kernel element at mode {k}"
+                    )
                 phi = zero_field(lattice, "scalar")
                 omega = zero_field(lattice, "one-form")
                 phi.coeffs[i, 0] = v[0].real

@@ -291,21 +291,21 @@ def l2_inner(a: SpectralField, b: SpectralField, metric: np.ndarray | None = Non
     if metric is None:
         w = component_weights(a.rank, n)
         return float(np.real(np.sum(np.conj(a.coeffs) * b.coeffs @ w)) * vol)
-    gram = component_gram(a.rank, n, metric)
+    gram = component_gram(a.rank, n, np.linalg.inv(np.asarray(metric, float)))
     return float(np.real(np.einsum("kc,cd,kd->", np.conj(a.coeffs), gram, b.coeffs)) * vol)
 
 
-def component_gram(rank: str, n: int, metric: np.ndarray) -> np.ndarray:
-    """Gram matrix of the pointwise tensor inner product on stored components."""
-    ginv = np.linalg.inv(np.asarray(metric, float))
+def component_gram(rank: str, n: int, metric_inv: np.ndarray) -> np.ndarray:
+    """Gram matrix of the pointwise tensor inner product on stored components,
+    given the inverse metric g^{-1}."""
     if rank == "scalar":
         return np.ones((1, 1))
     if rank == "one-form":
-        return ginv
+        return metric_inv
     # Contract full tensors T_ij S_pq g^ip g^jq: E^T (g^-1 x g^-1) E, where
     # E[a] is the full symmetric matrix of the a-th stored component.
     E = sym2_to_full(np.eye(rank_components(rank, n)), n)
-    return np.einsum("aij,ip,jq,bpq->ab", E, ginv, ginv, E)
+    return np.einsum("aij,ip,jq,bpq->ab", E, metric_inv, metric_inv, E)
 
 
 def sobolev_norm(field: SpectralField, s: float, truncation: int | None = None) -> float:

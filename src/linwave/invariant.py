@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .errors import InternalError
 from .fields import component_gram, sym2_from_full, sym2_to_full
 
 RANK_DIMS = {"scalar": 1, "one-form": 3, "sym2": 6}
@@ -199,7 +200,10 @@ def scalar_flat_parameter(bracket_scale: float = 2.0) -> float:
             lo, hi, flo = a, b, va
             break
     if lo is None:
-        raise RuntimeError("no scalar-flat Berger parameter found in (0.1, 10)")
+        raise InternalError(
+            "invariant.scalar_flat_parameter: no scalar-flat Berger parameter "
+            "found in (0.1, 10)"
+        )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = scal(mid)
@@ -237,7 +241,7 @@ _EXPAND.setflags(write=False)
 
 def gram_matrix(geo: InvariantGeometry, rank: str) -> np.ndarray:
     """Gram matrix of the volume-weighted invariant inner product."""
-    return geo.volume * component_gram(rank, 3, geo.metric)
+    return geo.volume * component_gram(rank, 3, geo.metric_inv)
 
 
 def adjoint_matrix(geo: InvariantGeometry, op: OperatorMatrix) -> OperatorMatrix:

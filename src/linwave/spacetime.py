@@ -27,9 +27,11 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InternalError
 from .fields import SpectralField, sym2_from_full, sym2_to_full
 from .slices import SliceGeometry, kasner_exponents, slice_geometry
 
@@ -146,6 +148,8 @@ def spacetime_background(kind: str, **params) -> SpacetimeBackground:
     if kind == "minkowski-torus":
         return SpacetimeBackground(kind, int(params.get("n", 3)))
     if kind == "kasner":
+        if params.get("p") is None:
+            raise ValueError("Kasner background needs its exponent triple p")
         return SpacetimeBackground(kind, 3, tuple(np.asarray(params["p"], float)))
     raise ValueError(f"unknown spacetime kind {kind!r}")
 
@@ -376,7 +380,7 @@ def jet_matrices(J: JetTensor) -> list[np.ndarray]:
             asym = float(np.max(np.abs(full - np.transpose(full, (0, 2, 1)))))
             scale = max(1.0, float(np.max(np.abs(full))))
             if asym > 1e-10 * scale:
-                raise RuntimeError(
+                raise InternalError(
                     f"spacetime.jet_matrices: rank-2 jet output not symmetric "
                     f"(defect {asym:.2e})"
                 )
@@ -480,8 +484,74 @@ def _homothety_exponents(background: SpacetimeBackground, kind: str, shapes) -> 
     return out
 
 
-# (background kind, n, p, operator kind) -> (C_j(1) list, E_j list, live_j list)
+# (background kind, n, p, operator kind) -> (C_j(1) list, E_j list, layout_j list)
 _TABLES: dict = {}
+
+# Probe entries (real and imaginary parts apart) at or below this many units
+# in the last place of the table's scale (its largest entry, at least 1) are
+# round-off and are set to exactly zero.  At t = 1 every metric and
+# Christoffel entry of both backgrounds is O(1), and each probe coefficient
+# is a difference of at most six assembled matrices, so its round-off is a
+# few ulp: at most 3.3 on the identically zero killing_wave, under 1 on the
+# k_a k_b blocks of lichnerowicz on a diagonal metric.  Zeroing a true entry
+# this small would move the operator by less than the probes' own error;
+# the smallest true entry seen is 3e-2 of the scale.
+_ROUNDOFF_ULPS = 64
+
+
+class _OrderLayout(NamedTuple):
+    """One order j of a family's table in the layout FamilyAction.apply reads.
+
+    `coeffs` and `exponents` are the triples (constant block as a
+    (ncomp_in, ncomp_out) matrix, the `live` blocks as one
+    (len(live) * ncomp_in, ncomp_out) matrix, one coefficient per `scal`
+    block), so M_j's part at time t is coeffs * t**exponents, term by term.
+    `live` lists the monomials p >= 1 whose block is nonzero and not a
+    multiple of the identity; `scal` those whose block is one."""
+
+    live: np.ndarray
+    scal: np.ndarray
+    coeffs: tuple
+    exponents: tuple
+
+
+def _identity_multiple(block: np.ndarray, expo: np.ndarray, bound: float):
+    """s with block = s I, or None.  The off-diagonal entries must be exactly
+    zero, the diagonal equal to within `bound` and its exponents exactly
+    equal, so the block stays s t**e I at every t.  A component's own weight
+    cancels in its diagonal exponent (w_out = w_in), so the last condition
+    holds on every diagonal block."""
+    if block.shape[0] != block.shape[1]:
+        return None
+    d = np.diagonal(block)
+    if np.any(block - np.diag(d)) or np.any(np.diagonal(expo) != expo[0, 0]):
+        return None
+    s = d.mean()
+    return s if np.max(np.abs(d - s)) <= bound else None
+
+
+def _order_layout(C: np.ndarray, E: np.ndarray, bound: float) -> _OrderLayout:
+    live, scal, scal_c, scal_e = [], [], [], []
+    for p in range(1, len(C)):
+        if not np.any(C[p]):
+            continue
+        s = _identity_multiple(C[p], E[p], bound)
+        if s is None:
+            live.append(p)
+        else:
+            scal.append(p)
+            scal_c.append(s)
+            scal_e.append(E[p, 0, 0])
+    ncomp_out = C.shape[1]
+
+    def flat(X):
+        return np.ascontiguousarray(X[live].transpose(0, 2, 1).reshape(-1, ncomp_out))
+
+    return _OrderLayout(
+        np.array(live, int), np.array(scal, int),
+        (np.ascontiguousarray(C[0].T), flat(C), np.array(scal_c, complex)),
+        (np.ascontiguousarray(E[0].T), flat(E), np.array(scal_e, float)),
+    )
 
 
 def family_coefficients(background: SpacetimeBackground, kind: str, t: float) -> list:
@@ -494,9 +564,10 @@ def family_coefficients(background: SpacetimeBackground, kind: str, t: float) ->
 
     Returns [C_0, C_1, ...] with C_j of shape (npoly, ncomp_out, ncomp_in).
 
-    The probes run once per (background, kind), at t = 1, on first use.
-    Kasner is self-similar, so every entry of C_j(t) is a single power of t
-    and C_j(t) = C_j(1) * t**E_j holds exactly, with
+    The probes run once per (background, kind), at t = 1, on first use;
+    entries at the level of their round-off are set to exactly zero (see
+    _ROUNDOFF_ULPS).  Kasner is self-similar, so every entry of C_j(t) is a
+    single power of t and C_j(t) = C_j(1) * t**E_j holds exactly, with
 
         e = j + W(in component) + W(k-monomial) - W(out component) + c,
 
@@ -510,20 +581,13 @@ def family_coefficients(background: SpacetimeBackground, kind: str, t: float) ->
     return [C * t ** e for C, e in zip(A, E)]
 
 
-def _coefficient_rates(background: SpacetimeBackground, kind: str, t: float) -> list:
-    """Exact time derivatives d/dt C_j(t) = E_j * C_j(1) * t**(E_j - 1) of
-    the family_coefficients tables; identically zero where E = 0, so on the
-    Minkowski torus."""
-    A, E, _ = _coefficient_table(background, kind, t)
-    return [C * e * t ** np.where(e == 0, 0.0, e - 1.0) for C, e in zip(A, E)]
-
-
 def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
-    """(C_j(1), E_j, live_j) lists for a (background, kind), assembled on
-    first use; live_j holds the monomials p >= 1 whose block C_j[p] is not
-    identically zero, which is the same at every t.  A leading coefficient
-    that is the identity at t = 1 must have exponent 0 on every nonzero
-    entry, so it is the identity at every t.  Refuses t <= 0 on Kasner."""
+    """(C_j(1), E_j, layout_j) lists for a (background, kind), assembled on
+    first use; layout_j is order j in the layout of FamilyAction (see
+    _OrderLayout), whose live and scalar blocks are the same at every t.  A
+    leading coefficient that is the identity at t = 1 must have exponent 0
+    on every nonzero entry, so it is the identity at every t.  Refuses
+    t <= 0 on Kasner."""
     background._check_time(t)
     p = background.p
     key = (
@@ -533,28 +597,34 @@ def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
     table = _TABLES.get(key)
     if table is None:
         A = _probe_coefficients(background, kind, 1.0)
+        scale = max(1.0, max(float(np.max(np.abs(C))) for C in A))
+        bound = _ROUNDOFF_ULPS * np.finfo(float).eps * scale
+        for C in A:
+            for part in (C.real, C.imag):
+                part[np.abs(part) <= bound] = 0.0
         if background.kind == "minkowski-torus":
             E = [np.zeros(C.shape) for C in A]
         else:
             E = _homothety_exponents(background, kind, [C.shape for C in A])
-        if _lead_is_identity(A[-1]) and np.any(E[-1][A[-1] != 0]):
-            raise RuntimeError(
+        layout = [_order_layout(C, e, bound) for C, e in zip(A, E)]
+        if _lead_is_identity(layout[-1].coeffs) and np.any(E[-1][A[-1] != 0]):
+            raise InternalError(
                 f"spacetime.family_coefficients: the monic leading coefficient of "
                 f"{kind} has a nonzero exponent of t"
             )
-        live = [1 + np.flatnonzero(np.any(C[1:], axis=(1, 2))) for C in A]
-        table = _TABLES[key] = (A, E, live)
+        table = _TABLES[key] = (A, E, layout)
     return table
 
 
-def _lead_is_identity(lead: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when a leading coefficient (npoly, ncomp_out, ncomp_in) is the
-    identity matrix: its constant block is I and every k-monomial block 0."""
-    if lead.shape[1] != lead.shape[2]:
+def _lead_is_identity(lead: tuple, tol: float = 1e-12) -> bool:
+    """True when a leading coefficient, given as the coefficient triple of
+    an _OrderLayout, is the identity matrix: its constant block is I and
+    every k-monomial block 0."""
+    const, flat, scal = lead
+    if const.shape[0] != const.shape[1]:
         return False
-    ref = np.zeros_like(lead)
-    ref[0] = np.eye(lead.shape[1])
-    return float(np.max(np.abs(lead - ref))) <= tol
+    dev = np.max(np.abs(const - np.eye(len(const))))
+    return max(dev, np.max(np.abs(flat), initial=0.0), np.max(np.abs(scal), initial=0.0)) <= tol
 
 
 def monomial_basis(modes) -> np.ndarray:
@@ -570,9 +640,20 @@ def monomial_basis(modes) -> np.ndarray:
 
 class FamilyAction:
     """Matrix-free evaluation of a mode-operator family on state vectors:
-    the one per-mode operator evaluator.  M_j(t, k) is never materialised;
-    apply contracts the monomial basis of every mode and the state with the
-    polynomial coefficients C_j(t) of family_coefficients.
+    the one per-mode operator evaluator.  M_j(t, k) is never materialised.
+    Per order j, apply reads the table of family_coefficients in the layout
+    of _OrderLayout, re-timed to t:
+
+        M_j(t, k) u = u @ const + (b_live(k) x u) @ flat + (b_scal(k) . s) u,
+
+    where b(k) is the monomial basis of the mode, const the constant block,
+    flat the live k-monomial blocks stacked for one matmul and s the
+    coefficients of the blocks that are multiples of the identity (on both
+    backgrounds the k_a^2 blocks of lichnerowicz and connection_wave, whose
+    sum is the one per-mode scalar g^{ab} k_a k_b).  Blocks that are exactly
+    zero (the k_a k_b blocks on a diagonal metric) are skipped.  at() and
+    rate() re-time the three terms of each order as C * t**E, or its exact
+    t-derivative, and re-pack nothing.
 
     The families returned by at() and rate() share the monomial basis and
     apply's scratch buffers with this one, so one family must not be applied
@@ -581,44 +662,39 @@ class FamilyAction:
     keeps the answer."""
 
     def __init__(self, background, kind, t, modes):
-        self.background, self.kind, self.t = background, kind, t
+        self.background, self.kind = background, kind
         self.basis = monomial_basis(modes)
-        self._live = _coefficient_table(background, kind, t)[2]
-        self._scratch = {}  # order j -> (live basis columns, outer-product buffer)
-        self._load(family_coefficients(background, kind, t))
+        self._layout = _coefficient_table(background, kind, t)[2]
+        self._scratch = {}  # order j -> (live basis, scalar basis, buffers)
+        self._retime(t)
         self._monic = self.is_monic()
 
     def at(self, t: float) -> FamilyAction:
         """The same family on the same modes at time t."""
         out = copy.copy(self)
-        out.t = t
-        out._load(family_coefficients(self.background, self.kind, t))
+        out._retime(t)
         return out
 
-    def _load(self, coeffs):
-        self.coeffs = coeffs
-        # per order j: the constant-monomial block as a (ncomp_in, ncomp_out)
-        # matrix, and the blocks of the live monomials (most blocks are
-        # identically zero) in a (len(live) * ncomp_in, ncomp_out) layout
-        # for one matmul
+    def _retime(self, t: float):
+        self.background._check_time(t)
+        self.t = t
         self._terms = [
-            (C[0].T.astype(complex),
-             C[live].transpose(0, 2, 1).reshape(-1, C.shape[1]).astype(complex))
-            for C, live in zip(coeffs, self._live)
+            tuple(C * t ** E for C, E in zip(lay.coeffs, lay.exponents))
+            for lay in self._layout
         ]
 
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._terms) - 1
 
     def is_monic(self, tol: float = 1e-12) -> bool:
         """True when the leading d/dt coefficient is the identity matrix."""
-        return _lead_is_identity(self.coeffs[-1], tol)
+        return _lead_is_identity(self._terms[-1], tol)
 
     def monic_closure(self, u: np.ndarray, ud: np.ndarray) -> np.ndarray:
         """u'' = -(M_1 u' + M_0 u): the second time derivative that the
         equation M_2 u'' + M_1 u' + M_0 u = 0 fixes when M_2 = identity."""
         if not self._monic:
-            raise RuntimeError(
+            raise InternalError(
                 f"spacetime.FamilyAction: {self.kind} operator is not monic in "
                 f"d/dt at t = {self.t:g}; cannot solve for the second derivative"
             )
@@ -626,28 +702,45 @@ class FamilyAction:
 
     def apply(self, j: int, u: np.ndarray) -> np.ndarray:
         """M_j(k) u_k for all modes, without materializing the matrices."""
-        (const, flat), live = self._terms[j], self._live[j]
+        const, flat, scal = self._terms[j]
         out = u @ const
-        if len(live):
-            if j not in self._scratch:
-                self._scratch[j] = (
-                    np.ascontiguousarray(self.basis[:, live]),
-                    np.empty((len(u), len(live), u.shape[1]), complex),
-                )
-            # W is kept across calls: a fresh W per call (about 180 kB at
-            # nmax 2) is paged in anew whenever glibc has trimmed the heap
-            # top under it, some 20k page faults and a quarter of the time
-            # of a short nmax-2 Kasner run
-            basis, W = self._scratch[j]
+        if not (flat.size or scal.size):
+            return out
+        if j not in self._scratch:
+            lay = self._layout[j]
+            # the buffers are kept across calls: fresh ones per call are
+            # paged in anew whenever glibc has trimmed the heap top under
+            # them, which at nmax 2 was some 20k page faults and a quarter
+            # of the time of a short Kasner run; the scalar basis is stored
+            # complex so its product with the coefficients casts nothing
+            self._scratch[j] = (
+                np.ascontiguousarray(self.basis[:, lay.live]),
+                self.basis[:, lay.scal].astype(complex),
+                np.empty((len(u), len(lay.live), u.shape[1]), complex),
+                np.empty_like(out),
+            )
+        basis, basis_scal, W, term = self._scratch[j]
+        if flat.size:
             np.multiply(basis[:, :, None], u[:, None, :], out=W)
-            out += W.reshape(len(u), -1) @ flat
+            np.matmul(W.reshape(len(u), -1), flat, out=term)
+            out += term
+        if scal.size:
+            # the identity blocks, as one per-mode scalar times u
+            np.multiply(u, (basis_scal @ scal)[:, None], out=term)
+            out += term
         return out
 
     def rate(self) -> FamilyAction:
         """The family of exact time derivatives d/dt M_j(t, k) on the same
-        modes (zero on the Minkowski torus)."""
+        modes (zero on the Minkowski torus): E * C * t**(E - 1), term by
+        term, and identically zero where E = 0."""
         out = copy.copy(self)
-        out._load(_coefficient_rates(self.background, self.kind, self.t))
+        t = self.t
+        out._terms = [
+            tuple(C * E * t ** np.where(E == 0, 0.0, E - 1.0)
+                  for C, E in zip(lay.coeffs, lay.exponents))
+            for lay in self._layout
+        ]
         out._monic = out.is_monic()
         return out
 

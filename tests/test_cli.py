@@ -272,6 +272,20 @@ def test_internal_failure_exits_one_not_two(tmp_path, capsys, monkeypatch):
     assert "not monic in d/dt" in err
 
 
+def test_plain_runtime_error_is_not_an_internal_error(capsys, monkeypatch):
+    # only InternalError names a broken invariant; a RuntimeError from numpy
+    # or the standard library propagates with its traceback
+    import linwave.cli
+
+    def boom(geom):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(linwave.cli, "constraint_residual", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_cli(["background", "--kind", "berger"])
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_evolve_from_snapshot(tmp_path, capsys):
     rng = np.random.default_rng(4)
     lat = ModeLattice(3, 1)

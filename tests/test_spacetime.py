@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linwave.errors import InternalError
 from linwave.evolution import Trajectory, diagnostics, wave_energies
 from linwave.fields import (
     ModeLattice,
@@ -55,6 +56,8 @@ def test_background_validation():
         spacetime_background("kasner", p=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         KAS.metric_derivs(0.0, 1)
+    with pytest.raises(ValueError, match="Kasner background needs its exponent triple p"):
+        spacetime_background("kasner")
 
 
 def test_backgrounds_are_vacuum():
@@ -189,7 +192,7 @@ def test_nu_conversion_is_identity_on_minkowski():
 def test_asymmetric_rank2_jet_is_an_internal_error():
     J = unknown_jet(MINK, 0.0, K, "sym2", 0)
     J.data[0, 0, 0, 1] += 1.0  # h_01 no longer equals h_10
-    with pytest.raises(RuntimeError, match="spacetime.jet_matrices: rank-2 jet"):
+    with pytest.raises(InternalError, match="spacetime.jet_matrices: rank-2 jet"):
         jet_matrices(J)
 
 
@@ -246,6 +249,64 @@ def test_family_coefficient_table_matches_direct_assembly():
                 scale = max(1.0, max(np.max(np.abs(d)) for d in direct))
                 err = max(np.max(np.abs(a - d)) for a, d in zip(table, direct))
                 assert err <= 1e-13 * scale, (p, kind, t, err / scale)
+
+
+def _table_backgrounds():
+    return [MINK] + [spacetime_background("kasner", p=p) for p in _kasner_triples()]
+
+
+def test_family_tables_hold_exact_zeros_or_true_entries():
+    # the probes' round-off is set to exactly zero when a table is built;
+    # what is left is far above it (the smallest true entry is 3e-2 of the
+    # scale), in the real and the imaginary parts alike
+    for bg in _table_backgrounds():
+        for kind in OPERATOR_KINDS:
+            table = family_coefficients(bg, kind, 1.0)
+            scale = max(1.0, max(float(np.max(np.abs(C))) for C in table))
+            for C in table:
+                for part in (C.real, C.imag):
+                    mag = np.abs(part)
+                    assert np.all((mag == 0) | (mag > 1e-10 * scale)), (bg.p, kind)
+            if kind in ("lichnerowicz", "connection_wave"):
+                # k_a k_b (a < b): identically zero on a diagonal metric
+                for t in (0.3, 1.0, 1.7, 2.9):
+                    cross = [C[7:] for C in family_coefficients(bg, kind, t)]
+                    assert not any(np.any(c) for c in cross), (bg.p, kind, t)
+
+
+def _dense_from_layout(act, terms):
+    """The (npoly, ncomp_out, ncomp_in) matrices C_j that a layout of
+    FamilyAction stands for: its constant block, live blocks and identity
+    multiples put back in place."""
+    dense = []
+    for lay, (const, flat, scal) in zip(act._layout, terms):
+        ncomp_in, ncomp_out = const.shape
+        C = np.zeros((10, ncomp_out, ncomp_in), complex)
+        C[0] = const.T
+        C[lay.live] = flat.reshape(len(lay.live), ncomp_in, ncomp_out).transpose(0, 2, 1)
+        C[lay.scal] = scal[:, None, None] * np.eye(ncomp_out, ncomp_in)
+        dense.append(C)
+    return dense
+
+
+def test_family_layout_sums_back_to_the_table():
+    # what apply reads after at(t) and rate() is the table C_j(1) * t**E_j
+    # and its exact derivative E_j * C_j(1) * t**(E_j - 1)
+    from linwave.spacetime import _coefficient_table
+
+    for bg in _table_backgrounds():
+        for kind in OPERATOR_KINDS:
+            _, E, _ = _coefficient_table(bg, kind, 1.0)
+            act = FamilyAction(bg, kind, 1.0, APPLY_MODES)
+            for t in (0.3, 1.0, 1.7, 2.9):
+                want = family_coefficients(bg, kind, t)
+                want_rate = [C * e / t for C, e in zip(family_coefficients(bg, kind, t), E)]
+                moved = act.at(t)
+                for got, ref in ((moved._terms, want), (moved.rate()._terms, want_rate)):
+                    got = _dense_from_layout(act, got)
+                    scale = max(1.0, max(float(np.max(np.abs(C))) for C in ref))
+                    err = max(float(np.max(np.abs(g - r))) for g, r in zip(got, ref))
+                    assert err <= 1e-13 * scale, (bg.p, kind, t, err / scale)
 
 
 def test_family_coefficients_refuse_kasner_singularity():
