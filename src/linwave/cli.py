@@ -216,8 +216,9 @@ def cmd_evolve(args) -> int:
     jet = build_cauchy_jet(pair, bg, t0=t0)
     samples = np.linspace(t0, t1, cfg.get("evolve.samples"))
     traj = evolve(jet, t1, dt=cfg.get("evolve.dt"), sample_times=samples)
+    tic_diag = time.perf_counter()
     diag = diagnostics(traj, cfg.get("evolve.sobolev"), cfg.get("evolve.J"))
-    wall = time.perf_counter() - tic
+    toc = time.perf_counter()
 
     J = cfg.get("evolve.J")
     header = ["t", "gauge_res", "dphi1_res", "dphi2_res"]
@@ -251,11 +252,12 @@ def cmd_evolve(args) -> int:
         "checks": checks,
         "config": {k: list(v) if isinstance(v, tuple) else v
                    for k, v in sorted(cfg.values.items())},
+        "diagnostics_modes": diag.modes,
         "dt": cfg.get("evolve.dt"),
         "lattice": {"n": geom.n, "nmax": cfg.get("lattice.nmax")},
         "pass": ok,
         "seed": cfg.get("initial.seed"),
-        "timings": {"evolve_seconds": wall},
+        "timings": {"evolve_seconds": toc - tic, "diagnostics_seconds": toc - tic_diag},
         "version": __version__,
     }
     (outdir / "manifest.json").write_text(

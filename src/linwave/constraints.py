@@ -237,52 +237,57 @@ def _torus_constraint_fields(p1, p2, lat, npts: int):
 def dphi(pair: InitialDataPair, norm_orders=None) -> ConstraintResidual:
     """Full linearisation of Phi around the background slice data."""
     geom = pair.geom
-    if geom.is_torus:
-        return _dphi_torus(pair, norm_orders)
-    return _dphi_invariant(pair)
-
-
-def _dphi_torus(pair: InitialDataPair, norm_orders=None) -> ConstraintResidual:
-    geom = pair.geom
+    if not geom.is_torus:
+        return _dphi_invariant(pair)
     lat = pair.h.lattice
-    n = lat.n
-    G = geom.metric
-    gi = geom.metric_inv
-    K = geom.extrinsic
-    modes = lat.modes.astype(float)
-    kup = modes @ gi.T
-    h = sym2_to_full(pair.h.coeffs, n)
-    m = sym2_to_full(pair.m.coeffs, n)
-    tr_h = np.einsum("ab,kab->k", gi, h)
-    tr_m = np.einsum("ab,kab->k", gi, m)
-    k2 = np.einsum("ka,ka->k", kup, modes)
-    divdivh = -np.einsum("ka,kb,kab->k", kup, kup, h)
-    ric = geom.ricci  # identically zero on flat slices; kept in the code path
-    ric_up = gi @ ric @ gi
-    kok = K @ gi @ K  # (k~ o k~)_ab = g~(k~(a,.), k~(b,.))
-    A_up = gi @ (2.0 * (kok - np.trace(gi @ K) * K)) @ gi
-    K_up = gi @ K @ gi
-    dphi1 = (
-        divdivh
-        + k2 * tr_h
-        - np.einsum("ab,kab->k", ric_up, h)
-        + np.einsum("ab,kab->k", A_up, h)
-        - 2.0 * (np.einsum("ab,kab->k", K_up, m) - np.trace(gi @ K) * tr_m)
-    )
-    # DPhi_2: the term g~(h~, nabla k~(., X)) vanishes identically here
-    # because the background extrinsic curvature is parallel on a flat slice.
-    hbar = h - 0.5 * tr_h[:, None, None] * G[None]
-    divhbar = 1j * np.einsum("ka,kab->kb", kup, hbar)
-    term2 = -np.einsum("ax,ab,kb->kx", K, gi, divhbar)
-    gKh = np.einsum("ab,kab->k", K_up, h)
-    term34 = 0.5j * modes * gKh[:, None]
-    term5 = 1j * (np.einsum("ka,kax->kx", kup, m) - tr_m[:, None] * modes)
-    dphi2 = term2 + term34 + term5
+    dphi1, dphi2 = dphi_modes(geom, lat.modes, pair.h.coeffs, pair.m.coeffs)
     scalar = SpectralField(lat, "scalar", dphi1[:, None])
     oneform = SpectralField(lat, "one-form", dphi2)
     if norm_orders is None:
         norm_orders = (pair.order - 2.0, pair.order - 1.0)
     return ConstraintResidual(scalar, oneform, _torus_norms(scalar, oneform, norm_orders))
+
+
+def dphi_modes(geom: SliceGeometry, modes, h: np.ndarray, m: np.ndarray):
+    """DPhi of per-mode torus data: the kernel of dphi on any set of modes.
+
+    modes is (N, n) integer; h and m hold the stored sym2 coefficients
+    (N, ncomp) of h~ and m~ at those modes.  Returns DPhi_1 (N,) and
+    DPhi_2 (N, n).  Every mode is independent, so a subset of the lattice
+    gives the same rows as the whole.  Contractions with the constant
+    background tensors are one matmul over the flattened (N, n*n) full
+    matrices; those with k are batched (1, n) @ (n, n) products per mode.
+    """
+    n = geom.n
+    G = geom.metric
+    gi = geom.metric_inv
+    K = geom.extrinsic
+    k = np.asarray(modes, float)
+    kup = k @ gi.T
+    H = sym2_to_full(h, n)
+    M = sym2_to_full(m, n)
+    trK = np.trace(gi @ K)
+    kok = K @ gi @ K  # (k~ o k~)_ab = g~(k~(a,.), k~(b,.))
+    A_up = gi @ (2.0 * (kok - trK * K)) @ gi
+    K_up = gi @ K @ gi
+    ric_up = gi @ geom.ricci @ gi  # zero on flat slices; kept in the code path
+    # A:h = sum_ab A_ab h_ab for the rows A = g~^-1, K^, A^ - Ric^ (h) and
+    # g~^-1, K^ (m)
+    tr_h, gKh, Ah = (H.reshape(-1, n * n) @ np.stack(
+        [gi.ravel(), K_up.ravel(), (A_up - ric_up).ravel()], axis=1)).T
+    tr_m, gKm = (M.reshape(-1, n * n) @ np.stack([gi.ravel(), K_up.ravel()], axis=1)).T
+    kk = kup[:, :, None] * kup[:, None, :]
+    divdivh = -(kk.reshape(-1, 1, n * n) @ H.reshape(-1, n * n, 1))[:, 0, 0]
+    k2 = np.einsum("ka,ka->k", kup, k)
+    dphi1 = divdivh + k2 * tr_h + Ah - 2.0 * (gKm - trK * tr_m)
+    # DPhi_2: the term g~(h~, nabla k~(., X)) vanishes identically here
+    # because the background extrinsic curvature is parallel on a flat slice.
+    hbar = H - 0.5 * tr_h[:, None, None] * G
+    divhbar = 1j * (kup[:, None, :] @ hbar)[:, 0]
+    term2 = -divhbar @ (gi @ K)
+    term34 = 0.5j * k * gKh[:, None]
+    term5 = 1j * ((kup[:, None, :] @ M)[:, 0] - tr_m[:, None] * k)
+    return dphi1, term2 + term34 + term5
 
 
 def _dphi_invariant(pair: InitialDataPair) -> ConstraintResidual:

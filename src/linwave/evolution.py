@@ -14,8 +14,10 @@ closed form on the Minkowski torus, by a classical 4th-order one-step
 integrator on Kasner.  Real data (c_{-k} = conj(c_k)) are integrated on
 half the lattice and mirrored, with output identical to integrating every
 mode.  Diagnostics track the gauge residual, the constraint residuals of
-the induced data, and per-mode wave energies; the gauge vector field of
-a pure-gauge solution is recovered by solving the connection wave
+the induced data, and per-mode wave energies; on real trajectories they
+are evaluated on the same half, with each +-k pair counted twice in the
+norms, and on any other trajectory on the full lattice.  The gauge vector
+field of a pure-gauge solution is recovered by solving the connection wave
 equation nabla*nabla V = -div(hbar).
 """
 
@@ -25,18 +27,20 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .constraints import InitialDataPair, dphi
+from .constraints import InitialDataPair, dphi_modes
 from .fields import (
     SpectralField,
     component_weights,
     sym2_from_full,
     sym2_to_full,
+    weighted_norm,
     zero_field,
 )
 from .spacetime import (
     CauchyJet,
     FamilyAction,
     SpacetimeBackground,
+    induced_data_modes,
     induced_data_state,
     nu_jet_conversion,
 )
@@ -108,6 +112,7 @@ class DiagnosticsSeries:
     dphi1_residual: np.ndarray
     dphi2_residual: np.ndarray
     energies: np.ndarray  # (T, J+1)
+    modes: int  # modes evaluated per sample: the half lattice for real data
 
 
 @dataclass
@@ -212,6 +217,13 @@ def _rk4(acc, t0, y, t1, dt):
     return y
 
 
+def _exactly_real(lattice, arrays) -> bool:
+    """True when every (num_modes, ncomp) array satisfies the Hermitian
+    symmetry c_{-k} = conj(c_k) of a real field exactly, with no tolerance."""
+    perm = lattice.negation_permutation()
+    return all(np.array_equal(x[perm], np.conj(x)) for x in arrays)
+
+
 def _on_real_half(lattice, y0, run):
     """run(modes, y0) -> list of states, each a tuple of (modes, ncomp)
     arrays, computed on the half of the lattice a real field determines.
@@ -221,9 +233,9 @@ def _on_real_half(lattice, y0, run):
     sees only the modes of lattice.half_indices() and the rest of each
     result is mirrored; otherwise run sees the full lattice.  Each mode
     evolves on its own, so the kept modes match a full-lattice run."""
-    perm = lattice.negation_permutation()
-    if not all(np.array_equal(x[perm], np.conj(x)) for x in y0):
+    if not _exactly_real(lattice, y0):
         return run(lattice.modes, y0)
+    perm = lattice.negation_permutation()
     half = lattice.half_indices()
 
     def mirror(x):
@@ -296,13 +308,24 @@ def evolve(jet: CauchyJet, t_end: float, dt: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _coeff_norm(arr: np.ndarray, weights=None) -> float:
-    """Coefficient l2 norm with component multiplicities; np.sum uses
-    pairwise summation, which keeps the reduction deterministic."""
-    sq = np.abs(arr) ** 2
-    if weights is not None:
-        sq = sq * weights
-    return float(np.sqrt(np.sum(sq)))
+def _check_energy_args(sobolev_order: float, J: int):
+    if J not in (0, 1):
+        raise ValueError("energies are available for J in {0, 1}")
+    if not np.isfinite(sobolev_order):
+        raise ValueError("Sobolev order must be finite")
+
+
+def _energy_norms(k2, mult, w, stack, sobolev_order: float) -> np.ndarray:
+    """E_j of wave_energies for j = 0..len(stack) - 2, from the per-mode
+    stack [u, u', u'', ...] on modes with squared norms k2: each mode's
+    term counted mult times, components weighted by w."""
+    return np.array([
+        float(np.sqrt(np.sum(
+            mult * (1.0 + k2) ** (sobolev_order - j)
+            * (k2 * (np.abs(u) ** 2 @ w) + np.abs(v) ** 2 @ w)
+        )))
+        for j, (u, v) in enumerate(zip(stack, stack[1:]))
+    ])
 
 
 def wave_energies(bg: SpacetimeBackground, lattice, t: float, U, Ud,
@@ -314,43 +337,56 @@ def wave_energies(bg: SpacetimeBackground, lattice, t: float, U, Ud,
     for j = 0..J (J <= 1); on the Minkowski torus each mode term is the
     exact harmonic-oscillator energy and E_j is constant in time.
     """
-    if J not in (0, 1):
-        raise ValueError("energies are available for J in {0, 1}")
-    k = lattice.modes.astype(float)
-    k2 = np.einsum("ma,ma->m", k, k)
-    w = component_weights("sym2", bg.dim)
+    _check_energy_args(sobolev_order, J)
     stack = [U, Ud]
     if J >= 1:
-        wave = FamilyAction(bg, "lichnerowicz", t, lattice.modes)
-        stack.append(wave.monic_closure(U, Ud))
-    out = []
-    for j in range(J + 1):
-        mult = (1.0 + k2) ** (sobolev_order - j)
-        dens = np.einsum(
-            "c,kc->k", w, k2[:, None] * np.abs(stack[j]) ** 2 + np.abs(stack[j + 1]) ** 2
-        )
-        out.append(float(np.sqrt(np.sum(mult * dens))))
-    return np.array(out)
+        stack.append(FamilyAction(bg, "lichnerowicz", t, lattice.modes).monic_closure(U, Ud))
+    k2 = np.sum(lattice.modes ** 2, axis=1)
+    return _energy_norms(k2, 1.0, component_weights("sym2", bg.dim), stack, sobolev_order)
 
 
 def diagnostics(traj: Trajectory, sobolev_order: float = 0.0,
                 J: int = 1) -> DiagnosticsSeries:
-    """Gauge residual ||div hbar||, constraint residuals of the induced data,
-    and wave energies at every stored sample time."""
-    bg = traj.background
-    lat = traj.lattice
+    """Gauge residual ||div hbar||, the constraint residuals ||DPhi_1||_H0
+    and ||DPhi_2||_H1 of the induced data, and wave energies at every
+    stored sample time.
+
+    When every state and derivative sample is exactly Hermitian (the test
+    of _on_real_half), only the modes of lattice.half_indices() are
+    evaluated, and each sum counts k = 0 once and every other mode twice,
+    for itself and -k: every operator here has real coefficients, so the
+    terms of k and -k are equal.  Any other trajectory is evaluated on the
+    full lattice, each mode once."""
+    _check_energy_args(sobolev_order, J)
+    bg, lat = traj.background, traj.lattice
+    if _exactly_real(lat, [*traj.states, *traj.derivs]):
+        idx = lat.half_indices()
+        mult = np.where(lat.negation_permutation()[idx] == idx, 1.0, 2.0)
+    else:
+        idx = np.arange(lat.num_modes)
+        mult = np.ones(lat.num_modes)
+    modes = lat.modes[idx]
+    k2 = np.sum(modes ** 2, axis=1)
+    div = FamilyAction(bg, "div_trace_reversed", traj.times[0], modes)
+    wave = FamilyAction(bg, "lichnerowicz", traj.times[0], modes) if J else None
+    w_gauge = component_weights("one-form", bg.dim)
+    w_sym = component_weights("sym2", bg.dim)
+    w1, w2 = component_weights("scalar", bg.n), component_weights("one-form", bg.n)
+    mult1 = mult * (1.0 + k2)  # the H^1 weight of DPhi_2
     gauge, d1, d2, en = [], [], [], []
     for i, t in enumerate(traj.times):
-        U, Ud = traj.states[i], traj.derivs[i]
-        div = FamilyAction(bg, "div_trace_reversed", t, lat.modes)
-        gauge.append(_coeff_norm(div.apply(0, U) + div.apply(1, Ud)))
-        htilde, mtilde = induced_data_state(bg, t, lat, U, Ud)
-        res = dphi(InitialDataPair(htilde, mtilde, bg.slice_at(t)))
-        d1.append(res.norms["dphi1_H0"])
-        d2.append(res.norms["dphi2_H1"])
-        en.append(wave_energies(bg, lat, t, U, Ud, sobolev_order, J))
+        U, Ud = traj.states[i][idx], traj.derivs[i][idx]
+        div_t = div.at(t)
+        gauge.append(weighted_norm(div_t.apply(0, U) + div_t.apply(1, Ud), w_gauge, mult))
+        h, m = induced_data_modes(bg, t, modes, U, Ud)
+        r1, r2 = dphi_modes(bg.slice_at(t), modes, h, m)
+        d1.append(weighted_norm(r1[:, None], w1, mult))
+        d2.append(weighted_norm(r2, w2, mult1))
+        stack = [U, Ud] + ([wave.at(t).monic_closure(U, Ud)] if J else [])
+        en.append(_energy_norms(k2, mult, w_sym, stack, sobolev_order))
     return DiagnosticsSeries(
-        traj.times.copy(), np.array(gauge), np.array(d1), np.array(d2), np.array(en)
+        traj.times.copy(), np.array(gauge), np.array(d1), np.array(d2), np.array(en),
+        len(modes),
     )
 
 
@@ -392,8 +428,8 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
     for i, t in enumerate(times):
         lie = FamilyAction(bg, "lie_of_g", t, lat.modes)
         diff = traj.states[i] - (lie.apply(0, Vs[i]) + lie.apply(1, Vds[i]))
-        d = _coeff_norm(diff, wsym)
-        s = _coeff_norm(traj.states[i], wsym)
+        d = weighted_norm(diff, wsym)
+        s = weighted_norm(traj.states[i], wsym)
         dev.append(d)
         rel.append(d / max(s, 1e-30))
     return GaugeRecovery(

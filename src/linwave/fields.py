@@ -335,8 +335,17 @@ def sobolev_norm(field: SpectralField, s: float, truncation: int | None = None) 
     keep = np.all(np.abs(modes) <= truncation, axis=1)
     mult = (1.0 + np.sum(modes[keep] ** 2, axis=1)) ** s
     w = component_weights(field.rank, lattice.n)
-    total = np.sum(mult * (np.abs(field.coeffs[keep]) ** 2 @ w))
-    return float(np.sqrt(total))
+    return weighted_norm(field.coeffs[keep], w, mult)
+
+
+def weighted_norm(coeffs: np.ndarray, weights: np.ndarray, mult=None) -> float:
+    """sqrt( sum_k mult_k sum_c weights_c |coeffs_kc|^2 ) over the modes
+    (rows) of coeffs: component multiplicities `weights`, and per-mode
+    factors `mult` (1 when omitted), such as a Sobolev weight (1+|k|^2)^s
+    times a mode's multiplicity on the half lattice.  np.sum uses pairwise
+    summation, which keeps the reduction deterministic."""
+    dens = np.abs(coeffs) ** 2 @ weights
+    return float(np.sqrt(np.sum(dens if mult is None else mult * dens)))
 
 
 def dirac_partial_sum(order: int, s: float, truncation: int) -> float:

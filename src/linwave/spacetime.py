@@ -698,7 +698,11 @@ class FamilyAction:
                 f"spacetime.FamilyAction: {self.kind} operator is not monic in "
                 f"d/dt at t = {self.t:g}; cannot solve for the second derivative"
             )
-        return -(self.apply(1, ud) + self.apply(0, u))
+        # accumulated in place: apply returns a fresh array, and the sum
+        # is the same as apply(1, ud) + apply(0, u) because + commutes
+        out = self.apply(0, u)
+        out += self.apply(1, ud)
+        return np.negative(out, out=out)
 
     def apply(self, j: int, u: np.ndarray) -> np.ndarray:
         """M_j(k) u_k for all modes, without materializing the matrices."""
@@ -838,20 +842,29 @@ def induced_data_state(
     m~(X,Y) = -1/2 h(nu,nu) k~(X,Y) - 1/2 (nabla_X h)(nu,Y)
               - 1/2 (nabla_Y h)(nu,X) + 1/2 (nabla_nu h)(X,Y).
     """
+    h, m = induced_data_modes(background, t, lattice.modes, U, Udot)
+    return SpectralField(lattice, "sym2", h), SpectralField(lattice, "sym2", m)
+
+
+def induced_data_modes(background: SpacetimeBackground, t: float, modes,
+                       U: np.ndarray, Udot: np.ndarray):
+    """Stored sym2 coefficients (h~, m~), each (N, ncomp), of the per-mode
+    state (U, dU/dt) at the integer modes (N, n): the kernel of
+    induced_data_state on any set of modes."""
     # With unit lapse and zero shift Gamma^0_ij = k~_ij, Gamma^i_0j = k~^i_j
     # and Gamma^i_jk = 0, so every k~^i_j h term cancels between the three
     # covariant derivatives and, per mode,
     # m~_ij = 1/2 (d/dt h_ij + h_00 k~_ij - i (k_i h_0j + k_j h_0i)).
     n = background.n
-    H = sym2_to_full(U, n + 1)
+    slot = sym2_to_full(np.arange(U.shape[1]), n + 1)  # stored index of h_mu nu
+    sp = sym2_from_full(slot[1:, 1:], n)
+    i, j = (sym2_from_full(ix, n) for ix in np.indices((n, n)))  # (i, j) per component
     ktilde = background.slice_at(t).extrinsic
-    kh = 1j * lattice.modes[:, :, None] * H[:, 0, None, 1:]  # i k_i h_0j
-    m = 0.5 * (
-        sym2_to_full(Udot, n + 1)[:, 1:, 1:]
-        + H[:, 0, 0, None, None] * ktilde
-        - (kh + np.transpose(kh, (0, 2, 1)))
-    )
-    return (
-        SpectralField(lattice, "sym2", sym2_from_full(H[:, 1:, 1:], n)),
-        SpectralField(lattice, "sym2", sym2_from_full(m, n)),
-    )
+
+    def cols(x, idx):  # np.take keeps the result C-contiguous
+        return np.take(x, idx, axis=1)
+
+    h0 = cols(U, slot[0, 1:])  # h_0i
+    kh = 1j * cols(modes, i) * cols(h0, j) + 1j * cols(modes, j) * cols(h0, i)
+    m = 0.5 * (cols(Udot, sp) + U[:, slot[0, 0], None] * ktilde[i, j] - kh)
+    return cols(U, sp), m

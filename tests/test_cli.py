@@ -205,11 +205,32 @@ def test_evolve_run_and_determinism(tmp_path, capsys):
     manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
     assert manifest["pass"] is True
     assert manifest["config"]["initial.seed"] == 3
+    # real data: diagnostics evaluate k = 0 and one mode of each +-k pair
+    assert manifest["diagnostics_modes"] == len(ModeLattice(3, 2).half_indices())
+    timings = manifest["timings"]
+    assert 0.0 < timings["diagnostics_seconds"] <= timings["evolve_seconds"]
     assert (tmp_path / "r1" / "initial.h.lwf").exists()
     assert (tmp_path / "r1" / "final.m.lwf").exists()
     assert (tmp_path / "r1" / "initial.h.lwf").read_bytes() == (
         tmp_path / "r2" / "initial.h.lwf"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("evolve.t0", "nan"), ("evolve.t0", "-inf"), ("evolve.t1", "nan"), ("evolve.t1", "inf"),
+    ("evolve.dt", "inf"), ("evolve.dt", "nan"), ("evolve.sobolev", "nan"),
+    ("evolve.sobolev", "inf"),
+])
+def test_evolve_refuses_non_finite_times_and_orders(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    values = {"background.kind": "minkowski-torus", "lattice.nmax": "1",
+              "evolve.t1": "1.0", "evolve.samples": "3", key: value}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    rc = run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"{key} must be finite" in err
+    assert not (tmp_path / "r" / "diagnostics.csv").exists()
 
 
 def test_evolve_failing_tolerance_exits_one(tmp_path, capsys):

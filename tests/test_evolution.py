@@ -17,11 +17,13 @@ from linwave.evolution import (
     trajectory_difference,
     wave_energies,
 )
-from linwave.constraints import normal_identities
+from linwave.constraints import dphi, normal_identities
 from linwave.fields import (
     ModeLattice,
     SpectralField,
+    component_weights,
     random_field,
+    sobolev_norm,
     sym2_from_full,
     sym2_to_full,
     zero_field,
@@ -448,6 +450,16 @@ def test_energy_rejects_large_j():
                       np.zeros((LAT.num_modes, 10)), J=3)
 
 
+@pytest.mark.parametrize("order", [np.nan, np.inf, -np.inf])
+def test_energy_rejects_a_non_finite_sobolev_order(order):
+    zero = np.zeros((LAT.num_modes, 10))
+    with pytest.raises(ValueError, match="finite"):
+        wave_energies(MINK, LAT, 0.0, zero, zero, sobolev_order=order)
+    traj = Trajectory(MINK, LAT, np.array([0.0]), zero[None], zero[None])
+    with pytest.raises(ValueError, match="finite"):
+        diagnostics(traj, sobolev_order=order)
+
+
 # ---------------------------------------------------------------------------
 # Real data evolve on half the lattice
 # ---------------------------------------------------------------------------
@@ -586,3 +598,109 @@ def test_symplectic_current_is_conserved_on_kasner():
     J0 = current(0)
     drift = max(np.max(np.abs(current(i) - J0)) for i in range(1, len(times)))
     assert drift <= 1e-11 * np.max(np.abs(J0))
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics of real data on half the lattice
+# ---------------------------------------------------------------------------
+
+
+def _full_lattice_diagnostics(traj, sobolev_order=0.5):
+    """Per sample: gauge residual, the two constraint residuals with the
+    norm of their per-mode term scale |k|_g^2 |h~| + |m~|, and the energies,
+    all evaluated on every mode of the lattice."""
+    bg, lat = traj.background, traj.lattice
+    k = lat.modes.astype(float)
+    k2 = np.sum(k ** 2, axis=1)
+    w = component_weights("sym2", bg.dim)
+    out = []
+    for t, U, Ud in zip(traj.times, traj.states, traj.derivs):
+        div = FamilyAction(bg, "div_trace_reversed", t, lat.modes)
+        gauge = np.sqrt(np.sum(np.abs(div.apply(0, U) + div.apply(1, Ud)) ** 2))
+        h, m = induced_data_state(bg, t, lat, U, Ud)
+        geom = bg.slice_at(t)
+        res = dphi(InitialDataPair(h, m, geom))
+        fro = [np.sqrt(np.sum(np.abs(sym2_to_full(f.coeffs, bg.n)) ** 2, axis=(1, 2)))
+               for f in (h, m)]
+        terms = np.einsum("ka,ab,kb->k", k, geom.metric_inv, k) * fro[0] + fro[1]
+        scale = [sobolev_norm(SpectralField(lat, "scalar", terms[:, None]), s)
+                 for s in (0.0, 1.0)]
+        Udd = FamilyAction(bg, "lichnerowicz", t, lat.modes).monic_closure(U, Ud)
+        stack = [U, Ud, Udd]
+        energies = [
+            np.sqrt(np.sum((1.0 + k2) ** (sobolev_order - j) * np.einsum(
+                "c,kc->k", w, k2[:, None] * np.abs(stack[j]) ** 2 + np.abs(stack[j + 1]) ** 2)))
+            for j in (0, 1)
+        ]
+        out.append((gauge, res.norms["dphi1_H0"], res.norms["dphi2_H1"], scale, energies))
+    return out
+
+
+def _assert_matches_full_lattice(traj, diag, sobolev_order=0.5):
+    for i, (gauge, d1, d2, scale, energies) in enumerate(
+            _full_lattice_diagnostics(traj, sobolev_order)):
+        assert abs(diag.gauge_residual[i] - gauge) <= 1e-13 * gauge, i
+        assert abs(diag.dphi1_residual[i] - d1) <= 1e-14 * scale[0], i
+        assert abs(diag.dphi2_residual[i] - d2) <= 1e-14 * scale[1], i
+        for j in (0, 1):
+            assert abs(diag.energies[i, j] - energies[j]) <= 1e-13 * energies[j], (i, j)
+
+
+def _real_trajectories():
+    rng = np.random.default_rng(41)
+    lat3 = ModeLattice(3, 3)
+    pair = InitialDataPair(random_field(lat3, "sym2", rng), random_field(lat3, "sym2", rng),
+                           TORUS)
+    mink = evolve(build_cauchy_jet(pair, MINK), 2.0, sample_times=[0.0, 0.7, 2.0])
+    pair = InitialDataPair(random_field(LAT, "sym2", rng), random_field(LAT, "sym2", rng),
+                           KSLICE)
+    kas = evolve(build_cauchy_jet(pair, KAS), 1.1, dt=2e-2, sample_times=[1.0, 1.04, 1.1])
+    return mink, kas
+
+
+def test_real_diagnostics_take_the_half_lattice_and_match_the_full():
+    # random data violate the constraints, so every residual compared here
+    # is well above round-off
+    for traj in _real_trajectories():
+        lat = traj.lattice
+        assert _is_exactly_hermitian(traj.states, lat, 1)
+        diag = diagnostics(traj, sobolev_order=0.5)
+        assert diag.modes == len(lat.half_indices())
+        assert min(diag.dphi1_residual.min(), diag.dphi2_residual.min()) > 1e-3
+        _assert_matches_full_lattice(traj, diag)
+
+
+def test_complex_diagnostics_take_the_full_lattice_and_match():
+    for traj in _real_trajectories():
+        lat = traj.lattice
+        states = traj.states.copy()
+        states[1, 5, 3] += 1e-12  # one coefficient off Hermitian symmetry
+        nudged = Trajectory(traj.background, lat, traj.times, states, traj.derivs, traj.dt)
+        diag = diagnostics(nudged, sobolev_order=0.5)
+        assert diag.modes == lat.num_modes
+        _assert_matches_full_lattice(nudged, diag)
+
+
+def test_half_lattice_diagnostics_count_the_zero_mode_once():
+    # only k = 0 and one +-k pair carry data; the zero mode counted twice,
+    # or a pair once, would move E_0 by far more than round-off
+    rng = np.random.default_rng(42)
+    lat = ModeLattice(3, 1)
+    zero, k = lat.mode_index((0, 0, 0)), lat.mode_index((1, -1, 0))
+    neg = lat.negation_permutation()[k]
+    states = np.zeros((1, lat.num_modes, 10), complex)
+    derivs = np.zeros_like(states)
+    for arr in (states, derivs):
+        arr[0, zero] = rng.standard_normal(10)
+        arr[0, k] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        arr[0, neg] = np.conj(arr[0, k])
+    traj = Trajectory(MINK, lat, np.array([0.0]), states, derivs)
+    diag = diagnostics(traj)
+    assert diag.modes == len(lat.half_indices())
+    want = wave_energies(MINK, lat, 0.0, states[0], derivs[0])
+    assert np.max(np.abs(diag.energies[0] - want)) <= 1e-14 * np.max(want)
+    only_zero = Trajectory(MINK, lat, np.array([0.0]), states * 0, derivs.copy())
+    only_zero.derivs[0, [k, neg]] = 0.0
+    e0 = diagnostics(only_zero).energies[0, 0]
+    w = component_weights("sym2", 4)
+    assert abs(e0 - np.sqrt(np.abs(derivs[0, zero]) ** 2 @ w)) <= 1e-14 * e0

@@ -413,6 +413,21 @@ def test_monic_check_runs_once_per_family(monkeypatch):
     assert calls == [1.0]
 
 
+def test_monic_closure_in_place_is_bit_identical():
+    # the closure accumulates apply(1, ud) into apply(0, u) in place; IEEE
+    # addition commutes, so it equals the out-of-place sum bit for bit
+    rng = np.random.default_rng(9)
+    lat = ModeLattice(3, 2)
+    shape = (lat.num_modes, 10)
+    u, ud = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    for bg, t in ((KAS, 1.3), (MINK, 0.4)):
+        wave = FamilyAction(bg, "lichnerowicz", t, lat.modes)
+        got = wave.monic_closure(u, ud)
+        want = -(wave.apply(1, ud) + wave.apply(0, u))
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_monic_lead_with_a_power_of_t_is_refused(monkeypatch):
     # a monic leading coefficient that varied with t would make the check
     # at the family's first time wrong at later ones
