@@ -13,6 +13,13 @@ band-limited field each stencil is an exact Fourier multiplier, so the
 grid values and every stencil come from one batched synthesis of the
 coefficients times the stencil symbols: the numbers the stencils give on
 exact offset grids, with no interpolation and no differencing of grids.
+The fields are real and every symbol satisfies s(-k) = conj(s(k)), so the
+synthesis is one real inverse FFT of the Hermitian half k_n >= 0 of each
+spectrum, refused up front when the coefficients are not Hermitian (the
+samples would come out complex) or the grid is too small for the lattice
+(the placement would alias).  Samples keep the grid axis last and
+contiguous, (..., n, n, P), and the pointwise Phi contracts over the
+tensor axes with P innermost.
 normal_identities checks the two identities linking the linearised Ricci
 tensor to dphi on extendable Cauchy jets.
 """
@@ -31,7 +38,6 @@ from .fields import (
     sym2_from_full,
     sym2_index_pairs,
     sym2_to_full,
-    synthesize_shifted,
 )
 from .slices import SliceGeometry
 from .spacetime import (
@@ -127,10 +133,11 @@ def _phi_invariant(G: np.ndarray, K: np.ndarray):
     return phi1, divk
 
 
-def _stencil_symbols(lat, step: float, second: bool) -> np.ndarray:
+def _stencil_symbols(modes: np.ndarray, step: float, second: bool) -> np.ndarray:
     """Fourier symbols of the identity and of the 4th-order stencils at
-    `step`, shape (nsym, num_modes): the identity, D_a for each axis, then
-    (with `second`) D_a D_b over the sym2 index pairs a <= b.
+    `step` on the integer modes (N, n), shape (nsym, N): the identity, D_a
+    for each axis, then (with `second`) D_a D_b over the sym2 index pairs
+    a <= b.
 
     On exp(i k.x) a stencil sum_m w_m f(x + m step e_a) is the multiplier
     sum_m w_m exp(i m theta), theta = k_a step.  With the weights
@@ -140,35 +147,61 @@ def _stencil_symbols(lat, step: float, second: bool) -> np.ndarray:
     (4 sin^2 theta - 64 sin^2(theta / 2)) / (12 step^2), written through
     cos x = 1 - 2 sin^2(x / 2) so the O(1) weights never cancel.  D_a D_b
     for a != b is the product of the two first-derivative symbols.  Every
-    symbol but the identity is exactly 0 at k = 0.
+    symbol but the identity is exactly 0 at k = 0, and every symbol
+    satisfies s(-k) = conj(s(k)) exactly (sin is odd).
     """
-    theta = lat.modes * step
+    n = modes.shape[1]
+    theta = modes * step
     first = 1j * (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * step)
-    rows = [np.ones(lat.num_modes)] + [first[:, a] for a in range(lat.n)]
+    rows = [np.ones(len(modes))] + [first[:, a] for a in range(n)]
     if second:
         diag = (4.0 * np.sin(theta) ** 2 - 64.0 * np.sin(0.5 * theta) ** 2) / (12.0 * step ** 2)
         rows += [diag[:, a] if a == b else first[:, a] * first[:, b]
-                 for a, b in sym2_index_pairs(lat.n)]
+                 for a, b in sym2_index_pairs(n)]
     return np.stack(rows)
 
 
 def _stencil_samples(field: SpectralField, npts: int, step: float, second: bool):
     """Values of a band-limited sym2 field on the npts^n grid and its
-    4th-order stencil derivatives there, as full (..., p, n, n) matrices.
+    4th-order stencil derivatives there, as full (..., n, n, P) matrices
+    with the P = npts^n grid points last and contiguous.
 
     The stencils act as exact Fourier multipliers (`_stencil_symbols`), so
     the values and every stencil come from one batched synthesis: the same
     numbers as differencing exact offset grids, without the differencing.
-    Returns (f, df, d2f) with df[a] = D_a f and d2f[a, b] = D_a D_b f;
-    d2f is None unless `second`.
+    The data are real, so only the Hermitian half k_n >= 0 of each
+    multiplied spectrum is placed, as (nsym, ncomp, npts, ..., npts//2 + 1),
+    and one real inverse transform over the grid axes synthesizes every
+    row.  That half determines the samples only if the coefficients are
+    Hermitian, so they are checked first, in place of checking the
+    samples: every symbol satisfies s(-k) = conj(s(k)), so the imaginary
+    part of row r is the synthesis of s_r times the anti-Hermitian part of
+    the coefficients.  Every row is real when that part vanishes, and the
+    identity row (s = 1) is complex when it does not.  npts >= 2 nmax + 1
+    is required, or the placement would alias.
+    Returns (f, df, d2f): f[c, d, p] = f_cd, df[a, c, d, p] = D_a f_cd and
+    d2f[e, a, c, d, p] = D_e D_a f_cd; d2f is None unless `second`.
     """
-    n = field.lattice.n
-    arr = synthesize_shifted(field, npts, None, _stencil_symbols(field.lattice, step, second))
-    grids = arr.reshape(len(arr), -1)
-    imag = np.max(np.abs(grids.imag), axis=1)
-    if np.any(imag > 1e-10 * np.maximum(1.0, np.max(np.abs(grids.real), axis=1))):
-        raise ValueError("metric samples came out complex; data not real")
-    full = sym2_to_full(arr.real.reshape(len(arr), npts ** n, -1), n)
+    lat = field.lattice
+    n = lat.n
+    if npts < lat.modes_per_axis:
+        raise ValueError(
+            f"grid size {npts} too small; lattice with nmax={lat.nmax} needs "
+            f">= {lat.modes_per_axis}"
+        )
+    try:
+        field.check_hermitian(tol=1e-10)
+    except ValueError as err:
+        raise ValueError(f"metric samples came out complex; data not real: {err}") from None
+    half = lat.modes[:, -1] >= 0
+    modes = lat.modes[half]
+    rows = _stencil_symbols(modes, step, second)[:, None, :] * field.coeffs[half].T
+    spec = np.zeros(rows.shape[:2] + (npts,) * (n - 1) + (npts // 2 + 1,), complex)
+    idx = tuple(modes[:, ax] % npts for ax in range(n - 1)) + (modes[:, -1],)
+    spec[(slice(None), slice(None)) + idx] = rows
+    grids = np.fft.irfftn(spec, s=(npts,) * n, axes=tuple(range(2, n + 2)), norm="forward")
+    ncomp = field.ncomp
+    full = grids.reshape(len(grids), ncomp, -1)[:, sym2_to_full(np.arange(ncomp), n)]
     f, df = full[0], full[1:n + 1]
     if not second:
         return f, df, None
@@ -179,53 +212,48 @@ def _stencil_samples(field: SpectralField, npts: int, step: float, second: bool)
 def _phi_pointwise(g, dg, d2g, k, dk):
     """Pointwise constraints from sampled metric/extrinsic data.
 
-    Axis conventions: p = grid point; g and k have axes [p, c, d]; dg and
-    dk have axes [a, p, c, d] = d_a g_cd; d2g has axes [e, a, p, c, d] =
-    d_e d_a g_cd.  Returns Phi_1 with axes [p] and Phi_2 with axes [p, x].
+    Axis conventions: p = grid point, the last and contiguous axis of every
+    array; g and k have axes [c, d, p]; dg and dk have axes [a, c, d, p] =
+    d_a g_cd; d2g has axes [e, a, c, d, p] = d_e d_a g_cd.  Returns Phi_1
+    with axes [p] and Phi_2 with axes [x, p].  Each contraction is a plain
+    einsum whose innermost loop runs along p.
     """
-    gi = np.linalg.inv(g)
-    dgi = -np.einsum("pce,apef,pfd->apcd", gi, dg, gi, optimize=True)
-    # Koszul bracket br[a, p, d, b] = d_a g_db + d_b g_da - d_d g_ab
-    br = (
-        np.einsum("apdb->apdb", dg)
-        + np.einsum("bpda->apdb", dg)
-        - np.einsum("dpab->apdb", dg)
-    )
-    dbr = (
-        np.einsum("eapdb->eapdb", d2g)
-        + np.einsum("ebpda->eapdb", d2g)
-        - np.einsum("edpab->eapdb", d2g)
-    )
-    gam = 0.5 * np.einsum("pcd,apdb->pcab", gi, br, optimize=True)
-    dgam = 0.5 * (
-        np.einsum("epcd,apdb->epcab", dgi, br, optimize=True)
-        + np.einsum("pcd,eapdb->epcab", gi, dbr, optimize=True)
-    )
-    ric = (
-        np.einsum("cpcab->pab", dgam)
-        - np.einsum("apccb->pab", dgam)
-        + np.einsum("pccm,pmab->pab", gam, gam, optimize=True)
-        - np.einsum("pcam,pmcb->pab", gam, gam, optimize=True)
-    )
-    scal = np.einsum("pab,pab->p", gi, ric)
-    kk = np.einsum("pia,pjb,pij,pab->p", gi, gi, k, k, optimize=True)
-    trk = np.einsum("pij,pij->p", gi, k)
-    phi1 = scal - kk + trk ** 2
-    divk = (
-        np.einsum("pab,apbx->px", gi, dk, optimize=True)
-        - np.einsum("pab,pmab,pmx->px", gi, gam, k, optimize=True)
-        - np.einsum("pab,pmax,pbm->px", gi, gam, k, optimize=True)
-    )
-    dtrk = np.einsum("xpab,pab->px", dgi, k) + np.einsum("pab,xpab->px", gi, dk)
-    return phi1, divk - dtrk
+    gi = np.moveaxis(np.linalg.inv(np.moveaxis(g, -1, 0)), 0, -1).copy()
+    dgi = -np.einsum("cep,aefp,fdp->acdp", gi, dg, gi)
+    # half Koszul bracket br[a, d, b, p] = (d_a g_db + d_b g_da - d_d g_ab) / 2,
+    # so Gamma^c_ab = g^cd br[a, d, b] and
+    # d_e Gamma^c_ab = d_e g^cd br[a, d, b] + g^cd d_e br[a, d, b]
+    br = dg + np.einsum("bdap->adbp", dg) - np.einsum("dabp->adbp", dg)
+    br *= 0.5
+    dbr = d2g + np.einsum("ebdap->eadbp", d2g) - np.einsum("edabp->eadbp", d2g)
+    dbr *= 0.5
+    gam = np.einsum("cdp,adbp->cabp", gi, br)
+    # Ric_ab = d_c Gamma^c_ab - d_a Gamma^c_cb + Gamma^c_cm Gamma^m_ab
+    #          - Gamma^c_am Gamma^m_cb, the two traces of d Gamma taken directly
+    ric = np.einsum("ccdp,adbp->abp", dgi, br)
+    ric += np.einsum("cdp,cadbp->abp", gi, dbr)
+    ric -= np.einsum("acdp,cdbp->abp", dgi, br)
+    ric -= np.einsum("cdp,acdbp->abp", gi, dbr)
+    ric += np.einsum("ccmp,mabp->abp", gam, gam)
+    ric -= np.einsum("camp,mcbp->abp", gam, gam)
+    ku = np.einsum("acp,cbp->abp", gi, k)  # k^a_b
+    trk = np.einsum("aap->p", ku)
+    phi1 = np.einsum("abp,abp->p", gi, ric) - np.einsum("abp,bap->p", ku, ku) + trk ** 2
+    phi2 = np.einsum("abp,abxp->xp", gi, dk)
+    phi2 -= np.einsum("abp,mabp,mxp->xp", gi, gam, k)
+    phi2 -= np.einsum("abp,maxp,bmp->xp", gi, gam, k)
+    # minus d_x tr k
+    phi2 -= np.einsum("xabp,abp->xp", dgi, k) + np.einsum("abp,xabp->xp", gi, dk)
+    return phi1, phi2
 
 
 def _torus_constraint_fields(p1, p2, lat, npts: int):
-    """Analyze pointwise Phi_1, Phi_2 (flattened npts^n grid) into fields."""
+    """Analyze pointwise Phi_1 [p] and Phi_2 [x, p] (p the flattened
+    npts^n grid) into fields."""
     shape = (npts,) * lat.n
     return (
         analyze(p1.reshape(shape), "scalar", lat),
-        analyze(p2.reshape(shape + (lat.n,)), "one-form", lat),
+        analyze(np.moveaxis(p2.reshape((lat.n,) + shape), 0, -1), "one-form", lat),
     )
 
 
@@ -348,7 +376,7 @@ def dphi_oracle(pair: InitialDataPair, eps: float = ORACLE_EPS,
     npts = _grid_size(lat, npts)
     h, dh, d2h = _stencil_samples(pair.h, npts, step, second=True)
     m, dm, _ = _stencil_samples(pair.m, npts, step, second=False)
-    G, K = pair.geom.metric, pair.geom.extrinsic
+    G, K = pair.geom.metric[..., None], pair.geom.extrinsic[..., None]
     # The stencil symbols vanish at k = 0, so the constant background enters
     # the values only: the stencils of g~ +- eps h~ are +- eps times those
     # of h~, and G never cancels between offset grids.

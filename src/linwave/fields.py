@@ -241,14 +241,8 @@ def synthesize(field: SpectralField, grid_size: int) -> np.ndarray:
     return out
 
 
-def synthesize_shifted(field: SpectralField, grid_size: int, shift=None,
-                       symbols=None) -> np.ndarray:
-    """Complex synthesis on the grid translated by `shift` (length-n vector).
-
-    `symbols` optionally holds Fourier multipliers, shape (nsym, num_modes):
-    the coefficients times each multiplier are synthesized in one batched
-    transform, and the result gains a leading axis of length nsym.
-    """
+def synthesize_shifted(field: SpectralField, grid_size: int, shift=None) -> np.ndarray:
+    """Complex synthesis on the grid translated by `shift` (length-n vector)."""
     lattice = field.lattice
     n = lattice.n
     if grid_size < lattice.modes_per_axis:
@@ -259,15 +253,11 @@ def synthesize_shifted(field: SpectralField, grid_size: int, shift=None,
     if shift is not None:
         phase = np.exp(1j * lattice.modes @ np.asarray(shift, float))
         coeffs = coeffs * phase[:, None]
-    if symbols is not None:
-        coeffs = np.asarray(symbols)[:, :, None] * coeffs
-    lead = coeffs.shape[:-2]
-    spec = np.zeros(lead + (grid_size,) * n + (field.ncomp,), complex)
+    spec = np.zeros((grid_size,) * n + (field.ncomp,), complex)
     modes = lattice.modes
     idx = tuple((modes[:, ax] % grid_size) for ax in range(n))
-    spec[(Ellipsis,) + idx + (slice(None),)] = coeffs
-    axes = tuple(range(len(lead), len(lead) + n))
-    return np.fft.ifftn(spec, axes=axes) * grid_size ** n
+    spec[idx] = coeffs
+    return np.fft.ifftn(spec, axes=tuple(range(n))) * grid_size ** n
 
 
 def evaluate_at(field: SpectralField, points: np.ndarray) -> np.ndarray:

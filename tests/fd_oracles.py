@@ -5,6 +5,10 @@ pointwise oracles: Christoffel symbols, curvature and the operators
 box_L and DRic by nested 4th-order central differences (eps = 1e-3) of a
 callable metric x = (t, x^i) -> g(x).  Sign conventions are those of
 `linwave.spacetime`.
+
+`phi_pointwise_reference` is the pointwise constraint kernel of the slice
+oracle written with the grid axis in the middle of every array, the
+reference for the grid-last kernel in `linwave.constraints`.
 """
 
 import numpy as np
@@ -110,3 +114,49 @@ def fd_d_ric(metric_fn, h_fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
 
     K = fd_covariant_derivative(metric_fn, c_low, 3, eps)(x)
     return np.einsum("ex,exab->ab", gi_x, K) - np.einsum("cx,axcb->ab", gi_x, K)
+
+
+def phi_pointwise_reference(g, dg, d2g, k, dk):
+    """Pointwise constraints Phi_1, Phi_2 from sampled slice data, with the
+    grid axis p in the middle of every array: the reference kernel for
+    `linwave.constraints._phi_pointwise`, which keeps p last.
+
+    Axis conventions: g and k have axes [p, c, d]; dg and dk have axes
+    [a, p, c, d] = d_a g_cd; d2g has axes [e, a, p, c, d] = d_e d_a g_cd.
+    Returns Phi_1 with axes [p] and Phi_2 with axes [p, x].
+    """
+    gi = np.linalg.inv(g)
+    dgi = -np.einsum("pce,apef,pfd->apcd", gi, dg, gi, optimize=True)
+    # Koszul bracket br[a, p, d, b] = d_a g_db + d_b g_da - d_d g_ab
+    br = (
+        np.einsum("apdb->apdb", dg)
+        + np.einsum("bpda->apdb", dg)
+        - np.einsum("dpab->apdb", dg)
+    )
+    dbr = (
+        np.einsum("eapdb->eapdb", d2g)
+        + np.einsum("ebpda->eapdb", d2g)
+        - np.einsum("edpab->eapdb", d2g)
+    )
+    gam = 0.5 * np.einsum("pcd,apdb->pcab", gi, br, optimize=True)
+    dgam = 0.5 * (
+        np.einsum("epcd,apdb->epcab", dgi, br, optimize=True)
+        + np.einsum("pcd,eapdb->epcab", gi, dbr, optimize=True)
+    )
+    ric = (
+        np.einsum("cpcab->pab", dgam)
+        - np.einsum("apccb->pab", dgam)
+        + np.einsum("pccm,pmab->pab", gam, gam, optimize=True)
+        - np.einsum("pcam,pmcb->pab", gam, gam, optimize=True)
+    )
+    scal = np.einsum("pab,pab->p", gi, ric)
+    kk = np.einsum("pia,pjb,pij,pab->p", gi, gi, k, k, optimize=True)
+    trk = np.einsum("pij,pij->p", gi, k)
+    phi1 = scal - kk + trk ** 2
+    divk = (
+        np.einsum("pab,apbx->px", gi, dk, optimize=True)
+        - np.einsum("pab,pmab,pmx->px", gi, gam, k, optimize=True)
+        - np.einsum("pab,pmax,pbm->px", gi, gam, k, optimize=True)
+    )
+    dtrk = np.einsum("xpab,pab->px", dgi, k) + np.einsum("pab,xpab->px", gi, dk)
+    return phi1, divk - dtrk

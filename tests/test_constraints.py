@@ -3,9 +3,12 @@ import pytest
 
 import linwave.invariant as inv
 from linwave.constraints import (
+    ORACLE_EPS,
     ORACLE_STEP,
     InitialDataPair,
+    _phi_pointwise,
     _stencil_samples,
+    _stencil_symbols,
     dphi,
     dphi_oracle,
     normal_identities,
@@ -13,6 +16,8 @@ from linwave.constraints import (
 )
 from linwave.fields import (
     ModeLattice,
+    SpectralField,
+    analyze,
     distributional_coefficients,
     random_field,
     sym2_from_full,
@@ -22,6 +27,8 @@ from linwave.fields import (
 )
 from linwave.slices import slice_geometry
 from linwave.spacetime import CauchyJet, spacetime_background
+
+from fd_oracles import phi_pointwise_reference
 
 KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
 
@@ -127,11 +134,42 @@ def test_oracle_rejects_distributional_data():
 
 def test_oracle_rejects_complex_samples():
     lat = ModeLattice(3, 2)
-    h = random_field(lat, "sym2", np.random.default_rng(16), decay=2.0)
+    geom = slice_geometry("flat-torus", n=3)
+    rng = np.random.default_rng(16)
+    h = random_field(lat, "sym2", rng, decay=2.0)
     h.coeffs[lat.mode_index((1, 0, 0))] += 1e-3j  # breaks c_{-k} = conj(c_k)
-    pair = InitialDataPair(h, zero_field(lat, "sym2"), slice_geometry("flat-torus", n=3))
+    pair = InitialDataPair(h, zero_field(lat, "sym2"), geom)
     with pytest.raises(ValueError, match="came out complex"):
         dphi_oracle(pair)
+    m = random_field(lat, "sym2", rng, decay=2.0)
+    m.coeffs[lat.mode_index((0, 1, -1))] += 1e-3j
+    pair = InitialDataPair(random_field(lat, "sym2", rng, decay=2.0), m, geom)
+    with pytest.raises(ValueError, match="came out complex"):
+        dphi_oracle(pair)
+    g, k = background_pair(geom, lat)
+    with pytest.raises(ValueError, match="came out complex"):
+        phi(g + h, k, geom)
+    with pytest.raises(ValueError, match="came out complex"):
+        phi(g, k + m, geom)
+
+
+def test_oracle_rejects_a_grid_too_small_for_the_lattice():
+    # N < 2 nmax + 1 points per axis would alias modes k and k - N onto one
+    # grid frequency
+    nmax = 2
+    lat = ModeLattice(3, nmax)
+    geom = slice_geometry("flat-torus", n=3)
+    rng = np.random.default_rng(18)
+    pair = InitialDataPair(random_field(lat, "sym2", rng, decay=2.0),
+                           random_field(lat, "sym2", rng, decay=2.0), geom)
+    with pytest.raises(ValueError, match=rf"grid size {2 * nmax} too small"):
+        dphi_oracle(pair, npts=2 * nmax)
+    g, k = background_pair(geom, lat)
+    with pytest.raises(ValueError, match=rf"grid size {2 * nmax} too small"):
+        phi(g, k, geom, npts=2 * nmax)
+    # the smallest admissible grid is accepted
+    p1, _ = phi(g, k, geom, npts=2 * nmax + 1)
+    assert np.max(np.abs(p1.coeffs)) < 1e-8
 
 
 FIRST_WEIGHTS = {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0}  # over 12 step
@@ -184,10 +222,12 @@ def test_stencil_multipliers_match_offset_grid_differences():
         f, df, d2f = _stencil_samples(field, npts, ORACLE_STEP, second=True)
         ref = offset_grid_stencils(field, npts, ORACLE_STEP)
         values = synthesize_shifted(field, npts).real.reshape(npts ** n, -1)
-        assert np.max(np.abs(sym2_from_full(f, n) - values)) <= 1e-14 * np.max(np.abs(values))
+        # samples keep the grid axis last: (n, n, P) -> (P, ncomp)
+        stored = lambda x: sym2_from_full(np.moveaxis(x, -1, 0), n)
+        assert np.max(np.abs(stored(f) - values)) <= 1e-14 * np.max(np.abs(values))
         for key, (stencil, scale) in ref.items():
             got = df[key] if isinstance(key, int) else d2f[key]
-            worst = max(worst, float(np.max(np.abs(sym2_from_full(got, n) - stencil))) / scale)
+            worst = max(worst, float(np.max(np.abs(stored(got) - stencil))) / scale)
             if not isinstance(key, int):
                 assert np.array_equal(d2f[key[::-1]], got)
     assert worst <= 1e-14, worst
@@ -198,9 +238,79 @@ def test_stencils_of_a_constant_field_are_exactly_zero():
     g, k = background_pair(geom, ModeLattice(3, 2))
     for field, const, second in ((g, geom.metric, True), (k, geom.extrinsic, False)):
         f, df, d2f = _stencil_samples(field, 16, ORACLE_STEP, second)
-        assert np.max(np.abs(f - const)) <= 1e-15
+        assert np.max(np.abs(np.moveaxis(f, -1, 0) - const)) <= 1e-15
         assert not np.any(df)
         assert d2f is None or not np.any(d2f)
+
+
+ORACLE_CASES = [
+    (slice_geometry("flat-torus", n=3), 3),
+    (slice_geometry("kasner", p=KASNER_P, t0=1.3), 3),
+    (slice_geometry("flat-torus", n=2), 2),
+]
+
+
+def test_pointwise_kernel_matches_the_reference_kernel():
+    # the grid-last kernel against the grid-in-the-middle reference on the
+    # same samples at G +- eps h~, K +- eps m~.  Phi_1 is measured against
+    # |Phi_1| + (tr k~)^2: on the Kasner slice it is the difference of the
+    # O(1) terms -g~(k~, k~) and (tr k~)^2 (measured worst 1.7e-15 of that,
+    # 6.0e-13 of |Phi_1| alone), Phi_2 against |Phi_2| (3.5e-16)
+    rng = np.random.default_rng(19)
+    for geom, n in ORACLE_CASES:
+        lat = ModeLattice(n, 2)
+        h, dh, d2h = _stencil_samples(random_field(lat, "sym2", rng, decay=2.0),
+                                      16, ORACLE_STEP, second=True)
+        m, dm, _ = _stencil_samples(random_field(lat, "sym2", rng, decay=2.0),
+                                    16, ORACLE_STEP, second=False)
+        G, K = geom.metric[..., None], geom.extrinsic[..., None]
+        trK2 = np.trace(geom.metric_inv @ geom.extrinsic) ** 2
+        for eps in (ORACLE_EPS, -ORACLE_EPS):
+            args = (G + eps * h, eps * dh, eps * d2h, K + eps * m, eps * dm)
+            p1, p2 = _phi_pointwise(*args)
+            # the reference takes the grid axis after the derivative axes
+            r1, r2 = phi_pointwise_reference(*(np.moveaxis(x, -1, axis) for x, axis in
+                                               zip(args, (0, 1, 2, 0, 1))))
+            assert p1.shape == r1.shape and p2.shape == r2.T.shape
+            assert np.max(np.abs(p1 - r1)) <= 1e-12 * (np.max(np.abs(r1)) + trK2)
+            assert np.max(np.abs(p2 - r2.T)) <= 1e-12 * np.max(np.abs(r2))
+
+
+def reference_samples(field, npts, step, second):
+    """Samples in the reference layout (f [p, c, d], df [a, p, c, d],
+    d2f [e, a, p, c, d]) from one complex synthesize_shifted per stencil
+    row."""
+    lat = field.lattice
+    n = lat.n
+    rows = np.stack([
+        sym2_to_full(synthesize_shifted(SpectralField(lat, "sym2", s[:, None] * field.coeffs),
+                                        npts).real.reshape(npts ** n, -1), n)
+        for s in _stencil_symbols(lat.modes, step, second)
+    ])
+    d2f = rows[sym2_to_full(np.arange(n + 1, len(rows)), n)] if second else None
+    return rows[0], rows[1:n + 1], d2f
+
+
+def test_oracle_matches_a_reference_from_per_row_complex_synthesis():
+    # the whole torus oracle against one assembled from per-row complex
+    # synthesis and the reference kernel (measured worst 7.2e-14 relative)
+    rng = np.random.default_rng(20)
+    for geom, n in ORACLE_CASES:
+        lat = ModeLattice(n, 2)
+        pair = InitialDataPair(random_field(lat, "sym2", rng, decay=2.0),
+                               random_field(lat, "sym2", rng, decay=2.0), geom)
+        h, dh, d2h = reference_samples(pair.h, 16, ORACLE_STEP, second=True)
+        m, dm, _ = reference_samples(pair.m, 16, ORACLE_STEP, second=False)
+        G, K, eps = geom.metric, geom.extrinsic, ORACLE_EPS
+        p1p, p2p = phi_pointwise_reference(G + eps * h, eps * dh, eps * d2h, K + eps * m, eps * dm)
+        p1m, p2m = phi_pointwise_reference(G - eps * h, -eps * dh, -eps * d2h,
+                                           K - eps * m, -eps * dm)
+        shape = (16,) * n
+        ref1 = analyze(((p1p - p1m) / (2 * eps)).reshape(shape), "scalar", lat).coeffs
+        ref2 = analyze(((p2p - p2m) / (2 * eps)).reshape(shape + (n,)), "one-form", lat).coeffs
+        got = dphi_oracle(pair)
+        assert np.max(np.abs(got.scalar.coeffs - ref1)) <= 1e-12 * np.max(np.abs(ref1))
+        assert np.max(np.abs(got.oneform.coeffs - ref2)) <= 1e-12 * np.max(np.abs(ref2))
 
 
 def test_oracle_catches_a_dropped_extrinsic_curvature_term():
