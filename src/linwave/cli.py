@@ -26,7 +26,7 @@ from .config import ConfigError, load_config
 from .constraints import InitialDataPair, dphi, normal_identities
 from .decomposition import gauge_producing_data, moncrief_project, split_solve
 from .errors import InternalError
-from .evolution import build_cauchy_jet, diagnostics, evolve
+from .evolution import build_cauchy_jet, diagnostics, evolve, extract_induced_data
 from .fields import (
     ModeLattice,
     SpectralField,
@@ -231,8 +231,6 @@ def cmd_evolve(args) -> int:
     (outdir / "diagnostics.csv").write_text("\n".join(rows) + "\n")
 
     save_pair(pair, outdir / "initial")
-    from .evolution import extract_induced_data
-
     save_pair(extract_induced_data(traj, t1), outdir / "final")
 
     checks = {}

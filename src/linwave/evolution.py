@@ -10,20 +10,23 @@ Given slice data (h~, m~), the gauge choice
 produces a jet with vanishing harmonic-gauge residual on the slice; the
 wave equation box_L h = 0 then propagates both the gauge condition and the
 linearised constraints.  Each Fourier mode evolves independently: in
-closed form on the Minkowski torus, by a classical 4th-order one-step
-integrator on Kasner.  Real data (c_{-k} = conj(c_k)) are integrated on
-half the lattice and mirrored, with output identical to integrating every
-mode.  Diagnostics track the gauge residual, the constraint residuals of
-the induced data, and per-mode wave energies; on real trajectories they
-are evaluated on the same half, with each +-k pair counted twice in the
-norms, and on any other trajectory on the full lattice.  The gauge vector
-field of a pure-gauge solution is recovered by solving the connection wave
-equation nabla*nabla V = -div(hbar).
+closed form on the Minkowski torus, and otherwise by one classical
+4th-order sampler, _rk4_samples, which integrates the wave equation, the
+pure-gauge connection wave equation and the joint (h, V) system of gauge
+recovery alike, and re-integrates between samples for dense output.  It
+integrates real data (c_{-k} = conj(c_k)) on half the lattice and mirrors
+them, with output identical to integrating every mode.  Diagnostics track
+the gauge residual, the constraint residuals of the induced data, and
+per-mode wave energies; on real trajectories they are evaluated on the
+same half, with each +-k pair counted twice in the norms, and on any
+other trajectory on the full lattice.  The gauge vector field of a
+pure-gauge solution is recovered by solving the connection wave equation
+nabla*nabla V = -div(hbar).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,17 +57,6 @@ SLICE_MATCH_TOL = 1e-12
 
 
 @dataclass
-class ModeTrajectory:
-    """Samples of one Fourier mode of the solution and its t-derivative."""
-
-    background: SpacetimeBackground
-    k: tuple
-    times: np.ndarray
-    states: np.ndarray  # (T, ncomp)
-    derivs: np.ndarray  # (T, ncomp)
-
-
-@dataclass
 class Trajectory:
     """Per-mode solution samples for a whole lattice of modes."""
 
@@ -74,12 +66,6 @@ class Trajectory:
     states: np.ndarray  # (T, num_modes, ncomp)
     derivs: np.ndarray
     dt: float | None = None  # None marks the exact (Minkowski) propagator
-
-    def mode(self, k) -> ModeTrajectory:
-        i = self.lattice.mode_index(tuple(k))
-        return ModeTrajectory(
-            self.background, tuple(k), self.times, self.states[:, i], self.derivs[:, i]
-        )
 
     def state_at(self, tau: float):
         """Dense output: exact formula on Minkowski, re-integration on Kasner."""
@@ -97,10 +83,10 @@ class Trajectory:
         direction = np.sign(self.times[-1] - self.times[0]) or 1.0
         behind = (tau - self.times) * direction >= 0
         i = int(np.argmin(np.where(behind, np.abs(tau - self.times), np.inf)))
-        return _integrate_segment(
-            self.background, self.lattice, self.times[i],
-            self.states[i], self.derivs[i], tau, self.dt,
-        )
+        return _rk4_samples(
+            self.background, self.lattice, ("lichnerowicz",), _monic_rhs,
+            self.times[i], (self.states[i], self.derivs[i]), [tau], self.dt,
+        )[0]
 
 
 @dataclass
@@ -124,7 +110,6 @@ class GaugeRecovery:
     Vdot: np.ndarray
     deviation: np.ndarray
     relative_deviation: np.ndarray
-    report: dict = dc_field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +235,42 @@ def _on_real_half(lattice, y0, run):
     return [tuple(mirror(x) for x in y) for y in out]
 
 
-def _integrate_segment(bg, lattice, t0, U0, Ud0, t1, dt):
-    """RK4 on the first-order mode system (U, dU/dt) of box_L h = 0."""
+def _rk4_samples(bg, lattice, kinds, rhs, t0, y0, times, dt):
+    """The one fixed-step integrator of the mode systems: the state at each
+    of times of y' = rhs(families, y), y(t0) = y0, where families holds one
+    FamilyAction per name in kinds on the modes integrated, re-timed to each
+    RK4 stage.  _rk4 steps to the samples in order; a sample within 1e-14 of
+    the current time takes no step.  Runs on the real half of the lattice
+    when y0 allows it (see _on_real_half)."""
+    if dt is None or not (np.isfinite(dt) and dt > 0):
+        raise ValueError(
+            f"time-dependent backgrounds need a positive finite dt, got dt = {dt}"
+        )
+    times = np.asarray(times, float)
+    for tau in (t0, *times):
+        if not np.isfinite(tau):
+            raise ValueError(f"evolution times must be finite, got t = {tau}")
 
     def run(modes, y):
-        wave = FamilyAction(bg, "lichnerowicz", t0, modes)
+        families = [FamilyAction(bg, kind, t0, modes) for kind in kinds]
 
         def acc(t, y):
-            return (y[1], wave.at(t).monic_closure(*y))
+            return rhs([f.at(t) for f in families], y)
 
-        return [_rk4(acc, t0, y, t1, dt)]
+        out, t = [], t0
+        for tau in times:
+            if not np.isclose(tau, t, rtol=0, atol=1e-14):
+                y = _rk4(acc, t, y, tau, dt)
+                t = tau
+            out.append(y)
+        return out
 
-    return _on_real_half(lattice, (U0, Ud0), run)[0]
+    return _on_real_half(lattice, y0, run)
+
+
+def _monic_rhs(families, y):
+    """(u, u')' of the monic second-order mode system families[0]."""
+    return (y[1], families[0].monic_closure(*y))
 
 
 def evolve_state(bg: SpacetimeBackground, lattice, t0: float, U0, Ud0,
@@ -278,19 +287,12 @@ def evolve_state(bg: SpacetimeBackground, lattice, t0: float, U0, Ud0,
             states.append(U)
             derivs.append(Ud)
         return Trajectory(bg, lattice, sample_times, np.array(states), np.array(derivs))
-    if dt is None or dt <= 0:
-        raise ValueError("time-dependent backgrounds need a positive dt")
     if bg.kind == "kasner" and (min(t0, t_end) <= 0 or np.min(sample_times) <= 0):
         raise ValueError("Kasner evolution cannot reach the singularity t <= 0")
-    states, derivs = [], []
-    U, Ud, t = U0.copy(), Ud0.copy(), t0
-    for tau in sample_times:
-        if not np.isclose(tau, t, rtol=0, atol=1e-14):
-            U, Ud = _integrate_segment(bg, lattice, t, U, Ud, tau, dt)
-            t = tau
-        states.append(U.copy())
-        derivs.append(Ud.copy())
-    return Trajectory(bg, lattice, sample_times, np.array(states), np.array(derivs), dt=dt)
+    ys = _rk4_samples(bg, lattice, ("lichnerowicz",), _monic_rhs, t0, (U0, Ud0),
+                      sample_times, dt)
+    return Trajectory(bg, lattice, sample_times, np.array([y[0] for y in ys]),
+                      np.array([y[1] for y in ys]), dt=dt)
 
 
 def evolve(jet: CauchyJet, t_end: float, dt: float | None = None,
@@ -424,9 +426,10 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
         Vs, Vds = _recover_minkowski(bg, lat, traj, V, Vd)
     else:
         Vs, Vds = _recover_kasner(bg, lat, traj, V, Vd)
+    lie0 = FamilyAction(bg, "lie_of_g", times[0], lat.modes)
     dev, rel = [], []
     for i, t in enumerate(times):
-        lie = FamilyAction(bg, "lie_of_g", t, lat.modes)
+        lie = lie0.at(t)
         diff = traj.states[i] - (lie.apply(0, Vs[i]) + lie.apply(1, Vds[i]))
         d = weighted_norm(diff, wsym)
         s = weighted_norm(traj.states[i], wsym)
@@ -476,32 +479,18 @@ def _recover_minkowski(bg, lat, traj, V0, Vd0):
 def _recover_kasner(bg, lat, traj, V0, Vd0):
     """Joint 4th-order integration of (h, V): the source of the connection
     wave equation is evaluated from the co-evolved h state at every stage."""
-    dt = traj.dt
 
-    def run(modes, y):
-        wave, div, conn = (
-            FamilyAction(bg, kind, traj.times[0], modes)
-            for kind in ("lichnerowicz", "div_trace_reversed", "connection_wave")
-        )
+    def rhs(families, y):
+        wave, div, conn = families
+        U, Ud, V, Vd = y
+        src = -(div.apply(0, U) + div.apply(1, Ud))
+        return (Ud, wave.monic_closure(U, Ud), Vd, src + conn.monic_closure(V, Vd))
 
-        def acc(t, y):
-            U, Ud, V, Vd = y
-            Udd = wave.at(t).monic_closure(U, Ud)
-            div_t = div.at(t)
-            src = -(div_t.apply(0, U) + div_t.apply(1, Ud))
-            Vdd = src + conn.at(t).monic_closure(V, Vd)
-            return (Ud, Udd, Vd, Vdd)
-
-        out = []
-        t = traj.times[0]
-        for tau in traj.times[1:]:
-            y = _rk4(acc, t, y, tau, dt)
-            t = tau
-            out.append(y)
-        return out
-
-    ys = _on_real_half(lat, (traj.states[0], traj.derivs[0], V0, Vd0), run)
-    return [V0.copy()] + [y[2] for y in ys], [Vd0.copy()] + [y[3] for y in ys]
+    ys = _rk4_samples(
+        bg, lat, ("lichnerowicz", "div_trace_reversed", "connection_wave"), rhs,
+        traj.times[0], (traj.states[0], traj.derivs[0], V0, Vd0), traj.times, traj.dt,
+    )
+    return [y[2] for y in ys], [y[3] for y in ys]
 
 
 # ---------------------------------------------------------------------------
@@ -520,32 +509,17 @@ def lie_trajectory(bg: SpacetimeBackground, lattice, times, W0, Wd0,
     family_coefficients), differentiated in closed form.
     """
     times = np.asarray(times, float)
-
-    def run(modes, y):
-        conn = FamilyAction(bg, "connection_wave", times[0], modes)
-
-        def acc(tt, y):
-            return (y[1], conn.at(tt).monic_closure(*y))
-
-        out, t = [], times[0]
-        for tau in times:
-            if not np.isclose(tau, t, rtol=0, atol=1e-14):
-                if dt is None or dt <= 0:
-                    raise ValueError("time-dependent backgrounds need a positive dt")
-                y = _rk4(acc, t, y, tau, dt)
-                t = tau
-            out.append(y)
-        return out
-
     if bg.kind == "minkowski-torus":
         Ws = [_minkowski_state(lattice, W0, Wd0, tau - times[0]) for tau in times]
     else:
-        Ws = _on_real_half(lattice, (W0, Wd0), run)
-    conn = FamilyAction(bg, "connection_wave", times[0], lattice.modes)
+        Ws = _rk4_samples(bg, lattice, ("connection_wave",), _monic_rhs, times[0],
+                          (W0, Wd0), times, dt)
+    conn, lie0 = (FamilyAction(bg, kind, times[0], lattice.modes)
+                  for kind in ("connection_wave", "lie_of_g"))
     states, derivs = [], []
     for tau, (W, Wd) in zip(times, Ws):
         Wdd = conn.at(tau).monic_closure(W, Wd)
-        lie = FamilyAction(bg, "lie_of_g", tau, lattice.modes)
+        lie = lie0.at(tau)
         rate = lie.rate()
         states.append(lie.apply(0, W) + lie.apply(1, Wd))
         derivs.append(

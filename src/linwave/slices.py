@@ -21,8 +21,6 @@ import numpy as np
 from . import invariant as inv
 from .fields import SpectralField, l2_inner, sym2_from_full, sym2_to_full
 
-CONSTRAINT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SliceGeometry:
@@ -135,20 +133,6 @@ def constraint_residual(geom: SliceGeometry) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Per-mode torus operators
 # ---------------------------------------------------------------------------
-
-TORUS_KINDS = (
-    "divergence",
-    "trace",
-    "trace_reverse",
-    "hessian",
-    "d",
-    "laplacian",
-    "connection_laplacian",
-    "lie_metric",
-    "conformal_killing",
-    "ckl_adjoint",
-    "ckl_normal",
-)
 
 
 def apply_slice_operator(

@@ -5,7 +5,6 @@ from linwave.constraints import InitialDataPair
 from linwave.decomposition import gauge_producing_data
 from linwave.evolution import (
     Trajectory,
-    _integrate_segment,
     _rk4,
     build_cauchy_jet,
     diagnostics,
@@ -295,6 +294,48 @@ def test_extract_round_trip_and_errors():
     assert np.isfinite(mid.h.coeffs).all()
 
 
+@pytest.mark.parametrize("times", [[1.0, 1.04, 1.08], [1.08, 1.04, 1.0]])
+def test_kasner_dense_output_reintegrates_from_the_sample_behind(times):
+    rng = np.random.default_rng(34)
+    U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
+    traj = evolve_state(KAS, LAT, times[0], U0, Ud0, times[-1], 1e-2, sample_times=times)
+    for i, tau in ((0, 0.5 * (times[0] + times[1]) + 0.003),
+                   (1, 0.5 * (times[1] + times[2]) - 0.002)):
+        U, Ud = traj.state_at(tau)
+        seg = evolve_state(KAS, LAT, times[i], traj.states[i], traj.derivs[i], tau, 1e-2,
+                           sample_times=[tau])
+        assert np.array_equal(U, seg.states[0]) and np.array_equal(Ud, seg.derivs[0])
+        # a run with tau as a sample takes other steps, so agrees to the RK4 error
+        ref = evolve_state(KAS, LAT, times[0], U0, Ud0, tau, 1e-2,
+                           sample_times=[times[0], tau])
+        for got, want in ((U, ref.states[-1]), (Ud, ref.derivs[-1])):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dt, times, match", [
+    (np.inf, [1.0, 1.02], "positive finite dt"),
+    (np.nan, [1.0, 1.02], "positive finite dt"),
+    (-1e-2, [1.0, 1.02], "positive"),
+    (1e-2, [1.0, np.inf], "times must be finite"),
+    (1e-2, [1.0, np.nan], "times must be finite"),
+])
+def test_kasner_steps_refuse_a_bad_dt_or_sample_time(dt, times, match):
+    rng = np.random.default_rng(35)
+    U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
+    W0, Wd0 = hermitian_pair(LAT, rng, 4), hermitian_pair(LAT, rng, 4)
+    with pytest.raises(ValueError, match=match):
+        evolve_state(KAS, LAT, 1.0, U0, Ud0, 1.02, dt, sample_times=times)
+    with pytest.raises(ValueError, match=match):
+        lie_trajectory(KAS, LAT, times, W0, Wd0, dt=dt)
+    good = evolve_state(KAS, LAT, 1.0, U0, Ud0, 1.02, 1e-2, sample_times=[1.0, 1.02])
+    bad = Trajectory(KAS, LAT, np.array(times), good.states, good.derivs, dt=dt)
+    with pytest.raises(ValueError, match=match):
+        recover_gauge_vector(bad)
+    if np.all(np.isfinite(times)):
+        with pytest.raises(ValueError, match=match):
+            bad.state_at(1.01)
+
+
 def test_gauge_recovery_on_difference_trajectory():
     # h = evolved gauge data minus the exact Lie_W g trajectory has zero
     # induced data; the theorem's V must reproduce it
@@ -506,8 +547,9 @@ def test_half_lattice_evolution_is_bit_identical_to_full():
         y = _rk4(acc, t0, y, t1, 1e-2)
         assert np.array_equal(traj.states[i + 1], y[0])
         assert np.array_equal(traj.derivs[i + 1], y[1])
-        seg = _integrate_segment(KAS, LAT, t0, traj.states[i], traj.derivs[i], t1, 1e-2)
-        assert np.array_equal(seg[0], y[0]) and np.array_equal(seg[1], y[1])
+        seg = evolve_state(KAS, LAT, t0, traj.states[i], traj.derivs[i], t1, 1e-2,
+                           sample_times=[t1])
+        assert np.array_equal(seg.states[0], y[0]) and np.array_equal(seg.derivs[0], y[1])
     assert _is_exactly_hermitian(traj.states, LAT, 1)
     assert _is_exactly_hermitian(traj.derivs, LAT, 1)
 
@@ -517,21 +559,25 @@ def test_real_data_take_the_half_lattice_and_complex_data_the_full(monkeypatch):
     U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
     half = len(LAT.half_indices())
     built = _count_builds(monkeypatch)
-    _integrate_segment(KAS, LAT, 1.0, U0, Ud0, 1.02, 1e-2)
+    times = [1.0, 1.01, 1.02]
+    # one family for the whole run, however many samples it has
+    evolve_state(KAS, LAT, 1.0, U0, Ud0, 1.02, 1e-2, sample_times=times)
     assert built == [("lichnerowicz", half)]
     built.clear()
     Ud1 = Ud0.copy()
     Ud1[0, 0] += 1e-12j  # a defect below HERMITIAN_TOL still takes the full lattice
-    _integrate_segment(KAS, LAT, 1.0, U0, Ud1, 1.02, 1e-2)
+    evolve_state(KAS, LAT, 1.0, U0, Ud1, 1.02, 1e-2, sample_times=times)
     assert built == [("lichnerowicz", LAT.num_modes)]
     built.clear()
     W0, Wd0 = hermitian_pair(LAT, rng, 4), hermitian_pair(LAT, rng, 4)
-    traj = lie_trajectory(KAS, LAT, [1.0, 1.02], W0, Wd0, dt=1e-2)
+    traj = lie_trajectory(KAS, LAT, times, W0, Wd0, dt=1e-2)
     assert ("connection_wave", half) in built
+    assert built.count(("lie_of_g", LAT.num_modes)) == 1
     built.clear()
     recover_gauge_vector(traj)
     integrated = [b for b in built if b[0] in ("lichnerowicz", "connection_wave")]
     assert integrated == [("lichnerowicz", half), ("connection_wave", half)]
+    assert built.count(("lie_of_g", LAT.num_modes)) == 1
     built.clear()
     recover_gauge_vector(Trajectory(KAS, LAT, traj.times, 1j * traj.states,
                                     1j * traj.derivs, dt=traj.dt))
