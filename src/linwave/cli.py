@@ -29,7 +29,6 @@ from .errors import InternalError
 from .evolution import build_cauchy_jet, diagnostics, evolve, extract_induced_data
 from .fields import (
     ModeLattice,
-    SpectralField,
     dirac_partial_sum,
     random_field,
     sym2_from_full,

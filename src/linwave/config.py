@@ -1,7 +1,6 @@
 """Run configuration: a strict flat ``section.key = value`` text format.
 
-Unknown keys are fatal, parse errors carry line numbers, and a saved
-configuration loads back equal.  Example::
+Unknown keys are fatal and parse errors carry line numbers.  Example::
 
     background.kind = kasner
     background.p = 2/3, 2/3, -1/3
@@ -65,17 +64,6 @@ class RunConfig:
             raise KeyError(key)
         return self.values.get(key, SCHEMA[key][1])
 
-    def __eq__(self, other):
-        if not isinstance(other, RunConfig):
-            return NotImplemented
-        return all(_veq(self.get(k), other.get(k)) for k in SCHEMA)
-
-
-def _veq(a, b):
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(x == y for x, y in zip(a, b))
-    return a == b
-
 
 def _parse_float(text: str) -> float:
     """Floats, allowing exact rationals like 2/3 for Kasner exponents."""
@@ -133,19 +121,6 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}: initial.snapshot {snap!r} does not exist")
         cfg.values["initial.snapshot"] = str(target)
     return cfg
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    lines = []
-    for key in SCHEMA:
-        if key in cfg.values:
-            v = cfg.values[key]
-            if isinstance(v, tuple):
-                v = ", ".join(repr(float(x)) for x in v)
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{key} = {v}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _validate(cfg: RunConfig, path) -> None:

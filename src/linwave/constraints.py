@@ -78,9 +78,6 @@ class ConstraintResidual:
     oneform: object
     norms: dict = dc_field(default_factory=dict)
 
-    def max_norm(self) -> float:
-        return max(self.norms.values()) if self.norms else 0.0
-
 
 def _torus_norms(scalar: SpectralField, oneform: SpectralField, orders) -> dict:
     out = {}

@@ -103,25 +103,6 @@ def _require_split_slice(geom: SliceGeometry):
 # ---------------------------------------------------------------------------
 
 
-def split_operator_apply(params: SplitOperatorParams, phi, omega,
-                         geom: SliceGeometry):
-    """P(phi, omega) = (Delta phi + a g~(Ric, L omega), L*L omega + b d phi)."""
-    _require_split_slice(geom)
-    if geom.is_torus:
-        # Ric = 0 on the flat torus, so the coupling term in row 1 vanishes.
-        row1 = apply_slice_operator(geom, "laplacian", phi)
-        lstar = apply_slice_operator(geom, "ckl_normal", omega)
-        dphi = apply_slice_operator(geom, "d", phi)
-        row2 = SpectralField(
-            omega.lattice, "one-form", lstar.coeffs + params.b * dphi.coeffs
-        )
-        return row1, row2
-    op = inv.operator_matrix(
-        geom.invariant_geometry, "split_p", (params.a, params.b)
-    )
-    return op(phi, omega)
-
-
 def _torus_split_matrices(geom: SliceGeometry, params: SplitOperatorParams,
                           modes: np.ndarray) -> np.ndarray:
     """Per-mode matrices of P acting on (phi, omega_1..omega_n)."""
@@ -340,13 +321,6 @@ def gamma_equation_norms(field, which: str, geom: SliceGeometry) -> dict:
         f"{which}_scalar_eq": abs(scalar) * np.sqrt(vol),
         f"{which}_divergence_eq": float(np.sqrt(max(v @ gram @ v, 0.0))),
     }
-
-
-def gamma_residual(pair: InitialDataPair) -> dict:
-    """The four membership residuals of a candidate pair (h~, m~)."""
-    out = gamma_equation_norms(pair.h, "position", pair.geom)
-    out.update(gamma_equation_norms(pair.m, "momentum", pair.geom))
-    return out
 
 
 # ---------------------------------------------------------------------------

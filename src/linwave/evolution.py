@@ -161,21 +161,21 @@ def build_cauchy_jet(pair: InitialDataPair, background: SpacetimeBackground,
 # ---------------------------------------------------------------------------
 
 
+def _require_finite_time(t):
+    if not np.isfinite(t):
+        raise ValueError(f"evolution times must be finite, got t = {t}")
+
+
 def _minkowski_state(lattice, U0, Ud0, s):
     """Closed-form wave propagation: each component is a harmonic oscillator
     with frequency |k| (A + B s on the zero mode)."""
-    k2 = np.einsum("ma,ma->m", lattice.modes.astype(float), lattice.modes.astype(float))
-    w = np.sqrt(k2)
-    nz = w > 0
+    _require_finite_time(s)
+    k = lattice.modes.astype(float)
+    w = np.sqrt(np.einsum("ma,ma->m", k, k))
+    sn = np.sin(w * s)
     c = np.cos(w * s)[:, None]
-    U = c * U0
-    Ud = c * Ud0
-    sinc = np.zeros_like(w)
-    sinc[nz] = np.sin(w[nz] * s) / w[nz]
-    U += sinc[:, None] * Ud0
-    U[~nz] += s * Ud0[~nz]
-    Ud[nz] += -(w[nz] * np.sin(w[nz] * s))[:, None] * U0[nz]
-    return U, Ud
+    sinc = np.divide(sn, w, out=np.full_like(w, s), where=w > 0)[:, None]
+    return c * U0 + sinc * Ud0, c * Ud0 - (w * sn)[:, None] * U0
 
 
 def _rk4(acc, t0, y, t1, dt):
@@ -248,8 +248,7 @@ def _rk4_samples(bg, lattice, kinds, rhs, t0, y0, times, dt):
         )
     times = np.asarray(times, float)
     for tau in (t0, *times):
-        if not np.isfinite(tau):
-            raise ValueError(f"evolution times must be finite, got t = {tau}")
+        _require_finite_time(tau)
 
     def run(modes, y):
         families = [FamilyAction(bg, kind, t0, modes) for kind in kinds]

@@ -260,14 +260,6 @@ def synthesize_shifted(field: SpectralField, grid_size: int, shift=None) -> np.n
     return np.fft.ifftn(spec, axes=tuple(range(n))) * grid_size ** n
 
 
-def evaluate_at(field: SpectralField, points: np.ndarray) -> np.ndarray:
-    """Exact evaluation of the truncated series at arbitrary points (m, n)."""
-    points = np.atleast_2d(np.asarray(points, float))
-    phases = np.exp(1j * points @ field.lattice.modes.T)
-    vals = phases @ field.coeffs
-    return vals.real
-
-
 def l2_inner(a: SpectralField, b: SpectralField, metric: np.ndarray | None = None) -> float:
     """L^2 pairing (2 pi)^n sum_k conj(a).b with component contraction.
 

@@ -161,29 +161,6 @@ class InvariantGeometry:
         return sym2_from_full(self.ricci, 3)
 
 
-def invariant_geometry(frame: HomogeneousFrame) -> InvariantGeometry:
-    return InvariantGeometry(frame)
-
-
-def milnor_ricci(diag_metric: np.ndarray) -> tuple[np.ndarray, float]:
-    """Independent oracle: Milnor's curvature formula for a diagonal
-    left-invariant metric on SU(2) with bracket [e_i, e_j] = 2 eps e_k.
-
-    Returns (Ric frame components as a diagonal 3x3 matrix, Scal).
-    """
-    lam = np.asarray(diag_metric, float)
-    if lam.shape == (3, 3):
-        if np.max(np.abs(lam - np.diag(np.diag(lam)))) > 1e-14:
-            raise ValueError("Milnor oracle needs a diagonal metric")
-        lam = np.diag(lam)
-    det = np.prod(lam)
-    cs = 2.0 * lam / np.sqrt(det)  # structure constants of the orthonormal frame
-    mu = np.array([0.5 * (cs[(i + 1) % 3] + cs[(i + 2) % 3] - cs[i]) for i in range(3)])
-    r = np.array([2.0 * mu[(i + 1) % 3] * mu[(i + 2) % 3] for i in range(3)])
-    ric = np.diag(lam * r)  # back to the unnormalized frame
-    return ric, float(np.sum(r))
-
-
 def scalar_flat_parameter(bracket_scale: float = 2.0) -> float:
     """Squashing parameter lambda* with Scal(diag(lambda*, 1, 1)) = 0,
     found by bisection on the assembled scalar curvature."""
@@ -327,9 +304,6 @@ class BlockOperator:
     codomain: tuple[str, ...]
     matrix: np.ndarray
 
-    def dims(self, ranks) -> list[int]:
-        return [RANK_DIMS[r] for r in ranks]
-
     def __call__(self, *fields: InvariantField):
         vec = np.concatenate([f.components for f in fields])
         out = self.matrix @ vec
@@ -398,23 +372,3 @@ def _block_operator(geo: InvariantGeometry, kind: str, params) -> BlockOperator:
     # split_p_star: formal adjoint of split_p
     p = _block_operator(geo, "split_p", params)
     return block_adjoint(geo, p)
-
-
-def killing_basis(frame: HomogeneousFrame, tol: float = 1e-10) -> list[InvariantField]:
-    """Orthonormal basis (invariant inner product) of invariant Killing
-    one-forms: the nullspace of the assembled Killing-operator matrix."""
-    geo = frame if isinstance(frame, InvariantGeometry) else InvariantGeometry(frame)
-    lie = operator_matrix(geo, "lie_metric").matrix
-    _, s, vt = np.linalg.svd(lie)
-    s = np.concatenate([s, np.zeros(3 - len(s))])
-    null = vt[s <= tol * max(1.0, s[0])]
-    gram = gram_matrix(geo, "one-form")
-    basis: list[np.ndarray] = []
-    for v in null:
-        w = v.copy()
-        for u in basis:
-            w = w - (u @ gram @ w) * u
-        norm = np.sqrt(w @ gram @ w)
-        if norm > tol:
-            basis.append(w / norm)
-    return [InvariantField("one-form", v) for v in basis]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariant as inv
-from .fields import SpectralField, l2_inner, sym2_from_full, sym2_to_full
+from .fields import SpectralField, sym2_from_full, sym2_to_full
 
 
 @dataclass(frozen=True)
@@ -239,14 +239,3 @@ def _apply_invariant(geom: SliceGeometry, kind: str, field: inv.InvariantField):
     else:
         raise ValueError(f"unknown invariant operator kind {kind!r}")
     return op(field)
-
-
-def slice_inner(geom: SliceGeometry, a, b) -> float:
-    """L^2 inner product with the slice metric contraction."""
-    if geom.is_torus:
-        return l2_inner(a, b, metric=geom.metric)
-    geo = geom.invariant_geometry
-    gram = inv.gram_matrix(geo, a.rank)
-    if a.rank != b.rank:
-        raise ValueError("rank mismatch")
-    return float(a.components @ gram @ b.components)

@@ -792,17 +792,6 @@ def _stored_from_blocks(nn: SpectralField, nf: SpectralField, sp: SpectralField)
     return sym2_from_full(full, n + 1)
 
 
-def _blocks_from_stored(lattice, comp: np.ndarray):
-    """Inverse of _stored_from_blocks: the (h(nu,nu), h(nu,.), h(.,.)) fields."""
-    n = lattice.n
-    full = sym2_to_full(comp, n + 1)
-    return (
-        SpectralField(lattice, "scalar", full[:, 0, :1].copy()),
-        SpectralField(lattice, "one-form", full[:, 0, 1:].copy()),
-        SpectralField(lattice, "sym2", sym2_from_full(full[:, 1:, 1:], n)),
-    )
-
-
 def _time_connection_terms(background: SpacetimeBackground, t: float, U: np.ndarray):
     """Gamma^m_{0a} h_mb + Gamma^m_{0b} h_am in stored components, which is
     d/dt h_ab - (nabla_nu h)_ab at unit lapse."""
@@ -821,16 +810,6 @@ def nu_jet_conversion(jet: CauchyJet) -> tuple[np.ndarray, np.ndarray]:
     H = _stored_from_blocks(jet.h_nn, jet.h_n, jet.h_sp)
     Nu = _stored_from_blocks(jet.dh_nn, jet.dh_n, jet.dh_sp)
     return H, Nu + _time_connection_terms(jet.background, jet.t0, H)
-
-
-def state_to_nu_jet(
-    background: SpacetimeBackground, t0: float, lattice, U: np.ndarray, Udot: np.ndarray
-) -> CauchyJet:
-    """Inverse of nu_jet_conversion: per-mode (U, dU/dt) -> CauchyJet."""
-    Nu = Udot - _time_connection_terms(background, t0, U)
-    return CauchyJet(
-        background, t0, *_blocks_from_stored(lattice, U), *_blocks_from_stored(lattice, Nu)
-    )
 
 
 def induced_data_state(

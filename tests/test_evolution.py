@@ -336,6 +336,21 @@ def test_kasner_steps_refuse_a_bad_dt_or_sample_time(dt, times, match):
             bad.state_at(1.01)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_minkowski_exact_propagator_refuses_a_non_finite_time(bad):
+    rng = np.random.default_rng(36)
+    U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
+    W0, Wd0 = hermitian_pair(LAT, rng, 4), hermitian_pair(LAT, rng, 4)
+    with pytest.raises(ValueError, match="times must be finite"):
+        evolve_state(MINK, LAT, 0.0, U0, Ud0, 1.0, sample_times=[0.0, bad])
+    with pytest.raises(ValueError, match="times must be finite"):
+        lie_trajectory(MINK, LAT, [0.0, bad], W0, Wd0)
+    good = evolve_state(MINK, LAT, 0.0, U0, Ud0, 1.0, sample_times=[0.0, 1.0])
+    with pytest.raises(ValueError, match="times must be finite"):
+        recover_gauge_vector(Trajectory(MINK, LAT, np.array([0.0, bad]),
+                                        good.states, good.derivs))
+
+
 def test_gauge_recovery_on_difference_trajectory():
     # h = evolved gauge data minus the exact Lie_W g trajectory has zero
     # induced data; the theorem's V must reproduce it

@@ -9,7 +9,6 @@ from linwave.fields import (
     component_weights,
     dirac_partial_sum,
     distributional_coefficients,
-    evaluate_at,
     l2_inner,
     random_field,
     sobolev_norm,
@@ -71,6 +70,13 @@ def test_synthesize_rejects_non_hermitian():
         synthesize(f, 8)
 
 
+def evaluate_at(field: SpectralField, points: np.ndarray) -> np.ndarray:
+    """Exact evaluation of the truncated series at arbitrary points (m, n)."""
+    points = np.atleast_2d(np.asarray(points, float))
+    phases = np.exp(1j * points @ field.lattice.modes.T)
+    return (phases @ field.coeffs).real
+
+
 def test_point_evaluation_matches_grid():
     rng = np.random.default_rng(3)
     lat = ModeLattice(2, 3)
@@ -123,7 +129,7 @@ def test_berger_gram_matrix_keeps_its_contraction():
     # volume-weighted contraction E^T (g^-1 x g^-1) E it replaced
     E = sym2_to_full(np.eye(6), 3)
     for lam in (0.3, 1.0, 2.5):
-        geo = inv.invariant_geometry(inv.berger_frame(lam))
+        geo = inv.InvariantGeometry(inv.berger_frame(lam))
         vol, gi = geo.volume, geo.metric_inv
         want = {
             "scalar": np.array([[vol]]),

@@ -26,7 +26,6 @@ from linwave.spacetime import (
     monomial_basis,
     nu_jet_conversion,
     spacetime_background,
-    state_to_nu_jet,
     unknown_jet,
 )
 
@@ -157,20 +156,32 @@ def test_killing_wave_identity():
         assert max(np.max(np.abs(m)) for m in op.matrices(t)) < 1e-12
 
 
-def test_nu_jet_round_trip():
+def test_nu_jet_conversion_matches_kasner_christoffels():
+    # on Kasner Gamma^i_{0j} = (p_i / t) delta^i_j and Gamma^m_{00} = 0, so at
+    # unit lapse dU/dt_ab = (nabla_nu h)_ab + ((p_a + p_b) / t) h_ab, p_0 = 0
     rng = np.random.default_rng(4)
     lat = ModeLattice(3, 2)
+    t = 1.2
     jet = CauchyJet(
-        KAS, 1.2,
+        KAS, t,
         random_field(lat, "scalar", rng), random_field(lat, "one-form", rng),
         random_field(lat, "sym2", rng), random_field(lat, "scalar", rng),
         random_field(lat, "one-form", rng), random_field(lat, "sym2", rng),
     )
     U, Ud = nu_jet_conversion(jet)
-    back = state_to_nu_jet(KAS, 1.2, lat, U, Ud)
-    for name in ("h_nn", "h_n", "h_sp", "dh_nn", "dh_n", "dh_sp"):
-        a, b = getattr(back, name), getattr(jet, name)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-13
+    p = np.r_[0.0, KASNER_P]
+
+    def component(nn, nf, sp, a, b):
+        if a == 0:
+            return nn.coeffs[:, 0] if b == 0 else nf.coeffs[:, b - 1]
+        return sym2_to_full(sp.coeffs, 3)[:, a - 1, b - 1]
+
+    for c, (a, b) in enumerate(PAIRS):
+        h = component(jet.h_nn, jet.h_n, jet.h_sp, a, b)
+        nabla_nu_h = component(jet.dh_nn, jet.dh_n, jet.dh_sp, a, b)
+        assert np.max(np.abs(U[:, c] - h)) == 0.0
+        want = nabla_nu_h + (p[a] + p[b]) / t * h
+        assert np.max(np.abs(Ud[:, c] - want)) < 1e-13
 
 
 def test_nu_conversion_is_identity_on_minkowski():
