@@ -34,7 +34,7 @@ from .fields import (
     sym2_from_full,
     zero_field,
 )
-from .slices import constraint_residual, slice_geometry
+from .slices import apply_slice_operator, constraint_residual, slice_geometry
 from .snapshots import SnapshotError, load_pair, save_pair
 from .spacetime import CauchyJet, spacetime_background
 
@@ -101,8 +101,8 @@ def cmd_background(args) -> int:
         {"name": "scal", "value": float(geom.scal)},
     ]
     if geom.kind == "berger":
-        gi = geom.metric_inv
-        ric2 = float(np.einsum("ac,bd,ab,cd->", gi, gi, geom.ricci, geom.ricci))
+        ric = inv.InvariantField("sym2", geom.invariant_geometry.ricci_sym6())
+        ric2 = float(apply_slice_operator(geom, "ricci_pairing", ric).components[0])
         results.append(
             {"name": "ricci_norm", "value": float(np.sqrt(ric2)),
              "tolerance": 0.1, "pass": bool(np.sqrt(ric2) >= 0.1)}

@@ -39,7 +39,7 @@ from .fields import (
     sym2_index_pairs,
     sym2_to_full,
 )
-from .slices import SliceGeometry
+from .slices import SliceGeometry, apply_slice_operator, slice_norm
 from .spacetime import (
     CauchyJet,
     FamilyAction,
@@ -78,13 +78,18 @@ class ConstraintResidual:
     oneform: object
     norms: dict = dc_field(default_factory=dict)
 
-
-def _torus_norms(scalar: SpectralField, oneform: SpectralField, orders) -> dict:
-    out = {}
-    for s in orders:
-        out[f"dphi1_H{s:g}"] = sobolev_norm(scalar, s)
-        out[f"dphi2_H{s:g}"] = sobolev_norm(oneform, s)
-    return out
+    @classmethod
+    def with_norms(cls, geom: SliceGeometry, scalar, oneform, orders=()):
+        """The residual with its norms: the H^s norms at each of `orders` on
+        a torus, the L^2 norms on Berger."""
+        if not geom.is_torus:
+            return cls(scalar, oneform, {"dphi1_L2": slice_norm(geom, scalar),
+                                         "dphi2_L2": slice_norm(geom, oneform)})
+        norms = {}
+        for s in orders:
+            norms[f"dphi1_H{s:g}"] = sobolev_norm(scalar, s)
+            norms[f"dphi2_H{s:g}"] = sobolev_norm(oneform, s)
+        return cls(scalar, oneform, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,7 @@ def dphi(pair: InitialDataPair, norm_orders=None) -> ConstraintResidual:
     oneform = SpectralField(lat, "one-form", dphi2)
     if norm_orders is None:
         norm_orders = (pair.order - 2.0, pair.order - 1.0)
-    return ConstraintResidual(scalar, oneform, _torus_norms(scalar, oneform, norm_orders))
+    return ConstraintResidual.with_norms(geom, scalar, oneform, norm_orders)
 
 
 def dphi_modes(geom: SliceGeometry, modes, h: np.ndarray, m: np.ndarray):
@@ -317,30 +322,17 @@ def dphi_modes(geom: SliceGeometry, modes, h: np.ndarray, m: np.ndarray):
 
 def _dphi_invariant(pair: InitialDataPair) -> ConstraintResidual:
     geom = pair.geom
-    geo = geom.invariant_geometry
-    gi = geom.metric_inv
     G6 = sym2_from_full(geom.metric, 3)
-    ric = geom.ricci
-    h6 = pair.h.components
-    m6 = pair.m.components
-    hmat = sym2_to_full(h6, 3)
-    mmat = sym2_to_full(m6, 3)
     # k~ = 0 on the invariant backend: DPhi reduces to
     # (div div h~ - g~(Ric, h~),  div(m~ - (tr m~) g~));  d tr terms are
     # derivatives of invariant scalars and vanish identically.
-    div_s = inv.operator_matrix(geo, "div")
-    div_1 = inv.operator_matrix(geo, "div_oneform")
-    divdivh = div_1(div_s(pair.h)).components[0]
-    gRich = float(np.einsum("ac,bd,ab,cd->", gi, gi, ric, hmat))
-    phi1 = divdivh - gRich
-    tr_m = float(np.einsum("ab,ab->", gi, mmat))
-    phi2 = div_s(inv.InvariantField("sym2", m6 - tr_m * G6)).components
-    scalar = inv.InvariantField("scalar", np.array([phi1]))
-    oneform = inv.InvariantField("one-form", phi2)
-    vol = geo.volume
-    n1 = abs(phi1) * np.sqrt(vol)
-    n2 = float(np.sqrt(max(phi2 @ inv.gram_matrix(geo, "one-form") @ phi2, 0.0)))
-    return ConstraintResidual(scalar, oneform, {"dphi1_L2": n1, "dphi2_L2": n2})
+    div_h = apply_slice_operator(geom, "divergence", pair.h)
+    scalar = (apply_slice_operator(geom, "divergence", div_h)
+              - apply_slice_operator(geom, "ricci_pairing", pair.h))
+    tr_m = apply_slice_operator(geom, "trace", pair.m).components[0]
+    oneform = apply_slice_operator(
+        geom, "divergence", inv.InvariantField("sym2", pair.m.components - tr_m * G6))
+    return ConstraintResidual.with_norms(geom, scalar, oneform)
 
 
 def dphi_oracle(pair: InitialDataPair, eps: float = ORACLE_EPS,
@@ -359,14 +351,11 @@ def dphi_oracle(pair: InitialDataPair, eps: float = ORACLE_EPS,
         mmat = sym2_to_full(pair.m.components, 3)
         p1p, p2p = _phi_invariant(G + eps * hmat, K + eps * mmat)
         p1m, p2m = _phi_invariant(G - eps * hmat, K - eps * mmat)
-        scalar = inv.InvariantField("scalar", np.array([(p1p - p1m) / (2 * eps)]))
-        oneform = inv.InvariantField("one-form", (p2p - p2m) / (2 * eps))
-        geo = geom.invariant_geometry
-        vol = geo.volume
-        n1 = abs(scalar.components[0]) * np.sqrt(vol)
-        w = oneform.components
-        n2 = float(np.sqrt(max(w @ inv.gram_matrix(geo, "one-form") @ w, 0.0)))
-        return ConstraintResidual(scalar, oneform, {"dphi1_L2": n1, "dphi2_L2": n2})
+        return ConstraintResidual.with_norms(
+            geom,
+            inv.InvariantField("scalar", np.array([(p1p - p1m) / (2 * eps)])),
+            inv.InvariantField("one-form", (p2p - p2m) / (2 * eps)),
+        )
     if getattr(pair.h, "dirac", None) is not None or getattr(pair.m, "dirac", None) is not None:
         raise ValueError("oracle needs pointwise values; distributional data rejected")
     lat = pair.h.lattice
@@ -382,7 +371,7 @@ def dphi_oracle(pair: InitialDataPair, eps: float = ORACLE_EPS,
     scalar, oneform = _torus_constraint_fields(
         (p1p - p1m) / (2 * eps), (p2p - p2m) / (2 * eps), lat, npts)
     orders = (pair.order - 2.0, pair.order - 1.0)
-    return ConstraintResidual(scalar, oneform, _torus_norms(scalar, oneform, orders))
+    return ConstraintResidual.with_norms(geom, scalar, oneform, orders)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ whose kernel and cokernel consist of constants and Killing one-forms
 whenever 0 < ab < 2.  The module also provides the classical splitting of
 initial data into a gauge-producing part P(beta, N) and a part in ker(P*),
 gauge-producing data on arbitrary slices, and kernel bases.
+
+Each backend inverts P its own way (per-mode solves on a torus, least
+squares with kernel deflation on Berger), but the defining equations, P*
+and the residual reports are written once, for both, with the operators,
+norms and inner products of slices.py.
 """
 
 from __future__ import annotations
@@ -30,14 +35,11 @@ from .errors import InternalError
 from .fields import (
     SpectralField,
     component_weights,
-    l2_inner,
-    sobolev_norm,
     sym2_from_full,
     sym2_index_pairs,
-    sym2_to_full,
     zero_field,
 )
-from .slices import SliceGeometry, apply_slice_operator
+from .slices import SliceGeometry, apply_slice_operator, slice_inner, slice_norm
 
 KERNEL_TOL = 1e-10
 
@@ -178,32 +180,24 @@ def split_solve(source, which: str, geom: SliceGeometry) -> DecompositionResult:
 def _split_solve_torus(source: SpectralField, which, params,
                        geom: SliceGeometry) -> DecompositionResult:
     lat = source.lattice
-    n = geom.n
-    gi = geom.metric_inv
-    k = lat.modes.astype(float)
-    kup = k @ gi.T
-    k2 = np.einsum("ma,ma->m", kup, k)
-    alpha = sym2_to_full(source.coeffs, n)
-    tr = np.einsum("ab,mab->m", gi, alpha)
-    div = 1j * np.einsum("ma,mab->mb", kup, alpha)
+    tr = apply_slice_operator(geom, "trace", source)
     # Ric = 0: C = 0 by convention, and the g~(., Ric) source terms vanish.
     C = 0.0
-    r1 = (1.0 / n) * k2 * tr
-    if which == "position":
-        r2 = -2.0 * div
-    else:
-        r2 = 2.0j * k * tr[:, None] - 2.0 * div
-    rhs = np.concatenate([r1[:, None], r2], axis=1)
+    r1 = apply_slice_operator(geom, "laplacian", tr) * (1.0 / geom.n)
+    r2 = apply_slice_operator(geom, "divergence", source) * -2.0
+    if which == "momentum":
+        r2 = r2 + apply_slice_operator(geom, "d", tr) * 2.0
+    rhs = np.concatenate([r1.coeffs, r2.coeffs], axis=1)
     M = _torus_split_matrices(geom, params, lat.modes)
     u = np.zeros_like(rhs)
-    nz = k2 > 0
+    nz = np.any(lat.modes != 0, axis=1)
     u[nz] = np.linalg.solve(M[nz], rhs[nz][..., None])[..., 0]
     # the zero mode carries the kernel; rhs vanishes there, so phi[1] = 0 and
     # omega is orthogonal to the (parallel) Killing forms by u[~nz] = 0
     phi = SpectralField(lat, "scalar", u[:, :1])
     omega = SpectralField(lat, "one-form", u[:, 1:])
     Lw = apply_slice_operator(geom, "conformal_killing", omega)
-    gsym = sym2_from_full(geom.metric, n)
+    gsym = sym2_from_full(geom.metric, geom.n)
     gamma = SpectralField(
         lat, "sym2", source.coeffs - Lw.coeffs - u[:, :1] * gsym[None]
     )
@@ -215,18 +209,16 @@ def _split_solve_torus(source: SpectralField, which, params,
 def _split_solve_invariant(source: inv.InvariantField, which, params,
                            geom: SliceGeometry) -> DecompositionResult:
     geo = geom.invariant_geometry
-    gi = geom.metric_inv
-    ric = geom.ricci
-    amat = sym2_to_full(source.components, 3)
-    gRR = float(np.einsum("ac,bd,ab,cd->", gi, gi, ric, ric))
-    gaR = float(np.einsum("ac,bd,ab,cd->", gi, gi, amat, ric))
+    ric = inv.InvariantField("sym2", geo.ricci_sym6())
+    gRR, gaR = (
+        float(apply_slice_operator(geom, "ricci_pairing", f).components[0]) for f in (ric, source)
+    )
     C = gaR / gRR if gRR > KERNEL_TOL else 0.0
     # invariant scalars are constants: Delta tr alpha = 0 and d tr = 0, and
     # the choice of C makes the scalar row of the right-hand side vanish
     sign = -1.0 if which == "position" else 1.0
     r1 = sign * (gaR - C * gRR) / geom.n
-    div = inv.operator_matrix(geo, "div")
-    r2 = -2.0 * div(source).components
+    r2 = -2.0 * apply_slice_operator(geom, "divergence", source).components
     rhs = np.concatenate([[r1], r2])
     P = inv.operator_matrix(geo, "split_p", (params.a, params.b))
     u, *_ = np.linalg.lstsq(P.matrix, rhs, rcond=KERNEL_TOL)
@@ -237,10 +229,10 @@ def _split_solve_invariant(source: inv.InvariantField, which, params,
         u = u - kv * float(kv @ gram @ u) / float(kv @ gram @ kv)
     phi = inv.InvariantField("scalar", u[:1])
     omega = inv.InvariantField("one-form", u[1:])
-    Lw = inv.operator_matrix(geo, "conformal_killing")(omega)
+    Lw = apply_slice_operator(geom, "conformal_killing", omega)
     gamma = inv.InvariantField(
         "sym2",
-        source.components - Lw.components - C * geo.ricci_sym6()
+        source.components - Lw.components - C * ric.components
         - u[0] * sym2_from_full(geom.metric, 3),
     )
     res = DecompositionResult(gamma, omega, C, phi)
@@ -275,51 +267,22 @@ def _split_report(source, res: DecompositionResult, which, geom) -> dict:
 
 
 def gamma_equation_norms(field, which: str, geom: SliceGeometry) -> dict:
-    """Residual norms of the two defining equations for one slot."""
+    """Residual norms of the two defining equations for one slot:
+    Delta tr h -+ g~(Ric, h) (- for position, + for momentum), and div h
+    for position, div h - d tr h for momentum."""
     _require_split_slice(geom)
     if which not in ("position", "momentum"):
         raise ValueError(f"unknown part {which!r}")
-    if geom.is_torus:
-        lat = field.lattice
-        gi = geom.metric_inv
-        k = lat.modes.astype(float)
-        kup = k @ gi.T
-        k2 = np.einsum("ma,ma->m", kup, k)
-        h = sym2_to_full(field.coeffs, geom.n)
-        tr = np.einsum("ab,mab->m", gi, h)
-        if which == "position":
-            scalar = k2 * tr  # Delta tr h - g(Ric, h) with Ric = 0
-            vec = 1j * np.einsum("ma,mab->mb", kup, h)
-        else:
-            scalar = k2 * tr
-            vec = 1j * (
-                np.einsum("ma,mab->mb", kup, h) - tr[:, None] * k
-            )
-        sf = SpectralField(lat, "scalar", scalar[:, None])
-        vf = SpectralField(lat, "one-form", vec)
-        return {
-            f"{which}_scalar_eq": sobolev_norm(sf, 0.0),
-            f"{which}_divergence_eq": sobolev_norm(vf, 0.0),
-        }
-    geo = geom.invariant_geometry
-    gi = geom.metric_inv
-    hmat = sym2_to_full(field.components, 3)
-    gRh = float(np.einsum("ac,bd,ab,cd->", gi, gi, geom.ricci, hmat))
-    vol = geo.volume
     sign = -1.0 if which == "position" else 1.0
-    scalar = sign * gRh  # Delta tr is zero on invariant sections
-    if which == "position":
-        v = inv.operator_matrix(geo, "div")(field).components
-    else:
-        tr = float(np.einsum("ab,ab->", gi, hmat))
-        shifted = inv.InvariantField(
-            "sym2", field.components - tr * sym2_from_full(geom.metric, 3)
-        )
-        v = inv.operator_matrix(geo, "div")(shifted).components
-    gram = inv.gram_matrix(geo, "one-form")
+    tr = apply_slice_operator(geom, "trace", field)
+    scalar = (apply_slice_operator(geom, "laplacian", tr)
+              + apply_slice_operator(geom, "ricci_pairing", field) * sign)
+    vec = apply_slice_operator(geom, "divergence", field)
+    if which == "momentum":
+        vec = vec - apply_slice_operator(geom, "d", tr)
     return {
-        f"{which}_scalar_eq": abs(scalar) * np.sqrt(vol),
-        f"{which}_divergence_eq": float(np.sqrt(max(v @ gram @ v, 0.0))),
+        f"{which}_scalar_eq": slice_norm(geom, scalar),
+        f"{which}_divergence_eq": slice_norm(geom, vec),
     }
 
 
@@ -399,45 +362,22 @@ def _moncrief_invariant(pair: InitialDataPair, geom: SliceGeometry) -> MoncriefS
 def moncrief_p_star(h, m, geom: SliceGeometry):
     """P*(h~, m~) = (-2 div h~, div div m~ - g~(Ric, m~))."""
     _require_split_slice(geom)
-    if geom.is_torus:
-        lat = h.lattice
-        gi = geom.metric_inv
-        kup = lat.modes.astype(float) @ gi.T
-        hf = sym2_to_full(h.coeffs, geom.n)
-        mf = sym2_to_full(m.coeffs, geom.n)
-        row1 = -2j * np.einsum("ma,mab->mb", kup, hf)
-        row2 = -np.einsum("ma,mb,mab->m", kup, kup, mf)
-        return (
-            SpectralField(lat, "one-form", row1),
-            SpectralField(lat, "scalar", row2[:, None]),
-        )
-    op = inv.operator_matrix(geom.invariant_geometry, "moncrief_p_star")
-    return op(h, m)
+
+    def div(f):
+        return apply_slice_operator(geom, "divergence", f)
+
+    return (div(h) * -2.0,
+            div(div(m)) - apply_slice_operator(geom, "ricci_pairing", m))
 
 
 def _moncrief_report(split: MoncriefSplit, geom: SliceGeometry) -> dict:
     r1, r2 = moncrief_p_star(split.gamma_h, split.gamma_m, geom)
-    if geom.is_torus:
-        ortho = l2_inner(split.gauge_h, split.gamma_h) + l2_inner(
-            split.gauge_m, split.gamma_m
-        )
-        return {
-            "p_star_oneform": sobolev_norm(r1, 0.0),
-            "p_star_scalar": sobolev_norm(r2, 0.0),
-            "orthogonality": abs(ortho),
-        }
-    geo = geom.invariant_geometry
-    g1 = inv.gram_matrix(geo, "one-form")
-    g6 = inv.gram_matrix(geo, "sym2")
-    ortho = float(
-        split.gauge_h.components @ g6 @ split.gamma_h.components
-        + split.gauge_m.components @ g6 @ split.gamma_m.components
+    ortho = slice_inner(geom, split.gauge_h, split.gamma_h) + slice_inner(
+        geom, split.gauge_m, split.gamma_m
     )
     return {
-        "p_star_oneform": float(
-            np.sqrt(max(r1.components @ g1 @ r1.components, 0.0))
-        ),
-        "p_star_scalar": abs(r2.components[0]) * np.sqrt(geo.volume),
+        "p_star_oneform": slice_norm(geom, r1),
+        "p_star_scalar": slice_norm(geom, r2),
         "orthogonality": abs(ortho),
     }
 
@@ -453,6 +393,7 @@ def gauge_producing_data(N, beta, geom: SliceGeometry) -> InitialDataPair:
         h~ = Lie_beta g~ + 2 k~ N,
         m~ = Lie_beta k~ + Hess N + (2 k~ o k~ - Ric - (tr k~) k~) N.
     """
+    lie_g = apply_slice_operator(geom, "lie_metric", beta)
     if geom.is_torus:
         lat = N.lattice
         n = geom.n
@@ -460,29 +401,21 @@ def gauge_producing_data(N, beta, geom: SliceGeometry) -> InitialDataPair:
         K = geom.extrinsic
         k = lat.modes.astype(float)
         bup = beta.coeffs @ gi.T
-        Ncol = N.coeffs[:, 0]
-        lie_g = 1j * (
-            np.einsum("ma,mb->mab", k, beta.coeffs)
-            + np.einsum("mb,ma->mab", k, beta.coeffs)
-        )
-        h = lie_g + 2.0 * K[None] * Ncol[:, None, None]
+        Ncol = N.coeffs[:, :1]
+        h = lie_g.coeffs + sym2_from_full(2.0 * K, n)[None] * Ncol
         lie_k = 1j * (
             np.einsum("ma,mc,cb->mab", k, bup, K)
             + np.einsum("mb,mc,ca->mab", k, bup, K)
         )
-        hess = -np.einsum("ma,mb->mab", k, k) * Ncol[:, None, None]
+        hess = apply_slice_operator(geom, "hessian", N)
         pot = 2.0 * K @ gi @ K - geom.ricci - np.trace(gi @ K) * K
-        m = lie_k + hess + pot[None] * Ncol[:, None, None]
+        m = sym2_from_full(lie_k, n) + hess.coeffs + sym2_from_full(pot, n)[None] * Ncol
         return InitialDataPair(
-            SpectralField(lat, "sym2", sym2_from_full(h, n)),
-            SpectralField(lat, "sym2", sym2_from_full(m, n)),
-            geom,
+            SpectralField(lat, "sym2", h), SpectralField(lat, "sym2", m), geom
         )
     if not isinstance(N, inv.InvariantField):
         raise ValueError("invariant slices carry invariant fields")
-    geo = geom.invariant_geometry
     # k~ = 0 here: h~ = Lie_beta g~ and m~ = Hess N - Ric N (Hess of an
     # invariant lapse vanishes)
-    h = inv.operator_matrix(geo, "lie_metric")(beta)
-    m = inv.InvariantField("sym2", -geo.ricci_sym6() * N.components[0])
-    return InitialDataPair(h, m, geom)
+    m = inv.InvariantField("sym2", -geom.invariant_geometry.ricci_sym6() * N.components[0])
+    return InitialDataPair(lie_g, m, geom)

@@ -39,6 +39,7 @@ from .fields import (
     weighted_norm,
     zero_field,
 )
+from .slices import apply_slice_operator
 from .spacetime import (
     CauchyJet,
     FamilyAction,
@@ -133,16 +134,9 @@ def build_cauchy_jet(pair: InitialDataPair, background: SpacetimeBackground,
         raise ValueError("initial-data slice does not match the background slice")
     lat = pair.h.lattice
     n = geom.n
-    gi = geom.metric_inv
-    K = geom.extrinsic
     h = sym2_to_full(pair.h.coeffs, n)
     m = sym2_to_full(pair.m.coeffs, n)
-    tr_h = np.einsum("ab,kab->k", gi, h)
-    tr_m = np.einsum("ab,kab->k", gi, m)
-    kup = lat.modes.astype(float) @ gi.T
-    hbar = h - 0.5 * tr_h[:, None, None] * geom.metric[None]
-    div_hbar = 1j * np.einsum("ka,kab->kb", kup, hbar)
-    hk = np.einsum("kab,bc,cd->kad", h, gi, K)
+    hk = np.einsum("kab,bc,cd->kad", h, geom.metric_inv, geom.extrinsic)
     mix = hk + np.transpose(hk, (0, 2, 1))  # h~ o k~ + k~ o h~
     return CauchyJet(
         background,
@@ -150,8 +144,9 @@ def build_cauchy_jet(pair: InitialDataPair, background: SpacetimeBackground,
         zero_field(lat, "scalar"),
         zero_field(lat, "one-form"),
         SpectralField(lat, "sym2", pair.h.coeffs.copy()),
-        SpectralField(lat, "scalar", -2.0 * tr_m[:, None]),
-        SpectralField(lat, "one-form", div_hbar),
+        apply_slice_operator(geom, "trace", pair.m) * -2.0,
+        apply_slice_operator(
+            geom, "divergence", apply_slice_operator(geom, "trace_reverse", pair.h)),
         SpectralField(lat, "sym2", sym2_from_full(2.0 * m - mix, n)),
     )
 
@@ -442,36 +437,26 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
 def _recover_minkowski(bg, lat, traj, V0, Vd0):
     """Exact solve on Minkowski: the source -div(hbar) per mode is itself a
     frequency-|k| oscillation, so the resonant Duhamel integral is explicit."""
-    k = lat.modes.astype(float)
-    k2 = np.einsum("ma,ma->m", k, k)
+    k2 = np.sum(lat.modes ** 2, axis=1)
     w = np.sqrt(k2)
-    nz = w > 0
     U0, Ud0 = traj.states[0], traj.derivs[0]
     div = FamilyAction(bg, "div_trace_reversed", traj.times[0], lat.modes)
-    D0Ud0 = div.apply(0, Ud0)
-    # S(t) = A cos(w s) + B sin(w s) with the harmonic evolution of (U, Ud)
+    # S(s) = A cos(w s) + B sin(w s) with the harmonic evolution of (U, Ud);
+    # wB = w B is regular at w = 0, where S = A + wB s
     A = -(div.apply(0, U0) + div.apply(1, Ud0))
-    B = np.zeros_like(A)
-    B[nz] = -(D0Ud0[nz] / w[nz][:, None] - w[nz][:, None] * div.apply(1, U0)[nz])
-    S1 = -D0Ud0[~nz]  # zero mode: S = A + S1 s
+    wB = -(div.apply(0, Ud0) - k2[:, None] * div.apply(1, U0))
     Vs, Vds = [], []
     for tau in traj.times:
         s = tau - traj.times[0]
         V, Vd = _minkowski_state(lat, V0, Vd0, s)
-        # resonant particular solution with zero initial value and velocity
-        c = np.cos(w * s)[:, None]
-        sn = np.sin(w * s)[:, None]
-        wn = w[nz][:, None]
-        V[nz] += A[nz] * s * sn[nz] / (2 * wn) + B[nz] * (sn[nz] - wn * s * c[nz]) / (
-            2 * wn ** 2
-        )
-        Vd[nz] += (
-            A[nz] * (sn[nz] + wn * s * c[nz]) / (2 * wn) + B[nz] * s * sn[nz] / 2
-        )
-        V[~nz] += A[~nz] * s ** 2 / 2 + S1 * s ** 3 / 6
-        Vd[~nz] += A[~nz] * s + S1 * s ** 2 / 2
-        Vs.append(V)
-        Vds.append(Vd)
+        # resonant particular solution with zero initial value and velocity,
+        # through sin(w s) / w -> s and (sin ws - ws cos ws) / (2 w^3) -> s^3 / 6
+        sn, c = np.sin(w * s), np.cos(w * s)
+        sinc = np.divide(sn, w, out=np.full_like(w, s), where=w > 0)[:, None]
+        cube = np.divide(sn - w * s * c, 2 * w ** 3, out=np.full_like(w, s ** 3 / 6),
+                         where=w > 0)[:, None]
+        Vs.append(V + 0.5 * s * sinc * A + cube * wB)
+        Vds.append(Vd + 0.5 * (sinc + s * c[:, None]) * A + 0.5 * s * sinc * wB)
     return Vs, Vds
 
 

@@ -274,7 +274,7 @@ def l2_inner(a: SpectralField, b: SpectralField, metric: np.ndarray | None = Non
         w = component_weights(a.rank, n)
         return float(np.real(np.sum(np.conj(a.coeffs) * b.coeffs @ w)) * vol)
     gram = component_gram(a.rank, n, np.linalg.inv(np.asarray(metric, float)))
-    return float(np.real(np.einsum("kc,cd,kd->", np.conj(a.coeffs), gram, b.coeffs)) * vol)
+    return float(np.real(np.sum(np.conj(a.coeffs) * (b.coeffs @ gram))) * vol)
 
 
 def component_gram(rank: str, n: int, metric_inv: np.ndarray) -> np.ndarray:

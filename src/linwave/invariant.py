@@ -5,7 +5,7 @@ single number, a one-form has 3 frame components and a symmetric 2-tensor
 has 6.  Differential operators then become small dense matrices.
 
 Conventions:
-  * frame bracket [e_i, e_j] = 2 eps_{ijk} e_k by default,
+  * frame bracket [e_i, e_j] = 2 eps_{ijk} e_k (SU(2)),
   * Berger metric G = diag(lambda, 1, 1) in this frame,
   * inner products carry the volume factor vol(G) = 2 pi^2 sqrt(det G),
     the round-unit-frame volume scaled by the metric determinant.
@@ -34,28 +34,14 @@ def su2_structure_constants() -> np.ndarray:
 
 @dataclass(frozen=True)
 class HomogeneousFrame:
-    """Left-invariant frame data: bracket constants and metric components."""
+    """Left-invariant SU(2) frame data: the metric components in the frame
+    with [e_i, e_j] = 2 eps_{ijk} e_k."""
 
-    structure: np.ndarray = dc_field(default_factory=su2_structure_constants)
     metric: np.ndarray = dc_field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        c = np.asarray(self.structure, float)
         g = np.asarray(self.metric, float)
-        object.__setattr__(self, "structure", c)
         object.__setattr__(self, "metric", g)
-        if c.shape != (3, 3, 3):
-            raise ValueError("structure constants must have shape (3, 3, 3)")
-        if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > 1e-13:
-            raise ValueError("structure constants must be antisymmetric in lower indices")
-        # Jacobi: sum over cyclic permutations of (i, j, k)
-        jacobi = (
-            np.einsum("mij,lmk->lijk", c, c)
-            + np.einsum("mjk,lmi->lijk", c, c)
-            + np.einsum("mki,lmj->lijk", c, c)
-        )
-        if np.max(np.abs(jacobi)) > 1e-12:
-            raise ValueError("structure constants violate the Jacobi identity")
         if g.shape != (3, 3) or np.max(np.abs(g - g.T)) > 1e-13:
             raise ValueError("metric must be a symmetric 3x3 matrix")
         if np.min(np.linalg.eigvalsh(g)) <= 0:
@@ -132,7 +118,7 @@ class InvariantGeometry:
 
     def __init__(self, frame: HomogeneousFrame):
         self.frame = frame
-        c = frame.structure
+        c = su2_structure_constants()
         g = frame.metric
         if abs(np.linalg.det(g)) < 1e-14:
             raise ValueError("singular metric")
@@ -161,7 +147,7 @@ class InvariantGeometry:
         return sym2_from_full(self.ricci, 3)
 
 
-def scalar_flat_parameter(bracket_scale: float = 2.0) -> float:
+def scalar_flat_parameter() -> float:
     """Squashing parameter lambda* with Scal(diag(lambda*, 1, 1)) = 0,
     found by bisection on the assembled scalar curvature."""
     def scal(lam):
@@ -263,8 +249,7 @@ def operator_matrix(frame: HomogeneousFrame, kind: str, params=None) -> Operator
     def hodge_laplacian_oneform() -> np.ndarray:
         # d omega (e_i, e_j) = -omega([e_i, e_j]); delta on 2-forms via -div;
         # d(delta omega) = 0 since invariant scalars are constant.
-        c = geo.frame.structure
-        d1 = -np.einsum("mij->ijm", c)  # (d omega)_{ij, m}
+        d1 = -np.einsum("mij->ijm", su2_structure_constants())  # (d omega)_{ij, m}
         # (nabla_a beta)_{bj} for a 2-form beta (same formula as (0,2) tensors)
         n2 = _nabla_twotensor(geo)
         delta_d = -np.einsum("ab,abjpq,pqm->jm", gi, n2, d1)
@@ -291,7 +276,11 @@ def operator_matrix(frame: HomogeneousFrame, kind: str, params=None) -> Operator
     if kind == "ckl_normal":
         ck = OperatorMatrix("one-form", "sym2", conformal_killing())
         return adjoint_matrix(geo, ck).compose(ck)
-    if kind in ("moncrief_p", "moncrief_p_star", "split_p", "split_p_star"):
+    if kind == "ricci_pairing":
+        # g(Ric, h) = g^ip g^jq Ric_ij h_pq on stored components
+        row = np.einsum("ij,ip,jq,apq->a", geo.ricci, gi, gi, _EXPAND)
+        return OperatorMatrix("sym2", "scalar", row[None, :])
+    if kind in ("moncrief_p", "split_p"):
         return _block_operator(geo, kind, params)
     raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -327,48 +316,20 @@ def block_gram(geo: InvariantGeometry, ranks) -> np.ndarray:
     return out
 
 
-def block_adjoint(geo: InvariantGeometry, op: BlockOperator) -> BlockOperator:
-    mdom = block_gram(geo, op.domain)
-    mcod = block_gram(geo, op.codomain)
-    mat = np.linalg.solve(mdom, op.matrix.T @ mcod)
-    return BlockOperator(op.codomain, op.domain, mat)
-
-
 def _block_operator(geo: InvariantGeometry, kind: str, params) -> BlockOperator:
-    gi = geo.metric_inv
-    ric6 = geo.ricci_sym6()
-
-    if kind in ("moncrief_p", "moncrief_p_star"):
+    if kind == "moncrief_p":
         # P(beta, N) = (Lie_beta g, Hess N - Ric N); Hess of a constant is 0.
-        lie = operator_matrix(geo, "lie_metric").matrix
         mat = np.zeros((12, 4))
-        mat[0:6, 0:3] = lie
-        mat[6:12, 3] = -ric6
-        p = BlockOperator(("one-form", "scalar"), ("sym2", "sym2"), mat)
-        if kind == "moncrief_p":
-            return p
-        # P*(h, m) = (-2 div h, div div m - g(Ric, m)); assembled directly.
-        div = operator_matrix(geo, "div").matrix
-        div1 = operator_matrix(geo, "div_oneform").matrix
-        ric_pair = np.einsum("ij,ip,jq,apq->a", geo.ricci, gi, gi, _EXPAND)
-        mat = np.zeros((4, 12))
-        mat[0:3, 0:6] = -2.0 * div
-        mat[3, 6:12] = (div1 @ div) - ric_pair
-        return BlockOperator(("sym2", "sym2"), ("one-form", "scalar"), mat)
-
+        mat[0:6, 0:3] = operator_matrix(geo, "lie_metric").matrix
+        mat[6:12, 3] = -geo.ricci_sym6()
+        return BlockOperator(("one-form", "scalar"), ("sym2", "sym2"), mat)
     a, b = params
     if not 0 < a * b < 2:
         raise ValueError(f"split operator requires 0 < a*b < 2, got a*b = {a * b}")
+    # P(phi, omega) = (Delta phi + a g(Ric, L omega), L*L omega + b d phi);
+    # invariant scalars kill the Delta phi and d phi terms.
     ck = operator_matrix(geo, "conformal_killing").matrix
-    ric_pair_sym = np.einsum("ij,ip,jq,apq->a", geo.ricci, gi, gi, _EXPAND)
-    if kind == "split_p":
-        # P(phi, omega) = (Delta phi + a g(Ric, L omega), L*L omega + b d phi);
-        # invariant scalars kill the Delta phi and d phi terms.
-        ckl = operator_matrix(geo, "ckl_normal").matrix
-        mat = np.zeros((4, 4))
-        mat[0, 1:4] = a * (ric_pair_sym @ ck)
-        mat[1:4, 1:4] = ckl
-        return BlockOperator(("scalar", "one-form"), ("scalar", "one-form"), mat)
-    # split_p_star: formal adjoint of split_p
-    p = _block_operator(geo, "split_p", params)
-    return block_adjoint(geo, p)
+    mat = np.zeros((4, 4))
+    mat[0, 1:4] = a * (operator_matrix(geo, "ricci_pairing").matrix[0] @ ck)
+    mat[1:4, 1:4] = operator_matrix(geo, "ckl_normal").matrix
+    return BlockOperator(("scalar", "one-form"), ("scalar", "one-form"), mat)

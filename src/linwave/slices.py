@@ -2,12 +2,18 @@
 
 Three slice kinds are supported:
 
-  * FlatTorus{n}:       g = identity, k = 0, flat.
+  * FlatTorus{n}:       g = identity, k = 0, flat; n = 2 or 3.
   * KasnerSlice{p, t0}: g = diag(t0^{2 p_i}), k = diag(p_i t0^{2 p_i - 1});
                         spatially constant, hence still a flat metric.
   * BergerInvariant:    invariant sector of a Berger sphere (matrix backend).
 
-On the torus backends every operator is an exact per-mode multiplier.
+apply_slice_operator is the one implementation of every slice operator
+(trace, trace reversal, divergence, Laplacian, d, Hessian, Lie derivative
+of the metric, the conformal Killing operator L, L* and L*L, and the Ricci
+pairing g~(Ric, h)) on both backends, so an equation written with it holds
+for either: on a torus every operator is an exact per-mode multiplier, on
+Berger an invariant.operator_matrix.  slice_norm and slice_inner are the
+matching L^2 norm and inner product.
 Sign conventions: Delta = delta d + d delta (positive), delta = -div,
 Hess(phi)_{ij} = -k_i k_j phi per mode, trace reversal h - (1/2)(tr h) g.
 """
@@ -19,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariant as inv
-from .fields import SpectralField, sym2_from_full, sym2_to_full
+from .fields import (
+    SpectralField,
+    l2_inner,
+    sobolev_norm,
+    sym2_from_full,
+    sym2_to_full,
+    zero_field,
+)
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,8 @@ def slice_geometry(kind: str, **params) -> SliceGeometry:
     """
     if kind == "flat-torus":
         n = int(params.get("n", 3))
+        if n not in (2, 3):
+            raise ValueError(f"spatial dimension must be 2 or 3, got n = {n}")
         return SliceGeometry(kind, n, np.eye(n), np.zeros((n, n)), {})
     if kind == "kasner":
         if "p" not in params:
@@ -115,7 +130,7 @@ def constraint_residual(geom: SliceGeometry) -> tuple[float, float]:
 
     All supported backgrounds have spatially constant data, so
     Phi_1 = Scal - g(k, k) + (tr k)^2 and Phi_2 = div k - d tr k = 0."""
-    g, k = geom.metric, geom.extrinsic
+    k = geom.extrinsic
     gi = geom.metric_inv
     kk = float(np.einsum("ia,jb,ij,ab->", gi, gi, k, k))
     trk = float(np.einsum("ij,ij->", gi, k))
@@ -131,14 +146,40 @@ def constraint_residual(geom: SliceGeometry) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Per-mode torus operators
+# Slice operators, norms and inner products on both backends
 # ---------------------------------------------------------------------------
+
+
+def slice_norm(geom: SliceGeometry, f) -> float:
+    """L^2 norm of a slice field: sobolev_norm(f, 0) on a torus, the
+    volume-weighted invariant norm sqrt(c . gram . c) on Berger."""
+    if geom.is_torus:
+        return sobolev_norm(f, 0.0)
+    c = f.components
+    gram = inv.gram_matrix(geom.invariant_geometry, f.rank)
+    return float(np.sqrt(max(c @ gram @ c, 0.0)))
+
+
+def slice_inner(geom: SliceGeometry, a, b) -> float:
+    """L^2 inner product with the slice metric contraction."""
+    if geom.is_torus:
+        return l2_inner(a, b, metric=geom.metric)
+    if a.rank != b.rank:
+        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
+    gram = inv.gram_matrix(geom.invariant_geometry, a.rank)
+    return float(a.components @ gram @ b.components)
 
 
 def apply_slice_operator(
     geom: SliceGeometry, kind: str, field
 ) -> "SpectralField | inv.InvariantField":
-    """Apply a slice differential operator (exact multiplier or matrix)."""
+    """Apply a slice differential operator (exact multiplier or matrix).
+
+    Kinds: trace, trace_reverse, divergence (of a one-form or a sym2
+    tensor), laplacian, d, hessian, lie_metric, conformal_killing, its
+    adjoint ckl_adjoint and ckl_normal = L*L, and ricci_pairing, the
+    scalar g~(Ric, h) of a sym2 tensor h.
+    """
     if geom.is_torus:
         if not isinstance(field, SpectralField):
             raise ValueError("torus slice operators act on SpectralField values")
@@ -154,61 +195,70 @@ def _apply_torus(geom: SliceGeometry, kind: str, field: SpectralField) -> Spectr
         raise ValueError(f"field dimension {field.lattice.n} != slice dimension {n}")
     g = geom.metric
     gi = geom.metric_inv
-    modes = field.lattice.modes.astype(float)  # (m, n)
-    c = field.coeffs
     lat = field.lattice
-    kup = modes @ gi.T  # raised mode covector, (m, n)
-    k2 = np.einsum("ma,ma->m", kup, modes)  # |k|_g^2
+    c = field.coeffs
 
     def out(rank, arr):
         if rank == "scalar" and arr.ndim == 1:
             arr = arr[:, None]
         return SpectralField(lat, rank, arr)
 
-    if kind == "divergence":
-        if field.rank == "sym2":
-            h = sym2_to_full(c, n)
-            return out("one-form", 1j * np.einsum("ma,maj->mj", kup, h))
-        if field.rank == "one-form":
-            return out("scalar", 1j * np.einsum("ma,ma->m", kup, c))
-        raise ValueError("divergence acts on one-forms or sym2 tensors")
+    def trace(h):
+        return np.einsum("ij,mij->m", gi, h)
+
+    if kind == "ricci_pairing":
+        _need(field, "sym2", kind)
+        return zero_field(lat, "scalar")  # every torus slice is flat
     if kind == "trace":
         _need(field, "sym2", kind)
-        h = sym2_to_full(c, n)
-        return out("scalar", np.einsum("ij,mij->m", gi, h))
+        return out("scalar", trace(sym2_to_full(c, n)))
     if kind == "trace_reverse":
         _need(field, "sym2", kind)
         h = sym2_to_full(c, n)
-        tr = np.einsum("ij,mij->m", gi, h)
-        hbar = h - 0.5 * tr[:, None, None] * g[None]
+        hbar = h - 0.5 * trace(h)[:, None, None] * g[None]
         return out("sym2", sym2_from_full(hbar, n))
+
+    modes = lat.modes.astype(float)  # (m, n)
+
+    def div(v):
+        # i k^a v_a... with the raised mode covector, per mode a (1, n) row
+        kup = modes @ gi.T
+        if v.ndim == 2:
+            return 1j * np.einsum("ma,ma->m", kup, v)
+        return 1j * (kup[:, None, :] @ v)[:, 0]
+
+    def lie(w):
+        return 1j * (np.einsum("mi,mj->mij", modes, w) + np.einsum("mj,mi->mij", modes, w))
+
+    if kind == "divergence":
+        if field.rank == "sym2":
+            return out("one-form", div(sym2_to_full(c, n)))
+        if field.rank == "one-form":
+            return out("scalar", div(c))
+        raise ValueError("divergence acts on one-forms or sym2 tensors")
     if kind == "hessian":
         _need(field, "scalar", kind)
-        hess = -np.einsum("mi,mj,m->mij", modes, modes, c[:, 0])
+        hess = -np.einsum("mi,mj->mij", modes, modes) * c[:, 0, None, None]
         return out("sym2", sym2_from_full(hess, n))
     if kind == "d":
         _need(field, "scalar", kind)
         return out("one-form", 1j * modes * c[:, :1])
-    if kind == "laplacian" or kind == "connection_laplacian":
+    if kind == "laplacian":
         # flat slice: Hodge and connection Laplacians agree, multiplier |k|_g^2
+        k2 = np.einsum("ma,ma->m", modes @ gi.T, modes)
         return SpectralField(lat, field.rank, k2[:, None] * c)
     if kind == "lie_metric":
         _need(field, "one-form", kind)
-        lie = 1j * (np.einsum("mi,mj->mij", modes, c) + np.einsum("mj,mi->mij", modes, c))
-        return out("sym2", sym2_from_full(lie, n))
+        return out("sym2", sym2_from_full(lie(c), n))
     if kind == "conformal_killing":
         _need(field, "one-form", kind)
-        lie = 1j * (np.einsum("mi,mj->mij", modes, c) + np.einsum("mj,mi->mij", modes, c))
-        div = 1j * np.einsum("ma,ma->m", kup, c)
-        ck = lie - (2.0 / n) * div[:, None, None] * g[None]
+        ck = lie(c) - (2.0 / n) * div(c)[:, None, None] * g[None]
         return out("sym2", sym2_from_full(ck, n))
     if kind == "ckl_adjoint":
         # L* h = -2 div h + (2/n) d tr h
         _need(field, "sym2", kind)
         h = sym2_to_full(c, n)
-        div = 1j * np.einsum("ma,maj->mj", kup, h)
-        tr = np.einsum("ij,mij->m", gi, h)
-        return out("one-form", -2.0 * div + (2.0 / n) * 1j * modes * tr[:, None])
+        return out("one-form", -2.0 * div(h) + (2.0 / n) * 1j * modes * trace(h)[:, None])
     if kind == "ckl_normal":
         _need(field, "one-form", kind)
         return _apply_torus(geom, "ckl_adjoint", _apply_torus(geom, "conformal_killing", field))
@@ -234,7 +284,8 @@ def _apply_invariant(geom: SliceGeometry, kind: str, field: inv.InvariantField):
         )
     elif kind == "ckl_adjoint":
         op = inv.adjoint_matrix(geo, inv.operator_matrix(geo, "conformal_killing"))
-    elif kind in ("trace", "hessian", "d", "lie_metric", "conformal_killing", "ckl_normal"):
+    elif kind in ("trace", "hessian", "d", "lie_metric", "conformal_killing", "ckl_normal",
+                  "ricci_pairing"):
         op = inv.operator_matrix(geo, kind)
     else:
         raise ValueError(f"unknown invariant operator kind {kind!r}")

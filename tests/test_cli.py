@@ -150,6 +150,16 @@ def test_background_subcommand(capsys):
     assert {"phi1_residual", "phi2_residual", "ricci_norm"} <= names
 
 
+@pytest.mark.parametrize("n", [0, 1, 4, -2])
+def test_unsupported_torus_dimension_is_refused(n, capsys):
+    message = f"spatial dimension must be 2 or 3, got n = {n}"
+    with pytest.raises(ValueError, match=message):
+        slice_geometry("flat-torus", n=n)
+    assert run_cli(["background", "--kind", "flat-torus", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_decompose_and_moncrief_subcommands(capsys):
     assert run_cli(["decompose", "--kind", "berger"]) == 0
     assert run_cli(["decompose", "--kind", "flat-torus", "--slot", "momentum",

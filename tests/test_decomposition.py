@@ -106,23 +106,6 @@ def test_split_operator_rejects_kasner():
         split_solve(random_field(LAT, "sym2", rng), "position", geom)
 
 
-def test_invariant_adjoint_assembled_independently():
-    # P*(f, w) = (Delta f - b div w, a L*(f Ric) + L*L w), built from the
-    # elementary operator matrices, must equal the stored adjoint
-    geo = BERGER.invariant_geometry
-    for which in ("position", "momentum"):
-        p = split_params(which, 3)
-        ck = inv.operator_matrix(geo, "conformal_killing")
-        ckstar = inv.adjoint_matrix(geo, ck)
-        div1 = inv.operator_matrix(geo, "div_oneform")
-        mat = np.zeros((4, 4))
-        mat[0, 1:] = -p.b * div1.matrix[0]
-        mat[1:, 0] = p.a * (ckstar.matrix @ geo.ricci_sym6())
-        mat[1:, 1:] = ckstar.matrix @ ck.matrix
-        ps = inv.operator_matrix(geo, "split_p_star", (p.a, p.b))
-        assert np.max(np.abs(mat - ps.matrix)) < 1e-12
-
-
 def test_split_solve_constant_metric_source():
     cg = zero_field(LAT, "sym2")
     cg.coeffs[LAT.mode_index((0, 0, 0))] = 0.7 * sym2_from_full(TORUS.metric, 3)
@@ -235,6 +218,53 @@ def test_gamma_residual_on_constant_pair():
     res = {**gamma_equation_norms(h, "position", TORUS),
            **gamma_equation_norms(m, "momentum", TORUS)}
     assert len(res) == 4 and all(v == 0.0 for v in res.values())
+
+
+def berger_ricci_row(geo):
+    """g~(Ric, .) on stored sym2 components, summed over full indices."""
+    gi = geo.metric_inv
+    return np.array([np.einsum("ac,bd,ab,cd->", gi, gi, geo.ricci, sym2_to_full(e, 3))
+                     for e in np.eye(6)])
+
+
+@pytest.mark.parametrize("which", ["position", "momentum"])
+def test_berger_gamma_norms_match_matrix_reference(which):
+    # reference: the Berger formulas assembled from operator matrices; the
+    # Laplacian of an invariant scalar vanishes, and so does d tr h
+    geo = BERGER.invariant_geometry
+    div = inv.operator_matrix(geo, "div").matrix
+    trace = inv.operator_matrix(geo, "trace").matrix
+    g6 = sym2_from_full(BERGER.metric, 3)
+    sign = -1.0 if which == "position" else 1.0
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        h = rng.standard_normal(6)
+        scalar = sign * berger_ricci_row(geo) @ h
+        v = div @ h if which == "position" else div @ (h - (trace @ h)[0] * g6)
+        want = {
+            f"{which}_scalar_eq": abs(scalar) * np.sqrt(geo.volume),
+            f"{which}_divergence_eq": np.sqrt(v @ inv.gram_matrix(geo, "one-form") @ v),
+        }
+        got = gamma_equation_norms(inv.InvariantField("sym2", h), which, BERGER)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), key
+
+
+def test_berger_p_star_matches_matrix_reference():
+    # P*(h, m) = (-2 div h, div div m - g~(Ric, m)) from the operator matrices
+    geo = BERGER.invariant_geometry
+    div = inv.operator_matrix(geo, "div").matrix
+    div1 = inv.operator_matrix(geo, "div_oneform").matrix
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        h, m = rng.standard_normal(6), rng.standard_normal(6)
+        r1, r2 = moncrief_p_star(inv.InvariantField("sym2", h), inv.InvariantField("sym2", m),
+                                 BERGER)
+        assert (r1.rank, r2.rank) == ("one-form", "scalar")
+        assert np.max(np.abs(r1.components + 2.0 * div @ h)) <= 1e-12
+        want = (div1 @ div @ m)[0] - berger_ricci_row(geo) @ m
+        assert abs(r2.components[0] - want) <= 1e-12
 
 
 def test_moncrief_projection_properties():

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 import linwave.invariant as inv
-from linwave.fields import ModeLattice, l2_inner, random_field, sym2_from_full
-from linwave.slices import apply_slice_operator, constraint_residual, slice_geometry
+from linwave.fields import ModeLattice, random_field, sobolev_norm, sym2_from_full, sym2_to_full
+from linwave.slices import (
+    apply_slice_operator,
+    constraint_residual,
+    slice_geometry,
+    slice_inner,
+    slice_norm,
+)
 
 KASNER_P = [2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0]
-
-
-def slice_inner(geom, a, b) -> float:
-    """L^2 inner product with the slice metric contraction."""
-    if geom.is_torus:
-        return l2_inner(a, b, metric=geom.metric)
-    assert a.rank == b.rank
-    gram = inv.gram_matrix(geom.invariant_geometry, a.rank)
-    return float(a.components @ gram @ b.components)
 
 
 def test_kasner_exponent_validation():
@@ -105,3 +102,37 @@ def test_invariant_backend_dispatch():
     assert abs(a - b) < 1e-12 * max(1.0, abs(a))
     with pytest.raises(ValueError):
         apply_slice_operator(geom, "divergence", random_field(ModeLattice(3, 1), "sym2", np.random.default_rng(0)))
+
+
+def test_ricci_pairing_on_both_backends():
+    rng = np.random.default_rng(11)
+    lat = ModeLattice(3, 2)
+    for geom in (slice_geometry("flat-torus", n=3), slice_geometry("kasner", p=KASNER_P, t0=1.3)):
+        pairing = apply_slice_operator(geom, "ricci_pairing", random_field(lat, "sym2", rng))
+        assert pairing.rank == "scalar" and np.all(pairing.coeffs == 0)
+    geom = slice_geometry("berger", lam=2.7)
+    gi, ric = geom.metric_inv, geom.ricci
+    for _ in range(3):
+        h = inv.InvariantField("sym2", rng.standard_normal(6))
+        H = sym2_to_full(h.components, 3)
+        want = sum(gi[i, p] * gi[j, q] * ric[i, j] * H[p, q]
+                   for i in range(3) for j in range(3) for p in range(3) for q in range(3))
+        got = apply_slice_operator(geom, "ricci_pairing", h)
+        assert got.rank == "scalar"
+        assert abs(got.components[0] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_slice_norm_on_both_backends():
+    rng = np.random.default_rng(12)
+    lat = ModeLattice(3, 2)
+    for geom in (slice_geometry("flat-torus", n=3), slice_geometry("kasner", p=KASNER_P, t0=0.7)):
+        for rank in ("scalar", "one-form", "sym2"):
+            f = random_field(lat, rank, rng)
+            assert slice_norm(geom, f) == sobolev_norm(f, 0.0)
+    geom = slice_geometry("berger")
+    geo = geom.invariant_geometry
+    for rank, dim in (("scalar", 1), ("one-form", 3), ("sym2", 6)):
+        f = inv.InvariantField(rank, rng.standard_normal(dim))
+        want = np.sqrt(f.components @ inv.gram_matrix(geo, rank) @ f.components)
+        assert abs(slice_norm(geom, f) - want) <= 1e-14 * want
+        assert abs(slice_inner(geom, f, f) - want ** 2) <= 1e-13 * want ** 2
