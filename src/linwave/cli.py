@@ -197,14 +197,9 @@ def _initial_pair(cfg, geom):
 def cmd_evolve(args) -> int:
     cfg = load_config(args.config)
     kind = cfg.get("background.kind")
-    if kind == "minkowski-torus":
-        geom = slice_geometry("flat-torus", n=cfg.get("background.n"))
-        bg = spacetime_background("minkowski-torus", n=cfg.get("background.n"))
-        t0 = cfg.get("evolve.t0") or 0.0
-    else:
-        t0 = cfg.get("evolve.t0") or 1.0
-        geom = slice_geometry("kasner", p=cfg.get("background.p"), t0=t0)
-        bg = spacetime_background("kasner", p=cfg.get("background.p"))
+    bg = spacetime_background(kind, n=cfg.get("background.n"), p=cfg.get("background.p"))
+    t0 = cfg.get("evolve.t0") or (1.0 if kind == "kasner" else 0.0)
+    geom = bg.slice_at(t0)
     t1 = cfg.get("evolve.t1")
     if t1 is None:
         t1 = t0 + 1.0

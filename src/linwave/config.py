@@ -4,7 +4,6 @@ Unknown keys are fatal and parse errors carry line numbers.  Example::
 
     background.kind = kasner
     background.p = 2/3, 2/3, -1/3
-    lattice.n = 3
     lattice.nmax = 4
     initial.generator = random-smooth
     initial.seed = 7
@@ -39,7 +38,7 @@ SCHEMA = {
     "initial.snapshot": ("str", None),
     "evolve.t0": ("float", None),
     "evolve.t1": ("float", None),
-    "evolve.dt": ("float", None),  # omitted = exact propagator (Minkowski)
+    "evolve.dt": ("float", None),  # RK4 step: required on kasner, refused on minkowski-torus
     "evolve.samples": ("int", 11),
     "evolve.sobolev": ("float", 0.0),
     "evolve.J": ("int", 1),
@@ -136,6 +135,8 @@ def _validate(cfg: RunConfig, path) -> None:
     n = cfg.get("background.n")
     if kind == "minkowski-torus" and n not in (2, 3):
         raise ConfigError(f"{path}: background.n must be 2 or 3, got {n}")
+    if kind == "minkowski-torus" and cfg.get("evolve.dt") is not None:
+        raise ConfigError(f"{path}: evolve.dt is refused on minkowski-torus (solved exactly)")
     if kind == "kasner":
         p = cfg.get("background.p")
         if p is None:

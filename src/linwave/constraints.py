@@ -97,14 +97,14 @@ class ConstraintResidual:
 # ---------------------------------------------------------------------------
 
 
-def phi(gdata, kdata, geom: SliceGeometry, npts: int | None = None,
-        step: float = ORACLE_STEP):
+def phi(gdata, kdata, geom: SliceGeometry, npts: int | None = None):
     """Nonlinear constraints of metric data gdata and extrinsic data kdata.
 
     Torus backends: both arguments are sym2 SpectralFields holding the FULL
     fields (background constants on the zero mode); returns SpectralFields.
     Invariant backend: both arguments are 3x3 frame matrices (or sym2
-    InvariantFields); returns (float, length-3 array).
+    InvariantFields); returns (float, length-3 array).  Torus derivatives are
+    4th-order stencils at ORACLE_STEP, as in dphi_oracle.
     """
     if not geom.is_torus:
         G = gdata.components if isinstance(gdata, inv.InvariantField) else gdata
@@ -114,8 +114,8 @@ def phi(gdata, kdata, geom: SliceGeometry, npts: int | None = None,
         return _phi_invariant(G, K)
     lat = gdata.lattice
     npts = _grid_size(lat, npts)
-    g, dg, d2g = _stencil_samples(gdata, npts, step, second=True)
-    k, dk, _ = _stencil_samples(kdata, npts, step, second=False)
+    g, dg, d2g = _stencil_samples(gdata, npts, ORACLE_STEP, second=True)
+    k, dk, _ = _stencil_samples(kdata, npts, ORACLE_STEP, second=False)
     return _torus_constraint_fields(*_phi_pointwise(g, dg, d2g, k, dk), lat, npts)
 
 
@@ -264,8 +264,9 @@ def _torus_constraint_fields(p1, p2, lat, npts: int):
 # ---------------------------------------------------------------------------
 
 
-def dphi(pair: InitialDataPair, norm_orders=None) -> ConstraintResidual:
-    """Full linearisation of Phi around the background slice data."""
+def dphi(pair: InitialDataPair) -> ConstraintResidual:
+    """Full linearisation of Phi around the background slice data, with its
+    norms at orders pair.order - 2 and pair.order - 1 on a torus."""
     geom = pair.geom
     if not geom.is_torus:
         return _dphi_invariant(pair)
@@ -273,9 +274,8 @@ def dphi(pair: InitialDataPair, norm_orders=None) -> ConstraintResidual:
     dphi1, dphi2 = dphi_modes(geom, lat.modes, pair.h.coeffs, pair.m.coeffs)
     scalar = SpectralField(lat, "scalar", dphi1[:, None])
     oneform = SpectralField(lat, "one-form", dphi2)
-    if norm_orders is None:
-        norm_orders = (pair.order - 2.0, pair.order - 1.0)
-    return ConstraintResidual.with_norms(geom, scalar, oneform, norm_orders)
+    return ConstraintResidual.with_norms(
+        geom, scalar, oneform, (pair.order - 2.0, pair.order - 1.0))
 
 
 def dphi_modes(geom: SliceGeometry, modes, h: np.ndarray, m: np.ndarray):
@@ -335,16 +335,17 @@ def _dphi_invariant(pair: InitialDataPair) -> ConstraintResidual:
     return ConstraintResidual.with_norms(geom, scalar, oneform)
 
 
-def dphi_oracle(pair: InitialDataPair, eps: float = ORACLE_EPS,
-                step: float = ORACLE_STEP, npts: int | None = None) -> ConstraintResidual:
+def dphi_oracle(pair: InitialDataPair, npts: int | None = None) -> ConstraintResidual:
     """Central-difference linearisation of the nonlinear map:
-    [Phi(g~ + eps h~, k~ + eps m~) - Phi(g~ - eps h~, k~ - eps m~)] / (2 eps).
+    [Phi(g~ + eps h~, k~ + eps m~) - Phi(g~ - eps h~, k~ - eps m~)] / (2 eps)
+    at eps = ORACLE_EPS.
 
     On tori Phi is evaluated pointwise on the npts^n grid, its derivatives
-    by 4th-order stencils at `step` applied as exact Fourier multipliers
-    (see `_stencil_symbols`); the oracle never calls `dphi`.
+    by 4th-order stencils at ORACLE_STEP applied as exact Fourier
+    multipliers (see `_stencil_symbols`); the oracle never calls `dphi`.
     """
     geom = pair.geom
+    eps = ORACLE_EPS
     if not geom.is_torus:
         G, K = geom.metric, geom.extrinsic
         hmat = sym2_to_full(pair.h.components, 3)
@@ -360,8 +361,8 @@ def dphi_oracle(pair: InitialDataPair, eps: float = ORACLE_EPS,
         raise ValueError("oracle needs pointwise values; distributional data rejected")
     lat = pair.h.lattice
     npts = _grid_size(lat, npts)
-    h, dh, d2h = _stencil_samples(pair.h, npts, step, second=True)
-    m, dm, _ = _stencil_samples(pair.m, npts, step, second=False)
+    h, dh, d2h = _stencil_samples(pair.h, npts, ORACLE_STEP, second=True)
+    m, dm, _ = _stencil_samples(pair.m, npts, ORACLE_STEP, second=False)
     G, K = pair.geom.metric[..., None], pair.geom.extrinsic[..., None]
     # The stencil symbols vanish at k = 0, so the constant background enters
     # the values only: the stencils of g~ +- eps h~ are +- eps times those

@@ -9,13 +9,14 @@ Given slice data (h~, m~), the gauge choice
 
 produces a jet with vanishing harmonic-gauge residual on the slice; the
 wave equation box_L h = 0 then propagates both the gauge condition and the
-linearised constraints.  Each Fourier mode evolves independently: in
-closed form on the Minkowski torus, and otherwise by one classical
-4th-order sampler, _rk4_samples, which integrates the wave equation, the
+linearised constraints.  Each Fourier mode evolves independently.  One
+sampler, _samples, produces every trajectory of the wave equation, the
 pure-gauge connection wave equation and the joint (h, V) system of gauge
-recovery alike, and re-integrates between samples for dense output.  It
-integrates real data (c_{-k} = conj(c_k)) on half the lattice and mirrors
-them, with output identical to integrating every mode.  Diagnostics track
+recovery, and dense output between samples: the background chooses the
+method, closed form on the Minkowski torus (which takes no dt) and
+classical 4th-order RK4 at a fixed dt on Kasner.  It takes real data
+(c_{-k} = conj(c_k)) on half the lattice and mirrors them, with output
+identical to sampling every mode.  Diagnostics track
 the gauge residual, the constraint residuals of the induced data, and
 per-mode wave energies; on real trajectories they are evaluated on the
 same half, with each +-k pair counted twice in the norms, and on any
@@ -66,10 +67,11 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (T, num_modes, ncomp)
     derivs: np.ndarray
-    dt: float | None = None  # None marks the exact (Minkowski) propagator
+    dt: float | None = None  # RK4 step on Kasner; None on the Minkowski torus
 
     def state_at(self, tau: float):
-        """Dense output: exact formula on Minkowski, re-integration on Kasner."""
+        """Dense output: the state at tau, sampled from the stored sample
+        behind it (closed form on Minkowski, re-integration on Kasner)."""
         lo, hi = min(self.times[0], self.times[-1]), max(self.times[0], self.times[-1])
         if not lo - 1e-12 <= tau <= hi + 1e-12:
             raise ValueError(f"time {tau} outside trajectory range [{lo}, {hi}]")
@@ -77,16 +79,12 @@ class Trajectory:
         if len(hit):
             i = hit[0]
             return self.states[i].copy(), self.derivs[i].copy()
-        if self.dt is None:
-            return _minkowski_state(
-                self.lattice, self.states[0], self.derivs[0], tau - self.times[0]
-            )
         direction = np.sign(self.times[-1] - self.times[0]) or 1.0
         behind = (tau - self.times) * direction >= 0
         i = int(np.argmin(np.where(behind, np.abs(tau - self.times), np.inf)))
-        return _rk4_samples(
+        return _samples(
             self.background, self.lattice, ("lichnerowicz",), _monic_rhs,
-            self.times[i], (self.states[i], self.derivs[i]), [tau], self.dt,
+            self.times[i], (self.states[i], self.derivs[i]), [tau], self.dt, _harmonic,
         )[0]
 
 
@@ -161,18 +159,6 @@ def _require_finite_time(t):
         raise ValueError(f"evolution times must be finite, got t = {t}")
 
 
-def _minkowski_state(lattice, U0, Ud0, s):
-    """Closed-form wave propagation: each component is a harmonic oscillator
-    with frequency |k| (A + B s on the zero mode)."""
-    _require_finite_time(s)
-    k = lattice.modes.astype(float)
-    w = np.sqrt(np.einsum("ma,ma->m", k, k))
-    sn = np.sin(w * s)
-    c = np.cos(w * s)[:, None]
-    sinc = np.divide(sn, w, out=np.full_like(w, s), where=w > 0)[:, None]
-    return c * U0 + sinc * Ud0, c * Ud0 - (w * sn)[:, None] * U0
-
-
 def _rk4(acc, t0, y, t1, dt):
     """Classical RK4 for y' = acc(t, y), y a tuple of arrays, from t0 to t1
     in ceil(|t1 - t0| / dt) equal steps."""
@@ -205,16 +191,16 @@ def _exactly_real(lattice, arrays) -> bool:
 
 
 def _on_real_half(lattice, y0, run):
-    """run(modes, y0) -> list of states, each a tuple of (modes, ncomp)
-    arrays, computed on the half of the lattice a real field determines.
+    """run(modes, y0) yields states, each a tuple of (modes, ncomp) arrays;
+    returns them as a list on the full lattice.
 
     The mode operators have real coefficients, so evolution keeps
     c_{-k} = conj(c_k).  When every array of y0 satisfies it exactly, run
-    sees only the modes of lattice.half_indices() and the rest of each
-    result is mirrored; otherwise run sees the full lattice.  Each mode
-    evolves on its own, so the kept modes match a full-lattice run."""
+    sees only the modes of lattice.half_indices() and each state is
+    mirrored as it is yielded; otherwise run sees the full lattice.  Each
+    mode evolves on its own, so the kept modes match a full-lattice run."""
     if not _exactly_real(lattice, y0):
-        return run(lattice.modes, y0)
+        return list(run(lattice.modes, y0))
     perm = lattice.negation_permutation()
     half = lattice.half_indices()
 
@@ -226,38 +212,45 @@ def _on_real_half(lattice, y0, run):
         full[half] = x
         return full
 
-    out = run(lattice.modes[half], tuple(x[half] for x in y0))
-    return [tuple(mirror(x) for x in y) for y in out]
+    return [tuple(mirror(x) for x in y)
+            for y in run(lattice.modes[half], tuple(x[half] for x in y0))]
 
 
-def _rk4_samples(bg, lattice, kinds, rhs, t0, y0, times, dt):
-    """The one fixed-step integrator of the mode systems: the state at each
-    of times of y' = rhs(families, y), y(t0) = y0, where families holds one
-    FamilyAction per name in kinds on the modes integrated, re-timed to each
-    RK4 stage.  _rk4 steps to the samples in order; a sample within 1e-14 of
+def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
+    """The one sampler of the mode systems: the state at each of times of
+    y' = rhs(families, y), y(t0) = y0, with families one FamilyAction per
+    name in kinds on the modes sampled.  On the Minkowski torus, which takes
+    no dt, exact(families, k2, y0, times - t0) yields them in closed form
+    (k2 = |k|^2 per mode).  On Kasner the families are re-timed to each RK4
+    stage and _rk4 steps to the samples in order; a sample within 1e-14 of
     the current time takes no step.  Runs on the real half of the lattice
     when y0 allows it (see _on_real_half)."""
-    if dt is None or not (np.isfinite(dt) and dt > 0):
+    closed = bg.kind == "minkowski-torus"
+    if closed and dt is not None:
         raise ValueError(
-            f"time-dependent backgrounds need a positive finite dt, got dt = {dt}"
-        )
+            f"the Minkowski torus is solved exactly and takes no dt, got dt = {dt}")
+    if not closed and (dt is None or not (np.isfinite(dt) and dt > 0)):
+        raise ValueError(
+            f"time-dependent backgrounds need a positive finite dt, got dt = {dt}")
     times = np.asarray(times, float)
     for tau in (t0, *times):
         _require_finite_time(tau)
 
     def run(modes, y):
         families = [FamilyAction(bg, kind, t0, modes) for kind in kinds]
+        if closed:
+            yield from exact(families, np.sum(modes ** 2, axis=1), y, times - t0)
+            return
 
         def acc(t, y):
             return rhs([f.at(t) for f in families], y)
 
-        out, t = [], t0
+        t = t0
         for tau in times:
             if not np.isclose(tau, t, rtol=0, atol=1e-14):
                 y = _rk4(acc, t, y, tau, dt)
                 t = tau
-            out.append(y)
-        return out
+            yield y
 
     return _on_real_half(lattice, y0, run)
 
@@ -267,6 +260,18 @@ def _monic_rhs(families, y):
     return (y[1], families[0].monic_closure(*y))
 
 
+def _harmonic(families, k2, y, offsets):
+    """_monic_rhs solved on the Minkowski torus at each offset s, with no
+    family: each component oscillates at frequency |k| (u + u' s at k = 0)."""
+    U0, Ud0 = y
+    w = np.sqrt(k2)
+    for s in offsets:
+        sn = np.sin(w * s)
+        c = np.cos(w * s)[:, None]
+        sinc = np.divide(sn, w, out=np.full_like(w, s), where=w > 0)[:, None]
+        yield c * U0 + sinc * Ud0, c * Ud0 - (w * sn)[:, None] * U0
+
+
 def evolve_state(bg: SpacetimeBackground, lattice, t0: float, U0, Ud0,
                  t_end: float, dt: float | None = None,
                  sample_times=None) -> Trajectory:
@@ -274,25 +279,18 @@ def evolve_state(bg: SpacetimeBackground, lattice, t0: float, U0, Ud0,
     if sample_times is None:
         sample_times = np.linspace(t0, t_end, 11)
     sample_times = np.asarray(sample_times, float)
-    if bg.kind == "minkowski-torus" and dt is None:
-        states, derivs = [], []
-        for tau in sample_times:
-            U, Ud = _minkowski_state(lattice, U0, Ud0, tau - t0)
-            states.append(U)
-            derivs.append(Ud)
-        return Trajectory(bg, lattice, sample_times, np.array(states), np.array(derivs))
     if bg.kind == "kasner" and (min(t0, t_end) <= 0 or np.min(sample_times) <= 0):
         raise ValueError("Kasner evolution cannot reach the singularity t <= 0")
-    ys = _rk4_samples(bg, lattice, ("lichnerowicz",), _monic_rhs, t0, (U0, Ud0),
-                      sample_times, dt)
+    ys = _samples(bg, lattice, ("lichnerowicz",), _monic_rhs, t0, (U0, Ud0),
+                  sample_times, dt, _harmonic)
     return Trajectory(bg, lattice, sample_times, np.array([y[0] for y in ys]),
                       np.array([y[1] for y in ys]), dt=dt)
 
 
 def evolve(jet: CauchyJet, t_end: float, dt: float | None = None,
            sample_times=None) -> Trajectory:
-    """Evolve a Cauchy jet; exact per-mode formula on Minkowski when dt is
-    omitted, fixed-step 4th-order integration otherwise."""
+    """Evolve a Cauchy jet: exact per-mode formula on the Minkowski torus,
+    which takes no dt; fixed-step 4th-order integration at dt on Kasner."""
     U0, Ud0 = nu_jet_conversion(jet)
     return evolve_state(
         jet.background, jet.lattice, jet.t0, U0, Ud0, t_end, dt, sample_times
@@ -408,18 +406,52 @@ def _gauge_initial_state(bg: SpacetimeBackground, U0):
     return np.zeros_like(Vd0), Vd0
 
 
+def _recovery_rhs(families, y):
+    """Joint system of (h, V): the source -div(hbar) of the connection wave
+    equation is evaluated from the co-evolved h state at every stage."""
+    wave, div, conn = families
+    U, Ud, V, Vd = y
+    src = -(div.apply(0, U) + div.apply(1, Ud))
+    return (Ud, wave.monic_closure(U, Ud), Vd, src + conn.monic_closure(V, Vd))
+
+
+def _recovery_exact(families, k2, y, offsets):
+    """_recovery_rhs solved on the Minkowski torus: the source -div(hbar)
+    per mode is itself a frequency-|k| oscillation, so the resonant Duhamel
+    integral is explicit."""
+    div = families[1]
+    U0, Ud0, V0, Vd0 = y
+    w = np.sqrt(k2)
+    # S(s) = A cos(w s) + B sin(w s) with the harmonic evolution of (U, Ud);
+    # wB = w B is regular at w = 0, where S = A + wB s
+    A = -(div.apply(0, U0) + div.apply(1, Ud0))
+    wB = -(div.apply(0, Ud0) - k2[:, None] * div.apply(1, U0))
+    for s, h, (V, Vd) in zip(offsets, _harmonic(families, k2, (U0, Ud0), offsets),
+                             _harmonic(families, k2, (V0, Vd0), offsets)):
+        # resonant particular solution with zero initial value and velocity,
+        # through sin(w s) / w -> s and (sin ws - ws cos ws) / (2 w^3) -> s^3 / 6
+        sn, c = np.sin(w * s), np.cos(w * s)
+        sinc = np.divide(sn, w, out=np.full_like(w, s), where=w > 0)[:, None]
+        cube = np.divide(sn - w * s * c, 2 * w ** 3, out=np.full_like(w, s ** 3 / 6),
+                         where=w > 0)[:, None]
+        yield (*h, V + 0.5 * s * sinc * A + cube * wB,
+               Vd + 0.5 * (sinc + s * c[:, None]) * A + 0.5 * s * sinc * wB)
+
+
 def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
     """Solve nabla*nabla V = -div(hbar), V|_Sigma = 0, with the slice
-    velocity above, and report ||h - Lie_V g|| along the trajectory."""
+    velocity above, jointly with h from its first sample, and report
+    ||h - Lie_V g|| along the trajectory."""
     bg = traj.background
     lat = traj.lattice
     times = traj.times
     V, Vd = _gauge_initial_state(bg, traj.states[0])
+    ys = _samples(
+        bg, lat, ("lichnerowicz", "div_trace_reversed", "connection_wave"), _recovery_rhs,
+        times[0], (traj.states[0], traj.derivs[0], V, Vd), times, traj.dt, _recovery_exact,
+    )
+    Vs, Vds = [y[2] for y in ys], [y[3] for y in ys]
     wsym = component_weights("sym2", bg.dim)
-    if traj.dt is None:
-        Vs, Vds = _recover_minkowski(bg, lat, traj, V, Vd)
-    else:
-        Vs, Vds = _recover_kasner(bg, lat, traj, V, Vd)
     lie0 = FamilyAction(bg, "lie_of_g", times[0], lat.modes)
     dev, rel = [], []
     for i, t in enumerate(times):
@@ -432,49 +464,6 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
     return GaugeRecovery(
         times.copy(), np.array(Vs), np.array(Vds), np.array(dev), np.array(rel)
     )
-
-
-def _recover_minkowski(bg, lat, traj, V0, Vd0):
-    """Exact solve on Minkowski: the source -div(hbar) per mode is itself a
-    frequency-|k| oscillation, so the resonant Duhamel integral is explicit."""
-    k2 = np.sum(lat.modes ** 2, axis=1)
-    w = np.sqrt(k2)
-    U0, Ud0 = traj.states[0], traj.derivs[0]
-    div = FamilyAction(bg, "div_trace_reversed", traj.times[0], lat.modes)
-    # S(s) = A cos(w s) + B sin(w s) with the harmonic evolution of (U, Ud);
-    # wB = w B is regular at w = 0, where S = A + wB s
-    A = -(div.apply(0, U0) + div.apply(1, Ud0))
-    wB = -(div.apply(0, Ud0) - k2[:, None] * div.apply(1, U0))
-    Vs, Vds = [], []
-    for tau in traj.times:
-        s = tau - traj.times[0]
-        V, Vd = _minkowski_state(lat, V0, Vd0, s)
-        # resonant particular solution with zero initial value and velocity,
-        # through sin(w s) / w -> s and (sin ws - ws cos ws) / (2 w^3) -> s^3 / 6
-        sn, c = np.sin(w * s), np.cos(w * s)
-        sinc = np.divide(sn, w, out=np.full_like(w, s), where=w > 0)[:, None]
-        cube = np.divide(sn - w * s * c, 2 * w ** 3, out=np.full_like(w, s ** 3 / 6),
-                         where=w > 0)[:, None]
-        Vs.append(V + 0.5 * s * sinc * A + cube * wB)
-        Vds.append(Vd + 0.5 * (sinc + s * c[:, None]) * A + 0.5 * s * sinc * wB)
-    return Vs, Vds
-
-
-def _recover_kasner(bg, lat, traj, V0, Vd0):
-    """Joint 4th-order integration of (h, V): the source of the connection
-    wave equation is evaluated from the co-evolved h state at every stage."""
-
-    def rhs(families, y):
-        wave, div, conn = families
-        U, Ud, V, Vd = y
-        src = -(div.apply(0, U) + div.apply(1, Ud))
-        return (Ud, wave.monic_closure(U, Ud), Vd, src + conn.monic_closure(V, Vd))
-
-    ys = _rk4_samples(
-        bg, lat, ("lichnerowicz", "div_trace_reversed", "connection_wave"), rhs,
-        traj.times[0], (traj.states[0], traj.derivs[0], V0, Vd0), traj.times, traj.dt,
-    )
-    return [y[2] for y in ys], [y[3] for y in ys]
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +482,8 @@ def lie_trajectory(bg: SpacetimeBackground, lattice, times, W0, Wd0,
     family_coefficients), differentiated in closed form.
     """
     times = np.asarray(times, float)
-    if bg.kind == "minkowski-torus":
-        Ws = [_minkowski_state(lattice, W0, Wd0, tau - times[0]) for tau in times]
-    else:
-        Ws = _rk4_samples(bg, lattice, ("connection_wave",), _monic_rhs, times[0],
-                          (W0, Wd0), times, dt)
+    Ws = _samples(bg, lattice, ("connection_wave",), _monic_rhs, times[0], (W0, Wd0),
+                  times, dt, _harmonic)
     conn, lie0 = (FamilyAction(bg, kind, times[0], lattice.modes)
                   for kind in ("connection_wave", "lie_of_g"))
     states, derivs = [], []

@@ -20,6 +20,7 @@ between stored components and full matrices with `sym2_to_full` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,13 +89,16 @@ class ModeLattice:
     def num_modes(self) -> int:
         return self.modes_per_axis ** self.n
 
-    @property
+    @cached_property
     def modes(self) -> np.ndarray:
         """(num_modes, n) integer array; axis-0 order is lexicographic in
-        (k_1, ..., k_n) with each k_i running -nmax..nmax."""
+        (k_1, ..., k_n) with each k_i running -nmax..nmax.  Built once per
+        lattice and read-only, so an in-place write raises."""
         r = np.arange(-self.nmax, self.nmax + 1)
         grids = np.meshgrid(*([r] * self.n), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        modes = np.stack([g.ravel() for g in grids], axis=-1)
+        modes.setflags(write=False)
+        return modes
 
     def mode_index(self, k) -> int:
         k = np.asarray(k, dtype=int)
@@ -128,8 +132,8 @@ class SpectralField:
     coeffs has shape (num_modes, ncomp) and must satisfy the Hermitian
     symmetry for real-valued fields.  `dirac` optionally records that the
     field is the truncation of a Dirac-derivative line distribution
-    (order, axis, component index); Sobolev norms can then be extended
-    past the stored truncation.
+    (order, axis, component index), which has no pointwise values, so
+    dphi_oracle refuses it.
     """
 
     lattice: ModeLattice
@@ -290,34 +294,18 @@ def component_gram(rank: str, n: int, metric_inv: np.ndarray) -> np.ndarray:
     return np.einsum("aij,ip,jq,bpq->ab", E, metric_inv, metric_inv, E)
 
 
-def sobolev_norm(field: SpectralField, s: float, truncation: int | None = None) -> float:
-    """Sobolev norm ||f||_s = sqrt( sum_k (1+|k|^2)^s sum_c w_c |c_k|^2 ).
+def sobolev_norm(field: SpectralField, s: float) -> float:
+    """Sobolev norm ||f||_s = sqrt( sum_k (1+|k|^2)^s sum_c w_c |c_k|^2 )
+    over the stored lattice.
 
     Normalization: the H^0 norm squared equals l2_inner(f, f) / (2 pi)^n,
-    so the constant field 1 has norm exactly 1.  `truncation` restricts the
-    sum to |k_i| <= truncation; a truncation beyond the stored lattice is
-    only allowed for fields with a declared Dirac generator, whose exact
-    coefficients extend the partial sum.
+    so the constant field 1 has norm exactly 1.
     """
     if not np.isfinite(s):
         raise ValueError("Sobolev order must be finite")
     lattice = field.lattice
-    if truncation is None:
-        truncation = lattice.nmax
-    if truncation > lattice.nmax:
-        if field.dirac is None:
-            raise ValueError(
-                f"truncation {truncation} exceeds stored nmax {lattice.nmax} and "
-                "the field declares no distributional generator"
-            )
-        order, axis, comp = field.dirac
-        w = component_weights(field.rank, lattice.n)[comp]
-        return float(np.sqrt(w * dirac_partial_sum(order, s, truncation)))
-    modes = lattice.modes
-    keep = np.all(np.abs(modes) <= truncation, axis=1)
-    mult = (1.0 + np.sum(modes[keep] ** 2, axis=1)) ** s
-    w = component_weights(field.rank, lattice.n)
-    return weighted_norm(field.coeffs[keep], w, mult)
+    mult = (1.0 + np.sum(lattice.modes ** 2, axis=1)) ** s
+    return weighted_norm(field.coeffs, component_weights(field.rank, lattice.n), mult)
 
 
 def weighted_norm(coeffs: np.ndarray, weights: np.ndarray, mult=None) -> float:

@@ -239,6 +239,18 @@ def test_evolve_refuses_non_finite_times_and_orders(tmp_path, capsys, key, value
     assert not (tmp_path / "r" / "diagnostics.csv").exists()
 
 
+def test_evolve_refuses_dt_on_the_minkowski_torus(tmp_path, capsys):
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text("background.kind = minkowski-torus\nlattice.nmax = 1\n"
+                   "evolve.t1 = 1.0\nevolve.dt = 1e-2\n")
+    rc = run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "evolve.dt" in err
+    assert not (tmp_path / "r" / "diagnostics.csv").exists()
+    assert not (tmp_path / "r").exists()
+
+
 def test_evolve_failing_tolerance_exits_one(tmp_path, capsys):
     cfg = tmp_path / "tight.cfg"
     cfg.write_text(

@@ -415,8 +415,8 @@ def test_lie_trajectory_derivative_is_exact():
     W0 = hermitian_pair(lat, rng, 4)
     Wd0 = hermitian_pair(lat, rng, 4)
     eps = 1e-6
-    for bg, t in ((KAS, 1.3), (MINK, 0.0)):
-        traj = lie_trajectory(bg, lat, [t], W0, Wd0, dt=1e-2)
+    for bg, t, dt in ((KAS, 1.3, 1e-2), (MINK, 0.0, None)):
+        traj = lie_trajectory(bg, lat, [t], W0, Wd0, dt=dt)
         want = []
         for i, k in enumerate(lat.modes):
             C0, C1, _ = assemble_mode_operator(bg, "connection_wave", k).matrices(t)
@@ -598,6 +598,72 @@ def test_real_data_take_the_half_lattice_and_complex_data_the_full(monkeypatch):
                                     1j * traj.derivs, dt=traj.dt))
     integrated = [b for b in built if b[0] in ("lichnerowicz", "connection_wave")]
     assert integrated == [("lichnerowicz", LAT.num_modes), ("connection_wave", LAT.num_modes)]
+
+
+def _closed_form(lat, X0, Xd0, s):
+    # each component a harmonic oscillator of frequency w = |k|:
+    # cos(ws) X0 + sin(ws)/w Xd0, with s for sin(ws)/w at w = 0
+    w = np.sqrt(np.sum(lat.modes ** 2, axis=1))[:, None]
+    sinc = np.where(w > 0, np.sin(w * s) / np.where(w > 0, w, 1.0), s)
+    return np.cos(w * s) * X0 + sinc * Xd0, np.cos(w * s) * Xd0 - w * np.sin(w * s) * X0
+
+
+def test_minkowski_real_data_take_the_half_lattice_in_closed_form(monkeypatch):
+    rng = np.random.default_rng(37)
+    U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
+    W0, Wd0 = hermitian_pair(LAT, rng, 4), hermitian_pair(LAT, rng, 4)
+    half = len(LAT.half_indices())
+    times = np.array([0.5, 1.2, 3.9])
+    built = _count_builds(monkeypatch)
+    traj = evolve_state(MINK, LAT, 0.5, U0, Ud0, 3.9, sample_times=times)
+    assert built == [("lichnerowicz", half)]
+    for i, t in enumerate(times):
+        U, Ud = _closed_form(LAT, U0, Ud0, t - 0.5)
+        assert np.array_equal(traj.states[i], U) and np.array_equal(traj.derivs[i], Ud)
+    built.clear()
+    lie = lie_trajectory(MINK, LAT, times, W0, Wd0)
+    assert built == [("connection_wave", half), ("connection_wave", LAT.num_modes),
+                     ("lie_of_g", LAT.num_modes)]
+    lie0, conn = (FamilyAction(MINK, kind, 0.5, LAT.modes)
+                  for kind in ("lie_of_g", "connection_wave"))
+    for i, t in enumerate(times):
+        W, Wd = _closed_form(LAT, W0, Wd0, t - 0.5)
+        Wdd = conn.monic_closure(W, Wd)  # the static Lie operator has no rate
+        assert np.array_equal(lie.states[i], lie0.apply(0, W) + lie0.apply(1, Wd))
+        assert np.array_equal(lie.derivs[i], lie0.apply(0, Wd) + lie0.apply(1, Wdd))
+    built.clear()
+    rec = recover_gauge_vector(lie)
+    integrated = [b for b in built if b[0] != "lie_of_g"]
+    assert integrated == [("lichnerowicz", half), ("div_trace_reversed", half),
+                          ("connection_wave", half)]
+    # a non-Hermitian copy of the same data takes the full lattice
+    built.clear()
+    evolve_state(MINK, LAT, 0.5, 1j * U0, 1j * Ud0, 3.9, sample_times=times)
+    lie_trajectory(MINK, LAT, times, 1j * W0, 1j * Wd0)
+    rec_c = recover_gauge_vector(Trajectory(MINK, LAT, lie.times, 1j * lie.states,
+                                            1j * lie.derivs))
+    assert {n for kind, n in built} == {LAT.num_modes}
+    assert len(built) == 1 + 3 + 4  # evolve_state, lie_trajectory, recover_gauge_vector
+    for a in ("V", "Vdot"):
+        want = getattr(rec_c, a)
+        assert np.max(np.abs(1j * getattr(rec, a) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_minkowski_torus_takes_no_dt():
+    rng = np.random.default_rng(38)
+    U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
+    W0, Wd0 = hermitian_pair(LAT, rng, 4), hermitian_pair(LAT, rng, 4)
+    jet = build_cauchy_jet(standing_wave_pair(LAT), MINK)
+    for run in (lambda: evolve(jet, 1.0, dt=1e-2),
+                lambda: evolve_state(MINK, LAT, 0.0, U0, Ud0, 1.0, 1e-2),
+                lambda: lie_trajectory(MINK, LAT, [0.0, 1.0], W0, Wd0, dt=1e-2)):
+        with pytest.raises(ValueError, match="takes no dt, got dt = 0.01"):
+            run()
+    good = evolve(jet, 1.0, sample_times=[0.0, 1.0])
+    assert good.dt is None
+    with pytest.raises(ValueError, match="takes no dt"):
+        recover_gauge_vector(Trajectory(MINK, LAT, good.times, good.states, good.derivs,
+                                        dt=1e-2))
 
 
 def test_half_lattice_runs_are_linear_in_complex_data():

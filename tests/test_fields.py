@@ -29,6 +29,15 @@ def test_lattice_counts_and_lookup():
     assert np.array_equal(-lat.modes[perm], lat.modes)
 
 
+def test_lattice_modes_are_built_once_and_read_only():
+    lat = ModeLattice(3, 2)
+    assert lat.modes is lat.modes
+    assert lat == ModeLattice(3, 2) and hash(lat) == hash(ModeLattice(3, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        lat.modes[0, 0] = 7
+    assert lat.modes[0, 0] == -2
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sym2_converters_round_trip_in_index_pair_order(n):
     rng = np.random.default_rng(n)
