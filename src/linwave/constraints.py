@@ -31,15 +31,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import invariant as inv
-from .fields import (
-    SpectralField,
-    analyze,
-    sobolev_norm,
-    sym2_from_full,
-    sym2_index_pairs,
-    sym2_to_full,
-)
-from .slices import SliceGeometry, apply_slice_operator, slice_norm
+from .fields import SpectralField, analyze, sobolev_norm, sym2_index_pairs, sym2_to_full
+from .slices import SliceGeometry, apply_slice_operator, scalar_times, slice_norm
 from .spacetime import (
     CauchyJet,
     FamilyAction,
@@ -66,6 +59,11 @@ class InitialDataPair:
         if self.geom.is_torus:
             if not isinstance(self.h, SpectralField) or self.h.lattice != self.m.lattice:
                 raise ValueError("torus data must share one mode lattice")
+            if self.h.lattice.n != self.geom.n:
+                raise ValueError(
+                    f"torus data lattice dimension {self.h.lattice.n} != slice "
+                    f"dimension {self.geom.n}"
+                )
         elif not isinstance(self.h, inv.InvariantField):
             raise ValueError("invariant slices carry invariant fields")
 
@@ -322,16 +320,15 @@ def dphi_modes(geom: SliceGeometry, modes, h: np.ndarray, m: np.ndarray):
 
 def _dphi_invariant(pair: InitialDataPair) -> ConstraintResidual:
     geom = pair.geom
-    G6 = sym2_from_full(geom.metric, 3)
     # k~ = 0 on the invariant backend: DPhi reduces to
     # (div div h~ - g~(Ric, h~),  div(m~ - (tr m~) g~));  d tr terms are
     # derivatives of invariant scalars and vanish identically.
     div_h = apply_slice_operator(geom, "divergence", pair.h)
     scalar = (apply_slice_operator(geom, "divergence", div_h)
               - apply_slice_operator(geom, "ricci_pairing", pair.h))
-    tr_m = apply_slice_operator(geom, "trace", pair.m).components[0]
+    tr_m = apply_slice_operator(geom, "trace", pair.m)
     oneform = apply_slice_operator(
-        geom, "divergence", inv.InvariantField("sym2", pair.m.components - tr_m * G6))
+        geom, "divergence", pair.m - scalar_times(geom, tr_m, geom.metric))
     return ConstraintResidual.with_norms(geom, scalar, oneform)
 
 

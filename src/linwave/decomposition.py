@@ -17,9 +17,11 @@ whenever 0 < ab < 2.  The module also provides the classical splitting of
 initial data into a gauge-producing part P(beta, N) and a part in ker(P*),
 gauge-producing data on arbitrary slices, and kernel bases.
 
-Each backend inverts P its own way (per-mode solves on a torus, least
-squares with kernel deflation on Berger), but the defining equations, P*
-and the residual reports are written once, for both, with the operators,
+Each backend keeps only its solve: the torus inverts P and the Moncrief
+normal equations mode by mode, Berger by least squares with kernel
+deflation.  Everything around the solves (the defining equations, P*,
+gauge-producing data, forming gamma from the solved parts and the residual
+reports) is written once, for both, with the operators, scalar_times,
 norms and inner products of slices.py.
 """
 
@@ -32,14 +34,15 @@ import numpy as np
 from . import invariant as inv
 from .constraints import InitialDataPair
 from .errors import InternalError
-from .fields import (
-    SpectralField,
-    component_weights,
-    sym2_from_full,
-    sym2_index_pairs,
-    zero_field,
+from .fields import SpectralField, component_weights, sym2_index_pairs, zero_field
+from .slices import (
+    SliceGeometry,
+    apply_slice_operator,
+    scalar_times,
+    slice_inner,
+    slice_max_abs,
+    slice_norm,
 )
-from .slices import SliceGeometry, apply_slice_operator, slice_inner, slice_norm
 
 KERNEL_TOL = 1e-10
 
@@ -122,6 +125,13 @@ def _torus_split_matrices(geom: SliceGeometry, params: SplitOperatorParams,
     return M
 
 
+def _null_space(M: np.ndarray) -> np.ndarray:
+    """Rows of vt spanning the null space of a square or tall matrix M:
+    singular values at or below KERNEL_TOL times the largest (or 1)."""
+    _, s, vt = np.linalg.svd(M)
+    return vt[s <= KERNEL_TOL * max(1.0, s[0])]
+
+
 def kernel_basis(params: SplitOperatorParams, geom: SliceGeometry,
                  lattice=None) -> list:
     """Basis of ker(P): pairs (phi, omega) of constants and Killing forms."""
@@ -132,9 +142,7 @@ def kernel_basis(params: SplitOperatorParams, geom: SliceGeometry,
         M = _torus_split_matrices(geom, params, lattice.modes)
         basis = []
         for i, k in enumerate(lattice.modes):
-            _, s, vt = np.linalg.svd(M[i])
-            null = vt[s <= KERNEL_TOL * max(1.0, s[0] if len(s) else 0.0)]
-            for v in null:
+            for v in _null_space(M[i]):
                 if np.any(k != 0):
                     # the lemma predicts no nonzero-mode kernel on flat slices
                     raise InternalError(
@@ -148,12 +156,9 @@ def kernel_basis(params: SplitOperatorParams, geom: SliceGeometry,
         return basis
     geo = geom.invariant_geometry
     op = inv.operator_matrix(geo, "split_p", (params.a, params.b))
-    _, s, vt = np.linalg.svd(op.matrix)
-    s = np.concatenate([s, np.zeros(4 - len(s))])
-    null = vt[s <= KERNEL_TOL * max(1.0, s[0])]
     return [
         (inv.InvariantField("scalar", v[:1]), inv.InvariantField("one-form", v[1:]))
-        for v in null
+        for v in _null_space(op.matrix)
     ]
 
 
@@ -172,17 +177,28 @@ def split_solve(source, which: str, geom: SliceGeometry) -> DecompositionResult:
     """
     _require_split_slice(geom)
     params = split_params(which, geom.n)
-    if geom.is_torus:
-        return _split_solve_torus(source, which, params, geom)
-    return _split_solve_invariant(source, which, params, geom)
+    solve = _split_solve_torus if geom.is_torus else _split_solve_invariant
+    C, phi, omega = solve(source, which, params, geom)
+    parts = [apply_slice_operator(geom, "conformal_killing", omega)]
+    if C:  # C = 0 unless Ric != 0, so only on Berger
+        parts.append(scalar_times(geom, inv.InvariantField("scalar", [C]), geom.ricci))
+    parts.append(scalar_times(geom, phi, geom.metric))
+    gamma = source
+    for part in parts:
+        gamma = gamma - part
+    recon = gamma
+    for part in parts:
+        recon = recon + part
+    rec = slice_max_abs(geom, recon - source) / max(slice_max_abs(geom, source), 1e-30)
+    res = DecompositionResult(gamma, omega, C, phi)
+    res.residuals = {"reconstruction_rel": rec, **gamma_equation_norms(gamma, which, geom)}
+    return res
 
 
-def _split_solve_torus(source: SpectralField, which, params,
-                       geom: SliceGeometry) -> DecompositionResult:
+def _split_solve_torus(source: SpectralField, which, params, geom: SliceGeometry):
     lat = source.lattice
     tr = apply_slice_operator(geom, "trace", source)
     # Ric = 0: C = 0 by convention, and the g~(., Ric) source terms vanish.
-    C = 0.0
     r1 = apply_slice_operator(geom, "laplacian", tr) * (1.0 / geom.n)
     r2 = apply_slice_operator(geom, "divergence", source) * -2.0
     if which == "momentum":
@@ -194,20 +210,10 @@ def _split_solve_torus(source: SpectralField, which, params,
     u[nz] = np.linalg.solve(M[nz], rhs[nz][..., None])[..., 0]
     # the zero mode carries the kernel; rhs vanishes there, so phi[1] = 0 and
     # omega is orthogonal to the (parallel) Killing forms by u[~nz] = 0
-    phi = SpectralField(lat, "scalar", u[:, :1])
-    omega = SpectralField(lat, "one-form", u[:, 1:])
-    Lw = apply_slice_operator(geom, "conformal_killing", omega)
-    gsym = sym2_from_full(geom.metric, geom.n)
-    gamma = SpectralField(
-        lat, "sym2", source.coeffs - Lw.coeffs - u[:, :1] * gsym[None]
-    )
-    res = DecompositionResult(gamma, omega, C, phi)
-    res.residuals = _split_report(source, res, which, geom)
-    return res
+    return 0.0, SpectralField(lat, "scalar", u[:, :1]), SpectralField(lat, "one-form", u[:, 1:])
 
 
-def _split_solve_invariant(source: inv.InvariantField, which, params,
-                           geom: SliceGeometry) -> DecompositionResult:
+def _split_solve_invariant(source: inv.InvariantField, which, params, geom: SliceGeometry):
     geo = geom.invariant_geometry
     ric = inv.InvariantField("sym2", geo.ricci_sym6())
     gRR, gaR = (
@@ -227,38 +233,7 @@ def _split_solve_invariant(source: inv.InvariantField, which, params,
     for kphi, komega in kernel_basis(params, geom):
         kv = np.concatenate([kphi.components, komega.components])
         u = u - kv * float(kv @ gram @ u) / float(kv @ gram @ kv)
-    phi = inv.InvariantField("scalar", u[:1])
-    omega = inv.InvariantField("one-form", u[1:])
-    Lw = apply_slice_operator(geom, "conformal_killing", omega)
-    gamma = inv.InvariantField(
-        "sym2",
-        source.components - Lw.components - C * ric.components
-        - u[0] * sym2_from_full(geom.metric, 3),
-    )
-    res = DecompositionResult(gamma, omega, C, phi)
-    res.residuals = _split_report(source, res, which, geom)
-    return res
-
-
-def _split_report(source, res: DecompositionResult, which, geom) -> dict:
-    if geom.is_torus:
-        Lw = apply_slice_operator(geom, "conformal_killing", res.omega)
-        gsym = sym2_from_full(geom.metric, geom.n)
-        recon = res.gamma_part.coeffs + Lw.coeffs + res.phi.coeffs * gsym[None]
-        scale = max(np.max(np.abs(source.coeffs)), 1e-30)
-        rec = float(np.max(np.abs(recon - source.coeffs)) / scale)
-    else:
-        geo = geom.invariant_geometry
-        Lw = inv.operator_matrix(geo, "conformal_killing")(res.omega)
-        recon = (
-            res.gamma_part.components + Lw.components
-            + res.C * geo.ricci_sym6()
-            + res.phi.components[0] * sym2_from_full(geom.metric, 3)
-        )
-        scale = max(np.max(np.abs(source.components)), 1e-30)
-        rec = float(np.max(np.abs(recon - source.components)) / scale)
-    gres = gamma_equation_norms(res.gamma_part, which, geom)
-    return {"reconstruction_rel": rec, **gres}
+    return C, inv.InvariantField("scalar", u[:1]), inv.InvariantField("one-form", u[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +271,14 @@ def moncrief_project(pair: InitialDataPair) -> MoncriefSplit:
     remainder in ker(P*), by a least-squares solve of the normal equations."""
     geom = pair.geom
     _require_split_slice(geom)
-    if geom.is_torus:
-        return _moncrief_torus(pair, geom)
-    return _moncrief_invariant(pair, geom)
+    solve = _moncrief_torus if geom.is_torus else _moncrief_invariant
+    N, beta, gauge_h, gauge_m = solve(pair, geom)
+    out = MoncriefSplit(N, beta, gauge_h, gauge_m, pair.h - gauge_h, pair.m - gauge_m)
+    out.report = _moncrief_report(out, geom)
+    return out
 
 
-def _moncrief_torus(pair: InitialDataPair, geom: SliceGeometry) -> MoncriefSplit:
+def _moncrief_torus(pair: InitialDataPair, geom: SliceGeometry):
     lat = pair.h.lattice
     n = geom.n
     w = component_weights("sym2", n)
@@ -323,18 +300,12 @@ def _moncrief_torus(pair: InitialDataPair, geom: SliceGeometry) -> MoncriefSplit
     pinv = np.linalg.pinv(wsq[:, None] * A, rcond=KERNEL_TOL)
     u = np.einsum("mic,mc->mi", pinv, wsq * x)
     gauge = np.einsum("mci,mi->mc", A, u)
-    beta = SpectralField(lat, "one-form", u[:, :n])
-    N = SpectralField(lat, "scalar", u[:, n:])
-    gauge_h = SpectralField(lat, "sym2", gauge[:, :ncomp])
-    gauge_m = SpectralField(lat, "sym2", gauge[:, ncomp:])
-    gamma_h = SpectralField(lat, "sym2", pair.h.coeffs - gauge_h.coeffs)
-    gamma_m = SpectralField(lat, "sym2", pair.m.coeffs - gauge_m.coeffs)
-    out = MoncriefSplit(N, beta, gauge_h, gauge_m, gamma_h, gamma_m)
-    out.report = _moncrief_report(out, geom)
-    return out
+    return (SpectralField(lat, "scalar", u[:, n:]), SpectralField(lat, "one-form", u[:, :n]),
+            SpectralField(lat, "sym2", gauge[:, :ncomp]),
+            SpectralField(lat, "sym2", gauge[:, ncomp:]))
 
 
-def _moncrief_invariant(pair: InitialDataPair, geom: SliceGeometry) -> MoncriefSplit:
+def _moncrief_invariant(pair: InitialDataPair, geom: SliceGeometry):
     geo = geom.invariant_geometry
     P = inv.operator_matrix(geo, "moncrief_p")
     gram = inv.block_gram(geo, ("sym2", "sym2"))
@@ -342,21 +313,12 @@ def _moncrief_invariant(pair: InitialDataPair, geom: SliceGeometry) -> MoncriefS
     x = np.concatenate([pair.h.components, pair.m.components])
     u, *_ = np.linalg.lstsq(R.T @ P.matrix, R.T @ x, rcond=KERNEL_TOL)
     # deflate ker(P): Killing beta plus lapses with Hess N = Ric N
-    _, s, vt = np.linalg.svd(P.matrix)
-    s = np.concatenate([s, np.zeros(4 - len(s))])
     dgram = inv.block_gram(geo, ("one-form", "scalar"))
-    for kv in vt[s <= KERNEL_TOL * max(1.0, s[0])]:
+    for kv in _null_space(P.matrix):
         u = u - kv * float(kv @ dgram @ u) / float(kv @ dgram @ kv)
-    gh, gm = P(
-        inv.InvariantField("one-form", u[:3]), inv.InvariantField("scalar", u[3:])
-    )
     beta = inv.InvariantField("one-form", u[:3])
     N = inv.InvariantField("scalar", u[3:])
-    gamma_h = inv.InvariantField("sym2", pair.h.components - gh.components)
-    gamma_m = inv.InvariantField("sym2", pair.m.components - gm.components)
-    out = MoncriefSplit(N, beta, gh, gm, gamma_h, gamma_m)
-    out.report = _moncrief_report(out, geom)
-    return out
+    return (N, beta, *P(beta, N))
 
 
 def moncrief_p_star(h, m, geom: SliceGeometry):
@@ -393,29 +355,9 @@ def gauge_producing_data(N, beta, geom: SliceGeometry) -> InitialDataPair:
         h~ = Lie_beta g~ + 2 k~ N,
         m~ = Lie_beta k~ + Hess N + (2 k~ o k~ - Ric - (tr k~) k~) N.
     """
-    lie_g = apply_slice_operator(geom, "lie_metric", beta)
-    if geom.is_torus:
-        lat = N.lattice
-        n = geom.n
-        gi = geom.metric_inv
-        K = geom.extrinsic
-        k = lat.modes.astype(float)
-        bup = beta.coeffs @ gi.T
-        Ncol = N.coeffs[:, :1]
-        h = lie_g.coeffs + sym2_from_full(2.0 * K, n)[None] * Ncol
-        lie_k = 1j * (
-            np.einsum("ma,mc,cb->mab", k, bup, K)
-            + np.einsum("mb,mc,ca->mab", k, bup, K)
-        )
-        hess = apply_slice_operator(geom, "hessian", N)
-        pot = 2.0 * K @ gi @ K - geom.ricci - np.trace(gi @ K) * K
-        m = sym2_from_full(lie_k, n) + hess.coeffs + sym2_from_full(pot, n)[None] * Ncol
-        return InitialDataPair(
-            SpectralField(lat, "sym2", h), SpectralField(lat, "sym2", m), geom
-        )
-    if not isinstance(N, inv.InvariantField):
-        raise ValueError("invariant slices carry invariant fields")
-    # k~ = 0 here: h~ = Lie_beta g~ and m~ = Hess N - Ric N (Hess of an
-    # invariant lapse vanishes)
-    m = inv.InvariantField("sym2", -geom.invariant_geometry.ricci_sym6() * N.components[0])
-    return InitialDataPair(lie_g, m, geom)
+    gi, K = geom.metric_inv, geom.extrinsic
+    h = apply_slice_operator(geom, "lie_metric", beta) + scalar_times(geom, N, 2.0 * K)
+    pot = 2.0 * K @ gi @ K - geom.ricci - np.trace(gi @ K) * K
+    m = (apply_slice_operator(geom, "lie_extrinsic", beta)
+         + apply_slice_operator(geom, "hessian", N) + scalar_times(geom, N, pot))
+    return InitialDataPair(h, m, geom)

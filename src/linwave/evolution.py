@@ -126,7 +126,8 @@ def build_cauchy_jet(pair: InitialDataPair, background: SpacetimeBackground,
         t0 = float(geom.params.get("t0", 0.0)) if geom.kind == "kasner" else 0.0
     ref = background.slice_at(t0)
     if (
-        np.max(np.abs(ref.metric - geom.metric)) > SLICE_MATCH_TOL
+        ref.n != geom.n
+        or np.max(np.abs(ref.metric - geom.metric)) > SLICE_MATCH_TOL
         or np.max(np.abs(ref.extrinsic - geom.extrinsic)) > SLICE_MATCH_TOL
     ):
         raise ValueError("initial-data slice does not match the background slice")

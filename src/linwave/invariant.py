@@ -17,10 +17,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InternalError
 from .fields import component_gram, sym2_from_full, sym2_to_full
 
 RANK_DIMS = {"scalar": 1, "one-form": 3, "sym2": 6}
+
+# The scalar-flat Berger squashing: by Milnor's formula for this bracket,
+# Scal(diag(lam, 1, 1)) = 8 - 2 lam (checked against the assembled
+# curvature in tests/test_invariant.py).
+SCALAR_FLAT_LAMBDA = 4.0
 
 
 def su2_structure_constants() -> np.ndarray:
@@ -145,38 +149,6 @@ class InvariantGeometry:
 
     def ricci_sym6(self) -> np.ndarray:
         return sym2_from_full(self.ricci, 3)
-
-
-def scalar_flat_parameter() -> float:
-    """Squashing parameter lambda* with Scal(diag(lambda*, 1, 1)) = 0,
-    found by bisection on the assembled scalar curvature."""
-    def scal(lam):
-        return InvariantGeometry(berger_frame(lam)).scal
-
-    lo, hi = None, None
-    lam_grid = np.linspace(0.1, 10.0, 100)
-    vals = [scal(l) for l in lam_grid]
-    for a, b, va, vb in zip(lam_grid, lam_grid[1:], vals, vals[1:]):
-        if va == 0.0:
-            return float(a)
-        if va * vb < 0:
-            lo, hi, flo = a, b, va
-            break
-    if lo is None:
-        raise InternalError(
-            "invariant.scalar_flat_parameter: no scalar-flat Berger parameter "
-            "found in (0.1, 10)"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = scal(mid)
-        if fm == 0.0:
-            return float(mid)
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return float(0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------

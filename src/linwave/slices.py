@@ -8,12 +8,16 @@ Three slice kinds are supported:
   * BergerInvariant:    invariant sector of a Berger sphere (matrix backend).
 
 apply_slice_operator is the one implementation of every slice operator
-(trace, trace reversal, divergence, Laplacian, d, Hessian, Lie derivative
-of the metric, the conformal Killing operator L, L* and L*L, and the Ricci
-pairing g~(Ric, h)) on both backends, so an equation written with it holds
-for either: on a torus every operator is an exact per-mode multiplier, on
-Berger an invariant.operator_matrix.  slice_norm and slice_inner are the
-matching L^2 norm and inner product.
+(trace, trace reversal, divergence, Laplacian, d, Hessian, the Lie
+derivatives of the metric and of the extrinsic curvature, the conformal
+Killing operator L, L* and L*L, and the Ricci pairing g~(Ric, h)) on both
+backends, so an equation written with it holds for either: on a torus every
+operator is an exact per-mode multiplier, on Berger an
+invariant.operator_matrix.  scalar_times multiplies a scalar field by a
+constant tensor of the slice (g~, k~ or Ric), so the zeroth-order terms of
+an equation are written once too.  slice_norm, slice_inner and
+slice_max_abs are the matching L^2 norm, inner product and largest
+coefficient modulus.
 Sign conventions: Delta = delta d + d delta (positive), delta = -div,
 Hess(phi)_{ij} = -k_i k_j phi per mode, trace reversal h - (1/2)(tr h) g.
 """
@@ -96,7 +100,8 @@ def slice_geometry(kind: str, **params) -> SliceGeometry:
 
     flat-torus: n (2 or 3).
     kasner:     p (exponent triple with sum p = sum p^2 = 1), t0 > 0.
-    berger:     lam (squashing; default the scalar-flat parameter).
+    berger:     lam (squashing; default the scalar-flat value
+                inv.SCALAR_FLAT_LAMBDA = 4).
     """
     if kind == "flat-torus":
         n = int(params.get("n", 3))
@@ -116,7 +121,7 @@ def slice_geometry(kind: str, **params) -> SliceGeometry:
     if kind == "berger":
         lam = params.get("lam")
         if lam is None:
-            lam = inv.scalar_flat_parameter()
+            lam = inv.SCALAR_FLAT_LAMBDA
         frame = inv.berger_frame(float(lam))
         geo = inv.InvariantGeometry(frame)
         return SliceGeometry(
@@ -170,29 +175,56 @@ def slice_inner(geom: SliceGeometry, a, b) -> float:
     return float(a.components @ gram @ b.components)
 
 
+def slice_max_abs(geom: SliceGeometry, f) -> float:
+    """Largest coefficient modulus of a slice field."""
+    return float(np.max(np.abs(f.coeffs if geom.is_torus else f.components)))
+
+
+def scalar_times(geom: SliceGeometry, f, T: np.ndarray) -> "SpectralField | inv.InvariantField":
+    """The sym2 field f T of a scalar field f and a constant symmetric
+    tensor T of the slice (its metric, k~ or Ric), given as a full matrix."""
+    _check_field(geom, f)
+    _need(f, "scalar", "scalar_times")
+    T = sym2_from_full(T, geom.n)
+    if geom.is_torus:
+        return SpectralField(f.lattice, "sym2", f.coeffs[:, :1] * T)
+    return inv.InvariantField("sym2", f.components[0] * T)
+
+
 def apply_slice_operator(
     geom: SliceGeometry, kind: str, field
 ) -> "SpectralField | inv.InvariantField":
     """Apply a slice differential operator (exact multiplier or matrix).
 
     Kinds: trace, trace_reverse, divergence (of a one-form or a sym2
-    tensor), laplacian, d, hessian, lie_metric, conformal_killing, its
-    adjoint ckl_adjoint and ckl_normal = L*L, and ricci_pairing, the
-    scalar g~(Ric, h) of a sym2 tensor h.
+    tensor), laplacian, d, hessian, lie_metric (beta -> Lie_beta g~),
+    lie_extrinsic (beta -> Lie_beta k~), conformal_killing, its adjoint
+    ckl_adjoint and ckl_normal = L*L, and ricci_pairing, the scalar
+    g~(Ric, h) of a sym2 tensor h.
     """
+    _check_field(geom, field)
+    if kind == "trace_reverse":
+        tr = apply_slice_operator(geom, "trace", field)
+        return field - scalar_times(geom, tr, geom.metric) * 0.5
     if geom.is_torus:
-        if not isinstance(field, SpectralField):
-            raise ValueError("torus slice operators act on SpectralField values")
         return _apply_torus(geom, kind, field)
-    if not isinstance(field, inv.InvariantField):
-        raise ValueError("invariant slice operators act on InvariantField values")
     return _apply_invariant(geom, kind, field)
+
+
+def _check_field(geom: SliceGeometry, field):
+    """Refuse a field of the other backend, or of another torus dimension."""
+    if not geom.is_torus:
+        if not isinstance(field, inv.InvariantField):
+            raise ValueError("invariant slice operators act on InvariantField values")
+        return
+    if not isinstance(field, SpectralField):
+        raise ValueError("torus slice operators act on SpectralField values")
+    if field.lattice.n != geom.n:
+        raise ValueError(f"field dimension {field.lattice.n} != slice dimension {geom.n}")
 
 
 def _apply_torus(geom: SliceGeometry, kind: str, field: SpectralField) -> SpectralField:
     n = geom.n
-    if field.lattice.n != n:
-        raise ValueError(f"field dimension {field.lattice.n} != slice dimension {n}")
     g = geom.metric
     gi = geom.metric_inv
     lat = field.lattice
@@ -212,11 +244,6 @@ def _apply_torus(geom: SliceGeometry, kind: str, field: SpectralField) -> Spectr
     if kind == "trace":
         _need(field, "sym2", kind)
         return out("scalar", trace(sym2_to_full(c, n)))
-    if kind == "trace_reverse":
-        _need(field, "sym2", kind)
-        h = sym2_to_full(c, n)
-        hbar = h - 0.5 * trace(h)[:, None, None] * g[None]
-        return out("sym2", sym2_from_full(hbar, n))
 
     modes = lat.modes.astype(float)  # (m, n)
 
@@ -250,6 +277,16 @@ def _apply_torus(geom: SliceGeometry, kind: str, field: SpectralField) -> Spectr
     if kind == "lie_metric":
         _need(field, "one-form", kind)
         return out("sym2", sym2_from_full(lie(c), n))
+    if kind == "lie_extrinsic":
+        # (Lie_beta k~)_ab = i (k_a beta^c k~_cb + k_b beta^c k~_ca) per mode
+        _need(field, "one-form", kind)
+        K = geom.extrinsic
+        bup = c @ gi.T
+        lie_k = 1j * (
+            np.einsum("ma,mc,cb->mab", modes, bup, K)
+            + np.einsum("mb,mc,ca->mab", modes, bup, K)
+        )
+        return out("sym2", sym2_from_full(lie_k, n))
     if kind == "conformal_killing":
         _need(field, "one-form", kind)
         ck = lie(c) - (2.0 / n) * div(c)[:, None, None] * g[None]
@@ -265,7 +302,7 @@ def _apply_torus(geom: SliceGeometry, kind: str, field: SpectralField) -> Spectr
     raise ValueError(f"unknown torus operator kind {kind!r}")
 
 
-def _need(field: SpectralField, rank: str, kind: str):
+def _need(field, rank: str, kind: str):
     if field.rank != rank:
         raise ValueError(f"operator {kind!r} expects rank {rank}, got {field.rank}")
 
@@ -274,16 +311,14 @@ def _apply_invariant(geom: SliceGeometry, kind: str, field: inv.InvariantField):
     geo = geom.invariant_geometry
     if kind == "divergence":
         op = inv.operator_matrix(geo, "div" if field.rank == "sym2" else "div_oneform")
-    elif kind == "trace_reverse":
-        tr = inv.operator_matrix(geo, "trace")(field).components[0]
-        gsym = sym2_from_full(geom.metric, 3)
-        return inv.InvariantField("sym2", field.components - 0.5 * tr * gsym)
     elif kind == "laplacian":
         op = inv.operator_matrix(
             geo, "laplacian" if field.rank == "scalar" else "laplacian_oneform"
         )
     elif kind == "ckl_adjoint":
         op = inv.adjoint_matrix(geo, inv.operator_matrix(geo, "conformal_killing"))
+    elif kind == "lie_extrinsic":
+        op = inv.OperatorMatrix("one-form", "sym2", np.zeros((6, 3)))  # k~ = 0 on Berger
     elif kind in ("trace", "hessian", "d", "lie_metric", "conformal_killing", "ckl_normal",
                   "ricci_pairing"):
         op = inv.operator_matrix(geo, kind)

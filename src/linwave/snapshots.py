@@ -108,5 +108,7 @@ def load_pair(prefix) -> InitialDataPair:
     h = load_field(f"{prefix}.h.lwf")
     m = load_field(f"{prefix}.m.lwf")
     params = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
-    geom = slice_geometry(meta["geometry"], **params)
-    return InitialDataPair(h, m, geom)
+    try:
+        return InitialDataPair(h, m, slice_geometry(meta["geometry"], **params))
+    except (TypeError, ValueError) as err:
+        raise SnapshotError(f"{side}: {err}") from err

@@ -410,41 +410,22 @@ def assemble_mode_operator(background: SpacetimeBackground, kind: str, k) -> Mod
     return ModeOperator(background, kind, tuple(np.asarray(k, float)))
 
 
-def _probe_coefficients(background: SpacetimeBackground, kind: str, t: float) -> list:
-    """Polynomial coefficient matrices of a mode operator at one time, by
-    ten probe assemblies (k = 0, +-e_a, e_a + e_b); see family_coefficients."""
+def _probe_coefficients(background: SpacetimeBackground, kind: str) -> list:
+    """Polynomial coefficient matrices of a mode operator at t = 1, by ten
+    probe assemblies (k = 0, +-e_a, e_a + e_b); see family_coefficients."""
     n = background.n
-
-    def mats(k):
-        return assemble_mode_operator(background, kind, k).matrices(t)
-
-    c0 = mats(np.zeros(n))
-    norder = len(c0)
-    lin = []
-    diag = []
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        plus, minus = mats(e), mats(-e)
-        lin.append([(p - m) / 2.0 for p, m in zip(plus, minus)])
-        diag.append([(p + m) / 2.0 - c for p, m, c in zip(plus, minus, c0)])
-    cross = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            e = np.zeros(n)
-            e[a] = 1.0
-            e[b] = 1.0
-            cross.append([
-                m - c - la - lb - da - db
-                for m, c, la, lb, da, db in zip(
-                    mats(e), c0, lin[a], lin[b], diag[a], diag[b]
-                )
-            ])
+    eye = np.eye(n)
+    a, b = np.triu_indices(n, 1)
+    probes = np.concatenate([np.zeros((1, n)), eye, -eye, eye[a] + eye[b]])
     out = []
-    for j in range(norder):
-        polys = [c0[j]] + [lin[a][j] for a in range(n)]
-        polys += [diag[a][j] for a in range(n)] + [cr[j] for cr in cross]
-        out.append(np.stack(polys))
+    for mats in zip(*(assemble_mode_operator(background, kind, k).matrices(1.0)
+                      for k in probes)):
+        M = np.stack(mats)
+        c0, plus, minus, mixed = M[0], M[1:n + 1], M[n + 1:2 * n + 1], M[2 * n + 1:]
+        lin = (plus - minus) / 2.0
+        diag = (plus + minus) / 2.0 - c0
+        cross = mixed - c0 - lin[a] - lin[b] - diag[a] - diag[b]
+        out.append(np.concatenate([c0[None], lin, diag, cross]))
     return out
 
 
@@ -596,7 +577,7 @@ def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
     )
     table = _TABLES.get(key)
     if table is None:
-        A = _probe_coefficients(background, kind, 1.0)
+        A = _probe_coefficients(background, kind)
         scale = max(1.0, max(float(np.max(np.abs(C))) for C in A))
         bound = _ROUNDOFF_ULPS * np.finfo(float).eps * scale
         for C in A:

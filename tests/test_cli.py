@@ -405,3 +405,69 @@ def test_evolve_from_kasner_sidecar_without_exponents_is_a_usage_error(tmp_path,
     err = capsys.readouterr().err
     assert rc == 2, err
     assert "Kasner slice needs its exponent triple p" in err
+
+
+def test_evolve_from_snapshot_of_another_dimension_is_a_usage_error(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    lat = ModeLattice(2, 1)
+    geom = slice_geometry("flat-torus", n=2)
+    pair = InitialDataPair(
+        random_field(lat, "sym2", rng), random_field(lat, "sym2", rng), geom
+    )
+    with pytest.raises(ValueError, match="dimension 2 != slice dimension 3"):
+        InitialDataPair(pair.h, pair.m, slice_geometry("flat-torus", n=3))
+    save_pair(pair, tmp_path / "seed")
+    side = tmp_path / "seed.json"
+    meta = json.loads(side.read_text())
+    side.write_text(json.dumps(dict(meta, parameters={"n": 3})))
+    cfg = tmp_path / "snap.cfg"
+    cfg.write_text(
+        "background.kind = minkowski-torus\n"
+        "lattice.nmax = 1\n"
+        "initial.generator = snapshot\n"
+        "initial.snapshot = seed\n"
+    )
+    rc = run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "seed.json" in err and "slice dimension 3" in err
+    # consistent 2-torus data under the configured 3-dimensional background
+    save_pair(pair, tmp_path / "seed")
+    rc = run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "does not match the background slice" in err
+
+
+def test_sidecar_parameter_of_the_wrong_type_is_a_snapshot_error(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    lat = ModeLattice(3, 1)
+    cases = (
+        ("kasner", slice_geometry("kasner", p=KASNER_P, t0=1.0), "t0", None,
+         "background.kind = kasner\nbackground.p = 2/3, 2/3, -1/3\n"
+         "evolve.t1 = 1.02\nevolve.dt = 1e-2\n"),
+        ("flat-torus", slice_geometry("flat-torus", n=3), "n", [2],
+         "background.kind = minkowski-torus\n"),
+    )
+    for name, geom, key, value, background in cases:
+        pair = InitialDataPair(
+            random_field(lat, "sym2", rng), random_field(lat, "sym2", rng), geom
+        )
+        prefix = tmp_path / name
+        save_pair(pair, prefix)
+        side = tmp_path / f"{name}.json"
+        meta = json.loads(side.read_text())
+        meta["parameters"][key] = value
+        side.write_text(json.dumps(meta))
+        with pytest.raises(SnapshotError, match=f"{name}.json"):
+            load_pair(prefix)
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(
+            background + "lattice.nmax = 1\n"
+            "initial.generator = snapshot\n"
+            f"initial.snapshot = {name}\n"
+        )
+        rc = run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"{name}.json" in err

@@ -357,6 +357,17 @@ def test_gauge_data_trivial_cases():
     assert np.max(np.abs(gp.h.coeffs)) == 0.0 and np.max(np.abs(gp.m.coeffs)) == 0.0
 
 
+def test_gauge_data_refuses_a_field_of_the_other_backend():
+    rng = np.random.default_rng(10)
+    N, beta = random_field(LAT, "scalar", rng), random_field(LAT, "one-form", rng)
+    iN = inv.InvariantField("scalar", rng.standard_normal(1))
+    ibeta = inv.InvariantField("one-form", rng.standard_normal(3))
+    for args, geom in (((iN, beta), TORUS), ((N, ibeta), TORUS),
+                       ((N, ibeta), BERGER), ((iN, beta), BERGER)):
+        with pytest.raises(ValueError, match="slice operators act on"):
+            gauge_producing_data(*args, geom)
+
+
 def test_gauge_data_solve_linearised_constraints():
     rng = np.random.default_rng(9)
     for geom in [TORUS, slice_geometry("kasner", p=KASNER_P, t0=1.3)]:

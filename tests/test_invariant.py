@@ -37,9 +37,11 @@ def test_ricci_matches_milnor_oracle():
         assert abs(g.scal - scal) < 1e-10
 
 
-def test_scalar_flat_parameter_found_by_solve():
-    lam = inv.scalar_flat_parameter()
-    g = geo(lam)
+def test_scalar_flat_parameter_is_the_closed_form():
+    # Milnor: Scal(diag(lam, 1, 1)) = 8 - 2 lam for this bracket, so lam* = 4
+    for lam in (0.3, 1.0, 2.5, 4.0, 7.0):
+        assert abs(geo(lam).scal - (8.0 - 2.0 * lam)) < 1e-12
+    g = geo(inv.SCALAR_FLAT_LAMBDA)
     assert abs(g.scal) < 1e-12
     # curvature does not vanish there
     assert np.linalg.norm(g.ricci) > 0.1

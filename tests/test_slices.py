@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 
 import linwave.invariant as inv
-from linwave.fields import ModeLattice, random_field, sobolev_norm, sym2_from_full, sym2_to_full
+from linwave.fields import (
+    ModeLattice,
+    SpectralField,
+    random_field,
+    sobolev_norm,
+    sym2_index_pairs,
+    sym2_to_full,
+)
 from linwave.slices import (
     apply_slice_operator,
     constraint_residual,
+    scalar_times,
     slice_geometry,
     slice_inner,
+    slice_max_abs,
     slice_norm,
 )
 
@@ -80,17 +89,66 @@ def test_flat_ckl_normal_formula():
 
 
 def test_trace_reverse_inverts_cleanly():
-    # on a 3-slice: tr(bar h) = -(1/2) tr h, and h = bar h - tr(bar h) g
-    geom = slice_geometry("kasner", p=KASNER_P, t0=0.8)
+    # tr(bar h) = (1 - n/2) tr h on every slice, and on a 3-slice
+    # h = bar h - tr(bar h) g
     rng = np.random.default_rng(1)
-    h = random_field(ModeLattice(3, 2), "sym2", rng)
-    hbar = apply_slice_operator(geom, "trace_reverse", h)
-    tr = apply_slice_operator(geom, "trace", h)
-    trbar = apply_slice_operator(geom, "trace", hbar)
-    assert np.max(np.abs(trbar.coeffs + 0.5 * tr.coeffs)) < 1e-13
-    gsym = sym2_from_full(geom.metric, 3)
-    rec = hbar.coeffs - trbar.coeffs * gsym[None]
-    assert np.max(np.abs(rec - h.coeffs)) < 1e-13
+    for geom in (slice_geometry("flat-torus", n=2), slice_geometry("flat-torus", n=3),
+                 slice_geometry("kasner", p=KASNER_P, t0=0.8),
+                 slice_geometry("berger", lam=2.7)):
+        if geom.is_torus:
+            h = random_field(ModeLattice(geom.n, 2), "sym2", rng)
+        else:
+            h = inv.InvariantField("sym2", rng.standard_normal(6))
+        hbar = apply_slice_operator(geom, "trace_reverse", h)
+        tr = apply_slice_operator(geom, "trace", h)
+        trbar = apply_slice_operator(geom, "trace", hbar)
+        assert slice_max_abs(geom, trbar - tr * (1.0 - geom.n / 2.0)) < 1e-13
+        if geom.n == 3:
+            rec = hbar - scalar_times(geom, trbar, geom.metric)
+            assert slice_max_abs(geom, rec - h) < 1e-13
+
+
+def test_lie_extrinsic_on_kasner_and_berger():
+    # (Lie_beta k~)_ab = i (k_a beta^c k~_cb + k_b beta^c k~_ca) per mode
+    rng = np.random.default_rng(13)
+    geom = slice_geometry("kasner", p=KASNER_P, t0=1.3)
+    lat = ModeLattice(3, 2)
+    beta = random_field(lat, "one-form", rng)
+    K, gi = geom.extrinsic, geom.metric_inv
+    want = np.zeros((lat.num_modes, 6), complex)
+    for m, k in enumerate(lat.modes):
+        bup = gi @ beta.coeffs[m]
+        for c, (a, b) in enumerate(sym2_index_pairs(3)):
+            want[m, c] = 1j * (k[a] * (bup @ K[:, b]) + k[b] * (bup @ K[:, a]))
+    got = apply_slice_operator(geom, "lie_extrinsic", beta)
+    assert got.rank == "sym2"
+    assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+    # k~ = 0 on every Berger slice
+    berger = slice_geometry("berger", lam=2.7)
+    got = apply_slice_operator(
+        berger, "lie_extrinsic", inv.InvariantField("one-form", rng.standard_normal(3)))
+    assert got.rank == "sym2" and np.all(got.components == 0)
+
+
+def test_scalar_times_on_both_backends():
+    rng = np.random.default_rng(14)
+    geom = slice_geometry("kasner", p=KASNER_P, t0=1.3)
+    lat = ModeLattice(3, 2)
+    f = random_field(lat, "scalar", rng)
+    got = scalar_times(geom, f, geom.extrinsic)
+    assert isinstance(got, SpectralField) and got.rank == "sym2"
+    assert np.array_equal(sym2_to_full(got.coeffs, 3),
+                          f.coeffs[:, 0, None, None] * geom.extrinsic)
+    berger = slice_geometry("berger", lam=2.7)
+    got = scalar_times(berger, inv.InvariantField("scalar", [0.7]), berger.ricci)
+    assert isinstance(got, inv.InvariantField) and got.rank == "sym2"
+    assert np.max(np.abs(sym2_to_full(got.components, 3) - 0.7 * berger.ricci)) < 1e-14
+    with pytest.raises(ValueError, match="SpectralField"):
+        scalar_times(geom, inv.InvariantField("scalar", [0.7]), geom.metric)
+    with pytest.raises(ValueError, match="InvariantField"):
+        scalar_times(berger, f, berger.metric)
+    with pytest.raises(ValueError, match="expects rank scalar"):
+        scalar_times(geom, random_field(lat, "one-form", rng), geom.metric)
 
 
 def test_invariant_backend_dispatch():
