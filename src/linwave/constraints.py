@@ -56,15 +56,17 @@ class InitialDataPair:
     def __post_init__(self):
         if self.h.rank != "sym2" or self.m.rank != "sym2":
             raise ValueError("initial data must be symmetric 2-tensors")
+        fields = (self.h, self.m)
         if self.geom.is_torus:
-            if not isinstance(self.h, SpectralField) or self.h.lattice != self.m.lattice:
+            if (not all(isinstance(f, SpectralField) for f in fields)
+                    or self.h.lattice != self.m.lattice):
                 raise ValueError("torus data must share one mode lattice")
             if self.h.lattice.n != self.geom.n:
                 raise ValueError(
                     f"torus data lattice dimension {self.h.lattice.n} != slice "
                     f"dimension {self.geom.n}"
                 )
-        elif not isinstance(self.h, inv.InvariantField):
+        elif not all(isinstance(f, inv.InvariantField) for f in fields):
             raise ValueError("invariant slices carry invariant fields")
 
 

@@ -17,31 +17,37 @@ whenever 0 < ab < 2.  The module also provides the classical splitting of
 initial data into a gauge-producing part P(beta, N) and a part in ker(P*),
 gauge-producing data on arbitrary slices, and kernel bases.
 
-Each backend keeps only its solve: the torus inverts P and the Moncrief
-normal equations mode by mode, Berger by least squares with kernel
-deflation.  Everything around the solves (the defining equations, P*,
-gauge-producing data, forming gamma from the solved parts and the residual
-reports) is written once, for both, with the operators, scalar_times,
-norms and inner products of slices.py.
+P and P(beta, N) are written once, as maps of slice fields (P(beta, N) is
+gauge_producing_data on a slice with k~ = 0), and slices.operator_matrices
+reads their per-mode matrices off them on either backend.  Only the split
+solve is per backend: the torus inverts P mode by mode, Berger takes the
+least-norm least-squares solution, as the one Moncrief solve does on both.
+Everything else (the defining equations, P*, forming gamma from the solved
+parts and the residual reports) is written once too, with the operators,
+scalar_times, norms and inner products of slices.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
 from . import invariant as inv
 from .constraints import InitialDataPair
 from .errors import InternalError
-from .fields import SpectralField, component_weights, sym2_index_pairs, zero_field
+from .fields import SpectralField, component_gram
 from .slices import (
     SliceGeometry,
     apply_slice_operator,
+    operator_matrices,
     scalar_times,
     slice_inner,
     slice_max_abs,
     slice_norm,
+    slice_stack,
+    slice_unstack,
 )
 
 KERNEL_TOL = 1e-10
@@ -107,59 +113,67 @@ def _require_split_slice(geom: SliceGeometry):
 # The split operator P and its kernel
 # ---------------------------------------------------------------------------
 
-
-def _torus_split_matrices(geom: SliceGeometry, params: SplitOperatorParams,
-                          modes: np.ndarray) -> np.ndarray:
-    """Per-mode matrices of P acting on (phi, omega_1..omega_n)."""
-    n = geom.n
-    gi = geom.metric_inv
-    k = modes.astype(float)
-    kup = k @ gi.T
-    k2 = np.einsum("ma,ma->m", kup, k)
-    m = len(k)
-    M = np.zeros((m, n + 1, n + 1), complex)
-    M[:, 0, 0] = k2
-    M[:, 1:, 0] = params.b * 1j * k
-    M[:, 1:, 1:] = 2.0 * k2[:, None, None] * np.eye(n)[None]
-    M[:, 1:, 1:] += (2.0 - 4.0 / n) * np.einsum("ma,mb->mab", k, kup)
-    return M
+SPLIT_RANKS = ("scalar", "one-form")  # (phi, omega)
+MONCRIEF_RANKS = ("one-form", "scalar")  # (beta, N)
 
 
-def _null_space(M: np.ndarray) -> np.ndarray:
-    """Rows of vt spanning the null space of a square or tall matrix M:
-    singular values at or below KERNEL_TOL times the largest (or 1)."""
-    _, s, vt = np.linalg.svd(M)
-    return vt[s <= KERNEL_TOL * max(1.0, s[0])]
+def split_operator(params: SplitOperatorParams, geom: SliceGeometry, phi, omega) -> tuple:
+    """P(phi, omega) = (Delta phi + a g~(Ric, L omega),  L*L omega + b d phi)."""
+    Lw = apply_slice_operator(geom, "conformal_killing", omega)
+    return (apply_slice_operator(geom, "laplacian", phi)
+            + apply_slice_operator(geom, "ricci_pairing", Lw) * params.a,
+            apply_slice_operator(geom, "ckl_normal", omega)
+            + apply_slice_operator(geom, "d", phi) * params.b)
+
+
+def split_matrices(params: SplitOperatorParams, geom: SliceGeometry, lattice=None):
+    """Per-mode matrices of P on (phi, omega), (modes, n+1, n+1); Berger is one mode."""
+    return operator_matrices(geom, partial(split_operator, params, geom), SPLIT_RANKS, lattice)
 
 
 def kernel_basis(params: SplitOperatorParams, geom: SliceGeometry,
                  lattice=None) -> list:
-    """Basis of ker(P): pairs (phi, omega) of constants and Killing forms."""
+    """Basis of ker(P): pairs (phi, omega) of constants and Killing forms, from
+    singular values at or below KERNEL_TOL times the mode's largest (or 1)."""
     _require_split_slice(geom)
-    if geom.is_torus:
-        if lattice is None:
-            raise ValueError("torus kernel scan needs a mode lattice")
-        M = _torus_split_matrices(geom, params, lattice.modes)
-        basis = []
-        for i, k in enumerate(lattice.modes):
-            for v in _null_space(M[i]):
-                if np.any(k != 0):
-                    # the lemma predicts no nonzero-mode kernel on flat slices
-                    raise InternalError(
-                        f"decomposition.kernel_basis: unexpected kernel element at mode {k}"
-                    )
-                phi = zero_field(lattice, "scalar")
-                omega = zero_field(lattice, "one-form")
-                phi.coeffs[i, 0] = v[0].real
-                omega.coeffs[i] = v[1:].real
-                basis.append((phi, omega))
-        return basis
-    geo = geom.invariant_geometry
-    op = inv.operator_matrix(geo, "split_p", (params.a, params.b))
-    return [
-        (inv.InvariantField("scalar", v[:1]), inv.InvariantField("one-form", v[1:]))
-        for v in _null_space(op.matrix)
-    ]
+    M = split_matrices(params, geom, lattice)
+    _, s, vt = np.linalg.svd(M)
+    basis = []
+    for i, j in zip(*np.nonzero(s <= KERNEL_TOL * np.maximum(1.0, s[:, :1]))):
+        if geom.is_torus and np.any(lattice.modes[i] != 0):
+            # the lemma predicts no nonzero-mode kernel on flat slices
+            raise InternalError(
+                f"decomposition.kernel_basis: unexpected kernel element at mode "
+                f"{lattice.modes[i]}"
+            )
+        u = np.zeros(M.shape[:2])
+        u[i] = vt[i, j].real
+        basis.append(slice_unstack(geom, SPLIT_RANKS, u, lattice))
+    return basis
+
+
+def _least_squares(geom: SliceGeometry, A: np.ndarray, y: np.ndarray, rows, cols):
+    """Per mode, the least-squares solution of A u = y in the L^2 metric of
+    the ranks `rows` with least L^2 norm in the ranks `cols`: the pinv at
+    rcond KERNEL_TOL in u = Rd^-1 pinv(Rc A Rd^-1) Rc y, where R^T R is the
+    pointwise Gram matrix of a rank tuple (the volume factor cancels)."""
+    Rc, Rd = (_gram_factor(geom, ranks) for ranks in (rows, cols))
+    Rd_inv = np.linalg.inv(Rd)
+    m, r, c = A.shape
+    # Rc A Rd^-1 as one GEMM: X -> Rc X Rd^-1 is kron(Rc, Rd^-T) on rows of X
+    B = (A.reshape(m, r * c) @ np.kron(Rc, Rd_inv.T).T).reshape(m, r, c)
+    z = np.einsum("mcr,mr->mc", np.linalg.pinv(B, rcond=KERNEL_TOL), y @ Rc.T)
+    return z @ Rd_inv.T
+
+
+def _gram_factor(geom: SliceGeometry, ranks) -> np.ndarray:
+    """Upper Cholesky factor R, R^T R = G, of the block-diagonal pointwise
+    Gram matrix G of the stacked components of `ranks`."""
+    blocks = [np.linalg.cholesky(component_gram(r, geom.n, geom.metric_inv)).T for r in ranks]
+    R = np.zeros((sum(map(len, blocks)),) * 2)
+    for b, i in zip(blocks, np.cumsum([0] + [len(b) for b in blocks])):
+        R[i:i + len(b), i:i + len(b)] = b
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +186,8 @@ def split_solve(source, which: str, geom: SliceGeometry) -> DecompositionResult:
 
     Strategy: choose C by the solvability condition (0 when Ric = 0), form
     the right-hand side of the defining elliptic equation, invert P mode by
-    mode (torus) or by pseudo-inverse with kernel deflation (invariant),
-    normalise phi to zero mean and omega orthogonal to Killing forms.
+    mode (torus) or by the least-norm least-squares solve (invariant), so
+    phi has zero mean and omega is orthogonal to Killing forms.
     """
     _require_split_slice(geom)
     params = split_params(which, geom.n)
@@ -203,14 +217,14 @@ def _split_solve_torus(source: SpectralField, which, params, geom: SliceGeometry
     r2 = apply_slice_operator(geom, "divergence", source) * -2.0
     if which == "momentum":
         r2 = r2 + apply_slice_operator(geom, "d", tr) * 2.0
-    rhs = np.concatenate([r1.coeffs, r2.coeffs], axis=1)
-    M = _torus_split_matrices(geom, params, lat.modes)
+    rhs = slice_stack(geom, (r1, r2))
+    M = split_matrices(params, geom, lat)
     u = np.zeros_like(rhs)
     nz = np.any(lat.modes != 0, axis=1)
     u[nz] = np.linalg.solve(M[nz], rhs[nz][..., None])[..., 0]
     # the zero mode carries the kernel; rhs vanishes there, so phi[1] = 0 and
     # omega is orthogonal to the (parallel) Killing forms by u[~nz] = 0
-    return 0.0, SpectralField(lat, "scalar", u[:, :1]), SpectralField(lat, "one-form", u[:, 1:])
+    return (0.0, *slice_unstack(geom, SPLIT_RANKS, u, lat))
 
 
 def _split_solve_invariant(source: inv.InvariantField, which, params, geom: SliceGeometry):
@@ -225,15 +239,9 @@ def _split_solve_invariant(source: inv.InvariantField, which, params, geom: Slic
     sign = -1.0 if which == "position" else 1.0
     r1 = sign * (gaR - C * gRR) / geom.n
     r2 = -2.0 * apply_slice_operator(geom, "divergence", source).components
-    rhs = np.concatenate([[r1], r2])
-    P = inv.operator_matrix(geo, "split_p", (params.a, params.b))
-    u, *_ = np.linalg.lstsq(P.matrix, rhs, rcond=KERNEL_TOL)
-    # deflate the kernel in the L2 sense: zero-mean phi, omega _|_ Killing
-    gram = inv.block_gram(geo, ("scalar", "one-form"))
-    for kphi, komega in kernel_basis(params, geom):
-        kv = np.concatenate([kphi.components, komega.components])
-        u = u - kv * float(kv @ gram @ u) / float(kv @ gram @ kv)
-    return C, inv.InvariantField("scalar", u[:1]), inv.InvariantField("one-form", u[1:])
+    rhs = np.concatenate([[r1], r2])[None]
+    u = _least_squares(geom, split_matrices(params, geom), rhs, SPLIT_RANKS, SPLIT_RANKS)
+    return (C, *slice_unstack(geom, SPLIT_RANKS, u))
 
 
 # ---------------------------------------------------------------------------
@@ -268,57 +276,26 @@ def gamma_equation_norms(field, which: str, geom: SliceGeometry) -> dict:
 
 def moncrief_project(pair: InitialDataPair) -> MoncriefSplit:
     """Split a pair into P(beta, N) = (Lie_beta g~, Hess N - Ric N) plus a
-    remainder in ker(P*), by a least-squares solve of the normal equations."""
+    remainder in ker(P*).  P(beta, N) is gauge_producing_data, as k~ = 0;
+    (beta, N) is its least-squares fit to the pair in the L^2 metric, of
+    least L^2 norm, so it is orthogonal to ker P (Killing beta plus lapses
+    with Hess N = Ric N)."""
     geom = pair.geom
     _require_split_slice(geom)
-    solve = _moncrief_torus if geom.is_torus else _moncrief_invariant
-    N, beta, gauge_h, gauge_m = solve(pair, geom)
+    lat = pair.h.lattice if geom.is_torus else None
+
+    def P(beta, N):
+        gauge = gauge_producing_data(N, beta, geom)
+        return gauge.h, gauge.m
+
+    A = operator_matrices(geom, P, MONCRIEF_RANKS, lat)
+    u = _least_squares(geom, A, slice_stack(geom, (pair.h, pair.m)), ("sym2", "sym2"),
+                       MONCRIEF_RANKS)
+    beta, N = slice_unstack(geom, MONCRIEF_RANKS, u, lat)
+    gauge_h, gauge_m = slice_unstack(geom, ("sym2", "sym2"), np.einsum("mri,mi->mr", A, u), lat)
     out = MoncriefSplit(N, beta, gauge_h, gauge_m, pair.h - gauge_h, pair.m - gauge_m)
     out.report = _moncrief_report(out, geom)
     return out
-
-
-def _moncrief_torus(pair: InitialDataPair, geom: SliceGeometry):
-    lat = pair.h.lattice
-    n = geom.n
-    w = component_weights("sym2", n)
-    sq = np.sqrt(w)
-    pairs = sym2_index_pairs(n)
-    k = lat.modes.astype(float)
-    m = len(k)
-    ncomp = len(pairs)
-    A = np.zeros((m, 2 * ncomp, n + 1), complex)
-    for c, (a, b) in enumerate(pairs):
-        # Lie_beta g~ per mode; Hess N = -k_a k_b N, and Ric = 0
-        A[:, c, a] += 1j * k[:, b]
-        A[:, c, b] += 1j * k[:, a]
-        A[:, ncomp + c, n] = -k[:, a] * k[:, b]
-    x = np.concatenate([pair.h.coeffs, pair.m.coeffs], axis=1)
-    wsq = np.concatenate([sq, sq])
-    # minimum-norm least squares for every mode at once; singular values at
-    # or below KERNEL_TOL times the largest are dropped, as lstsq's rcond does
-    pinv = np.linalg.pinv(wsq[:, None] * A, rcond=KERNEL_TOL)
-    u = np.einsum("mic,mc->mi", pinv, wsq * x)
-    gauge = np.einsum("mci,mi->mc", A, u)
-    return (SpectralField(lat, "scalar", u[:, n:]), SpectralField(lat, "one-form", u[:, :n]),
-            SpectralField(lat, "sym2", gauge[:, :ncomp]),
-            SpectralField(lat, "sym2", gauge[:, ncomp:]))
-
-
-def _moncrief_invariant(pair: InitialDataPair, geom: SliceGeometry):
-    geo = geom.invariant_geometry
-    P = inv.operator_matrix(geo, "moncrief_p")
-    gram = inv.block_gram(geo, ("sym2", "sym2"))
-    R = np.linalg.cholesky(gram)
-    x = np.concatenate([pair.h.components, pair.m.components])
-    u, *_ = np.linalg.lstsq(R.T @ P.matrix, R.T @ x, rcond=KERNEL_TOL)
-    # deflate ker(P): Killing beta plus lapses with Hess N = Ric N
-    dgram = inv.block_gram(geo, ("one-form", "scalar"))
-    for kv in _null_space(P.matrix):
-        u = u - kv * float(kv @ dgram @ u) / float(kv @ dgram @ kv)
-    beta = inv.InvariantField("one-form", u[:3])
-    N = inv.InvariantField("scalar", u[3:])
-    return (N, beta, *P(beta, N))
 
 
 def moncrief_p_star(h, m, geom: SliceGeometry):

@@ -12,15 +12,15 @@ wave equation box_L h = 0 then propagates both the gauge condition and the
 linearised constraints.  Each Fourier mode evolves independently.  One
 sampler, _samples, produces every trajectory of the wave equation, the
 pure-gauge connection wave equation and the joint (h, V) system of gauge
-recovery, and dense output between samples: the background chooses the
-method, closed form on the Minkowski torus (which takes no dt) and
-classical 4th-order RK4 at a fixed dt on Kasner.  It takes real data
-(c_{-k} = conj(c_k)) on half the lattice and mirrors them, with output
-identical to sampling every mode.  Diagnostics track
-the gauge residual, the constraint residuals of the induced data, and
-per-mode wave energies; on real trajectories they are evaluated on the
-same half, with each +-k pair counted twice in the norms, and on any
-other trajectory on the full lattice.  The gauge vector field of a
+recovery: the background chooses the method, closed form on the Minkowski
+torus (which takes no dt) and classical 4th-order RK4 at a fixed dt on
+Kasner.  It takes real data (c_{-k} = conj(c_k)) on half the lattice and
+mirrors them, with output identical to sampling every mode.  A trajectory
+holds its samples only; induced data are extracted at sample times.
+Diagnostics track the gauge residual, the constraint residuals of the
+induced data, and per-mode wave energies; on real trajectories they are
+evaluated on the same half, with each +-k pair counted twice in the norms,
+and on any other trajectory on the full lattice.  The gauge vector field of a
 pure-gauge solution is recovered by solving the connection wave equation
 nabla*nabla V = -div(hbar).
 """
@@ -70,22 +70,16 @@ class Trajectory:
     dt: float | None = None  # RK4 step on Kasner; None on the Minkowski torus
 
     def state_at(self, tau: float):
-        """Dense output: the state at tau, sampled from the stored sample
-        behind it (closed form on Minkowski, re-integration on Kasner)."""
-        lo, hi = min(self.times[0], self.times[-1]), max(self.times[0], self.times[-1])
-        if not lo - 1e-12 <= tau <= hi + 1e-12:
-            raise ValueError(f"time {tau} outside trajectory range [{lo}, {hi}]")
-        hit = np.nonzero(np.isclose(self.times, tau, rtol=0, atol=1e-12))[0]
-        if len(hit):
-            i = hit[0]
-            return self.states[i].copy(), self.derivs[i].copy()
-        direction = np.sign(self.times[-1] - self.times[0]) or 1.0
-        behind = (tau - self.times) * direction >= 0
-        i = int(np.argmin(np.where(behind, np.abs(tau - self.times), np.inf)))
-        return _samples(
-            self.background, self.lattice, ("lichnerowicz",), _monic_rhs,
-            self.times[i], (self.states[i], self.derivs[i]), [tau], self.dt, _harmonic,
-        )[0]
+        """The stored sample (state, time derivative) at tau, to 1e-12;
+        ValueError at any other time."""
+        hit = np.nonzero(np.abs(self.times - tau) <= 1e-12)[0]
+        if not len(hit):
+            raise ValueError(
+                f"time {tau} is not a sample time of the trajectory: it holds "
+                f"{len(self.times)} samples from {self.times[0]} to {self.times[-1]}"
+            )
+        i = hit[0]
+        return self.states[i].copy(), self.derivs[i].copy()
 
 
 @dataclass

@@ -294,6 +294,35 @@ def component_gram(rank: str, n: int, metric_inv: np.ndarray) -> np.ndarray:
     return np.einsum("aij,ip,jq,bpq->ab", E, metric_inv, metric_inv, E)
 
 
+def monomial_basis(modes) -> np.ndarray:
+    """Values of [1, k_a, k_a^2, k_a k_b (a < b)] per mode: (num_modes, npoly)."""
+    modes = np.asarray(modes, float)
+    n = modes.shape[1]
+    cols = [np.ones(len(modes))]
+    cols += [modes[:, a] for a in range(n)]
+    cols += [modes[:, a] ** 2 for a in range(n)]
+    cols += [modes[:, a] * modes[:, b] for a in range(n) for b in range(a + 1, n)]
+    return np.stack(cols, axis=1)
+
+
+def quadratic_probes(n: int) -> np.ndarray:
+    """The probe modes k = 0, e_a, -e_a, e_a + e_b (a < b), (npoly, n) floats."""
+    eye = np.eye(n)
+    a, b = np.triu_indices(n, 1)
+    return np.concatenate([np.zeros((1, n)), eye, -eye, eye[a] + eye[b]])
+
+
+def quadratic_coefficients(values: np.ndarray, n: int) -> np.ndarray:
+    """monomial_basis coefficients of a quadratic polynomial in k from its
+    values at quadratic_probes(n), stacked on axis 0."""
+    a, b = np.triu_indices(n, 1)
+    c0, plus, minus = values[0], values[1:n + 1], values[n + 1:2 * n + 1]
+    lin = (plus - minus) / 2.0
+    diag = (plus + minus) / 2.0 - c0
+    cross = values[2 * n + 1:] - c0 - lin[a] - lin[b] - diag[a] - diag[b]
+    return np.concatenate([c0[None], lin, diag, cross])
+
+
 def sobolev_norm(field: SpectralField, s: float) -> float:
     """Sobolev norm ||f||_s = sqrt( sum_k (1+|k|^2)^s sum_c w_c |c_k|^2 )
     over the stored lattice.

@@ -2,7 +2,10 @@
 
 Everything is restricted to the left-invariant sector, where a scalar is a
 single number, a one-form has 3 frame components and a symmetric 2-tensor
-has 6.  Differential operators then become small dense matrices.
+has 6.  Differential operators then become small dense matrices, one per
+operator between two ranks; slices.apply_slice_operator composes them, and
+slices.operator_matrices reads the matrix of a composite map (such as the
+split operator P of decomposition.py) off its action on unit fields.
 
 Conventions:
   * frame bracket [e_i, e_j] = 2 eps_{ijk} e_k (SU(2)),
@@ -187,7 +190,7 @@ def adjoint_matrix(geo: InvariantGeometry, op: OperatorMatrix) -> OperatorMatrix
     return OperatorMatrix(op.codomain, op.domain, mat)
 
 
-def operator_matrix(frame: HomogeneousFrame, kind: str, params=None) -> OperatorMatrix:
+def operator_matrix(frame: HomogeneousFrame, kind: str) -> OperatorMatrix:
     """Matrix of a differential operator restricted to invariant sections.
 
     Invariant scalars are constants, so d, Hess and Laplace on scalars
@@ -252,56 +255,4 @@ def operator_matrix(frame: HomogeneousFrame, kind: str, params=None) -> Operator
         # g(Ric, h) = g^ip g^jq Ric_ij h_pq on stored components
         row = np.einsum("ij,ip,jq,apq->a", geo.ricci, gi, gi, _EXPAND)
         return OperatorMatrix("sym2", "scalar", row[None, :])
-    if kind in ("moncrief_p", "split_p"):
-        return _block_operator(geo, kind, params)
     raise ValueError(f"unknown operator kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class BlockOperator:
-    """Operator between products of invariant ranks, as one dense matrix."""
-
-    domain: tuple[str, ...]
-    codomain: tuple[str, ...]
-    matrix: np.ndarray
-
-    def __call__(self, *fields: InvariantField):
-        vec = np.concatenate([f.components for f in fields])
-        out = self.matrix @ vec
-        result, pos = [], 0
-        for r in self.codomain:
-            d = RANK_DIMS[r]
-            result.append(InvariantField(r, out[pos : pos + d]))
-            pos += d
-        return tuple(result)
-
-
-def block_gram(geo: InvariantGeometry, ranks) -> np.ndarray:
-    blocks = [gram_matrix(geo, r) for r in ranks]
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size))
-    pos = 0
-    for b in blocks:
-        d = b.shape[0]
-        out[pos : pos + d, pos : pos + d] = b
-        pos += d
-    return out
-
-
-def _block_operator(geo: InvariantGeometry, kind: str, params) -> BlockOperator:
-    if kind == "moncrief_p":
-        # P(beta, N) = (Lie_beta g, Hess N - Ric N); Hess of a constant is 0.
-        mat = np.zeros((12, 4))
-        mat[0:6, 0:3] = operator_matrix(geo, "lie_metric").matrix
-        mat[6:12, 3] = -geo.ricci_sym6()
-        return BlockOperator(("one-form", "scalar"), ("sym2", "sym2"), mat)
-    a, b = params
-    if not 0 < a * b < 2:
-        raise ValueError(f"split operator requires 0 < a*b < 2, got a*b = {a * b}")
-    # P(phi, omega) = (Delta phi + a g(Ric, L omega), L*L omega + b d phi);
-    # invariant scalars kill the Delta phi and d phi terms.
-    ck = operator_matrix(geo, "conformal_killing").matrix
-    mat = np.zeros((4, 4))
-    mat[0, 1:4] = a * (operator_matrix(geo, "ricci_pairing").matrix[0] @ ck)
-    mat[1:4, 1:4] = operator_matrix(geo, "ckl_normal").matrix
-    return BlockOperator(("scalar", "one-form"), ("scalar", "one-form"), mat)

@@ -17,7 +17,8 @@ invariant.operator_matrix.  scalar_times multiplies a scalar field by a
 constant tensor of the slice (g~, k~ or Ric), so the zeroth-order terms of
 an equation are written once too.  slice_norm, slice_inner and
 slice_max_abs are the matching L^2 norm, inner product and largest
-coefficient modulus.
+coefficient modulus.  operator_matrices reads the per-mode matrices of a
+linear map built from these (P, P(beta, N), DPhi) off unit fields.
 Sign conventions: Delta = delta d + d delta (positive), delta = -div,
 Hess(phi)_{ij} = -k_i k_j phi per mode, trace reversal h - (1/2)(tr h) g.
 """
@@ -29,9 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariant as inv
+from .errors import InternalError
 from .fields import (
+    ModeLattice,
     SpectralField,
     l2_inner,
+    monomial_basis,
+    quadratic_coefficients,
+    quadratic_probes,
+    rank_components,
     sobolev_norm,
     sym2_from_full,
     sym2_to_full,
@@ -325,3 +332,49 @@ def _apply_invariant(geom: SliceGeometry, kind: str, field: inv.InvariantField):
     else:
         raise ValueError(f"unknown invariant operator kind {kind!r}")
     return op(field)
+
+
+# ---------------------------------------------------------------------------
+# Per-mode matrices of a linear map of slice fields
+# ---------------------------------------------------------------------------
+
+
+def slice_stack(geom: SliceGeometry, fields) -> np.ndarray:
+    """(modes, components) of a tuple of fields side by side; Berger is one mode."""
+    if geom.is_torus:
+        return np.concatenate([f.coeffs for f in fields], axis=1)
+    return np.concatenate([f.components for f in fields])[None]
+
+
+def slice_unstack(geom: SliceGeometry, ranks, u: np.ndarray, lattice=None) -> tuple:
+    """The fields of `ranks` (on `lattice`, for a torus) whose slice_stack is u."""
+    ends = np.cumsum([rank_components(r, geom.n) for r in ranks])
+    return tuple(SpectralField(lattice, r, b) if geom.is_torus else inv.InvariantField(r, b[0])
+                 for r, b in zip(ranks, np.split(u, ends[:-1], axis=1)))
+
+
+def operator_matrices(geom: SliceGeometry, F, ranks, lattice=None) -> np.ndarray:
+    """Per-mode matrices (modes, rows, cols) of a linear map F from fields of
+    `ranks` to a tuple of fields, in slice_stack order.  Slice operators act
+    mode by mode, so F of the unit field of one input component (the same
+    at every mode) is that column.  On a torus F, of order at most 2, runs
+    on ModeLattice(n, 1) only: its quadratic coefficients are read off the
+    probes, checked on the other modes there (InternalError if F is not
+    quadratic) and evaluated on `lattice`."""
+    n = geom.n
+    if geom.is_torus and (lattice is None or lattice.n != n):
+        raise ValueError(f"torus operator matrices need a mode lattice of dimension {n}")
+    probe = ModeLattice(n, 1)
+    eye = np.eye(sum(rank_components(r, n) for r in ranks))
+    nmodes = probe.num_modes if geom.is_torus else 1
+    M = np.stack([slice_stack(geom, F(*slice_unstack(geom, ranks, np.tile(e, (nmodes, 1)), probe)))
+                  for e in eye], axis=-1)
+    if not geom.is_torus:
+        return M
+    idx = [probe.mode_index(k) for k in quadratic_probes(n).astype(int)]
+    C = quadratic_coefficients(M[idx], n).reshape(len(idx), -1)
+    dev = np.max(np.abs(monomial_basis(probe.modes) @ C - M.reshape(nmodes, -1)))
+    if dev > 1e-12 * max(1.0, np.max(np.abs(M))):  # probe round-off
+        raise InternalError(f"slices.operator_matrices: the map is not quadratic in k "
+                            f"(deviation {dev:.3e} from its probe fit)")
+    return (monomial_basis(lattice.modes) @ C).reshape((lattice.num_modes,) + M.shape[1:])

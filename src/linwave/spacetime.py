@@ -32,7 +32,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalError
-from .fields import SpectralField, sym2_from_full, sym2_to_full
+from .fields import (
+    SpectralField,
+    monomial_basis,
+    quadratic_coefficients,
+    quadratic_probes,
+    sym2_from_full,
+    sym2_to_full,
+)
 from .slices import SliceGeometry, kasner_exponents, slice_geometry
 
 
@@ -414,19 +421,9 @@ def _probe_coefficients(background: SpacetimeBackground, kind: str) -> list:
     """Polynomial coefficient matrices of a mode operator at t = 1, by ten
     probe assemblies (k = 0, +-e_a, e_a + e_b); see family_coefficients."""
     n = background.n
-    eye = np.eye(n)
-    a, b = np.triu_indices(n, 1)
-    probes = np.concatenate([np.zeros((1, n)), eye, -eye, eye[a] + eye[b]])
-    out = []
-    for mats in zip(*(assemble_mode_operator(background, kind, k).matrices(1.0)
-                      for k in probes)):
-        M = np.stack(mats)
-        c0, plus, minus, mixed = M[0], M[1:n + 1], M[n + 1:2 * n + 1], M[2 * n + 1:]
-        lin = (plus - minus) / 2.0
-        diag = (plus + minus) / 2.0 - c0
-        cross = mixed - c0 - lin[a] - lin[b] - diag[a] - diag[b]
-        out.append(np.concatenate([c0[None], lin, diag, cross]))
-    return out
+    return [quadratic_coefficients(np.stack(mats), n)
+            for mats in zip(*(assemble_mode_operator(background, kind, k).matrices(1.0)
+                              for k in quadratic_probes(n)))]
 
 
 def _component_weights(w: np.ndarray, ncomp: int) -> np.ndarray:
@@ -606,17 +603,6 @@ def _lead_is_identity(lead: tuple, tol: float = 1e-12) -> bool:
         return False
     dev = np.max(np.abs(const - np.eye(len(const))))
     return max(dev, np.max(np.abs(flat), initial=0.0), np.max(np.abs(scal), initial=0.0)) <= tol
-
-
-def monomial_basis(modes) -> np.ndarray:
-    """Values of [1, k_a, k_a^2, k_a k_b (a < b)] per mode: (num_modes, npoly)."""
-    modes = np.asarray(modes, float)
-    n = modes.shape[1]
-    cols = [np.ones(len(modes))]
-    cols += [modes[:, a] for a in range(n)]
-    cols += [modes[:, a] ** 2 for a in range(n)]
-    cols += [modes[:, a] * modes[:, b] for a in range(n) for b in range(a + 1, n)]
-    return np.stack(cols, axis=1)
 
 
 class FamilyAction:

@@ -352,6 +352,17 @@ def test_pair_validation():
         )
 
 
+def test_pair_checks_the_backend_of_m_as_of_h():
+    lat = ModeLattice(3, 1)
+    rng = np.random.default_rng(1)
+    spectral = random_field(lat, "sym2", rng)
+    invariant = inv.InvariantField("sym2", rng.standard_normal(6))
+    with pytest.raises(ValueError, match="share one mode lattice"):
+        InitialDataPair(spectral, invariant, slice_geometry("flat-torus", n=3))
+    with pytest.raises(ValueError, match="invariant fields"):
+        InitialDataPair(invariant, spectral, slice_geometry("berger"))
+
+
 def test_normal_identities_hold_for_arbitrary_jets():
     # both identities hold for ANY symmetric 2-tensor jet on a vacuum
     # background, with the second time derivative closed by the wave equation

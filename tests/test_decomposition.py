@@ -6,12 +6,13 @@ from linwave.constraints import InitialDataPair, dphi
 from linwave.decomposition import (
     KERNEL_TOL,
     SplitOperatorParams,
-    _torus_split_matrices,
     gamma_equation_norms,
     gauge_producing_data,
     kernel_basis,
     moncrief_p_star,
     moncrief_project,
+    split_matrices,
+    split_operator,
     split_params,
     split_solve,
 )
@@ -24,7 +25,7 @@ from linwave.fields import (
     sym2_to_full,
     zero_field,
 )
-from linwave.slices import apply_slice_operator, slice_geometry
+from linwave.slices import apply_slice_operator, operator_matrices, slice_geometry
 from linwave.spacetime import (
     assemble_mode_operator,
     induced_data_state,
@@ -67,9 +68,8 @@ def test_kernel_dimensions_and_membership():
         assert np.max(np.abs(r2)) < 1e-12
     ker_b = kernel_basis(p, BERGER)
     assert len(ker_b) == 2  # constants + the e1-dual Killing form
-    split_p = inv.operator_matrix(BERGER.invariant_geometry, "split_p", (p.a, p.b))
     for phi, omega in ker_b:
-        r = split_p.matrix @ np.r_[phi.components, omega.components]
+        r = np.r_[tuple(f.components for f in split_operator(p, BERGER, phi, omega))]
         assert np.max(np.abs(r)) < 1e-12
 
 
@@ -78,7 +78,7 @@ def test_split_operator_flat_mode_formula():
     p = split_params("momentum", 3)
     phi = random_field(LAT, "scalar", rng)
     omega = random_field(LAT, "one-form", rng)
-    M = _torus_split_matrices(TORUS, p, LAT.modes)
+    M = split_matrices(p, TORUS, LAT)
     r = np.einsum("mij,mj->mi", M, np.concatenate([phi.coeffs, omega.coeffs], axis=1))
     r1, r2 = r[:, :1], r[:, 1:]
     k = LAT.modes.astype(float)
@@ -95,6 +95,77 @@ def test_split_operator_flat_mode_formula():
     ref1, ref2 = torus_split_apply(p, phi, omega)
     assert np.max(np.abs(r1 - ref1)) < 1e-12
     assert np.max(np.abs(r2 - ref2)) < 1e-12
+
+
+def gauge_map(geom):
+    """(N, beta) -> the gauge-producing pair (h~, m~), as a tuple of fields."""
+    def G(N, beta):
+        gp = gauge_producing_data(N, beta, geom)
+        return gp.h, gp.m
+    return G
+
+
+def test_probed_berger_operators_match_operator_matrices():
+    geo = BERGER.invariant_geometry
+    ck = inv.operator_matrix(geo, "conformal_killing").matrix
+    ric_row = inv.operator_matrix(geo, "ricci_pairing").matrix
+    for which in ("position", "momentum"):
+        p = split_params(which, 3)
+        want = np.zeros((4, 4))  # invariant scalars kill Delta phi and d phi
+        want[0, 1:] = p.a * (ric_row @ ck)[0]
+        want[1:, 1:] = inv.operator_matrix(geo, "ckl_normal").matrix
+        got = split_matrices(p, BERGER)
+        assert got.shape == (1, 4, 4)
+        assert np.max(np.abs(got[0] - want)) <= 1e-14 * np.max(np.abs(want))
+    # P(beta, N) = (Lie_beta g~, Hess N - Ric N); Hess of a constant is 0
+    want = np.zeros((12, 4))
+    want[:6, :3] = inv.operator_matrix(geo, "lie_metric").matrix
+    want[6:, 3] = -geo.ricci_sym6()
+    got = operator_matrices(BERGER, lambda beta, N: gauge_map(BERGER)(N, beta),
+                            ("one-form", "scalar"))
+    assert np.max(np.abs(got[0] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("geom", [
+    slice_geometry("flat-torus", n=2),
+    slice_geometry("flat-torus", n=3),
+    slice_geometry("kasner", p=KASNER_P, t0=1.0),
+    slice_geometry("kasner", p=(1.0, 0.0, 0.0), t0=1.3),
+], ids=["torus2", "torus3", "kasner", "kasner-flat-spacetime"])
+def test_gauge_quotient_counted_mode_by_mode(geom):
+    """The paper's isomorphism, counted per Fourier mode: the gauge map G_k
+    (N, beta) -> (h~, m~) lands in ker DPhi_k, both maps have rank 1 + n at
+    every k != 0, so data modulo gauge has 2 (n(n+1)/2 - n - 1) dimensions
+    per mode (two polarisations in position and momentum on the 3-torus,
+    none on the 2-torus).  At k = 0 both ranks are 0 on a flat slice (a
+    cokernel of 1 + n KIDs: time translation and translations) and 1 on
+    Kasner, where d/dt is not Killing."""
+    n = geom.n
+    lat = ModeLattice(n, 4)
+
+    def dphi_map(h, m):
+        res = dphi(InitialDataPair(h, m, geom))
+        return res.scalar, res.oneform
+
+    D = operator_matrices(geom, dphi_map, ("sym2", "sym2"), lat)
+    G = operator_matrices(geom, gauge_map(geom), ("scalar", "one-form"), lat)
+    assert D.shape[1:] == (1 + n, n * (n + 1)) and G.shape[1:] == (n * (n + 1), 1 + n)
+    DG = np.max(np.abs(D @ G))
+    if geom.kind == "flat-torus":
+        assert DG == 0.0
+    else:
+        assert DG <= 1e-14 * np.max(np.abs(D)) * np.max(np.abs(G))
+
+    def ranks(M):
+        s = np.linalg.svd(M, compute_uv=False)
+        return np.sum(s > 1e-8 * np.maximum(1.0, s[:, :1]), axis=1)
+
+    zero = lat.mode_index((0,) * n)
+    nonzero = np.arange(lat.num_modes) != zero
+    for M in (D, G):
+        r = ranks(M)
+        assert np.all(r[nonzero] == 1 + n)
+        assert r[zero] == (0 if geom.kind == "flat-torus" else 1)
 
 
 def test_split_operator_rejects_kasner():

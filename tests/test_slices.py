@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import linwave.invariant as inv
+from linwave.errors import InternalError
 from linwave.fields import (
     ModeLattice,
     SpectralField,
@@ -13,6 +14,7 @@ from linwave.fields import (
 from linwave.slices import (
     apply_slice_operator,
     constraint_residual,
+    operator_matrices,
     scalar_times,
     slice_geometry,
     slice_inner,
@@ -194,3 +196,31 @@ def test_slice_norm_on_both_backends():
         want = np.sqrt(f.components @ inv.gram_matrix(geo, rank) @ f.components)
         assert abs(slice_norm(geom, f) - want) <= 1e-14 * want
         assert abs(slice_inner(geom, f, f) - want ** 2) <= 1e-13 * want ** 2
+
+
+@pytest.mark.parametrize("kind, rank", [
+    ("divergence", "sym2"), ("hessian", "scalar"), ("lie_extrinsic", "one-form"),
+    ("ckl_normal", "one-form"), ("trace_reverse", "sym2"),
+])
+def test_operator_matrices_act_as_the_operator_on_every_mode(kind, rank):
+    lat = ModeLattice(3, 3)
+    rng = np.random.default_rng(7)
+    for geom in (slice_geometry("flat-torus", n=3), slice_geometry("kasner", p=KASNER_P, t0=1.3)):
+        f = random_field(lat, rank, rng)
+        M = operator_matrices(geom, lambda g: (apply_slice_operator(geom, kind, g),), (rank,), lat)
+        want = apply_slice_operator(geom, kind, f).coeffs
+        got = np.einsum("mij,mj->mi", M, f.coeffs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_operator_matrices_refuse_a_map_of_order_three():
+    geom = slice_geometry("flat-torus", n=3)
+
+    def div_hess(N):
+        return (apply_slice_operator(geom, "divergence",
+                                     apply_slice_operator(geom, "hessian", N)),)
+
+    with pytest.raises(InternalError, match="not quadratic"):
+        operator_matrices(geom, div_hess, ("scalar",), ModeLattice(3, 2))
+    with pytest.raises(ValueError, match="mode lattice"):
+        operator_matrices(geom, div_hess, ("scalar",))

@@ -6,6 +6,7 @@ from linwave.evolution import Trajectory, diagnostics, wave_energies
 from linwave.fields import (
     ModeLattice,
     component_weights,
+    monomial_basis,
     random_field,
     sym2_from_full,
     sym2_index_pairs,
@@ -23,7 +24,6 @@ from linwave.spacetime import (
     jet_lichnerowicz,
     jet_lie_of_g,
     jet_matrices,
-    monomial_basis,
     nu_jet_conversion,
     spacetime_background,
     unknown_jet,
