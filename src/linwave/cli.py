@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import invariant as inv
 from .config import ConfigError, load_config
-from .constraints import InitialDataPair, dphi, normal_identities
+from .constraints import InitialDataPair, constraint_residual, dphi, normal_identities
 from .decomposition import gauge_producing_data, moncrief_project, split_solve
 from .errors import InternalError
 from .evolution import build_cauchy_jet, diagnostics, evolve, extract_induced_data
@@ -34,7 +34,7 @@ from .fields import (
     sym2_from_full,
     zero_field,
 )
-from .slices import apply_slice_operator, constraint_residual, slice_geometry
+from .slices import apply_slice_operator, slice_geometry
 from .snapshots import SnapshotError, load_pair, save_pair
 from .spacetime import CauchyJet, spacetime_background
 

@@ -123,9 +123,9 @@ def load_config(path) -> RunConfig:
 
 
 def _validate(cfg: RunConfig, path) -> None:
-    for key in ("evolve.t0", "evolve.t1", "evolve.dt", "evolve.sobolev"):
+    for key in ("background.p", "evolve.t0", "evolve.t1", "evolve.dt", "evolve.sobolev"):
         value = cfg.get(key)
-        if value is not None and not np.isfinite(value):
+        if value is not None and not np.all(np.isfinite(value)):
             raise ConfigError(f"{path}: {key} must be finite, got {value}")
     kind = cfg.get("background.kind")
     if kind not in BACKGROUND_KINDS:

@@ -5,6 +5,8 @@ Nonlinear constraints of a slice (g~, k~):
     Phi_1 = Scal(g~) - g~(k~, k~) + (tr k~)^2,
     Phi_2 = div k~ - d tr k~.
 
+phi evaluates them on a slice's data, constraint_residual on the background
+itself (its Berger branch is the invariant Phi).
 dphi evaluates the full linearisation around the background slice data,
 including every extrinsic-curvature term; dphi_oracle re-derives it from
 the nonlinear map by central differencing, with the nonlinear scalar
@@ -124,15 +126,28 @@ def _grid_size(lat, npts: int | None) -> int:
 
 
 def _phi_invariant(G: np.ndarray, K: np.ndarray):
-    geo = inv.InvariantGeometry(inv.HomogeneousFrame(metric=G))
+    geo = inv.InvariantGeometry(G)
     gi = np.linalg.inv(G)
+    divk = np.einsum("ab,abjpq,pq->j", gi, inv.nabla_twotensor(geo), K)
+    # d tr k vanishes on invariant sections (constants)
+    return _phi1_constant(geo.scal, gi, K), divk
+
+
+def _phi1_constant(scal: float, gi: np.ndarray, K: np.ndarray) -> float:
+    """Phi_1 = Scal - g~(k~, k~) + (tr k~)^2 of spatially constant data."""
     kk = float(np.einsum("ia,jb,ij,ab->", gi, gi, K, K))
     trk = float(np.einsum("ij,ij->", gi, K))
-    phi1 = geo.scal - kk + trk ** 2
-    n2 = inv._nabla_twotensor(geo)
-    divk = np.einsum("ab,abjpq,pq->j", gi, n2, K)
-    # d tr k vanishes on invariant sections (constants)
-    return phi1, divk
+    return scal - kk + trk ** 2
+
+
+def constraint_residual(geom: SliceGeometry) -> tuple[float, float]:
+    """Residual (|Phi_1|, max |Phi_2|) of the nonlinear vacuum constraints on
+    the background.  All supported backgrounds have spatially constant
+    data; on a torus Phi_2 = div k~ - d tr k~ = 0."""
+    if not geom.is_torus:
+        phi1, divk = _phi_invariant(geom.metric, geom.extrinsic)
+        return float(abs(phi1)), float(np.max(np.abs(divk)))
+    return float(abs(_phi1_constant(geom.scal, geom.metric_inv, geom.extrinsic))), 0.0
 
 
 def _stencil_symbols(modes: np.ndarray, step: float, second: bool) -> np.ndarray:

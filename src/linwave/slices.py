@@ -12,12 +12,13 @@ apply_slice_operator is the one implementation of every slice operator
 derivatives of the metric and of the extrinsic curvature, the conformal
 Killing operator L, L* and L*L, and the Ricci pairing g~(Ric, h)) on both
 backends, so an equation written with it holds for either: on a torus every
-operator is an exact per-mode multiplier, on Berger an
-invariant.operator_matrix.  scalar_times multiplies a scalar field by a
-constant tensor of the slice (g~, k~ or Ric), so the zeroth-order terms of
-an equation are written once too.  slice_norm, slice_inner and
-slice_max_abs are the matching L^2 norm, inner product and largest
-coefficient modulus.  operator_matrices reads the per-mode matrices of a
+operator is an exact per-mode multiplier, on Berger the plain matrix
+invariant.operator_matrix.  The ranks each operator takes and returns are
+one table, _RANKS, read by both backends and checked once.  scalar_times
+multiplies a scalar field by a constant tensor of the slice (g~, k~ or
+Ric), so the zeroth-order terms of an equation are written once too.
+slice_norm, slice_inner and slice_max_abs are the matching L^2 norm, inner
+product and largest coefficient modulus.  operator_matrices reads the per-mode matrices of a
 linear map built from these (P, P(beta, N), DPhi) off unit fields.
 Sign conventions: Delta = delta d + d delta (positive), delta = -div,
 Hess(phi)_{ij} = -k_i k_j phi per mode, trace reversal h - (1/2)(tr h) g.
@@ -26,6 +27,7 @@ Hess(phi)_{ij} = -k_i k_j phi per mode, trace reversal h - (1/2)(tr h) g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,9 +62,11 @@ class SliceGeometry:
     def is_torus(self) -> bool:
         return self.kind in ("flat-torus", "kasner")
 
-    @property
+    @cached_property
     def metric_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.metric)
+        gi = np.linalg.inv(self.metric)
+        gi.setflags(write=False)
+        return gi
 
     @property
     def ricci(self) -> np.ndarray:
@@ -93,6 +97,8 @@ def kasner_exponents(p) -> np.ndarray:
     p = np.asarray(p, float)
     if p.shape != (3,):
         raise ValueError("Kasner exponents must be a triple")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"Kasner exponents p must be finite, got {p.tolist()}")
     s1, s2 = float(np.sum(p)), float(np.sum(p ** 2))
     if abs(s1 - 1.0) > 1e-12 or abs(s2 - 1.0) > 1e-12:
         raise ValueError(
@@ -120,6 +126,8 @@ def slice_geometry(kind: str, **params) -> SliceGeometry:
             raise ValueError("Kasner slice needs its exponent triple p")
         p = kasner_exponents(params["p"])
         t0 = float(params.get("t0", 1.0))
+        if not np.isfinite(t0):
+            raise ValueError(f"Kasner slice time t0 must be finite, got {t0}")
         if t0 <= 0:
             raise ValueError("Kasner slice time must be positive (t = 0 is singular)")
         g = np.diag(t0 ** (2 * p))
@@ -127,34 +135,12 @@ def slice_geometry(kind: str, **params) -> SliceGeometry:
         return SliceGeometry(kind, 3, g, k, {"p": p, "t0": t0})
     if kind == "berger":
         lam = params.get("lam")
-        if lam is None:
-            lam = inv.SCALAR_FLAT_LAMBDA
-        frame = inv.berger_frame(float(lam))
-        geo = inv.InvariantGeometry(frame)
-        return SliceGeometry(
-            kind, 3, frame.metric, np.zeros((3, 3)), {"lam": float(lam), "geometry": geo}
-        )
+        lam = float(inv.SCALAR_FLAT_LAMBDA if lam is None else lam)
+        if not np.isfinite(lam):
+            raise ValueError(f"Berger squashing lam must be finite, got {lam}")
+        geo = inv.InvariantGeometry(np.diag([lam, 1.0, 1.0]))
+        return SliceGeometry(kind, 3, geo.metric, np.zeros((3, 3)), {"lam": lam, "geometry": geo})
     raise ValueError(f"unknown slice kind {kind!r}")
-
-
-def constraint_residual(geom: SliceGeometry) -> tuple[float, float]:
-    """Residual of the nonlinear vacuum constraints on the background.
-
-    All supported backgrounds have spatially constant data, so
-    Phi_1 = Scal - g(k, k) + (tr k)^2 and Phi_2 = div k - d tr k = 0."""
-    k = geom.extrinsic
-    gi = geom.metric_inv
-    kk = float(np.einsum("ia,jb,ij,ab->", gi, gi, k, k))
-    trk = float(np.einsum("ij,ij->", gi, k))
-    phi1 = geom.scal - kk + trk ** 2
-    if geom.is_torus:
-        phi2 = 0.0  # constant fields on a flat slice
-    else:
-        geo = geom.invariant_geometry
-        n2 = inv._nabla_twotensor(geo)
-        divk = np.einsum("ab,abjpq,pq->j", gi, n2, k)
-        phi2 = float(np.max(np.abs(divk)))
-    return float(abs(phi1)), phi2
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +173,30 @@ def slice_max_abs(geom: SliceGeometry, f) -> float:
     return float(np.max(np.abs(f.coeffs if geom.is_torus else f.components)))
 
 
+# kind -> {input rank: output rank}: the rank map of every slice operator,
+# read by both backends.  laplacian is the Hodge Laplacian, on scalars and
+# one-forms.
+_RANKS = {
+    "trace": {"sym2": "scalar"},
+    "trace_reverse": {"sym2": "sym2"},
+    "divergence": {"sym2": "one-form", "one-form": "scalar"},
+    "laplacian": {"scalar": "scalar", "one-form": "one-form"},
+    "d": {"scalar": "one-form"},
+    "hessian": {"scalar": "sym2"},
+    "lie_metric": {"one-form": "sym2"},
+    "lie_extrinsic": {"one-form": "sym2"},
+    "conformal_killing": {"one-form": "sym2"},
+    "ckl_adjoint": {"sym2": "one-form"},
+    "ckl_normal": {"one-form": "one-form"},
+    "ricci_pairing": {"sym2": "scalar"},
+}
+
+
 def scalar_times(geom: SliceGeometry, f, T: np.ndarray) -> "SpectralField | inv.InvariantField":
     """The sym2 field f T of a scalar field f and a constant symmetric
     tensor T of the slice (its metric, k~ or Ric), given as a full matrix."""
     _check_field(geom, f)
-    _need(f, "scalar", "scalar_times")
+    _need(f, ("scalar",), "scalar_times")
     T = sym2_from_full(T, geom.n)
     if geom.is_torus:
         return SpectralField(f.lattice, "sym2", f.coeffs[:, :1] * T)
@@ -207,15 +212,25 @@ def apply_slice_operator(
     tensor), laplacian, d, hessian, lie_metric (beta -> Lie_beta g~),
     lie_extrinsic (beta -> Lie_beta k~), conformal_killing, its adjoint
     ckl_adjoint and ckl_normal = L*L, and ricci_pairing, the scalar
-    g~(Ric, h) of a sym2 tensor h.
+    g~(Ric, h) of a sym2 tensor h.  The ranks each takes and returns are
+    _RANKS; an unknown kind or a rank not there is a ValueError.
     """
     _check_field(geom, field)
+    if kind not in _RANKS:
+        raise ValueError(f"unknown slice operator kind {kind!r}")
+    _need(field, _RANKS[kind], kind)
     if kind == "trace_reverse":
         tr = apply_slice_operator(geom, "trace", field)
         return field - scalar_times(geom, tr, geom.metric) * 0.5
     if geom.is_torus:
         return _apply_torus(geom, kind, field)
-    return _apply_invariant(geom, kind, field)
+    M = inv.operator_matrix(geom.invariant_geometry, kind, field.rank)
+    return inv.InvariantField(_RANKS[kind][field.rank], M @ field.components)
+
+
+def _need(field, ranks, kind: str):
+    if field.rank not in ranks:
+        raise ValueError(f"operator {kind!r} expects rank {' or '.join(ranks)}, got {field.rank}")
 
 
 def _check_field(geom: SliceGeometry, field):
@@ -236,21 +251,20 @@ def _apply_torus(geom: SliceGeometry, kind: str, field: SpectralField) -> Spectr
     gi = geom.metric_inv
     lat = field.lattice
     c = field.coeffs
+    rank = _RANKS[kind][field.rank]
 
-    def out(rank, arr):
+    def out(arr):
         if rank == "scalar" and arr.ndim == 1:
             arr = arr[:, None]
-        return SpectralField(lat, rank, arr)
+        return SpectralField(lat, rank, sym2_from_full(arr, n) if rank == "sym2" else arr)
 
     def trace(h):
         return np.einsum("ij,mij->m", gi, h)
 
     if kind == "ricci_pairing":
-        _need(field, "sym2", kind)
-        return zero_field(lat, "scalar")  # every torus slice is flat
+        return zero_field(lat, rank)  # every torus slice is flat
     if kind == "trace":
-        _need(field, "sym2", kind)
-        return out("scalar", trace(sym2_to_full(c, n)))
+        return out(trace(sym2_to_full(c, n)))
 
     modes = lat.modes.astype(float)  # (m, n)
 
@@ -265,73 +279,30 @@ def _apply_torus(geom: SliceGeometry, kind: str, field: SpectralField) -> Spectr
         return 1j * (np.einsum("mi,mj->mij", modes, w) + np.einsum("mj,mi->mij", modes, w))
 
     if kind == "divergence":
-        if field.rank == "sym2":
-            return out("one-form", div(sym2_to_full(c, n)))
-        if field.rank == "one-form":
-            return out("scalar", div(c))
-        raise ValueError("divergence acts on one-forms or sym2 tensors")
+        return out(div(sym2_to_full(c, n) if field.rank == "sym2" else c))
     if kind == "hessian":
-        _need(field, "scalar", kind)
-        hess = -np.einsum("mi,mj->mij", modes, modes) * c[:, 0, None, None]
-        return out("sym2", sym2_from_full(hess, n))
+        return out(-np.einsum("mi,mj->mij", modes, modes) * c[:, 0, None, None])
     if kind == "d":
-        _need(field, "scalar", kind)
-        return out("one-form", 1j * modes * c[:, :1])
+        return out(1j * modes * c[:, :1])
     if kind == "laplacian":
         # flat slice: Hodge and connection Laplacians agree, multiplier |k|_g^2
-        k2 = np.einsum("ma,ma->m", modes @ gi.T, modes)
-        return SpectralField(lat, field.rank, k2[:, None] * c)
+        return out(np.einsum("ma,ma->m", modes @ gi.T, modes)[:, None] * c)
     if kind == "lie_metric":
-        _need(field, "one-form", kind)
-        return out("sym2", sym2_from_full(lie(c), n))
+        return out(lie(c))
     if kind == "lie_extrinsic":
         # (Lie_beta k~)_ab = i (k_a beta^c k~_cb + k_b beta^c k~_ca) per mode
-        _need(field, "one-form", kind)
         K = geom.extrinsic
         bup = c @ gi.T
-        lie_k = 1j * (
-            np.einsum("ma,mc,cb->mab", modes, bup, K)
-            + np.einsum("mb,mc,ca->mab", modes, bup, K)
-        )
-        return out("sym2", sym2_from_full(lie_k, n))
+        return out(1j * (np.einsum("ma,mc,cb->mab", modes, bup, K)
+                         + np.einsum("mb,mc,ca->mab", modes, bup, K)))
     if kind == "conformal_killing":
-        _need(field, "one-form", kind)
-        ck = lie(c) - (2.0 / n) * div(c)[:, None, None] * g[None]
-        return out("sym2", sym2_from_full(ck, n))
+        return out(lie(c) - (2.0 / n) * div(c)[:, None, None] * g[None])
     if kind == "ckl_adjoint":
         # L* h = -2 div h + (2/n) d tr h
-        _need(field, "sym2", kind)
         h = sym2_to_full(c, n)
-        return out("one-form", -2.0 * div(h) + (2.0 / n) * 1j * modes * trace(h)[:, None])
-    if kind == "ckl_normal":
-        _need(field, "one-form", kind)
-        return _apply_torus(geom, "ckl_adjoint", _apply_torus(geom, "conformal_killing", field))
-    raise ValueError(f"unknown torus operator kind {kind!r}")
-
-
-def _need(field, rank: str, kind: str):
-    if field.rank != rank:
-        raise ValueError(f"operator {kind!r} expects rank {rank}, got {field.rank}")
-
-
-def _apply_invariant(geom: SliceGeometry, kind: str, field: inv.InvariantField):
-    geo = geom.invariant_geometry
-    if kind == "divergence":
-        op = inv.operator_matrix(geo, "div" if field.rank == "sym2" else "div_oneform")
-    elif kind == "laplacian":
-        op = inv.operator_matrix(
-            geo, "laplacian" if field.rank == "scalar" else "laplacian_oneform"
-        )
-    elif kind == "ckl_adjoint":
-        op = inv.adjoint_matrix(geo, inv.operator_matrix(geo, "conformal_killing"))
-    elif kind == "lie_extrinsic":
-        op = inv.OperatorMatrix("one-form", "sym2", np.zeros((6, 3)))  # k~ = 0 on Berger
-    elif kind in ("trace", "hessian", "d", "lie_metric", "conformal_killing", "ckl_normal",
-                  "ricci_pairing"):
-        op = inv.operator_matrix(geo, kind)
-    else:
-        raise ValueError(f"unknown invariant operator kind {kind!r}")
-    return op(field)
+        return out(-2.0 * div(h) + (2.0 / n) * 1j * modes * trace(h)[:, None])
+    # ckl_normal = L*L
+    return _apply_torus(geom, "ckl_adjoint", _apply_torus(geom, "conformal_killing", field))
 
 
 # ---------------------------------------------------------------------------

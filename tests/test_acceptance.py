@@ -9,6 +9,7 @@ import pytest
 import linwave.invariant as inv
 from linwave.constraints import (
     InitialDataPair,
+    constraint_residual,
     dphi,
     dphi_oracle,
     normal_identities,
@@ -40,7 +41,6 @@ from linwave.fields import (
 )
 from linwave.slices import (
     apply_slice_operator,
-    constraint_residual,
     slice_geometry,
 )
 from linwave.spacetime import CauchyJet, spacetime_background

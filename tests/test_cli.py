@@ -102,6 +102,19 @@ def test_config_rejects_bad_kasner_exponents():
         parse_config(text)
 
 
+def test_config_refuses_kasner_exponents_that_are_not_finite(tmp_path, capsys):
+    text = ("background.kind = kasner\nbackground.p = nan, 0, 1\nlattice.nmax = 1\n"
+            "evolve.t0 = 1.0\nevolve.t1 = 1.1\nevolve.dt = 1e-2\n")
+    with pytest.raises(ConfigError, match="background.p must be finite"):
+        parse_config(text)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(text)
+    rc = run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "background.p must be finite" in err and "internal error" not in err
+
+
 def test_config_rejects_unknown_key_with_line_number():
     with pytest.raises(ConfigError, match=":2:.*unknown key"):
         parse_config(MINIMAL + "background.bogus = 1\n")
@@ -158,6 +171,21 @@ def test_unsupported_torus_dimension_is_refused(n, capsys):
     assert run_cli(["background", "--kind", "flat-torus", "--n", str(n)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--kind", "kasner", "--p", "nan,0,1"], "p"),
+    (["--kind", "kasner", "--p", "inf,-inf,1"], "p"),
+    (["--kind", "kasner", "--p", "2/3,2/3,-1/3", "--t0", "nan"], "t0"),
+    (["--kind", "kasner", "--p", "2/3,2/3,-1/3", "--t0", "inf"], "t0"),
+    (["--kind", "berger", "--lam", "inf"], "lam"),
+    (["--kind", "berger", "--lam", "nan"], "lam"),
+])
+def test_background_refuses_parameters_that_are_not_finite(capsys, argv, name):
+    rc = run_cli(["background", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f" {name} must be finite" in captured.err
 
 
 def test_decompose_and_moncrief_subcommands(capsys):

@@ -58,7 +58,7 @@ def test_nonlinear_phi_vanishes_on_backgrounds():
 def test_nonlinear_phi_detects_round_sphere_curvature():
     # the round Berger sphere (lambda = 1) has Scal = 6, not 0
     p1, _ = phi(np.eye(3), np.zeros((3, 3)), slice_geometry("berger"))
-    geo = inv.InvariantGeometry(inv.berger_frame(1.0))
+    geo = inv.InvariantGeometry(np.diag([1.0, 1.0, 1.0]))
     assert abs(p1 - 6.0) < 1e-12
     assert abs(geo.scal - 6.0) < 1e-12
 

@@ -25,7 +25,12 @@ from linwave.fields import (
     sym2_to_full,
     zero_field,
 )
-from linwave.slices import apply_slice_operator, operator_matrices, slice_geometry
+from linwave.slices import (
+    SliceGeometry,
+    apply_slice_operator,
+    operator_matrices,
+    slice_geometry,
+)
 from linwave.spacetime import (
     assemble_mode_operator,
     induced_data_state,
@@ -107,19 +112,19 @@ def gauge_map(geom):
 
 def test_probed_berger_operators_match_operator_matrices():
     geo = BERGER.invariant_geometry
-    ck = inv.operator_matrix(geo, "conformal_killing").matrix
-    ric_row = inv.operator_matrix(geo, "ricci_pairing").matrix
+    ck = inv.operator_matrix(geo, "conformal_killing", "one-form")
+    ric_row = inv.operator_matrix(geo, "ricci_pairing", "sym2")
     for which in ("position", "momentum"):
         p = split_params(which, 3)
         want = np.zeros((4, 4))  # invariant scalars kill Delta phi and d phi
         want[0, 1:] = p.a * (ric_row @ ck)[0]
-        want[1:, 1:] = inv.operator_matrix(geo, "ckl_normal").matrix
+        want[1:, 1:] = inv.operator_matrix(geo, "ckl_normal", "one-form")
         got = split_matrices(p, BERGER)
         assert got.shape == (1, 4, 4)
         assert np.max(np.abs(got[0] - want)) <= 1e-14 * np.max(np.abs(want))
     # P(beta, N) = (Lie_beta g~, Hess N - Ric N); Hess of a constant is 0
     want = np.zeros((12, 4))
-    want[:6, :3] = inv.operator_matrix(geo, "lie_metric").matrix
+    want[:6, :3] = inv.operator_matrix(geo, "lie_metric", "one-form")
     want[6:, 3] = -geo.ricci_sym6()
     got = operator_matrices(BERGER, lambda beta, N: gauge_map(BERGER)(N, beta),
                             ("one-form", "scalar"))
@@ -177,6 +182,36 @@ def test_split_operator_rejects_kasner():
         split_solve(random_field(LAT, "sym2", rng), "position", geom)
 
 
+def milnor_slice(b):
+    """A scalar-flat left-invariant slice off the Berger axis: diag(a, b, 1)
+    with sqrt(a) = sqrt(b) + 1, where Milnor's Scal vanishes (the closed form
+    at invariant.SCALAR_FLAT_LAMBDA)."""
+    geo = inv.InvariantGeometry(np.diag([(np.sqrt(b) + 1.0) ** 2, b, 1.0]))
+    return SliceGeometry("berger", 3, geo.metric, np.zeros((3, 3)), {"geometry": geo})
+
+
+@pytest.mark.parametrize("b", [1.5, 2.0])
+def test_second_result_off_the_berger_axis(b):
+    # a left-invariant X is Killing when ad_X is skew for g, which for e_1
+    # needs b = c: with three distinct axes no invariant one-form is Killing,
+    # so ker P is the constants alone (2 on Berger), and both splits solve
+    geom = milnor_slice(b)
+    assert abs(geom.scal) <= 1e-12 and geom.scalar_flat
+    geo = geom.invariant_geometry
+    assert np.linalg.norm(geo.ricci) > 0.1
+    assert np.min(np.linalg.svd(inv.operator_matrix(geo, "lie_metric", "one-form"),
+                                compute_uv=False)) > 0.1
+    rng = np.random.default_rng(41)
+    for which in ("position", "momentum"):
+        assert len(kernel_basis(split_params(which, 3), geom)) == 1
+        r = split_solve(inv.InvariantField("sym2", rng.standard_normal(6)), which, geom)
+        assert max(r.residuals.values()) <= 1e-12, r.residuals
+    split = moncrief_project(InitialDataPair(inv.InvariantField("sym2", rng.standard_normal(6)),
+                                             inv.InvariantField("sym2", rng.standard_normal(6)),
+                                             geom))
+    assert max(split.report.values()) <= 1e-12, split.report
+
+
 def test_split_solve_constant_metric_source():
     cg = zero_field(LAT, "sym2")
     cg.coeffs[LAT.mode_index((0, 0, 0))] = 0.7 * sym2_from_full(TORUS.metric, 3)
@@ -193,8 +228,8 @@ def test_split_solve_ricci_source_on_berger():
     assert abs(r.C - 1.0) < 1e-12
     assert np.max(np.abs(r.gamma_part.components)) < 1e-12
     assert np.max(np.abs(r.phi.components)) < 1e-12
-    Lw = inv.operator_matrix(geo, "conformal_killing")(r.omega)
-    assert np.max(np.abs(Lw.components)) < 1e-12
+    Lw = inv.operator_matrix(geo, "conformal_killing", "one-form") @ r.omega.components
+    assert np.max(np.abs(Lw)) < 1e-12
 
 
 @pytest.mark.parametrize("which", ["position", "momentum"])
@@ -224,7 +259,7 @@ def test_split_solve_berger_against_least_squares_oracle(which):
     assert r.residuals[f"{which}_divergence_eq"] < 1e-10
     # brute-force oracle: basis of the constraint space from the nullspace of
     # the stacked equations, then one dense least-squares solve for all parts
-    div = inv.operator_matrix(geo, "div").matrix
+    div = inv.operator_matrix(geo, "divergence", "sym2")
     ric_row = np.zeros((1, 6))
     for c in range(6):
         hm = sym2_to_full(np.eye(6)[c], 3)
@@ -234,7 +269,7 @@ def test_split_solve_berger_against_least_squares_oracle(which):
     s = np.concatenate([s, np.zeros(6 - len(s))])
     gamma_basis = vt[s <= 1e-10 * s[0]]
     assert len(gamma_basis) == 3
-    L = inv.operator_matrix(geo, "conformal_killing").matrix
+    L = inv.operator_matrix(geo, "conformal_killing", "one-form")
     A = np.concatenate([gamma_basis.T, L, geo.ricci_sym6()[:, None]], axis=1)
     u, *_ = np.linalg.lstsq(A, src.components, rcond=1e-10)
     gamma_oracle = gamma_basis.T @ u[:3]
@@ -264,10 +299,10 @@ def test_direct_sum_pairings_on_berger():
     rng = np.random.default_rng(5)
     geo = BERGER.invariant_geometry
     w = inv.InvariantField("one-form", rng.standard_normal(3))
-    Lw = inv.operator_matrix(geo, "conformal_killing")(w)
-    assert abs(inv.operator_matrix(geo, "trace")(Lw).components[0]) < 1e-13
+    Lw = inv.operator_matrix(geo, "conformal_killing", "one-form") @ w.components
+    assert abs((inv.operator_matrix(geo, "trace", "sym2") @ Lw)[0]) < 1e-13
     g6 = inv.gram_matrix(geo, "sym2")
-    assert abs(Lw.components @ g6 @ geo.ricci_sym6()) < 1e-12
+    assert abs(Lw @ g6 @ geo.ricci_sym6()) < 1e-12
 
 
 def test_gamma_residual_on_derivative_dirac_line():
@@ -303,8 +338,8 @@ def test_berger_gamma_norms_match_matrix_reference(which):
     # reference: the Berger formulas assembled from operator matrices; the
     # Laplacian of an invariant scalar vanishes, and so does d tr h
     geo = BERGER.invariant_geometry
-    div = inv.operator_matrix(geo, "div").matrix
-    trace = inv.operator_matrix(geo, "trace").matrix
+    div = inv.operator_matrix(geo, "divergence", "sym2")
+    trace = inv.operator_matrix(geo, "trace", "sym2")
     g6 = sym2_from_full(BERGER.metric, 3)
     sign = -1.0 if which == "position" else 1.0
     rng = np.random.default_rng(21)
@@ -325,8 +360,8 @@ def test_berger_gamma_norms_match_matrix_reference(which):
 def test_berger_p_star_matches_matrix_reference():
     # P*(h, m) = (-2 div h, div div m - g~(Ric, m)) from the operator matrices
     geo = BERGER.invariant_geometry
-    div = inv.operator_matrix(geo, "div").matrix
-    div1 = inv.operator_matrix(geo, "div_oneform").matrix
+    div = inv.operator_matrix(geo, "divergence", "sym2")
+    div1 = inv.operator_matrix(geo, "divergence", "one-form")
     rng = np.random.default_rng(22)
     for _ in range(3):
         h, m = rng.standard_normal(6), rng.standard_normal(6)

@@ -138,7 +138,7 @@ def test_berger_gram_matrix_keeps_its_contraction():
     # volume-weighted contraction E^T (g^-1 x g^-1) E it replaced
     E = sym2_to_full(np.eye(6), 3)
     for lam in (0.3, 1.0, 2.5):
-        geo = inv.InvariantGeometry(inv.berger_frame(lam))
+        geo = inv.InvariantGeometry(np.diag([lam, 1.0, 1.0]))
         vol, gi = geo.volume, geo.metric_inv
         want = {
             "scalar": np.array([[vol]]),

@@ -1,4 +1,5 @@
-"""Every name a module of src/linwave imports is used in that module."""
+"""Every name a module of src/linwave imports is used in that module, and no
+module reads a private name of another."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,30 @@ def test_every_import_is_used(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_private_cross_module_reads():
+    """No module of src/linwave reads a private name (module._name, or
+    `from .module import _name`) of another linwave module."""
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    elif _is_private(alias.name):
+                        reads.append(f"{path.name}:{node.lineno}: {node.module}.{alias.name}")
+        reads += [
+            f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _is_private(node.attr)
+        ]
+    assert not reads, f"private names read across modules: {reads}"

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 import linwave.invariant as inv
+from linwave.constraints import constraint_residual
 from linwave.errors import InternalError
 from linwave.fields import (
     ModeLattice,
     SpectralField,
     random_field,
+    rank_components,
     sobolev_norm,
     sym2_index_pairs,
     sym2_to_full,
 )
 from linwave.slices import (
+    _RANKS,
     apply_slice_operator,
-    constraint_residual,
     operator_matrices,
     scalar_times,
     slice_geometry,
@@ -31,6 +33,26 @@ def test_kasner_exponent_validation():
     assert "sum p" in str(err.value)
     with pytest.raises(ValueError):
         slice_geometry("kasner", p=KASNER_P, t0=0.0)
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("kasner", dict(p=[np.nan, 0.0, 1.0]), "exponents p"),
+    ("kasner", dict(p=[np.inf, -np.inf, 1.0]), "exponents p"),
+    ("kasner", dict(p=KASNER_P, t0=np.nan), "t0"),
+    ("kasner", dict(p=KASNER_P, t0=np.inf), "t0"),
+    ("berger", dict(lam=np.inf), "lam"),
+    ("berger", dict(lam=np.nan), "lam"),
+])
+def test_geometry_refuses_parameters_that_are_not_finite(kind, params, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        slice_geometry(kind, **params)
+
+
+def test_metric_inverse_is_computed_once_and_read_only():
+    for geom in (slice_geometry("kasner", p=KASNER_P, t0=1.3), slice_geometry("berger")):
+        gi = geom.metric_inv
+        assert geom.metric_inv is gi and not gi.flags.writeable
+        assert np.array_equal(gi, np.linalg.inv(geom.metric))
 
 
 def test_background_constraints_vanish():
@@ -162,6 +184,41 @@ def test_invariant_backend_dispatch():
     assert abs(a - b) < 1e-12 * max(1.0, abs(a))
     with pytest.raises(ValueError):
         apply_slice_operator(geom, "divergence", random_field(ModeLattice(3, 1), "sym2", np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("kind", sorted(_RANKS))
+def test_rank_table_is_what_both_backends_do(kind):
+    # an accepted rank returns the rank the table names (on Berger through a
+    # matrix of that shape); any other rank is refused on both backends
+    rng = np.random.default_rng(15)
+    lat = ModeLattice(3, 2)
+    for geom in (slice_geometry("flat-torus", n=3), slice_geometry("berger", lam=2.7)):
+        for rank in ("scalar", "one-form", "sym2"):
+            if geom.is_torus:
+                f = random_field(lat, rank, rng)
+            else:
+                f = inv.InvariantField(rank, rng.standard_normal(rank_components(rank, 3)))
+            if rank not in _RANKS[kind]:
+                with pytest.raises(ValueError, match="expects rank"):
+                    apply_slice_operator(geom, kind, f)
+                continue
+            got = apply_slice_operator(geom, kind, f)
+            assert got.rank == _RANKS[kind][rank]
+            if not geom.is_torus and kind != "trace_reverse":
+                M = inv.operator_matrix(geom.invariant_geometry, kind, rank)
+                assert M.shape == (rank_components(got.rank, 3), rank_components(rank, 3))
+
+
+def test_unknown_operator_kind_is_refused_on_both_backends():
+    torus, berger = slice_geometry("flat-torus", n=3), slice_geometry("berger")
+    for geom, f in ((torus, random_field(ModeLattice(3, 1), "sym2", np.random.default_rng(0))),
+                    (berger, inv.InvariantField("sym2", np.ones(6)))):
+        with pytest.raises(ValueError, match="unknown slice operator kind 'div'"):
+            apply_slice_operator(geom, "div", f)
+    with pytest.raises(ValueError, match="expects rank sym2, got scalar"):
+        apply_slice_operator(berger, "trace", inv.InvariantField("scalar", [1.0]))
+    with pytest.raises(ValueError, match="no invariant operator 'laplacian' on rank sym2"):
+        inv.operator_matrix(berger.invariant_geometry, "laplacian", "sym2")
 
 
 def test_ricci_pairing_on_both_backends():
