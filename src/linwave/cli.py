@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import invariant as inv
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_float
 from .constraints import InitialDataPair, constraint_residual, dphi, normal_identities
 from .decomposition import gauge_producing_data, moncrief_project, split_solve
 from .errors import InternalError
@@ -67,10 +67,10 @@ def _emit_report(suite: str, background: str, results: list, out: str | None,
 
 
 def _parse_triple(text: str) -> tuple:
-    from fractions import Fraction
-
-    parts = [p.strip() for p in text.split(",")]
-    vals = tuple(float(Fraction(p)) if "/" in p else float(p) for p in parts)
+    try:
+        vals = tuple(parse_float(p) for p in text.split(","))
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
     if len(vals) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated numbers")
     return vals
@@ -211,13 +211,10 @@ def cmd_evolve(args) -> int:
     samples = np.linspace(t0, t1, cfg.get("evolve.samples"))
     traj = evolve(jet, t1, dt=cfg.get("evolve.dt"), sample_times=samples)
     tic_diag = time.perf_counter()
-    diag = diagnostics(traj, cfg.get("evolve.sobolev"), cfg.get("evolve.J"))
+    diag = diagnostics(traj, cfg.get("evolve.sobolev"))
     toc = time.perf_counter()
 
-    J = cfg.get("evolve.J")
-    header = ["t", "gauge_res", "dphi1_res", "dphi2_res"]
-    header += [f"energy_j{j}" for j in range(J + 1)]
-    rows = [",".join(header)]
+    rows = ["t,gauge_res,dphi1_res,dphi2_res,energy_j0,energy_j1"]
     for i, t in enumerate(diag.times):
         cells = [t, diag.gauge_residual[i], diag.dphi1_residual[i],
                  diag.dphi2_residual[i], *diag.energies[i]]
@@ -299,6 +296,8 @@ def cmd_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     orders = [float(s) for s in args.sobolev.split(",")]
+    if not np.all(np.isfinite(orders)):
+        raise ConfigError(f"--sobolev orders must be finite, got {args.sobolev}")
     truncations = [int(s) for s in args.truncations.split(",")]
     if args.generator != "dirac-derivative":
         raise ConfigError(f"unknown generator {args.generator!r}")

@@ -41,7 +41,6 @@ SCHEMA = {
     "evolve.dt": ("float", None),  # RK4 step: required on kasner, refused on minkowski-torus
     "evolve.samples": ("int", 11),
     "evolve.sobolev": ("float", 0.0),
-    "evolve.J": ("int", 1),
     "output.dir": ("str", "."),
     "tolerance.gauge": ("float", None),
     "tolerance.constraint": ("float", None),
@@ -64,7 +63,7 @@ class RunConfig:
         return self.values.get(key, SCHEMA[key][1])
 
 
-def _parse_float(text: str) -> float:
+def parse_float(text: str) -> float:
     """Floats, allowing exact rationals like 2/3 for Kasner exponents."""
     text = text.strip()
     if "/" in text:
@@ -78,9 +77,9 @@ def _parse_value(key: str, raw: str, lineno: int, path):
         if kind == "int":
             return int(raw.strip())
         if kind == "float":
-            return _parse_float(raw)
+            return parse_float(raw)
         if kind == "floats":
-            return tuple(_parse_float(p) for p in raw.split(","))
+            return tuple(parse_float(p) for p in raw.split(","))
         return raw.strip()
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
@@ -166,5 +165,3 @@ def _validate(cfg: RunConfig, path) -> None:
         raise ConfigError(f"{path}: evolve.dt must be positive")
     if cfg.get("evolve.samples") < 2:
         raise ConfigError(f"{path}: evolve.samples must be >= 2")
-    if cfg.get("evolve.J") not in (0, 1):
-        raise ConfigError(f"{path}: evolve.J must be 0 or 1")

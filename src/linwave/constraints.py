@@ -5,8 +5,9 @@ Nonlinear constraints of a slice (g~, k~):
     Phi_1 = Scal(g~) - g~(k~, k~) + (tr k~)^2,
     Phi_2 = div k~ - d tr k~.
 
-phi evaluates them on a slice's data, constraint_residual on the background
-itself (its Berger branch is the invariant Phi).
+phi evaluates them on a slice's data (sym2 fields in, a scalar and a
+one-form field out, on either backend), constraint_residual on the
+background itself (its Berger branch is the invariant Phi).
 dphi evaluates the full linearisation around the background slice data,
 including every extrinsic-curvature term; dphi_oracle re-derives it from
 the nonlinear map by central differencing, with the nonlinear scalar
@@ -18,10 +19,10 @@ exact offset grids, with no interpolation and no differencing of grids.
 The fields are real and every symbol satisfies s(-k) = conj(s(k)), so the
 synthesis is one real inverse FFT of the Hermitian half k_n >= 0 of each
 spectrum, refused up front when the coefficients are not Hermitian (the
-samples would come out complex) or the grid is too small for the lattice
-(the placement would alias).  Samples keep the grid axis last and
-contiguous, (..., n, n, P), and the pointwise Phi contracts over the
-tensor axes with P innermost.
+samples would come out complex).  The grid has at least 2 nmax + 1 points
+per axis, so the placement never aliases.  Samples keep the grid axis
+last and contiguous, (..., n, n, P), and the pointwise Phi contracts over
+the tensor axes with P innermost.
 normal_identities checks the two identities linking the linearised Ricci
 tensor to dphi on extendable Cauchy jets.
 """
@@ -99,30 +100,29 @@ class ConstraintResidual:
 # ---------------------------------------------------------------------------
 
 
-def phi(gdata, kdata, geom: SliceGeometry, npts: int | None = None):
-    """Nonlinear constraints of metric data gdata and extrinsic data kdata.
-
-    Torus backends: both arguments are sym2 SpectralFields holding the FULL
-    fields (background constants on the zero mode); returns SpectralFields.
-    Invariant backend: both arguments are 3x3 frame matrices (or sym2
-    InvariantFields); returns (float, length-3 array).  Torus derivatives are
-    4th-order stencils at ORACLE_STEP, as in dphi_oracle.
+def phi(gdata, kdata, geom: SliceGeometry):
+    """Nonlinear constraints (Phi_1, Phi_2) of metric data gdata and
+    extrinsic data kdata, both sym2 fields of the slice's backend holding
+    the FULL fields (on a torus, background constants on the zero mode).
+    Returns a scalar and a one-form field of the same backend.  Torus
+    derivatives are 4th-order stencils at ORACLE_STEP, as in dphi_oracle.
     """
     if not geom.is_torus:
-        G = gdata.components if isinstance(gdata, inv.InvariantField) else gdata
-        K = kdata.components if isinstance(kdata, inv.InvariantField) else kdata
-        G = sym2_to_full(G, 3) if np.shape(G) == (6,) else np.asarray(G, float)
-        K = sym2_to_full(K, 3) if np.shape(K) == (6,) else np.asarray(K, float)
-        return _phi_invariant(G, K)
+        phi1, phi2 = _phi_invariant(sym2_to_full(gdata.components, 3),
+                                    sym2_to_full(kdata.components, 3))
+        return (inv.InvariantField("scalar", np.array([phi1])),
+                inv.InvariantField("one-form", phi2))
     lat = gdata.lattice
-    npts = _grid_size(lat, npts)
+    npts = _grid_size(lat)
     g, dg, d2g = _stencil_samples(gdata, npts, ORACLE_STEP, second=True)
     k, dk, _ = _stencil_samples(kdata, npts, ORACLE_STEP, second=False)
     return _torus_constraint_fields(*_phi_pointwise(g, dg, d2g, k, dk), lat, npts)
 
 
-def _grid_size(lat, npts: int | None) -> int:
-    return max(lat.modes_per_axis, 16) if npts is None else npts
+def _grid_size(lat) -> int:
+    """Grid points per axis of Phi's samples: the larger of 16 and
+    2 nmax + 1, the fewest that do not alias."""
+    return max(lat.modes_per_axis, 16)
 
 
 def _phi_invariant(G: np.ndarray, K: np.ndarray):
@@ -194,18 +194,13 @@ def _stencil_samples(field: SpectralField, npts: int, step: float, second: bool)
     samples: every symbol satisfies s(-k) = conj(s(k)), so the imaginary
     part of row r is the synthesis of s_r times the anti-Hermitian part of
     the coefficients.  Every row is real when that part vanishes, and the
-    identity row (s = 1) is complex when it does not.  npts >= 2 nmax + 1
-    is required, or the placement would alias.
+    identity row (s = 1) is complex when it does not.  Callers take npts
+    from _grid_size, at least 2 nmax + 1, so the placement does not alias.
     Returns (f, df, d2f): f[c, d, p] = f_cd, df[a, c, d, p] = D_a f_cd and
     d2f[e, a, c, d, p] = D_e D_a f_cd; d2f is None unless `second`.
     """
     lat = field.lattice
     n = lat.n
-    if npts < lat.modes_per_axis:
-        raise ValueError(
-            f"grid size {npts} too small; lattice with nmax={lat.nmax} needs "
-            f">= {lat.modes_per_axis}"
-        )
     try:
         field.check_hermitian(tol=1e-10)
     except ValueError as err:
@@ -349,13 +344,13 @@ def _dphi_invariant(pair: InitialDataPair) -> ConstraintResidual:
     return ConstraintResidual.with_norms(geom, scalar, oneform)
 
 
-def dphi_oracle(pair: InitialDataPair, npts: int | None = None) -> ConstraintResidual:
+def dphi_oracle(pair: InitialDataPair) -> ConstraintResidual:
     """Central-difference linearisation of the nonlinear map:
     [Phi(g~ + eps h~, k~ + eps m~) - Phi(g~ - eps h~, k~ - eps m~)] / (2 eps)
     at eps = ORACLE_EPS.
 
-    On tori Phi is evaluated pointwise on the npts^n grid, its derivatives
-    by 4th-order stencils at ORACLE_STEP applied as exact Fourier
+    On tori Phi is evaluated pointwise on the _grid_size(lat)^n grid, its
+    derivatives by 4th-order stencils at ORACLE_STEP applied as exact Fourier
     multipliers (see `_stencil_symbols`); the oracle never calls `dphi`.
     """
     geom = pair.geom
@@ -374,7 +369,7 @@ def dphi_oracle(pair: InitialDataPair, npts: int | None = None) -> ConstraintRes
     if getattr(pair.h, "dirac", None) is not None or getattr(pair.m, "dirac", None) is not None:
         raise ValueError("oracle needs pointwise values; distributional data rejected")
     lat = pair.h.lattice
-    npts = _grid_size(lat, npts)
+    npts = _grid_size(lat)
     h, dh, d2h = _stencil_samples(pair.h, npts, ORACLE_STEP, second=True)
     m, dm, _ = _stencil_samples(pair.m, npts, ORACLE_STEP, second=False)
     G, K = pair.geom.metric[..., None], pair.geom.extrinsic[..., None]

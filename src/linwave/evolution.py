@@ -11,18 +11,19 @@ produces a jet with vanishing harmonic-gauge residual on the slice; the
 wave equation box_L h = 0 then propagates both the gauge condition and the
 linearised constraints.  Each Fourier mode evolves independently.  One
 sampler, _samples, produces every trajectory of the wave equation, the
-pure-gauge connection wave equation and the joint (h, V) system of gauge
-recovery: the background chooses the method, closed form on the Minkowski
-torus (which takes no dt) and classical 4th-order RK4 at a fixed dt on
-Kasner.  It takes real data (c_{-k} = conj(c_k)) on half the lattice and
-mirrors them, with output identical to sampling every mode.  A trajectory
-holds its samples only; induced data are extracted at sample times.
-Diagnostics track the gauge residual, the constraint residuals of the
-induced data, and per-mode wave energies; on real trajectories they are
-evaluated on the same half, with each +-k pair counted twice in the norms,
-and on any other trajectory on the full lattice.  The gauge vector field of a
-pure-gauge solution is recovered by solving the connection wave equation
-nabla*nabla V = -div(hbar).
+pure-gauge connection wave equation and the joint (V, h) system of gauge
+recovery; it samples each system's first unknown and its rate, so gauge
+recovery keeps V and V' only.  The background chooses the method: closed
+form on the Minkowski torus (which takes no dt) and classical 4th-order
+RK4 at a fixed dt on Kasner.  It takes real data (c_{-k} = conj(c_k)) on
+half the lattice and mirrors them, with output identical to sampling every
+mode.  A trajectory holds its samples only; induced data are extracted at
+sample times.  Diagnostics track the gauge residual, the constraint
+residuals of the induced data, and the wave energies E_0 and E_1; on real
+trajectories they are evaluated on the same half, with each +-k pair
+counted twice in the norms, and on any other trajectory on the full
+lattice.  The gauge vector field of a pure-gauge solution is recovered by
+solving the connection wave equation nabla*nabla V = -div(hbar).
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class DiagnosticsSeries:
     gauge_residual: np.ndarray
     dphi1_residual: np.ndarray
     dphi2_residual: np.ndarray
-    energies: np.ndarray  # (T, J+1)
+    energies: np.ndarray  # (T, 2): E_0 and E_1
     modes: int  # modes evaluated per sample: the half lattice for real data
 
 
@@ -186,16 +187,18 @@ def _exactly_real(lattice, arrays) -> bool:
 
 
 def _on_real_half(lattice, y0, run):
-    """run(modes, y0) yields states, each a tuple of (modes, ncomp) arrays;
-    returns them as a list on the full lattice.
+    """run(modes, y0) yields states, each a tuple of (modes, ncomp) arrays
+    that starts with the system's first unknown and its rate; returns
+    those two of each state as a list on the full lattice.
 
     The mode operators have real coefficients, so evolution keeps
     c_{-k} = conj(c_k).  When every array of y0 satisfies it exactly, run
-    sees only the modes of lattice.half_indices() and each state is
-    mirrored as it is yielded; otherwise run sees the full lattice.  Each
-    mode evolves on its own, so the kept modes match a full-lattice run."""
+    sees only the modes of lattice.half_indices() and the two arrays of
+    each state are mirrored as it is yielded; otherwise run sees the full
+    lattice.  Each mode evolves on its own, so the kept modes match a
+    full-lattice run."""
     if not _exactly_real(lattice, y0):
-        return list(run(lattice.modes, y0))
+        return [y[:2] for y in run(lattice.modes, y0)]
     perm = lattice.negation_permutation()
     half = lattice.half_indices()
 
@@ -207,19 +210,19 @@ def _on_real_half(lattice, y0, run):
         full[half] = x
         return full
 
-    return [tuple(mirror(x) for x in y)
+    return [tuple(mirror(x) for x in y[:2])
             for y in run(lattice.modes[half], tuple(x[half] for x in y0))]
 
 
 def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
-    """The one sampler of the mode systems: the state at each of times of
-    y' = rhs(families, y), y(t0) = y0, with families one FamilyAction per
-    name in kinds on the modes sampled.  On the Minkowski torus, which takes
-    no dt, exact(families, k2, y0, times - t0) yields them in closed form
-    (k2 = |k|^2 per mode).  On Kasner the families are re-timed to each RK4
-    stage and _rk4 steps to the samples in order; a sample within 1e-14 of
-    the current time takes no step.  Runs on the real half of the lattice
-    when y0 allows it (see _on_real_half)."""
+    """The one sampler of the mode systems: the sampled state (y[0], y[1])
+    at each of times of y' = rhs(families, y), y(t0) = y0, with families
+    one FamilyAction per name in kinds on the modes sampled.  On the
+    Minkowski torus, which takes no dt, exact(families, k2, y0, times - t0)
+    yields them in closed form (k2 = |k|^2 per mode).  On Kasner the
+    families are re-timed to each RK4 stage and _rk4 steps to the samples in
+    order; a sample within 1e-14 of the current time takes no step.  Runs on
+    the real half of the lattice when y0 allows it (see _on_real_half)."""
     closed = bg.kind == "minkowski-torus"
     if closed and dt is not None:
         raise ValueError(
@@ -297,17 +300,15 @@ def evolve(jet: CauchyJet, t_end: float, dt: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _check_energy_args(sobolev_order: float, J: int):
-    if J not in (0, 1):
-        raise ValueError("energies are available for J in {0, 1}")
+def _check_energy_args(sobolev_order: float):
     if not np.isfinite(sobolev_order):
         raise ValueError("Sobolev order must be finite")
 
 
 def _energy_norms(k2, mult, w, stack, sobolev_order: float) -> np.ndarray:
-    """E_j of wave_energies for j = 0..len(stack) - 2, from the per-mode
-    stack [u, u', u'', ...] on modes with squared norms k2: each mode's
-    term counted mult times, components weighted by w."""
+    """(E_0, E_1) of wave_energies from the per-mode stack [u, u', u''] on
+    modes with squared norms k2: each mode's term counted mult times,
+    components weighted by w."""
     return np.array([
         float(np.sqrt(np.sum(
             mult * (1.0 + k2) ** (sobolev_order - j)
@@ -318,27 +319,24 @@ def _energy_norms(k2, mult, w, stack, sobolev_order: float) -> np.ndarray:
 
 
 def wave_energies(bg: SpacetimeBackground, lattice, t: float, U, Ud,
-                  sobolev_order: float = 0.0, J: int = 1) -> np.ndarray:
-    """Conserved-type wave energies
+                  sobolev_order: float = 0.0) -> np.ndarray:
+    """Conserved-type wave energies (E_0, E_1),
 
-        E_j^2 = sum_k (1+|k|^2)^(s-j) sum_c w_c (|k|^2 |u_k^(j)|^2 + |u_k^(j+1)|^2)
+        E_j^2 = sum_k (1+|k|^2)^(s-j) sum_c w_c (|k|^2 |u_k^(j)|^2 + |u_k^(j+1)|^2);
 
-    for j = 0..J (J <= 1); on the Minkowski torus each mode term is the
-    exact harmonic-oscillator energy and E_j is constant in time.
+    on the Minkowski torus each mode term is the exact harmonic-oscillator
+    energy and E_j is constant in time.
     """
-    _check_energy_args(sobolev_order, J)
-    stack = [U, Ud]
-    if J >= 1:
-        stack.append(FamilyAction(bg, "lichnerowicz", t, lattice.modes).monic_closure(U, Ud))
+    _check_energy_args(sobolev_order)
+    stack = [U, Ud, FamilyAction(bg, "lichnerowicz", t, lattice.modes).monic_closure(U, Ud)]
     k2 = np.sum(lattice.modes ** 2, axis=1)
     return _energy_norms(k2, 1.0, component_weights("sym2", bg.dim), stack, sobolev_order)
 
 
-def diagnostics(traj: Trajectory, sobolev_order: float = 0.0,
-                J: int = 1) -> DiagnosticsSeries:
+def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeries:
     """Gauge residual ||div hbar||, the constraint residuals ||DPhi_1||_H0
-    and ||DPhi_2||_H1 of the induced data, and wave energies at every
-    stored sample time.
+    and ||DPhi_2||_H1 of the induced data, and the wave energies (E_0, E_1)
+    at every stored sample time.
 
     When every state and derivative sample is exactly Hermitian (the test
     of _on_real_half), only the modes of lattice.half_indices() are
@@ -346,7 +344,7 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0,
     for itself and -k: every operator here has real coefficients, so the
     terms of k and -k are equal.  Any other trajectory is evaluated on the
     full lattice, each mode once."""
-    _check_energy_args(sobolev_order, J)
+    _check_energy_args(sobolev_order)
     bg, lat = traj.background, traj.lattice
     if _exactly_real(lat, [*traj.states, *traj.derivs]):
         idx = lat.half_indices()
@@ -357,7 +355,7 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0,
     modes = lat.modes[idx]
     k2 = np.sum(modes ** 2, axis=1)
     div = FamilyAction(bg, "div_trace_reversed", traj.times[0], modes)
-    wave = FamilyAction(bg, "lichnerowicz", traj.times[0], modes) if J else None
+    wave = FamilyAction(bg, "lichnerowicz", traj.times[0], modes)
     w_gauge = component_weights("one-form", bg.dim)
     w_sym = component_weights("sym2", bg.dim)
     w1, w2 = component_weights("scalar", bg.n), component_weights("one-form", bg.n)
@@ -371,7 +369,7 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0,
         r1, r2 = dphi_modes(bg.slice_at(t), modes, h, m)
         d1.append(weighted_norm(r1[:, None], w1, mult))
         d2.append(weighted_norm(r2, w2, mult1))
-        stack = [U, Ud] + ([wave.at(t).monic_closure(U, Ud)] if J else [])
+        stack = [U, Ud, wave.at(t).monic_closure(U, Ud)]
         en.append(_energy_norms(k2, mult, w_sym, stack, sobolev_order))
     return DiagnosticsSeries(
         traj.times.copy(), np.array(gauge), np.array(d1), np.array(d2), np.array(en),
@@ -402,34 +400,34 @@ def _gauge_initial_state(bg: SpacetimeBackground, U0):
 
 
 def _recovery_rhs(families, y):
-    """Joint system of (h, V): the source -div(hbar) of the connection wave
+    """Joint system of (V, h): the source -div(hbar) of the connection wave
     equation is evaluated from the co-evolved h state at every stage."""
     wave, div, conn = families
-    U, Ud, V, Vd = y
+    V, Vd, U, Ud = y
     src = -(div.apply(0, U) + div.apply(1, Ud))
-    return (Ud, wave.monic_closure(U, Ud), Vd, src + conn.monic_closure(V, Vd))
+    return (Vd, src + conn.monic_closure(V, Vd), Ud, wave.monic_closure(U, Ud))
 
 
 def _recovery_exact(families, k2, y, offsets):
     """_recovery_rhs solved on the Minkowski torus: the source -div(hbar)
     per mode is itself a frequency-|k| oscillation, so the resonant Duhamel
-    integral is explicit."""
+    integral is explicit.  Yields (V, V') only: h is the source, not a
+    sample."""
     div = families[1]
-    U0, Ud0, V0, Vd0 = y
+    V0, Vd0, U0, Ud0 = y
     w = np.sqrt(k2)
     # S(s) = A cos(w s) + B sin(w s) with the harmonic evolution of (U, Ud);
     # wB = w B is regular at w = 0, where S = A + wB s
     A = -(div.apply(0, U0) + div.apply(1, Ud0))
     wB = -(div.apply(0, Ud0) - k2[:, None] * div.apply(1, U0))
-    for s, h, (V, Vd) in zip(offsets, _harmonic(families, k2, (U0, Ud0), offsets),
-                             _harmonic(families, k2, (V0, Vd0), offsets)):
+    for s, (V, Vd) in zip(offsets, _harmonic(families, k2, (V0, Vd0), offsets)):
         # resonant particular solution with zero initial value and velocity,
         # through sin(w s) / w -> s and (sin ws - ws cos ws) / (2 w^3) -> s^3 / 6
         sn, c = np.sin(w * s), np.cos(w * s)
         sinc = np.divide(sn, w, out=np.full_like(w, s), where=w > 0)[:, None]
         cube = np.divide(sn - w * s * c, 2 * w ** 3, out=np.full_like(w, s ** 3 / 6),
                          where=w > 0)[:, None]
-        yield (*h, V + 0.5 * s * sinc * A + cube * wB,
+        yield (V + 0.5 * s * sinc * A + cube * wB,
                Vd + 0.5 * (sinc + s * c[:, None]) * A + 0.5 * s * sinc * wB)
 
 
@@ -443,9 +441,9 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
     V, Vd = _gauge_initial_state(bg, traj.states[0])
     ys = _samples(
         bg, lat, ("lichnerowicz", "div_trace_reversed", "connection_wave"), _recovery_rhs,
-        times[0], (traj.states[0], traj.derivs[0], V, Vd), times, traj.dt, _recovery_exact,
+        times[0], (V, Vd, traj.states[0], traj.derivs[0]), times, traj.dt, _recovery_exact,
     )
-    Vs, Vds = [y[2] for y in ys], [y[3] for y in ys]
+    Vs, Vds = [y[0] for y in ys], [y[1] for y in ys]
     wsym = component_weights("sym2", bg.dim)
     lie0 = FamilyAction(bg, "lie_of_g", times[0], lat.modes)
     dev, rel = [], []

@@ -264,19 +264,14 @@ def synthesize_shifted(field: SpectralField, grid_size: int, shift=None) -> np.n
     return np.fft.ifftn(spec, axes=tuple(range(n))) * grid_size ** n
 
 
-def l2_inner(a: SpectralField, b: SpectralField, metric: np.ndarray | None = None) -> float:
-    """L^2 pairing (2 pi)^n sum_k conj(a).b with component contraction.
-
-    With metric=None the contraction is flat (identity); otherwise `metric`
-    is a constant SPD matrix G and indices are raised with G^{-1}.
+def l2_inner(a: SpectralField, b: SpectralField, metric: np.ndarray) -> float:
+    """L^2 pairing (2 pi)^n sum_k conj(a).b with the component contraction
+    of a constant SPD metric G, whose inverse raises the indices.
     Parseval-consistent with grid quadrature of the pointwise contraction.
     """
     _check_same(a, b)
     n = a.lattice.n
     vol = (2 * np.pi) ** n
-    if metric is None:
-        w = component_weights(a.rank, n)
-        return float(np.real(np.sum(np.conj(a.coeffs) * b.coeffs @ w)) * vol)
     gram = component_gram(a.rank, n, np.linalg.inv(np.asarray(metric, float)))
     return float(np.real(np.sum(np.conj(a.coeffs) * (b.coeffs @ gram))) * vol)
 
@@ -327,7 +322,7 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     """Sobolev norm ||f||_s = sqrt( sum_k (1+|k|^2)^s sum_c w_c |c_k|^2 )
     over the stored lattice.
 
-    Normalization: the H^0 norm squared equals l2_inner(f, f) / (2 pi)^n,
+    Normalization: the H^0 norm squared equals l2_inner(f, f, I) / (2 pi)^n,
     so the constant field 1 has norm exactly 1.
     """
     if not np.isfinite(s):
@@ -350,6 +345,8 @@ def weighted_norm(coeffs: np.ndarray, weights: np.ndarray, mult=None) -> float:
 def dirac_partial_sum(order: int, s: float, truncation: int) -> float:
     """Partial sum  sum_{|m| <= K} (1 + m^2)^s m^(2 order) / (2 pi)^2
     for the line distribution delta^(order) placed on one torus axis."""
+    if order < 0:
+        raise ValueError(f"derivative order must be >= 0, got {order}")
     m = np.arange(-truncation, truncation + 1, dtype=float)
     return float(np.sum((1.0 + m ** 2) ** s * m ** (2 * order)) / (2 * np.pi) ** 2)
 

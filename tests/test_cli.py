@@ -118,6 +118,9 @@ def test_config_refuses_kasner_exponents_that_are_not_finite(tmp_path, capsys):
 def test_config_rejects_unknown_key_with_line_number():
     with pytest.raises(ConfigError, match=":2:.*unknown key"):
         parse_config(MINIMAL + "background.bogus = 1\n")
+    # every run reports E_0 and E_1, so there is no energy order to set
+    with pytest.raises(ConfigError, match=":2: unknown key 'evolve.J'"):
+        parse_config(MINIMAL + "evolve.J = 1\n")
     with pytest.raises(ConfigError, match=":1:"):
         parse_config("this is not a key value line\n")
 
@@ -188,6 +191,17 @@ def test_background_refuses_parameters_that_are_not_finite(capsys, argv, name):
     assert f" {name} must be finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["background", "gauge-data"])
+def test_kasner_exponents_with_a_zero_denominator_exit_two(command, capsys):
+    # the config refuses the same value through the same rational parser
+    rc = run_cli([command, "--kind", "kasner", "--p", "1/0,0,1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "zero denominator in '1/0,0,1'" in captured.err
+    with pytest.raises(ConfigError, match="bad value for 'background.p'"):
+        parse_config("background.kind = kasner\nbackground.p = 1/0, 0, 1\n")
+
+
 def test_decompose_and_moncrief_subcommands(capsys):
     assert run_cli(["decompose", "--kind", "berger"]) == 0
     assert run_cli(["decompose", "--kind", "flat-torus", "--slot", "momentum",
@@ -207,6 +221,19 @@ def test_spectrum_reproduces_membership_pattern(capsys):
     verdicts = {r["name"]: r["verdict"] for r in payload["results"]}
     assert verdicts["sobolev_-3"] == "convergent"
     assert verdicts["sobolev_-2"] == "divergent"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--order", "-1"], "derivative order must be >= 0, got -1"),
+    (["--sobolev", "nan"], "--sobolev orders must be finite, got nan"),
+    (["--sobolev", "-3,inf"], "--sobolev orders must be finite, got -3,inf"),
+])
+def test_spectrum_refuses_a_negative_order_and_non_finite_sobolev_orders(
+        capsys, argv, message):
+    rc = run_cli(["spectrum", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert message in captured.err
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -331,7 +358,7 @@ def test_internal_failure_exits_one_not_two(tmp_path, capsys, monkeypatch):
         "evolve.dt = 1e-2\n"
         "evolve.samples = 2\n"
     )
-    monkeypatch.setattr(FamilyAction, "is_monic", lambda self, tol=1e-12: False)
+    monkeypatch.setattr(FamilyAction, "is_monic", lambda self: False)
     rc = run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "r")])
     err = capsys.readouterr().err
     assert rc == 1

@@ -51,15 +51,18 @@ def test_nonlinear_phi_vanishes_on_backgrounds():
         assert np.max(np.abs(p1.coeffs)) < 1e-8
         assert np.max(np.abs(p2.coeffs)) < 1e-10
     geomb = slice_geometry("berger")
-    p1, p2 = phi(geomb.metric, geomb.extrinsic, geomb)
-    assert abs(p1) < 1e-12 and np.max(np.abs(p2)) < 1e-12
+    p1, p2 = phi(*(inv.InvariantField("sym2", sym2_from_full(x, 3))
+                   for x in (geomb.metric, geomb.extrinsic)), geomb)
+    assert (p1.rank, p2.rank) == ("scalar", "one-form")
+    assert abs(p1.components[0]) < 1e-12 and np.max(np.abs(p2.components)) < 1e-12
 
 
 def test_nonlinear_phi_detects_round_sphere_curvature():
     # the round Berger sphere (lambda = 1) has Scal = 6, not 0
-    p1, _ = phi(np.eye(3), np.zeros((3, 3)), slice_geometry("berger"))
+    p1, _ = phi(inv.InvariantField("sym2", sym2_from_full(np.eye(3), 3)),
+                inv.InvariantField("sym2", np.zeros(6)), slice_geometry("berger"))
     geo = inv.InvariantGeometry(np.diag([1.0, 1.0, 1.0]))
-    assert abs(p1 - 6.0) < 1e-12
+    assert abs(p1.components[0] - 6.0) < 1e-12
     assert abs(geo.scal - 6.0) < 1e-12
 
 
@@ -151,25 +154,6 @@ def test_oracle_rejects_complex_samples():
         phi(g + h, k, geom)
     with pytest.raises(ValueError, match="came out complex"):
         phi(g, k + m, geom)
-
-
-def test_oracle_rejects_a_grid_too_small_for_the_lattice():
-    # N < 2 nmax + 1 points per axis would alias modes k and k - N onto one
-    # grid frequency
-    nmax = 2
-    lat = ModeLattice(3, nmax)
-    geom = slice_geometry("flat-torus", n=3)
-    rng = np.random.default_rng(18)
-    pair = InitialDataPair(random_field(lat, "sym2", rng, decay=2.0),
-                           random_field(lat, "sym2", rng, decay=2.0), geom)
-    with pytest.raises(ValueError, match=rf"grid size {2 * nmax} too small"):
-        dphi_oracle(pair, npts=2 * nmax)
-    g, k = background_pair(geom, lat)
-    with pytest.raises(ValueError, match=rf"grid size {2 * nmax} too small"):
-        phi(g, k, geom, npts=2 * nmax)
-    # the smallest admissible grid is accepted
-    p1, _ = phi(g, k, geom, npts=2 * nmax + 1)
-    assert np.max(np.abs(p1.coeffs)) < 1e-8
 
 
 FIRST_WEIGHTS = {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0}  # over 12 step

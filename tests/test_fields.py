@@ -100,7 +100,7 @@ def test_parseval_against_grid_quadrature():
     rng = np.random.default_rng(11)
     lat = ModeLattice(3, 3)
     f = random_field(lat, "sym2", rng)
-    spectral = l2_inner(f, f)
+    spectral = l2_inner(f, f, np.eye(3))
     grid = synthesize(f, 12)
     w = component_weights("sym2", 3)
     quad = np.sum(grid ** 2 * w) * (2 * np.pi / 12) ** 3
@@ -180,6 +180,15 @@ def test_dirac_line_distribution_membership():
     direct = sobolev_norm(f, -n - 1.0)
     partial = np.sqrt(dirac_partial_sum(order, -n - 1.0, lat.nmax))
     assert abs(direct - partial) < 1e-12 * max(1.0, partial)
+
+
+def test_dirac_partial_sum_refuses_a_negative_order():
+    # m^(2 order) at m = 0 would divide by zero; the coefficients refuse it too
+    message = "derivative order must be >= 0, got -1"
+    with pytest.raises(ValueError, match=message):
+        dirac_partial_sum(-1, -2.0, 8)
+    with pytest.raises(ValueError, match=message):
+        distributional_coefficients(ModeLattice(2, 4), -1, 0, 0)
 
 
 def test_hermitian_symmetry_of_random_fields():

@@ -77,3 +77,33 @@ def test_no_private_cross_module_reads():
             and node.value.id in modules and _is_private(node.attr)
         ]
     assert not reads, f"private names read across modules: {reads}"
+
+
+def _strings(path, calls_to=None) -> set:
+    """String constants of a module; with calls_to, only the first
+    argument of calls to a method of that name (cfg.get("key"))."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    if calls_to is None:
+        nodes = ast.walk(tree)
+    else:
+        nodes = [node.args[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == calls_to and node.args]
+    return {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_every_config_key_and_operator_kind_has_a_library_reader():
+    """Every key of config.SCHEMA is read (cfg.get) by a module of
+    src/linwave other than config.py, and every kind of spacetime._JET_FUNCS
+    is named by one other than spacetime.py: a value that only tests set is
+    a dead knob."""
+    from linwave import config, spacetime
+
+    others = {home: [p for p in SRC.glob("*.py") if p.name != home]
+              for home in ("config.py", "spacetime.py")}
+    read = set().union(*(_strings(p, "get") for p in others["config.py"]))
+    named = set().union(*(_strings(p) for p in others["spacetime.py"]))
+    unread = set(config.SCHEMA) - read
+    assert not unread, f"config keys no module reads: {unread}"
+    unnamed = set(spacetime._JET_FUNCS) - named
+    assert not unnamed, f"operator kinds no module names: {unnamed}"
