@@ -303,6 +303,8 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"unknown generator {args.generator!r}")
     if sorted(truncations) != truncations or len(set(truncations)) != len(truncations):
         raise ConfigError("truncations must be strictly increasing")
+    if truncations[0] < 1:
+        raise ConfigError(f"truncations must be >= 1, got {args.truncations}")
     rows = []
     for s in orders:
         norms = [float(np.sqrt(dirac_partial_sum(args.order, s, K)))

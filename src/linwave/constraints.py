@@ -5,9 +5,8 @@ Nonlinear constraints of a slice (g~, k~):
     Phi_1 = Scal(g~) - g~(k~, k~) + (tr k~)^2,
     Phi_2 = div k~ - d tr k~.
 
-phi evaluates them on a slice's data (sym2 fields in, a scalar and a
-one-form field out, on either backend), constraint_residual on the
-background itself (its Berger branch is the invariant Phi).
+constraint_residual evaluates them on the background itself (its Berger
+branch is the invariant Phi).
 dphi evaluates the full linearisation around the background slice data,
 including every extrinsic-curvature term; dphi_oracle re-derives it from
 the nonlinear map by central differencing, with the nonlinear scalar
@@ -17,12 +16,11 @@ grid values and every stencil come from one batched synthesis of the
 coefficients times the stencil symbols: the numbers the stencils give on
 exact offset grids, with no interpolation and no differencing of grids.
 The fields are real and every symbol satisfies s(-k) = conj(s(k)), so the
-synthesis is one real inverse FFT of the Hermitian half k_n >= 0 of each
-spectrum, refused up front when the coefficients are not Hermitian (the
-samples would come out complex).  The grid has at least 2 nmax + 1 points
-per axis, so the placement never aliases.  Samples keep the grid axis
-last and contiguous, (..., n, n, P), and the pointwise Phi contracts over
-the tensor axes with P innermost.
+synthesis reads only the Hermitian half k_n >= 0 of each spectrum,
+refused up front when the coefficients are not Hermitian (the samples
+would come out complex).  Samples keep the grid axis last and contiguous,
+(..., n, n, P), and the pointwise Phi contracts over the tensor axes with
+P innermost.
 normal_identities checks the two identities linking the linearised Ricci
 tensor to dphi on extendable Cauchy jets.
 """
@@ -100,28 +98,10 @@ class ConstraintResidual:
 # ---------------------------------------------------------------------------
 
 
-def phi(gdata, kdata, geom: SliceGeometry):
-    """Nonlinear constraints (Phi_1, Phi_2) of metric data gdata and
-    extrinsic data kdata, both sym2 fields of the slice's backend holding
-    the FULL fields (on a torus, background constants on the zero mode).
-    Returns a scalar and a one-form field of the same backend.  Torus
-    derivatives are 4th-order stencils at ORACLE_STEP, as in dphi_oracle.
-    """
-    if not geom.is_torus:
-        phi1, phi2 = _phi_invariant(sym2_to_full(gdata.components, 3),
-                                    sym2_to_full(kdata.components, 3))
-        return (inv.InvariantField("scalar", np.array([phi1])),
-                inv.InvariantField("one-form", phi2))
-    lat = gdata.lattice
-    npts = _grid_size(lat)
-    g, dg, d2g = _stencil_samples(gdata, npts, ORACLE_STEP, second=True)
-    k, dk, _ = _stencil_samples(kdata, npts, ORACLE_STEP, second=False)
-    return _torus_constraint_fields(*_phi_pointwise(g, dg, d2g, k, dk), lat, npts)
-
-
 def _grid_size(lat) -> int:
     """Grid points per axis of Phi's samples: the larger of 16 and
-    2 nmax + 1, the fewest that do not alias."""
+    2 nmax + 1, the fewest from which `analyze` reads back every mode of
+    the lattice."""
     return max(lat.modes_per_axis, 16)
 
 
@@ -186,39 +166,58 @@ def _stencil_samples(field: SpectralField, npts: int, step: float, second: bool)
     The stencils act as exact Fourier multipliers (`_stencil_symbols`), so
     the values and every stencil come from one batched synthesis: the same
     numbers as differencing exact offset grids, without the differencing.
-    The data are real, so only the Hermitian half k_n >= 0 of each
-    multiplied spectrum is placed, as (nsym, ncomp, npts, ..., npts//2 + 1),
-    and one real inverse transform over the grid axes synthesizes every
-    row.  That half determines the samples only if the coefficients are
-    Hermitian, so they are checked first, in place of checking the
-    samples: every symbol satisfies s(-k) = conj(s(k)), so the imaginary
-    part of row r is the synthesis of s_r times the anti-Hermitian part of
-    the coefficients.  Every row is real when that part vanishes, and the
-    identity row (s = 1) is complex when it does not.  Callers take npts
-    from _grid_size, at least 2 nmax + 1, so the placement does not alias.
+    The lattice is the whole box [-nmax, nmax]^n, so the Hermitian half
+    k_n >= 0 of each multiplied spectrum is a slice of the coefficients.
+    It is synthesized one axis at a time by a matrix product with
+    E[x, k] = exp(i x k), (npts, 2 nmax + 1), on the first n - 1 axes; on
+    the last the samples are the real part against exp(i k x) with weight
+    1 at k_n = 0 and 2 otherwise.  That half determines the samples only
+    if the coefficients are Hermitian, so they are checked first, in place
+    of checking the samples: every symbol satisfies s(-k) = conj(s(k)), so
+    the imaginary part of row r is the synthesis of s_r times the
+    anti-Hermitian part of the coefficients.  Every row is real when that
+    part vanishes, and the identity row (s = 1) is complex when it does not.
     Returns (f, df, d2f): f[c, d, p] = f_cd, df[a, c, d, p] = D_a f_cd and
     d2f[e, a, c, d, p] = D_e D_a f_cd; d2f is None unless `second`.
     """
     lat = field.lattice
-    n = lat.n
+    n, nmax, m, ncomp = lat.n, lat.nmax, lat.modes_per_axis, field.ncomp
     try:
         field.check_hermitian(tol=1e-10)
     except ValueError as err:
         raise ValueError(f"metric samples came out complex; data not real: {err}") from None
-    half = lat.modes[:, -1] >= 0
-    modes = lat.modes[half]
-    rows = _stencil_symbols(modes, step, second)[:, None, :] * field.coeffs[half].T
-    spec = np.zeros(rows.shape[:2] + (npts,) * (n - 1) + (npts // 2 + 1,), complex)
-    idx = tuple(modes[:, ax] % npts for ax in range(n - 1)) + (modes[:, -1],)
-    spec[(slice(None), slice(None)) + idx] = rows
-    grids = np.fft.irfftn(spec, s=(npts,) * n, axes=tuple(range(2, n + 2)), norm="forward")
-    ncomp = field.ncomp
-    full = grids.reshape(len(grids), ncomp, -1)[:, sym2_to_full(np.arange(ncomp), n)]
+    half = (slice(None),) * (n - 1) + (slice(nmax, None),)
+    modes = lat.modes.reshape((m,) * n + (n,))[half].reshape(-1, n)
+    coeffs = field.coeffs.reshape((m,) * n + (ncomp,))[half].reshape(-1, 1, ncomp)
+    symbols = _stencil_symbols(modes, step, second)
+    rows = symbols.T[:, :, None] * coeffs  # [k, r, c]: symbol r times component c
+    k = np.arange(-nmax, nmax + 1)
+    E = np.exp(2j * np.pi / npts * (np.outer(np.arange(npts), k) % npts))
+    for ax in range(n - 1):  # grid axes ahead, mode axes behind
+        rows = E @ rows.reshape((npts,) * ax + (m, -1))
+    last = np.where(k[nmax:] == 0, 1.0, 2.0) * E[:, nmax:]
+    grids = (last @ rows.reshape(npts ** (n - 1), nmax + 1, -1)).real.reshape(npts ** n, -1)
+    grids = np.ascontiguousarray(grids.T).reshape(len(symbols), ncomp, -1)
+    full = grids[:, sym2_to_full(np.arange(ncomp), n)]
     f, df = full[0], full[1:n + 1]
     if not second:
         return f, df, None
     # the D_a D_b rows are themselves sym2-ordered in (a, b)
     return f, df, full[sym2_to_full(np.arange(n + 1, len(full)), n)]
+
+
+def _cofactor_inverse(g):
+    """Inverses of the (n, n, P) matrices g, n = 2 or 3, by cofactors:
+    C_ij = g[i+1, j+1] g[i+2, j+2] - g[i+1, j+2] g[i+2, j+1] (indices mod 3)
+    for n = 3, the adjugate for n = 2, and g^-1 = C^T / det with P last."""
+    n = len(g)
+    s1 = (np.arange(n) + 1) % n
+    if n == 2:
+        C = g[s1][:, s1] * np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
+    else:
+        s2 = (s1 + 1) % n
+        C = g[s1][:, s1] * g[s2][:, s2] - g[s1][:, s2] * g[s2][:, s1]
+    return np.swapaxes(C, 0, 1) / np.einsum("jp,jp->p", g[0], C[0])
 
 
 def _phi_pointwise(g, dg, d2g, k, dk):
@@ -230,7 +229,7 @@ def _phi_pointwise(g, dg, d2g, k, dk):
     with axes [p] and Phi_2 with axes [x, p].  Each contraction is a plain
     einsum whose innermost loop runs along p.
     """
-    gi = np.moveaxis(np.linalg.inv(np.moveaxis(g, -1, 0)), 0, -1).copy()
+    gi = _cofactor_inverse(g)
     dgi = -np.einsum("cep,aefp,fdp->acdp", gi, dg, gi)
     # half Koszul bracket br[a, d, b, p] = (d_a g_db + d_b g_da - d_d g_ab) / 2,
     # so Gamma^c_ab = g^cd br[a, d, b] and

@@ -152,17 +152,29 @@ def kernel_basis(params: SplitOperatorParams, geom: SliceGeometry,
     return basis
 
 
-def _least_squares(geom: SliceGeometry, A: np.ndarray, y: np.ndarray, rows, cols):
+def _least_squares(geom: SliceGeometry, A: np.ndarray, y: np.ndarray, rows, cols,
+                   lattice=None):
     """Per mode, the least-squares solution of A u = y in the L^2 metric of
     the ranks `rows` with least L^2 norm in the ranks `cols`: the pinv at
     rcond KERNEL_TOL in u = Rd^-1 pinv(Rc A Rd^-1) Rc y, where R^T R is the
-    pointwise Gram matrix of a rank tuple (the volume factor cancels)."""
+    pointwise Gram matrix of a rank tuple (the volume factor cancels).
+    Slice operators have real coefficients, so on a torus A(-k) = conj A(k)
+    and the pinv is taken on lattice.half_indices() only; each -k partner
+    takes its conjugate, for real and complex y alike."""
     Rc, Rd = (_gram_factor(geom, ranks) for ranks in (rows, cols))
     Rd_inv = np.linalg.inv(Rd)
     m, r, c = A.shape
     # Rc A Rd^-1 as one GEMM: X -> Rc X Rd^-1 is kron(Rc, Rd^-T) on rows of X
     B = (A.reshape(m, r * c) @ np.kron(Rc, Rd_inv.T).T).reshape(m, r, c)
-    z = np.einsum("mcr,mr->mc", np.linalg.pinv(B, rcond=KERNEL_TOL), y @ Rc.T)
+    if lattice is None:
+        pinv = np.linalg.pinv(B, rcond=KERNEL_TOL)
+    else:
+        half = lattice.half_indices()
+        pinv = np.empty((m, c, r), B.dtype)
+        pinv_half = np.linalg.pinv(B[half], rcond=KERNEL_TOL)
+        pinv[lattice.negation_permutation()[half]] = np.conj(pinv_half)
+        pinv[half] = pinv_half  # last, so k = 0, its own partner, keeps its own
+    z = np.einsum("mcr,mr->mc", pinv, y @ Rc.T)
     return z @ Rd_inv.T
 
 
@@ -290,7 +302,7 @@ def moncrief_project(pair: InitialDataPair) -> MoncriefSplit:
 
     A = operator_matrices(geom, P, MONCRIEF_RANKS, lat)
     u = _least_squares(geom, A, slice_stack(geom, (pair.h, pair.m)), ("sym2", "sym2"),
-                       MONCRIEF_RANKS)
+                       MONCRIEF_RANKS, lat)
     beta, N = slice_unstack(geom, MONCRIEF_RANKS, u, lat)
     gauge_h, gauge_m = slice_unstack(geom, ("sym2", "sym2"), np.einsum("mri,mi->mr", A, u), lat)
     out = MoncriefSplit(N, beta, gauge_h, gauge_m, pair.h - gauge_h, pair.m - gauge_m)

@@ -344,11 +344,17 @@ def weighted_norm(coeffs: np.ndarray, weights: np.ndarray, mult=None) -> float:
 
 def dirac_partial_sum(order: int, s: float, truncation: int) -> float:
     """Partial sum  sum_{|m| <= K} (1 + m^2)^s m^(2 order) / (2 pi)^2
-    for the line distribution delta^(order) placed on one torus axis."""
+    for the line distribution delta^(order) placed on one torus axis;
+    ValueError if it is not finite in double precision."""
     if order < 0:
         raise ValueError(f"derivative order must be >= 0, got {order}")
     m = np.arange(-truncation, truncation + 1, dtype=float)
-    return float(np.sum((1.0 + m ** 2) ** s * m ** (2 * order)) / (2 * np.pi) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum((1.0 + m ** 2) ** s * m ** (2 * order)) / (2 * np.pi) ** 2)
+    if not np.isfinite(total):
+        raise ValueError(f"the H^{s:g} norm of delta^({order}) at truncation K={truncation} "
+                         "is not finite in double precision")
+    return total
 
 
 def distributional_coefficients(

@@ -227,12 +227,19 @@ def test_spectrum_reproduces_membership_pattern(capsys):
     (["--order", "-1"], "derivative order must be >= 0, got -1"),
     (["--sobolev", "nan"], "--sobolev orders must be finite, got nan"),
     (["--sobolev", "-3,inf"], "--sobolev orders must be finite, got -3,inf"),
+    # norms that overflow double precision, not printed or written as Infinity
+    (["--sobolev", "200"], "the H^200 norm of delta^(2) at truncation K=64 is not finite"),
+    (["--sobolev", "-3,200"], "the H^200 norm of delta^(2) at truncation K=64 is not finite"),
+    (["--sobolev", "-300", "--order", "200"],
+     "the H^-300 norm of delta^(200) at truncation K=64 is not finite"),
+    (["--truncations=-3,-2,-1"], "truncations must be >= 1, got -3,-2,-1"),
+    (["--truncations=0,1,2"], "truncations must be >= 1, got 0,1,2"),
 ])
 def test_spectrum_refuses_a_negative_order_and_non_finite_sobolev_orders(
-        capsys, argv, message):
-    rc = run_cli(["spectrum", *argv])
+        tmp_path, capsys, argv, message):
+    rc = run_cli(["spectrum", *argv, "--out", str(tmp_path)])
     captured = capsys.readouterr()
-    assert rc == 2 and captured.out == ""
+    assert rc == 2 and captured.out == "" and not list(tmp_path.iterdir())
     assert message in captured.err
 
 

@@ -414,28 +414,33 @@ def test_moncrief_fixes_kernel_of_p_star():
 
 
 def test_moncrief_batched_solve_matches_per_mode_lstsq():
-    # reference: the per-mode minimum-norm lstsq with rcond = KERNEL_TOL,
-    # on P(beta, N) = (Lie_beta g~, Hess N) assembled here mode by mode in
-    # the sqrt(component weight) metric; covers k = 0, where P vanishes
+    # reference: the per-mode minimum-norm lstsq with rcond = KERNEL_TOL on
+    # every mode of the lattice, on P(beta, N) = (Lie_beta g~, Hess N)
+    # assembled here mode by mode in the sqrt(component weight) metric;
+    # covers k = 0, where P vanishes, and complex non-Hermitian data, whose
+    # -k modes the solve fills from the conjugated pinv of their partners
     lat = ModeLattice(3, 3)
     rng = np.random.default_rng(9)
-    pair = InitialDataPair(random_field(lat, "sym2", rng), random_field(lat, "sym2", rng), TORUS)
-    ms = moncrief_project(pair)
-    got = np.concatenate([ms.beta.coeffs, ms.N.coeffs], axis=1)
-    pairs = [(a, b) for a in range(3) for b in range(a, 3)]
-    wsq = np.sqrt([1.0 if a == b else 2.0 for a, b in pairs] * 2)
-    x = np.concatenate([pair.h.coeffs, pair.m.coeffs], axis=1)
-    ref = np.empty_like(got)
-    for i, k in enumerate(lat.modes):
-        A = np.zeros((12, 4), complex)
-        for c, (a, b) in enumerate(pairs):
-            A[c, a] += 1j * k[b]
-            A[c, b] += 1j * k[a]
-            A[6 + c, 3] = -k[a] * k[b]
-        ref[i], *_ = np.linalg.lstsq(wsq[:, None] * A, wsq * x[i], rcond=KERNEL_TOL)
-    zero = lat.mode_index((0, 0, 0))
-    assert np.all(ref[zero] == 0) and np.all(got[zero] == 0)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    real = (random_field(lat, "sym2", rng), random_field(lat, "sym2", rng))
+    raw = rng.standard_normal((2, lat.num_modes, 6, 2)) @ np.array([1.0, 1j])
+    for h, m in (real, [SpectralField(lat, "sym2", c) for c in raw]):
+        pair = InitialDataPair(h, m, TORUS)
+        ms = moncrief_project(pair)
+        got = np.concatenate([ms.beta.coeffs, ms.N.coeffs], axis=1)
+        pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+        wsq = np.sqrt([1.0 if a == b else 2.0 for a, b in pairs] * 2)
+        x = np.concatenate([pair.h.coeffs, pair.m.coeffs], axis=1)
+        ref = np.empty_like(got)
+        for i, k in enumerate(lat.modes):
+            A = np.zeros((12, 4), complex)
+            for c, (a, b) in enumerate(pairs):
+                A[c, a] += 1j * k[b]
+                A[c, b] += 1j * k[a]
+                A[6 + c, 3] = -k[a] * k[b]
+            ref[i], *_ = np.linalg.lstsq(wsq[:, None] * A, wsq * x[i], rcond=KERNEL_TOL)
+        zero = lat.mode_index((0, 0, 0))
+        assert np.all(ref[zero] == 0) and np.all(got[zero] == 0)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_moncrief_on_berger():
