@@ -299,8 +299,6 @@ def cmd_spectrum(args) -> int:
     if not np.all(np.isfinite(orders)):
         raise ConfigError(f"--sobolev orders must be finite, got {args.sobolev}")
     truncations = [int(s) for s in args.truncations.split(",")]
-    if args.generator != "dirac-derivative":
-        raise ConfigError(f"unknown generator {args.generator!r}")
     if sorted(truncations) != truncations or len(set(truncations)) != len(truncations):
         raise ConfigError("truncations must be strictly increasing")
     if truncations[0] < 1:
@@ -334,7 +332,7 @@ def cmd_spectrum(args) -> int:
     ]
     return _emit_report(
         "spectrum", "flat-torus", results, args.out,
-        extra={"generator": args.generator, "order": args.order,
+        extra={"generator": "dirac-derivative", "order": args.order,
                "truncations": truncations},
     )
 
@@ -357,9 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", "--background", dest="kind", choices=kinds,
                        default=kinds[0])
         p.add_argument("--n", type=int, default=3, help="torus dimension")
-        p.add_argument("--p", type=_parse_triple, default=None,
-                       help="Kasner exponents, e.g. '2/3,2/3,-1/3'")
-        p.add_argument("--t0", type=float, default=1.0)
+        if "kasner" in kinds:
+            p.add_argument("--p", type=_parse_triple, default=None,
+                           help="Kasner exponents, e.g. '2/3,2/3,-1/3'")
+            p.add_argument("--t0", type=float, default=1.0)
         p.add_argument("--lam", type=float, default=None, help="Berger squashing")
         p.add_argument("--out", default=None, help="output directory")
 
@@ -403,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("spectrum", help="truncated Sobolev norms of singular data")
-    p.add_argument("--generator", default="dirac-derivative")
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--sobolev", default="-3,-2")
     p.add_argument("--truncations", default="64,128,256")

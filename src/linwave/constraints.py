@@ -52,7 +52,6 @@ class InitialDataPair:
     h: object  # sym2 SpectralField (torus) or InvariantField (berger)
     m: object
     geom: SliceGeometry
-    order: float = 2.0  # declared Sobolev regularity of h
 
     def __post_init__(self):
         if self.h.rank != "sym2" or self.m.rank != "sym2":
@@ -80,17 +79,14 @@ class ConstraintResidual:
     norms: dict = dc_field(default_factory=dict)
 
     @classmethod
-    def with_norms(cls, geom: SliceGeometry, scalar, oneform, orders=()):
-        """The residual with its norms: the H^s norms at each of `orders` on
-        a torus, the L^2 norms on Berger."""
+    def with_norms(cls, geom: SliceGeometry, scalar, oneform):
+        """The residual with its norms: the H^0 and H^1 norms on a torus, the
+        L^2 norms on Berger."""
         if not geom.is_torus:
             return cls(scalar, oneform, {"dphi1_L2": slice_norm(geom, scalar),
                                          "dphi2_L2": slice_norm(geom, oneform)})
-        norms = {}
-        for s in orders:
-            norms[f"dphi1_H{s:g}"] = sobolev_norm(scalar, s)
-            norms[f"dphi2_H{s:g}"] = sobolev_norm(oneform, s)
-        return cls(scalar, oneform, norms)
+        return cls(scalar, oneform, {f"dphi{i}_H{s:g}": sobolev_norm(f, s) for s in (0.0, 1.0)
+                                     for i, f in ((1, scalar), (2, oneform))})
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +103,8 @@ def _grid_size(lat) -> int:
 
 def _phi_invariant(G: np.ndarray, K: np.ndarray):
     geo = inv.InvariantGeometry(G)
-    gi = np.linalg.inv(G)
-    divk = np.einsum("ab,abjpq,pq->j", gi, inv.nabla_twotensor(geo), K)
+    gi = geo.metric_inv
+    divk = np.einsum("ab,abj->j", gi, inv.nabla(geo, K))
     # d tr k vanishes on invariant sections (constants)
     return _phi1_constant(geo.scal, gi, K), divk
 
@@ -275,7 +271,7 @@ def _torus_constraint_fields(p1, p2, lat, npts: int):
 
 def dphi(pair: InitialDataPair) -> ConstraintResidual:
     """Full linearisation of Phi around the background slice data, with its
-    norms at orders pair.order - 2 and pair.order - 1 on a torus."""
+    H^0 and H^1 norms on a torus."""
     geom = pair.geom
     if not geom.is_torus:
         return _dphi_invariant(pair)
@@ -283,8 +279,7 @@ def dphi(pair: InitialDataPair) -> ConstraintResidual:
     dphi1, dphi2 = dphi_modes(geom, lat.modes, pair.h.coeffs, pair.m.coeffs)
     scalar = SpectralField(lat, "scalar", dphi1[:, None])
     oneform = SpectralField(lat, "one-form", dphi2)
-    return ConstraintResidual.with_norms(
-        geom, scalar, oneform, (pair.order - 2.0, pair.order - 1.0))
+    return ConstraintResidual.with_norms(geom, scalar, oneform)
 
 
 def dphi_modes(geom: SliceGeometry, modes, h: np.ndarray, m: np.ndarray):
@@ -379,8 +374,7 @@ def dphi_oracle(pair: InitialDataPair) -> ConstraintResidual:
     p1m, p2m = _phi_pointwise(G - eps * h, -eps * dh, -eps * d2h, K - eps * m, -eps * dm)
     scalar, oneform = _torus_constraint_fields(
         (p1p - p1m) / (2 * eps), (p2p - p2m) / (2 * eps), lat, npts)
-    orders = (pair.order - 2.0, pair.order - 1.0)
-    return ConstraintResidual.with_norms(geom, scalar, oneform, orders)
+    return ConstraintResidual.with_norms(geom, scalar, oneform)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 Everything is restricted to the left-invariant sector, where a scalar is a
 single number, a one-form has 3 frame components and a symmetric 2-tensor
 has 6.  InvariantGeometry takes any left-invariant metric as its 3x3
-frame matrix.  operator_matrix gives each slice operator on each rank it
-takes as a plain small matrix (the rank map itself is slices._RANKS);
-slices.apply_slice_operator multiplies by it, and slices.operator_matrices
-reads the matrix of a composite map (such as the split operator P of
-decomposition.py) off its action on unit fields.
+frame matrix.  nabla is its covariant derivative on full frame components:
+these are constant, so only the connection terms remain.  It is all the
+Berger backend of slices.apply_slice_operator needs, which writes every
+slice operator from it, and slices.operator_matrices reads the matrix of a
+map (such as the split operator P of decomposition.py) off its action on
+unit fields.  gram_matrix gives the volume-weighted inner products.
 
 Conventions:
   * frame bracket [e_i, e_j] = 2 eps_{ijk} e_k (SU(2)),
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import component_gram, rank_components, sym2_from_full, sym2_to_full
+from .fields import component_gram, rank_components, sym2_from_full
 
 # The scalar-flat Berger squashing.  By Milnor's formula for this bracket,
 # Scal(diag(a, b, c)) = 2 (2 (ab + bc + ca) - a^2 - b^2 - c^2) / (abc), which
@@ -113,92 +114,22 @@ class InvariantGeometry:
 
 
 # ---------------------------------------------------------------------------
-# Operator matrices on the invariant sector
+# Covariant derivative and inner products on the invariant sector
 # ---------------------------------------------------------------------------
 
-def _nabla_oneform(geo: InvariantGeometry) -> np.ndarray:
-    """(nabla_a omega)_j = N[a, j, m] omega_m  with  N = -Gamma[m, a, j]."""
-    return -np.einsum("maj->ajm", geo.gamma)
-
-
-def nabla_twotensor(geo: InvariantGeometry) -> np.ndarray:
-    """(nabla_a T)_{ij} = N[a, i, j, p, q] T_{pq} on full 3x3 components."""
-    g = geo.gamma
-    eye = np.eye(3)
-    return -(
-        np.einsum("pai,qj->aijpq", g, eye) + np.einsum("qaj,pi->aijpq", g, eye)
-    )
-
-
-# E[a, i, j]: the full 3x3 symmetric tensor of the a-th stored component
-_EXPAND = sym2_to_full(np.eye(6), 3)
-_EXPAND.setflags(write=False)
+def nabla(geo: InvariantGeometry, T) -> np.ndarray:
+    """Covariant derivative (nabla_a T)_{ij...} of an invariant tensor given by
+    its full frame components T_{ij...}, derivative index first.  The
+    components are constant, so only the connection term
+    -Gamma^p_{a i} T_{p j...} of each slot remains."""
+    T = np.asarray(T)
+    idx = "ijkl"[:T.ndim]
+    out = np.zeros((3,) + T.shape)
+    for s, i in enumerate(idx):
+        out -= np.einsum(f"pa{i},{idx[:s]}p{idx[s + 1:]}->a{idx}", geo.gamma, T)
+    return out
 
 
 def gram_matrix(geo: InvariantGeometry, rank: str) -> np.ndarray:
     """Gram matrix of the volume-weighted invariant inner product."""
     return geo.volume * component_gram(rank, 3, geo.metric_inv)
-
-
-def operator_matrix(geo: InvariantGeometry, kind: str, rank: str) -> np.ndarray:
-    """Matrix of the slice operator `kind` (a slices.apply_slice_operator
-    kind) on invariant sections of `rank`; ValueError for any other pair.
-
-    Invariant scalars are constants, so d, Hess and Laplace on scalars
-    induce the zero map, and so does Lie_beta k~ (k~ = 0 on Berger); the
-    remaining operators act through the connection coefficients.  L* is
-    the adjoint of L in the invariant inner products of gram_matrix.
-    """
-    g = geo.metric
-    gi = geo.metric_inv
-    n1 = _nabla_oneform(geo)
-
-    def divergence_sym2() -> np.ndarray:
-        return np.einsum("ab,abjpq,cpq->jc", gi, nabla_twotensor(geo), _EXPAND)
-
-    def lie_metric() -> np.ndarray:
-        # (L_{omega#} g)_{ij} = (nabla_i omega)_j + (nabla_j omega)_i
-        full = n1 + np.einsum("ajm->jam", n1)
-        return np.ascontiguousarray(sym2_from_full(np.moveaxis(full, -1, 0), 3).T)
-
-    def divergence_oneform() -> np.ndarray:
-        return np.einsum("ab,abm->m", gi, n1)[None, :]
-
-    def conformal_killing() -> np.ndarray:
-        gsym = sym2_from_full(g, 3)
-        return lie_metric() - (2.0 / 3.0) * np.outer(gsym, divergence_oneform()[0])
-
-    def ckl_adjoint(L: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(gram_matrix(geo, "one-form"), L.T @ gram_matrix(geo, "sym2"))
-
-    def ckl_normal() -> np.ndarray:
-        L = conformal_killing()
-        return ckl_adjoint(L) @ L
-
-    def hodge_laplacian() -> np.ndarray:
-        # d omega (e_i, e_j) = -omega([e_i, e_j]); delta on 2-forms via -div;
-        # d(delta omega) = 0 since invariant scalars are constant.
-        d1 = -np.einsum("mij->ijm", su2_structure_constants())  # (d omega)_{ij, m}
-        # (nabla_a beta)_{bj} for a 2-form beta (same formula as (0,2) tensors)
-        return -np.einsum("ab,abjpq,pqm->jm", gi, nabla_twotensor(geo), d1)
-
-    blocks = {
-        ("trace", "sym2"): lambda: np.einsum("ij,aij->a", gi, _EXPAND)[None, :],
-        ("divergence", "sym2"): divergence_sym2,
-        ("divergence", "one-form"): divergence_oneform,
-        ("laplacian", "scalar"): lambda: np.zeros((1, 1)),
-        ("laplacian", "one-form"): hodge_laplacian,
-        ("d", "scalar"): lambda: np.zeros((3, 1)),
-        ("hessian", "scalar"): lambda: np.zeros((6, 1)),
-        ("lie_metric", "one-form"): lie_metric,
-        ("lie_extrinsic", "one-form"): lambda: np.zeros((6, 3)),
-        ("conformal_killing", "one-form"): conformal_killing,
-        ("ckl_adjoint", "sym2"): lambda: ckl_adjoint(conformal_killing()),
-        ("ckl_normal", "one-form"): ckl_normal,
-        # g(Ric, h) = g^ip g^jq Ric_ij h_pq on stored components
-        ("ricci_pairing", "sym2"):
-            lambda: np.einsum("ij,ip,jq,apq->a", geo.ricci, gi, gi, _EXPAND)[None, :],
-    }
-    if (kind, rank) not in blocks:
-        raise ValueError(f"no invariant operator {kind!r} on rank {rank}")
-    return blocks[kind, rank]()

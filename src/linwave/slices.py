@@ -5,23 +5,26 @@ Three slice kinds are supported:
   * FlatTorus{n}:       g = identity, k = 0, flat; n = 2 or 3.
   * KasnerSlice{p, t0}: g = diag(t0^{2 p_i}), k = diag(p_i t0^{2 p_i - 1});
                         spatially constant, hence still a flat metric.
-  * BergerInvariant:    invariant sector of a Berger sphere (matrix backend).
+  * BergerInvariant:    invariant sector of a Berger sphere (invariant.py).
 
 apply_slice_operator is the one implementation of every slice operator
 (trace, trace reversal, divergence, Laplacian, d, Hessian, the Lie
 derivatives of the metric and of the extrinsic curvature, the conformal
 Killing operator L, L* and L*L, and the Ricci pairing g~(Ric, h)) on both
-backends, so an equation written with it holds for either: on a torus every
-operator is an exact per-mode multiplier, on Berger the plain matrix
-invariant.operator_matrix.  The ranks each operator takes and returns are
-one table, _RANKS, read by both backends and checked once.  scalar_times
+backends, so an equation written with it holds for either.  Each operator
+is written once, in _full_operator, as contractions with g~^-1 of one
+covariant derivative nabla, and a backend supplies only that nabla: i k_a
+per mode on a torus, invariant.nabla on Berger.  The ranks each operator
+takes and returns are one table, _RANKS, checked once.  scalar_times
 multiplies a scalar field by a constant tensor of the slice (g~, k~ or
 Ric), so the zeroth-order terms of an equation are written once too.
 slice_norm, slice_inner and slice_max_abs are the matching L^2 norm, inner
-product and largest coefficient modulus.  operator_matrices reads the per-mode matrices of a
-linear map built from these (P, P(beta, N), DPhi) off unit fields.
+product and largest coefficient modulus.  operator_matrices reads the
+per-mode matrices of a linear map built from these (P, P(beta, N), DPhi)
+off unit fields.
 Sign conventions: Delta = delta d + d delta (positive), delta = -div,
-Hess(phi)_{ij} = -k_i k_j phi per mode, trace reversal h - (1/2)(tr h) g.
+Hess(phi)_{ij} = -k_i k_j phi per mode, L* h = -2 div h + (2/n) d tr h,
+trace reversal h - (1/2)(tr h) g.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .fields import (
     sobolev_norm,
     sym2_from_full,
     sym2_to_full,
-    zero_field,
 )
 
 
@@ -206,7 +208,7 @@ def scalar_times(geom: SliceGeometry, f, T: np.ndarray) -> "SpectralField | inv.
 def apply_slice_operator(
     geom: SliceGeometry, kind: str, field
 ) -> "SpectralField | inv.InvariantField":
-    """Apply a slice differential operator (exact multiplier or matrix).
+    """Apply a slice differential operator.
 
     Kinds: trace, trace_reverse, divergence (of a one-form or a sym2
     tensor), laplacian, d, hessian, lie_metric (beta -> Lie_beta g~),
@@ -222,10 +224,22 @@ def apply_slice_operator(
     if kind == "trace_reverse":
         tr = apply_slice_operator(geom, "trace", field)
         return field - scalar_times(geom, tr, geom.metric) * 0.5
+    # stored components (B, ncomp) -> full tensors (n, ..., n, B) with the
+    # batch axis last, B the modes of a torus field and 1 on Berger, and back
+    n = geom.n
+    c = (field.coeffs if geom.is_torus else field.components[None]).T
+    if field.rank == "sym2":
+        c = c[sym2_to_full(np.arange(len(c)), n)]
+    T = np.ascontiguousarray(c[0] if field.rank == "scalar" else c)
+    rank = _RANKS[kind][field.rank]
+    out = _full_operator(geom, kind, _covariant_derivative(geom, field), T)
+    out = out.reshape(-1, out.shape[-1])
+    if rank == "sym2":  # the rows of the stored upper triangle
+        out = out[sym2_from_full(np.arange(n * n).reshape(n, n), n)]
+    out = np.ascontiguousarray(out.T)
     if geom.is_torus:
-        return _apply_torus(geom, kind, field)
-    M = inv.operator_matrix(geom.invariant_geometry, kind, field.rank)
-    return inv.InvariantField(_RANKS[kind][field.rank], M @ field.components)
+        return SpectralField(field.lattice, rank, out)
+    return inv.InvariantField(rank, out[0])
 
 
 def _need(field, ranks, kind: str):
@@ -245,64 +259,72 @@ def _check_field(geom: SliceGeometry, field):
         raise ValueError(f"field dimension {field.lattice.n} != slice dimension {geom.n}")
 
 
-def _apply_torus(geom: SliceGeometry, kind: str, field: SpectralField) -> SpectralField:
-    n = geom.n
-    g = geom.metric
-    gi = geom.metric_inv
-    lat = field.lattice
-    c = field.coeffs
-    rank = _RANKS[kind][field.rank]
+def _covariant_derivative(geom: SliceGeometry, field):
+    """The backend's nabla on full tensors (n, ..., n, B) with the batch axis
+    last: nabla T (n, n, ..., n, B), derivative index first.  On a torus it
+    is i k_a per mode; on Berger, whose invariant frame components are
+    constant, inv.nabla."""
+    if geom.is_torus:
+        ik = np.ascontiguousarray(1j * field.lattice.modes.T)
+        return lambda T: ik.reshape((geom.n,) + (1,) * (T.ndim - 1) + ik.shape[1:]) * T
+    geo = geom.invariant_geometry
+    return lambda T: inv.nabla(geo, T[..., 0])[..., None]
 
-    def out(arr):
-        if rank == "scalar" and arr.ndim == 1:
-            arr = arr[:, None]
-        return SpectralField(lat, rank, sym2_from_full(arr, n) if rank == "sym2" else arr)
 
-    def trace(h):
-        return np.einsum("ij,mij->m", gi, h)
+def _full_operator(geom: SliceGeometry, kind: str, nabla, T: np.ndarray) -> np.ndarray:
+    """The slice operator `kind` on full tensors T (n, ..., n, B), written
+    once for both backends from their covariant derivative nabla.  With
+    the batch axis last every broadcast runs along it, and a contraction
+    is a matrix product over the leading slots."""
+    n, g, gi = geom.n, geom.metric, geom.metric_inv
 
-    if kind == "ricci_pairing":
-        return zero_field(lat, rank)  # every torus slice is flat
+    def contract(A, X):
+        # A^{ab} X_{ab...} over the first two slots of X
+        return (A.ravel() @ X.reshape(n * n, -1)).reshape(X.shape[2:])
+
+    def div(X):
+        return contract(gi, nabla(X))
+
+    def sym(A):
+        return A + np.swapaxes(A, 0, 1)
+
+    def conformal_killing(w):
+        Dw = nabla(w)
+        return sym(Dw) - (2.0 / n) * g[..., None] * contract(gi, Dw)
+
+    def ckl_adjoint(h):
+        return -2.0 * div(h) + (2.0 / n) * nabla(contract(gi, h))
+
     if kind == "trace":
-        return out(trace(sym2_to_full(c, n)))
-
-    modes = lat.modes.astype(float)  # (m, n)
-
-    def div(v):
-        # i k^a v_a... with the raised mode covector, per mode a (1, n) row
-        kup = modes @ gi.T
-        if v.ndim == 2:
-            return 1j * np.einsum("ma,ma->m", kup, v)
-        return 1j * (kup[:, None, :] @ v)[:, 0]
-
-    def lie(w):
-        return 1j * (np.einsum("mi,mj->mij", modes, w) + np.einsum("mj,mi->mij", modes, w))
-
+        return contract(gi, T)
     if kind == "divergence":
-        return out(div(sym2_to_full(c, n) if field.rank == "sym2" else c))
-    if kind == "hessian":
-        return out(-np.einsum("mi,mj->mij", modes, modes) * c[:, 0, None, None])
+        return div(T)
     if kind == "d":
-        return out(1j * modes * c[:, :1])
+        return nabla(T)
+    if kind == "hessian":
+        return nabla(nabla(T))
     if kind == "laplacian":
-        # flat slice: Hodge and connection Laplacians agree, multiplier |k|_g^2
-        return out(np.einsum("ma,ma->m", modes @ gi.T, modes)[:, None] * c)
+        # Delta = delta d + d delta with delta = -div: -div d f on scalars,
+        # -div(d w) - d div w on one-forms, (d w)_ab = nabla_a w_b - nabla_b w_a
+        Df = nabla(T)
+        if T.ndim == 1:
+            return -div(Df)
+        return -div(Df - np.swapaxes(Df, 0, 1)) - nabla(contract(gi, Df))
     if kind == "lie_metric":
-        return out(lie(c))
+        return sym(nabla(T))
     if kind == "lie_extrinsic":
-        # (Lie_beta k~)_ab = i (k_a beta^c k~_cb + k_b beta^c k~_ca) per mode
-        K = geom.extrinsic
-        bup = c @ gi.T
-        return out(1j * (np.einsum("ma,mc,cb->mab", modes, bup, K)
-                         + np.einsum("mb,mc,ca->mab", modes, bup, K)))
+        # Lie_beta k~ = beta^c nabla_c k~ + k~_cb (nabla_a beta)^c + (a <-> b);
+        # the first term is dropped, as nabla k~ = 0 on every supported slice
+        # (constant on a flat torus, zero on Berger)
+        return sym((geom.extrinsic @ gi) @ nabla(T))
     if kind == "conformal_killing":
-        return out(lie(c) - (2.0 / n) * div(c)[:, None, None] * g[None])
+        return conformal_killing(T)
     if kind == "ckl_adjoint":
-        # L* h = -2 div h + (2/n) d tr h
-        h = sym2_to_full(c, n)
-        return out(-2.0 * div(h) + (2.0 / n) * 1j * modes * trace(h)[:, None])
-    # ckl_normal = L*L
-    return _apply_torus(geom, "ckl_adjoint", _apply_torus(geom, "conformal_killing", field))
+        return ckl_adjoint(T)
+    if kind == "ckl_normal":
+        return ckl_adjoint(conformal_killing(T))
+    # ricci_pairing: g^ip g^jq Ric_ij h_pq
+    return contract(gi @ geom.ricci @ gi, T)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,16 @@ callable metric x = (t, x^i) -> g(x).  Sign conventions are those of
 `phi_pointwise_reference` is the pointwise constraint kernel of the slice
 oracle written with the grid axis in the middle of every array, the
 reference for the grid-last kernel in `linwave.constraints`.
+
+`berger_matrix` reads the matrix of one slice operator on an invariant
+slice, and `milnor_slice` is a scalar-flat invariant slice off the Berger
+axis.
 """
 
 import numpy as np
+
+import linwave.invariant as inv
+from linwave.slices import SliceGeometry, apply_slice_operator, operator_matrices
 
 FD_EPS = 1e-3
 
@@ -160,3 +167,17 @@ def phi_pointwise_reference(g, dg, d2g, k, dk):
     )
     dtrk = np.einsum("xpab,pab->px", dgi, k) + np.einsum("pab,xpab->px", gi, dk)
     return phi1, divk - dtrk
+
+
+def berger_matrix(geom, kind: str, rank: str) -> np.ndarray:
+    """Matrix of the slice operator `kind` on invariant fields of `rank`,
+    read off apply_slice_operator by slices.operator_matrices."""
+    return operator_matrices(geom, lambda f: (apply_slice_operator(geom, kind, f),), (rank,))[0]
+
+
+def milnor_slice(b):
+    """A scalar-flat left-invariant slice off the Berger axis: diag(a, b, 1)
+    with sqrt(a) = sqrt(b) + 1, where Milnor's Scal vanishes (the closed form
+    at invariant.SCALAR_FLAT_LAMBDA)."""
+    geo = inv.InvariantGeometry(np.diag([(np.sqrt(b) + 1.0) ** 2, b, 1.0]))
+    return SliceGeometry("berger", 3, geo.metric, np.zeros((3, 3)), {"geometry": geo})

@@ -212,7 +212,7 @@ def test_decompose_and_moncrief_subcommands(capsys):
 
 def test_spectrum_reproduces_membership_pattern(capsys):
     rc = run_cli([
-        "spectrum", "--generator", "dirac-derivative", "--order", "2",
+        "spectrum", "--order", "2",
         "--sobolev", "-3,-2", "--truncations", "64,128,256",
     ])
     assert rc == 0
@@ -221,6 +221,20 @@ def test_spectrum_reproduces_membership_pattern(capsys):
     verdicts = {r["name"]: r["verdict"] for r in payload["results"]}
     assert verdicts["sobolev_-3"] == "convergent"
     assert verdicts["sobolev_-2"] == "divergent"
+    assert payload["generator"] == "dirac-derivative"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--kind", "flat-torus", "--p", "1,0,0", "--t0", "5"],
+    ["moncrief", "--kind", "berger", "--p", "1,0,0", "--t0", "-3"],
+    ["spectrum", "--generator", "dirac-derivative"],
+])
+def test_flags_that_nothing_reads_are_usage_errors(argv, capsys):
+    # --p and --t0 exist only where kasner is a --kind choice, and spectrum
+    # has a single generator
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [

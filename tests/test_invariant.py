@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 import linwave.invariant as inv
+from linwave.slices import slice_geometry
+
+from fd_oracles import berger_matrix
 
 
 def geo(lam):
     return inv.InvariantGeometry(np.diag([lam, 1.0, 1.0]))
+
+
+def berger(lam):
+    return slice_geometry("berger", lam=lam)
 
 
 def milnor_ricci(diag_metric: np.ndarray) -> tuple[np.ndarray, float]:
@@ -62,38 +69,52 @@ def test_scalar_flat_closed_form_off_the_berger_axis():
 
 def test_metric_is_parallel():
     g = geo(3.7)
-    n2 = inv.nabla_twotensor(g)
-    nabla_g = np.einsum("iabpq,pq->iab", n2, g.metric)
-    assert np.max(np.abs(nabla_g)) < 1e-13
+    assert np.max(np.abs(inv.nabla(g, g.metric))) < 1e-13
 
 
 def test_contracted_bianchi():
     g = geo(2.2)
-    gi = np.linalg.inv(g.metric)
-    n2 = inv.nabla_twotensor(g)
-    div_ric = np.einsum("ab,abjpq,pq->j", gi, n2, g.ricci)
+    div_ric = np.einsum("ab,abj->j", g.metric_inv, inv.nabla(g, g.ricci))
     assert np.max(np.abs(div_ric)) < 1e-12
+
+
+def test_nabla_is_the_connection_on_each_slot():
+    # nabla_a w_j = -Gamma^m_{aj} w_m, and on a tensor product each slot
+    # takes its own connection term (Leibniz)
+    g = geo(2.7)
+    rng = np.random.default_rng(3)
+    u, w = rng.standard_normal(3), rng.standard_normal(3)
+    assert np.max(np.abs(inv.nabla(g, w) + np.einsum("maj,m->aj", g.gamma, w))) < 1e-15
+    leibniz = (np.einsum("ai,j->aij", inv.nabla(g, u), w)
+               + np.einsum("i,aj->aij", u, inv.nabla(g, w)))
+    assert np.max(np.abs(inv.nabla(g, np.outer(u, w)) - leibniz)) < 1e-14
+    assert np.array_equal(inv.nabla(g, 0.7), np.zeros(3))
 
 
 def test_killing_dimensions():
     # invariant Killing one-forms are the null space of w -> Lie_w g
-    def killing_count(g):
-        s = np.linalg.svd(inv.operator_matrix(g, "lie_metric", "one-form"), compute_uv=False)
+    def killing_count(geom):
+        s = np.linalg.svd(berger_matrix(geom, "lie_metric", "one-form"), compute_uv=False)
         return 3 - int(np.sum(s > 1e-10 * max(1.0, s[0])))
 
-    assert killing_count(geo(1.0)) == 3  # round sphere
-    assert killing_count(geo(4.0)) == 1  # squashed
+    assert killing_count(berger(1.0)) == 3  # round sphere
+    assert killing_count(berger(4.0)) == 1  # squashed
 
 
 def test_adjoint_matrix_is_gram_transpose():
-    g = geo(4.0)
-    op = inv.operator_matrix(g, "conformal_killing", "one-form")
-    ops = inv.operator_matrix(g, "ckl_adjoint", "sym2")
+    # L* is written as -2 div h + (2/n) d tr h; check it against the Gram
+    # adjoint of L
+    geom = berger(4.0)
+    g = geom.invariant_geometry
+    op = berger_matrix(geom, "conformal_killing", "one-form")
+    ops = berger_matrix(geom, "ckl_adjoint", "sym2")
+    gram_h = inv.gram_matrix(g, "sym2")
+    gram_w = inv.gram_matrix(g, "one-form")
+    want = np.linalg.solve(gram_w, op.T @ gram_h)
+    assert np.max(np.abs(ops - want)) < 1e-13 * np.max(np.abs(want))
     rng = np.random.default_rng(5)
     w = inv.InvariantField("one-form", rng.standard_normal(3))
     h = inv.InvariantField("sym2", rng.standard_normal(6))
-    gram_h = inv.gram_matrix(g, "sym2")
-    gram_w = inv.gram_matrix(g, "one-form")
     lhs = (op @ w.components) @ gram_h @ h.components
     rhs = w.components @ gram_w @ (ops @ h.components)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
@@ -101,21 +122,22 @@ def test_adjoint_matrix_is_gram_transpose():
 
 def test_ckl_normal_identity():
     # L*L w = 2 Delta w - 4 Ric(w^sharp) on an invariant one-form
-    g = geo(4.0)
+    geom = berger(4.0)
+    g = geom.invariant_geometry
     rng = np.random.default_rng(8)
     w = inv.InvariantField("one-form", rng.standard_normal(3))
-    lhs = inv.operator_matrix(g, "ckl_normal", "one-form") @ w.components
-    lap = inv.operator_matrix(g, "laplacian", "one-form") @ w.components
+    lhs = berger_matrix(geom, "ckl_normal", "one-form") @ w.components
+    lap = berger_matrix(geom, "laplacian", "one-form") @ w.components
     gi = np.linalg.inv(g.metric)
     rhs = 2 * lap - 4 * (g.ricci @ gi @ w.components)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_conformal_killing_is_trace_free():
-    g = geo(4.0)
+    geom = berger(4.0)
     w = inv.InvariantField("one-form", np.array([1.0, -2.0, 0.5]))
-    h = inv.operator_matrix(g, "conformal_killing", "one-form") @ w.components
-    tr = (inv.operator_matrix(g, "trace", "sym2") @ h)[0]
+    h = berger_matrix(geom, "conformal_killing", "one-form") @ w.components
+    tr = (berger_matrix(geom, "trace", "sym2") @ h)[0]
     assert abs(tr) < 1e-13
 
 

@@ -24,6 +24,8 @@ from linwave.slices import (
     slice_norm,
 )
 
+from fd_oracles import berger_matrix, milnor_slice
+
 KASNER_P = [2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0]
 
 
@@ -66,20 +68,32 @@ def test_background_constraints_vanish():
 
 
 def test_torus_operator_adjoints():
-    geom = slice_geometry("kasner", p=KASNER_P, t0=1.3)
+    # on Kasner and on invariant slices (Berger at lam 4 and 2.7, and off the
+    # Berger axis): <L w, h> = <w, L* h>, <d phi, w> = -<phi, div w>, and the
+    # one-form Laplacian is symmetric
     rng = np.random.default_rng(2)
     lat = ModeLattice(3, 3)
-    w = random_field(lat, "one-form", rng)
-    h = random_field(lat, "sym2", rng)
-    phi = random_field(lat, "scalar", rng)
-    # <L w, h> = <w, L* h>
-    a = slice_inner(geom, apply_slice_operator(geom, "conformal_killing", w), h)
-    b = slice_inner(geom, w, apply_slice_operator(geom, "ckl_adjoint", h))
-    assert abs(a - b) < 1e-10 * max(1.0, abs(a))
-    # <d phi, w> = -<phi, div w>
-    a = slice_inner(geom, apply_slice_operator(geom, "d", phi), w)
-    b = slice_inner(geom, phi, apply_slice_operator(geom, "divergence", w))
-    assert abs(a + b) < 1e-10 * max(1.0, abs(a))
+    for geom in (slice_geometry("kasner", p=KASNER_P, t0=1.3), slice_geometry("berger"),
+                 slice_geometry("berger", lam=2.7), milnor_slice(1.5)):
+        if geom.is_torus:
+            w, v, h, phi = (random_field(lat, r, rng)
+                            for r in ("one-form", "one-form", "sym2", "scalar"))
+        else:
+            w, v, h, phi = (inv.InvariantField(r, rng.standard_normal(rank_components(r, 3)))
+                            for r in ("one-form", "one-form", "sym2", "scalar"))
+        a = slice_inner(geom, apply_slice_operator(geom, "conformal_killing", w), h)
+        b = slice_inner(geom, w, apply_slice_operator(geom, "ckl_adjoint", h))
+        assert abs(a - b) < 1e-10 * max(1.0, abs(a))
+        a = slice_inner(geom, apply_slice_operator(geom, "d", phi), w)
+        b = slice_inner(geom, phi, apply_slice_operator(geom, "divergence", w))
+        assert abs(a + b) < 1e-10 * max(1.0, abs(a))
+        a = slice_inner(geom, apply_slice_operator(geom, "laplacian", w), v)
+        b = slice_inner(geom, w, apply_slice_operator(geom, "laplacian", v))
+        assert abs(a - b) < 1e-10 * max(1.0, abs(a))
+        if not geom.is_torus:
+            lap = berger_matrix(geom, "laplacian", "one-form")
+            gram = inv.gram_matrix(geom.invariant_geometry, "one-form")
+            assert np.max(np.abs(gram @ lap - (gram @ lap).T)) < 1e-12 * np.max(np.abs(lap))
 
 
 def test_torus_laplacian_positive_and_consistent():
@@ -204,8 +218,8 @@ def test_rank_table_is_what_both_backends_do(kind):
                 continue
             got = apply_slice_operator(geom, kind, f)
             assert got.rank == _RANKS[kind][rank]
-            if not geom.is_torus and kind != "trace_reverse":
-                M = inv.operator_matrix(geom.invariant_geometry, kind, rank)
+            if not geom.is_torus:
+                M = berger_matrix(geom, kind, rank)
                 assert M.shape == (rank_components(got.rank, 3), rank_components(rank, 3))
 
 
@@ -217,8 +231,8 @@ def test_unknown_operator_kind_is_refused_on_both_backends():
             apply_slice_operator(geom, "div", f)
     with pytest.raises(ValueError, match="expects rank sym2, got scalar"):
         apply_slice_operator(berger, "trace", inv.InvariantField("scalar", [1.0]))
-    with pytest.raises(ValueError, match="no invariant operator 'laplacian' on rank sym2"):
-        inv.operator_matrix(berger.invariant_geometry, "laplacian", "sym2")
+    with pytest.raises(ValueError, match="expects rank scalar or one-form, got sym2"):
+        apply_slice_operator(berger, "laplacian", inv.InvariantField("sym2", np.ones(6)))
 
 
 def test_ricci_pairing_on_both_backends():
