@@ -76,15 +76,19 @@ def _parse_triple(text: str) -> tuple:
     return vals
 
 
+# the geometry flags each --kind reads; every other one is refused for it
+_KIND_FLAGS = {"flat-torus": ("n",), "kasner": ("p", "t0"), "berger": ("lam",)}
+
+
 def _geometry_from_args(args):
-    if args.kind == "flat-torus":
-        return slice_geometry("flat-torus", n=args.n)
-    if args.kind == "kasner":
-        if args.p is None:
-            raise ConfigError("kasner requires --p")
-        return slice_geometry("kasner", p=args.p, t0=args.t0)
-    kw = {} if args.lam is None else {"lam": args.lam}
-    return slice_geometry("berger", **kw)
+    given = {flag: getattr(args, flag) for flag in ("n", "p", "t0", "lam")
+             if getattr(args, flag, None) is not None}
+    for flag in given:
+        if flag not in _KIND_FLAGS[args.kind]:
+            raise ConfigError(f"--{flag} does not apply to --kind {args.kind}")
+    if args.kind == "kasner" and "p" not in given:
+        raise ConfigError("kasner requires --p")
+    return slice_geometry(args.kind, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_geometry(p, kinds):
         p.add_argument("--kind", "--background", dest="kind", choices=kinds,
                        default=kinds[0])
-        p.add_argument("--n", type=int, default=3, help="torus dimension")
+        p.add_argument("--n", type=int, default=None, help="torus dimension (default 3)")
         if "kasner" in kinds:
             p.add_argument("--p", type=_parse_triple, default=None,
                            help="Kasner exponents, e.g. '2/3,2/3,-1/3'")
-            p.add_argument("--t0", type=float, default=1.0)
+            p.add_argument("--t0", type=float, default=None,
+                           help="Kasner slice time (default 1)")
         p.add_argument("--lam", type=float, default=None, help="Berger squashing")
         p.add_argument("--out", default=None, help="output directory")
 

@@ -155,27 +155,38 @@ def _require_finite_time(t):
         raise ValueError(f"evolution times must be finite, got t = {t}")
 
 
-def _rk4(acc, t0, y, t1, dt):
-    """Classical RK4 for y' = acc(t, y), y a tuple of arrays, from t0 to t1
-    in ceil(|t1 - t0| / dt) equal steps."""
+def _rk4(at, rhs, t0, y, t1, dt):
+    """Classical RK4 for y' = rhs(at(t), y), y a tuple of arrays, from t0 to
+    t1 in ceil(|t1 - t0| / dt) equal steps; at(t) re-times the families.
+
+    A step has three distinct stage times, t, t + h/2 and t + h, so at runs
+    once per distinct time: k2 and k3 share the midpoint families, and the
+    end-of-step families of k4 start the next step as its k1 families.
+    This is exact, not a tolerance: t += h yields the same float as the
+    t + h of stage 4, so every stage sees the families it would re-time
+    itself, and the steps match four re-times per step bit for bit."""
     span = t1 - t0
     steps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
     h = span / steps
     t = t0
+    start = at(t)
 
     def axpy(y, c, k):
         return tuple(a + c * b for a, b in zip(y, k))
 
     for _ in range(steps):
-        k1 = acc(t, y)
-        k2 = acc(t + 0.5 * h, axpy(y, 0.5 * h, k1))
-        k3 = acc(t + 0.5 * h, axpy(y, 0.5 * h, k2))
-        k4 = acc(t + h, axpy(y, h, k3))
+        k1 = rhs(start, y)
+        mid = at(t + 0.5 * h)
+        k2 = rhs(mid, axpy(y, 0.5 * h, k1))
+        k3 = rhs(mid, axpy(y, 0.5 * h, k2))
+        end = at(t + h)
+        k4 = rhs(end, axpy(y, h, k3))
         y = tuple(
             a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
         )
         t += h
+        start = end
     return y
 
 
@@ -219,10 +230,11 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
     at each of times of y' = rhs(families, y), y(t0) = y0, with families
     one FamilyAction per name in kinds on the modes sampled.  On the
     Minkowski torus, which takes no dt, exact(families, k2, y0, times - t0)
-    yields them in closed form (k2 = |k|^2 per mode).  On Kasner the
-    families are re-timed to each RK4 stage and _rk4 steps to the samples in
-    order; a sample within 1e-14 of the current time takes no step.  Runs on
-    the real half of the lattice when y0 allows it (see _on_real_half)."""
+    yields them in closed form (k2 = |k|^2 per mode).  On Kasner _rk4 steps
+    to the samples in order, re-timing the families once per distinct stage
+    time (see _rk4); a sample within 1e-14 of the current time takes no
+    step.  Runs on the real half of the lattice when y0 allows it (see
+    _on_real_half)."""
     closed = bg.kind == "minkowski-torus"
     if closed and dt is not None:
         raise ValueError(
@@ -240,13 +252,13 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
             yield from exact(families, np.sum(modes ** 2, axis=1), y, times - t0)
             return
 
-        def acc(t, y):
-            return rhs([f.at(t) for f in families], y)
+        def at(t):
+            return [f.at(t) for f in families]
 
         t = t0
         for tau in times:
             if not np.isclose(tau, t, rtol=0, atol=1e-14):
-                y = _rk4(acc, t, y, tau, dt)
+                y = _rk4(at, rhs, t, y, tau, dt)
                 t = tau
             yield y
 

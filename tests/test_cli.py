@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from linwave.cli import run_cli
+from linwave.cli import _geometry_from_args, build_parser, run_cli
 from linwave.config import ConfigError, load_config, parse_config
 from linwave.constraints import InitialDataPair
 from linwave.fields import ModeLattice, random_field, zero_field
@@ -235,6 +235,41 @@ def test_flags_that_nothing_reads_are_usage_errors(argv, capsys):
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("argv, flag, kind", [
+    (["background", "--kind", "berger", "--n", "2", "--t0", "-5"], "n", "berger"),
+    (["background", "--kind", "berger", "--t0", "-5"], "t0", "berger"),
+    (["background", "--kind", "kasner", "--p", "2/3,2/3,-1/3", "--lam", "3"], "lam", "kasner"),
+    (["background", "--kind", "kasner", "--p", "2/3,2/3,-1/3", "--n", "3"], "n", "kasner"),
+    (["background", "--kind", "flat-torus", "--p", "2/3,2/3,-1/3"], "p", "flat-torus"),
+    (["background", "--kind", "flat-torus", "--lam", "4"], "lam", "flat-torus"),
+    (["decompose", "--kind", "berger", "--n", "7"], "n", "berger"),
+    (["moncrief", "--kind", "flat-torus", "--lam", "4"], "lam", "flat-torus"),
+    (["gauge-data", "--kind", "berger", "--p", "1,0,0"], "p", "berger"),
+])
+def test_geometry_flags_of_another_kind_are_refused(argv, flag, kind, capsys):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--{flag} does not apply to --kind {kind}" in captured.err
+
+
+def test_each_kind_fills_in_its_own_geometry_defaults(capsys):
+    for argv, n, params in [
+        (["--kind", "flat-torus"], 3, {}),
+        (["--kind", "flat-torus", "--n", "2"], 2, {}),
+        (["--kind", "kasner", "--p", "2/3,2/3,-1/3"], 3, {"t0": 1.0}),
+        (["--kind", "kasner", "--p", "2/3,2/3,-1/3", "--t0", "2.5"], 3, {"t0": 2.5}),
+        (["--kind", "berger"], 3, {"lam": 4.0}),
+        (["--kind", "berger", "--lam", "3"], 3, {"lam": 3.0}),
+    ]:
+        args = build_parser().parse_args(["background", *argv])
+        geom = _geometry_from_args(args)
+        assert geom.n == n
+        assert {k: geom.params[k] for k in params} == params
+    assert run_cli(["background", "--kind", "kasner"]) == 2
+    assert "kasner requires --p" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

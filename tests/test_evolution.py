@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linwave import evolution
 from linwave.constraints import InitialDataPair
 from linwave.decomposition import gauge_producing_data
 from linwave.evolution import (
@@ -525,14 +526,14 @@ def test_half_lattice_evolution_is_bit_identical_to_full():
     U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
     wave = FamilyAction(KAS, "lichnerowicz", 1.0, LAT.modes)
 
-    def acc(t, y):
-        return (y[1], wave.at(t).monic_closure(*y))
+    def rhs(wave_t, y):
+        return (y[1], wave_t.monic_closure(*y))
 
     times = [1.0, 1.05, 1.1]
     traj = evolve_state(KAS, LAT, 1.0, U0, Ud0, 1.1, 1e-2, sample_times=times)
     y = (U0, Ud0)
     for i, (t0, t1) in enumerate(zip(times, times[1:])):
-        y = _rk4(acc, t0, y, t1, 1e-2)
+        y = _rk4(wave.at, rhs, t0, y, t1, 1e-2)
         assert np.array_equal(traj.states[i + 1], y[0])
         assert np.array_equal(traj.derivs[i + 1], y[1])
         seg = evolve_state(KAS, LAT, t0, traj.states[i], traj.derivs[i], t1, 1e-2,
@@ -540,6 +541,99 @@ def test_half_lattice_evolution_is_bit_identical_to_full():
         assert np.array_equal(seg.states[0], y[0]) and np.array_equal(seg.derivs[0], y[1])
     assert _is_exactly_hermitian(traj.states, LAT, 1)
     assert _is_exactly_hermitian(traj.derivs, LAT, 1)
+
+
+def _rk4_four_stage_times(at, rhs, t0, y, t1, dt):
+    """Reference RK4 that re-times the families at every one of the four
+    stages, as _rk4 did before it re-timed once per distinct stage time."""
+    span = t1 - t0
+    steps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
+    h = span / steps
+    t = t0
+
+    def acc(t, y):
+        return rhs(at(t), y)
+
+    def axpy(y, c, k):
+        return tuple(a + c * b for a, b in zip(y, k))
+
+    for _ in range(steps):
+        k1 = acc(t, y)
+        k2 = acc(t + 0.5 * h, axpy(y, 0.5 * h, k1))
+        k3 = acc(t + 0.5 * h, axpy(y, 0.5 * h, k2))
+        k4 = acc(t + h, axpy(y, h, k3))
+        y = tuple(
+            a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        )
+        t += h
+    return y
+
+
+def _kasner_runs(dt):
+    """evolve_state, lie_trajectory and recover_gauge_vector on Kasner, with
+    real data (the half lattice) and complex data (the full lattice)."""
+    rng = np.random.default_rng(41)
+    U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
+    W0, Wd0 = hermitian_pair(LAT, rng, 4), hermitian_pair(LAT, rng, 4)
+    times = [1.0, 1.013, 1.05, 1.05 + 5e-15, 1.1]
+    out = []
+    for c in (1.0, 1.0 + 0.5j):
+        wave = evolve_state(KAS, LAT, 1.0, c * U0, c * Ud0, 1.1, dt, sample_times=times)
+        lie = lie_trajectory(KAS, LAT, times, c * W0, c * Wd0, dt=dt)
+        rec = recover_gauge_vector(lie)
+        out += [wave.states, wave.derivs, lie.states, lie.derivs,
+                rec.V, rec.Vdot, rec.deviation, rec.relative_deviation]
+    return out
+
+
+def test_rk4_matches_four_re_times_per_step_bit_for_bit(monkeypatch):
+    for dt in (1e-2, 3e-3):
+        runs = _kasner_runs(dt)
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "_rk4", _rk4_four_stage_times)
+            reference = _kasner_runs(dt)
+        assert len(runs) == len(reference) == 16
+        for got, want in zip(runs, reference):
+            assert np.array_equal(got, want)
+
+
+def _count_re_times(monkeypatch):
+    timed = []
+    at = FamilyAction.at
+
+    def counting(self, t):
+        timed.append(self.kind)
+        return at(self, t)
+
+    monkeypatch.setattr(FamilyAction, "at", counting)
+    return timed
+
+
+@pytest.mark.parametrize("kinds, rhs, comps", [
+    (("lichnerowicz",), evolution._monic_rhs, (10, 10)),
+    (("connection_wave",), evolution._monic_rhs, (4, 4)),
+    (("lichnerowicz", "div_trace_reversed", "connection_wave"),
+     evolution._recovery_rhs, (4, 4, 10, 10)),
+])
+def test_rk4_re_times_each_family_twice_per_step(monkeypatch, kinds, rhs, comps):
+    rng = np.random.default_rng(43)
+    y = tuple(hermitian_pair(LAT, rng, c) for c in comps)
+    families = [FamilyAction(KAS, kind, 1.0, LAT.modes) for kind in kinds]
+    timed = _count_re_times(monkeypatch)
+    for t0, t1, dt, steps in [(1.0, 1.1, 1e-2, 10), (1.1, 1.0, 3e-3, 34),
+                              (2.0, 2.005, 1e-2, 1)]:
+        timed.clear()
+        _rk4(lambda t: [f.at(t) for f in families], rhs, t0, y, t1, dt)
+        assert sorted(timed) == sorted(kinds * (2 * steps + 1))
+
+
+def test_sampler_re_times_the_wave_twice_per_step(monkeypatch):
+    rng = np.random.default_rng(44)
+    U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
+    timed = _count_re_times(monkeypatch)
+    evolve_state(KAS, LAT, 1.0, U0, Ud0, 1.1, 1e-2, sample_times=[1.0, 1.05, 1.1])
+    assert timed == ["lichnerowicz"] * 2 * (2 * 5 + 1)  # two segments of 5 steps
 
 
 def test_real_data_take_the_half_lattice_and_complex_data_the_full(monkeypatch):
