@@ -26,7 +26,13 @@ from .config import ConfigError, load_config, parse_float
 from .constraints import InitialDataPair, constraint_residual, dphi, normal_identities
 from .decomposition import gauge_producing_data, moncrief_project, split_solve
 from .errors import InternalError
-from .evolution import build_cauchy_jet, diagnostics, evolve, extract_induced_data
+from .evolution import (
+    build_cauchy_jet,
+    diagnostics,
+    evolve,
+    extract_induced_data,
+    rk4_steps,
+)
 from .fields import (
     ModeLattice,
     dirac_partial_sum,
@@ -249,6 +255,7 @@ def cmd_evolve(args) -> int:
         "dt": cfg.get("evolve.dt"),
         "lattice": {"n": geom.n, "nmax": cfg.get("lattice.nmax")},
         "pass": ok,
+        "rk4_steps": rk4_steps(t0, samples, cfg.get("evolve.dt")),
         "seed": cfg.get("initial.seed"),
         "timings": {"evolve_seconds": toc - tic, "diagnostics_seconds": toc - tic_diag},
         "version": __version__,

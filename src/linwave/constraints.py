@@ -37,8 +37,10 @@ from .slices import SliceGeometry, apply_slice_operator, scalar_times, slice_nor
 from .spacetime import (
     CauchyJet,
     FamilyAction,
+    complex_form,
     induced_data_state,
     nu_jet_conversion,
+    real_form,
 )
 
 ORACLE_EPS = 1e-5
@@ -398,12 +400,13 @@ def normal_identities(jet: CauchyJet, closure: np.ndarray | None = None) -> dict
     lat = jet.lattice
     modes = lat.modes
     U, Udot = nu_jet_conversion(jet)
+    X, Xd = real_form(U, bg.dim), real_form(Udot, bg.dim)
     if closure is None:
-        Uddot = FamilyAction(bg, "lichnerowicz", t, modes).monic_closure(U, Udot)
+        Xdd = FamilyAction(bg, "lichnerowicz", t, modes).monic_closure(X, Xd)
     else:
-        Uddot = closure
+        Xdd = real_form(closure, bg.dim)
     dric = FamilyAction(bg, "d_ric", t, modes)
-    R = dric.apply(0, U) + dric.apply(1, Udot) + dric.apply(2, Uddot)
+    R = complex_form(dric.apply(0, X) + dric.apply(1, Xd) + dric.apply(2, Xdd), bg.dim)
     Rfull = sym2_to_full(R, bg.dim)
     giful = bg.metric_inv_derivs(t, 0)[0]
     lhs1 = np.einsum("ab,kab->k", giful, Rfull) + 2.0 * Rfull[:, 0, 0]

@@ -17,7 +17,14 @@ recovery keeps V and V' only.  The background chooses the method: closed
 form on the Minkowski torus (which takes no dt) and classical 4th-order
 RK4 at a fixed dt on Kasner.  It takes real data (c_{-k} = conj(c_k)) on
 half the lattice and mirrors them, with output identical to sampling every
-mode.  A trajectory holds its samples only; induced data are extracted at
+mode.  Between the samples of an RK4 run the state is held in the real
+form of spacetime.real_form, in which every mode operator is a real matrix
+per k-monomial block: [Re; Im] of the parity-rotated components, 2N rows
+for N modes, with each component's 2N values contiguous, so a block is one
+real matrix product over all modes.  Samples, trajectories and every
+function of this module take and return the complex (N, ncomp)
+components; the functions that apply a family convert to and from the real
+form.  A trajectory holds its samples only; induced data are extracted at
 sample times.  Diagnostics track the gauge residual, the constraint
 residuals of the induced data, and the wave energies E_0 and E_1; on real
 trajectories they are evaluated on the same half, with each +-k pair
@@ -46,9 +53,11 @@ from .spacetime import (
     CauchyJet,
     FamilyAction,
     SpacetimeBackground,
+    complex_form,
     induced_data_modes,
     induced_data_state,
     nu_jet_conversion,
+    real_form,
 )
 
 SLICE_MATCH_TOL = 1e-12
@@ -155,9 +164,35 @@ def _require_finite_time(t):
         raise ValueError(f"evolution times must be finite, got t = {t}")
 
 
+def _step_count(span: float, dt: float) -> int:
+    """The number of equal RK4 steps, each at most dt long, that cover span."""
+    return max(1, int(np.ceil(abs(span) / dt - 1e-12)))
+
+
+def _segments(t0, times):
+    """Per sample time in order from t0, the (t, tau) interval the sampler
+    integrates before it yields tau, or None for a sample within 1e-14 of
+    the current time, which takes no step."""
+    t = t0
+    for tau in times:
+        if np.isclose(tau, t, rtol=0, atol=1e-14):
+            yield None
+        else:
+            yield t, tau
+            t = tau
+
+
+def rk4_steps(t0: float, times, dt: float | None) -> int:
+    """RK4 steps taken to sample times in order from t0 at step dt: 0 with
+    no dt (the Minkowski torus is solved in closed form)."""
+    if dt is None:
+        return 0
+    return sum(_step_count(seg[1] - seg[0], dt) for seg in _segments(t0, times) if seg)
+
+
 def _rk4(at, rhs, t0, y, t1, dt):
     """Classical RK4 for y' = rhs(at(t), y), y a tuple of arrays, from t0 to
-    t1 in ceil(|t1 - t0| / dt) equal steps; at(t) re-times the families.
+    t1 in _step_count(t1 - t0, dt) equal steps; at(t) re-times the families.
 
     A step has three distinct stage times, t, t + h/2 and t + h, so at runs
     once per distinct time: k2 and k3 share the midpoint families, and the
@@ -166,7 +201,7 @@ def _rk4(at, rhs, t0, y, t1, dt):
     t + h of stage 4, so every stage sees the families it would re-time
     itself, and the steps match four re-times per step bit for bit."""
     span = t1 - t0
-    steps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
+    steps = _step_count(span, dt)
     h = span / steps
     t = t0
     start = at(t)
@@ -198,9 +233,9 @@ def _exactly_real(lattice, arrays) -> bool:
 
 
 def _on_real_half(lattice, y0, run):
-    """run(modes, y0) yields states, each a tuple of (modes, ncomp) arrays
-    that starts with the system's first unknown and its rate; returns
-    those two of each state as a list on the full lattice.
+    """run(modes, y0) yields samples, each the pair of (modes, ncomp)
+    arrays of the system's first unknown and its rate; returns them as a
+    list on the full lattice.
 
     The mode operators have real coefficients, so evolution keeps
     c_{-k} = conj(c_k).  When every array of y0 satisfies it exactly, run
@@ -209,7 +244,7 @@ def _on_real_half(lattice, y0, run):
     lattice.  Each mode evolves on its own, so the kept modes match a
     full-lattice run."""
     if not _exactly_real(lattice, y0):
-        return [y[:2] for y in run(lattice.modes, y0)]
+        return list(run(lattice.modes, y0))
     perm = lattice.negation_permutation()
     half = lattice.half_indices()
 
@@ -221,7 +256,7 @@ def _on_real_half(lattice, y0, run):
         full[half] = x
         return full
 
-    return [tuple(mirror(x) for x in y[:2])
+    return [tuple(mirror(x) for x in y)
             for y in run(lattice.modes[half], tuple(x[half] for x in y0))]
 
 
@@ -230,10 +265,11 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
     at each of times of y' = rhs(families, y), y(t0) = y0, with families
     one FamilyAction per name in kinds on the modes sampled.  On the
     Minkowski torus, which takes no dt, exact(families, k2, y0, times - t0)
-    yields them in closed form (k2 = |k|^2 per mode).  On Kasner _rk4 steps
-    to the samples in order, re-timing the families once per distinct stage
-    time (see _rk4); a sample within 1e-14 of the current time takes no
-    step.  Runs on the real half of the lattice when y0 allows it (see
+    yields them in closed form (k2 = |k|^2 per mode).  On Kasner y0 is
+    converted to the real form once (see real_form), _rk4 steps it to the
+    samples in order (see _segments), re-timing the families once per
+    distinct stage time (see _rk4), and each sample is converted back.
+    Runs on the real half of the lattice when y0 allows it (see
     _on_real_half)."""
     closed = bg.kind == "minkowski-torus"
     if closed and dt is not None:
@@ -255,12 +291,11 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
         def at(t):
             return [f.at(t) for f in families]
 
-        t = t0
-        for tau in times:
-            if not np.isclose(tau, t, rtol=0, atol=1e-14):
-                y = _rk4(at, rhs, t, y, tau, dt)
-                t = tau
-            yield y
+        y = tuple(real_form(x, bg.dim) for x in y)
+        for seg in _segments(t0, times):
+            if seg:
+                y = _rk4(at, rhs, seg[0], y, seg[1], dt)
+            yield tuple(complex_form(x, bg.dim) for x in y[:2])
 
     return _on_real_half(lattice, y0, run)
 
@@ -318,13 +353,12 @@ def _check_energy_args(sobolev_order: float):
 
 
 def _energy_norms(k2, mult, w, stack, sobolev_order: float) -> np.ndarray:
-    """(E_0, E_1) of wave_energies from the per-mode stack [u, u', u''] on
-    modes with squared norms k2: each mode's term counted mult times,
-    components weighted by w."""
+    """(E_0, E_1) of wave_energies from the stack [u, u', u''] in real form
+    (see real_form), on rows with squared mode norms k2: each row's term
+    counted mult times, components weighted by w."""
     return np.array([
         float(np.sqrt(np.sum(
-            mult * (1.0 + k2) ** (sobolev_order - j)
-            * (k2 * (np.abs(u) ** 2 @ w) + np.abs(v) ** 2 @ w)
+            mult * (1.0 + k2) ** (sobolev_order - j) * (k2 * (u ** 2 @ w) + v ** 2 @ w)
         )))
         for j, (u, v) in enumerate(zip(stack, stack[1:]))
     ])
@@ -340,8 +374,9 @@ def wave_energies(bg: SpacetimeBackground, lattice, t: float, U, Ud,
     energy and E_j is constant in time.
     """
     _check_energy_args(sobolev_order)
-    stack = [U, Ud, FamilyAction(bg, "lichnerowicz", t, lattice.modes).monic_closure(U, Ud)]
-    k2 = np.sum(lattice.modes ** 2, axis=1)
+    X, Xd = real_form(U, bg.dim), real_form(Ud, bg.dim)
+    stack = [X, Xd, FamilyAction(bg, "lichnerowicz", t, lattice.modes).monic_closure(X, Xd)]
+    k2 = np.tile(np.sum(lattice.modes ** 2, axis=1), 2)
     return _energy_norms(k2, 1.0, component_weights("sym2", bg.dim), stack, sobolev_order)
 
 
@@ -366,6 +401,7 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeri
         mult = np.ones(lat.num_modes)
     modes = lat.modes[idx]
     k2 = np.sum(modes ** 2, axis=1)
+    k2r, multr = np.tile(k2, 2), np.tile(mult, 2)  # per row of the real form
     div = FamilyAction(bg, "div_trace_reversed", traj.times[0], modes)
     wave = FamilyAction(bg, "lichnerowicz", traj.times[0], modes)
     w_gauge = component_weights("one-form", bg.dim)
@@ -375,14 +411,15 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeri
     gauge, d1, d2, en = [], [], [], []
     for i, t in enumerate(traj.times):
         U, Ud = traj.states[i][idx], traj.derivs[i][idx]
+        X, Xd = real_form(U, bg.dim), real_form(Ud, bg.dim)
         div_t = div.at(t)
-        gauge.append(weighted_norm(div_t.apply(0, U) + div_t.apply(1, Ud), w_gauge, mult))
+        gauge.append(weighted_norm(div_t.apply(0, X) + div_t.apply(1, Xd), w_gauge, multr))
         h, m = induced_data_modes(bg, t, modes, U, Ud)
         r1, r2 = dphi_modes(bg.slice_at(t), modes, h, m)
         d1.append(weighted_norm(r1[:, None], w1, mult))
         d2.append(weighted_norm(r2, w2, mult1))
-        stack = [U, Ud, wave.at(t).monic_closure(U, Ud)]
-        en.append(_energy_norms(k2, mult, w_sym, stack, sobolev_order))
+        stack = [X, Xd, wave.at(t).monic_closure(X, Xd)]
+        en.append(_energy_norms(k2r, multr, w_sym, stack, sobolev_order))
     return DiagnosticsSeries(
         traj.times.copy(), np.array(gauge), np.array(d1), np.array(d2), np.array(en),
         len(modes),
@@ -426,12 +463,14 @@ def _recovery_exact(families, k2, y, offsets):
     integral is explicit.  Yields (V, V') only: h is the source, not a
     sample."""
     div = families[1]
+    dim = div.background.dim
     V0, Vd0, U0, Ud0 = y
+    X0, Xd0 = real_form(U0, dim), real_form(Ud0, dim)
     w = np.sqrt(k2)
     # S(s) = A cos(w s) + B sin(w s) with the harmonic evolution of (U, Ud);
     # wB = w B is regular at w = 0, where S = A + wB s
-    A = -(div.apply(0, U0) + div.apply(1, Ud0))
-    wB = -(div.apply(0, Ud0) - k2[:, None] * div.apply(1, U0))
+    A = complex_form(-(div.apply(0, X0) + div.apply(1, Xd0)), dim)
+    wB = complex_form(-(div.apply(0, Xd0) - np.tile(k2, 2)[:, None] * div.apply(1, X0)), dim)
     for s, (V, Vd) in zip(offsets, _harmonic(families, k2, (V0, Vd0), offsets)):
         # resonant particular solution with zero initial value and velocity,
         # through sin(w s) / w -> s and (sin ws - ws cos ws) / (2 w^3) -> s^3 / 6
@@ -461,7 +500,8 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
     dev, rel = [], []
     for i, t in enumerate(times):
         lie = lie0.at(t)
-        diff = traj.states[i] - (lie.apply(0, Vs[i]) + lie.apply(1, Vds[i]))
+        V, Vd = real_form(Vs[i], bg.dim), real_form(Vds[i], bg.dim)
+        diff = real_form(traj.states[i], bg.dim) - (lie.apply(0, V) + lie.apply(1, Vd))
         d = weighted_norm(diff, wsym)
         s = weighted_norm(traj.states[i], wsym)
         dev.append(d)
@@ -493,13 +533,14 @@ def lie_trajectory(bg: SpacetimeBackground, lattice, times, W0, Wd0,
                   for kind in ("connection_wave", "lie_of_g"))
     states, derivs = [], []
     for tau, (W, Wd) in zip(times, Ws):
+        W, Wd = real_form(W, bg.dim), real_form(Wd, bg.dim)
         Wdd = conn.at(tau).monic_closure(W, Wd)
         lie = lie0.at(tau)
         rate = lie.rate()
-        states.append(lie.apply(0, W) + lie.apply(1, Wd))
-        derivs.append(
-            rate.apply(0, W) + lie.apply(0, Wd) + rate.apply(1, Wd) + lie.apply(1, Wdd)
-        )
+        states.append(complex_form(lie.apply(0, W) + lie.apply(1, Wd), bg.dim))
+        derivs.append(complex_form(
+            rate.apply(0, W) + lie.apply(0, Wd) + rate.apply(1, Wd) + lie.apply(1, Wdd),
+            bg.dim))
     return Trajectory(bg, lattice, times, np.array(states), np.array(derivs), dt=dt)
 
 

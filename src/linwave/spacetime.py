@@ -41,6 +41,7 @@ from .fields import (
     quadratic_coefficients,
     quadratic_probes,
     sym2_from_full,
+    sym2_index_pairs,
     sym2_to_full,
 )
 from .slices import SliceGeometry, kasner_exponents, slice_geometry
@@ -462,19 +463,66 @@ _ROUNDOFF_ULPS = 64
 
 
 class _OrderLayout(NamedTuple):
-    """One order j of a family's table in the layout FamilyAction.apply reads.
+    """One order j of a family's table in the real form FamilyAction.apply
+    reads.
 
-    `coeffs` and `exponents` are the triples (constant block as a
-    (ncomp_in, ncomp_out) matrix, the `live` blocks as one
-    (len(live) * ncomp_in, ncomp_out) matrix, one coefficient per `scal`
-    block), so M_j's part at time t is coeffs * t**exponents, term by term.
-    `live` lists the monomials p >= 1 whose block is nonzero and not a
-    multiple of the identity; `scal` those whose block is one."""
+    `coeffs` and `exponents` are the pairs (the constant block and then the
+    `live` blocks, stacked as one (1 + len(live), ncomp_out, ncomp_in)
+    array; one coefficient per `scal` block), so the real form of M_j's
+    part at time t is coeffs * t**exponents, term by term.  Every block is
+    real: it is conj(D_out) C_p D_in, with D the parity phase of
+    parity_phase.  `live` lists the monomials p >= 1 whose block is nonzero
+    and not a multiple of the identity; `scal` those whose block is one."""
 
     live: np.ndarray
     scal: np.ndarray
     coeffs: tuple
     exponents: tuple
+
+
+def parity_phase(ncomp: int, dim: int) -> np.ndarray:
+    """D, the phase of each stored component of a one-form (ncomp = dim) or
+    a symmetric 2-tensor: i on a component with an odd number of spatial
+    indices (h_0a, V_a), 1 on every other.
+
+    Each spatial derivative brings a factor i k_a and flips the parity of
+    the number of spatial indices, so under spatial inversion x -> -x the
+    k_a blocks of a table are imaginary and join components of opposite
+    parity, and every other block is real and joins components of the same
+    parity: conj(D_out) C_p D_in is real for every block."""
+    slots = [(a,) for a in range(dim)] if ncomp == dim else sym2_index_pairs(dim)
+    return np.array([1j if sum(i > 0 for i in slot) % 2 else 1.0 for slot in slots])
+
+
+def real_form(u: np.ndarray, dim: int) -> np.ndarray:
+    """The real form of a complex (N, ncomp) array of stored components:
+    the (2N, ncomp) array [Re(u / D); Im(u / D)], with D = parity_phase,
+    stored so that its transpose is C-contiguous (each component's 2N
+    values in a row).  |D_c| = 1, so weighted_norm reads the norm of u off
+    it with each per-mode factor repeated for both halves.  Exact: dividing
+    by i only swaps the parts and negates one."""
+    n, ncomp = u.shape
+    odd = parity_phase(ncomp, dim) == 1j
+    out = np.empty((ncomp, 2 * n))
+    np.copyto(out[:, :n], u.real.T)
+    np.copyto(out[:, n:], u.imag.T)
+    rows = out[odd]
+    out[odd, :n] = rows[:, n:]
+    out[odd, n:] = -rows[:, :n]
+    return out.T
+
+
+def complex_form(x: np.ndarray, dim: int) -> np.ndarray:
+    """The complex (N, ncomp) array whose real_form is x: u = D (x[:N] + i x[N:])."""
+    n, ncomp = len(x) // 2, x.shape[1]
+    odd = parity_phase(ncomp, dim) == 1j
+    out = np.empty((n, ncomp), complex)
+    out.real = x[:n]
+    out.imag = x[n:]
+    cols = out[:, odd]
+    out.real[:, odd] = -cols.imag
+    out.imag[:, odd] = cols.real
+    return out
 
 
 def _identity_multiple(block: np.ndarray, expo: np.ndarray, bound: float):
@@ -492,27 +540,35 @@ def _identity_multiple(block: np.ndarray, expo: np.ndarray, bound: float):
     return s if np.max(np.abs(d - s)) <= bound else None
 
 
-def _order_layout(C: np.ndarray, E: np.ndarray, bound: float) -> _OrderLayout:
+def _order_layout(C: np.ndarray, E: np.ndarray, bound: float, dim: int,
+                  kind: str) -> _OrderLayout:
+    """Order j of a table in the layout of _OrderLayout: C rotated to its
+    real form conj(D_out) C D_in, which must be exactly real (the phases
+    are 1 and +-i, so the rotation is exact and a nonzero imaginary part is
+    a block of the wrong parity)."""
+    _, ncomp_out, ncomp_in = C.shape
+    R = (np.conj(parity_phase(ncomp_out, dim))[:, None] * parity_phase(ncomp_in, dim)) * C
+    if np.any(R.imag):
+        raise InternalError(
+            f"spacetime._coefficient_table: {kind} is not real in the parity "
+            f"phase (imaginary part up to {np.max(np.abs(R.imag)):.2e})"
+        )
+    R = R.real
     live, scal, scal_c, scal_e = [], [], [], []
-    for p in range(1, len(C)):
-        if not np.any(C[p]):
+    for p in range(1, len(R)):
+        if not np.any(R[p]):
             continue
-        s = _identity_multiple(C[p], E[p], bound)
+        s = _identity_multiple(R[p], E[p], bound)
         if s is None:
             live.append(p)
         else:
             scal.append(p)
             scal_c.append(s)
             scal_e.append(E[p, 0, 0])
-    ncomp_out = C.shape[1]
-
-    def flat(X):
-        return np.ascontiguousarray(X[live].transpose(0, 2, 1).reshape(-1, ncomp_out))
-
     return _OrderLayout(
         np.array(live, int), np.array(scal, int),
-        (np.ascontiguousarray(C[0].T), flat(C), np.array(scal_c, complex)),
-        (np.ascontiguousarray(E[0].T), flat(E), np.array(scal_e, float)),
+        (R[[0, *live]], np.array(scal_c, float)),
+        (E[[0, *live]], np.array(scal_e, float)),
     )
 
 
@@ -568,7 +624,8 @@ def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
             E = [np.zeros(C.shape) for C in A]
         else:
             E = _homothety_exponents(background, kind, [C.shape for C in A])
-        layout = [_order_layout(C, e, bound) for C, e in zip(A, E)]
+        layout = [_order_layout(C, e, bound, background.dim, kind)
+                  for C, e in zip(A, E)]
         if _lead_is_identity(layout[-1].coeffs) and np.any(E[-1][A[-1] != 0]):
             raise InternalError(
                 f"spacetime.family_coefficients: the monic leading coefficient of "
@@ -579,32 +636,45 @@ def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
 
 
 def _lead_is_identity(lead: tuple) -> bool:
-    """True when a leading coefficient, given as the coefficient triple of
+    """True when a leading coefficient, given as the coefficient pair of
     an _OrderLayout, is the identity matrix: its constant block is I and
     every k-monomial block 0, to 1e-12."""
-    const, flat, scal = lead
+    blocks, scal = lead
+    const = blocks[0]
     if const.shape[0] != const.shape[1]:
         return False
     dev = max(np.max(np.abs(const - np.eye(len(const)))),
-              np.max(np.abs(flat), initial=0.0), np.max(np.abs(scal), initial=0.0))
+              np.max(np.abs(blocks[1:]), initial=0.0), np.max(np.abs(scal), initial=0.0))
     return dev <= 1e-12
 
 
 class FamilyAction:
     """Matrix-free evaluation of a mode-operator family on state vectors:
     the one per-mode operator evaluator.  M_j(t, k) is never materialised.
-    Per order j, apply reads the table of family_coefficients in the layout
-    of _OrderLayout, re-timed to t:
 
-        M_j(t, k) u = u @ const + (b_live(k) x u) @ flat + (b_scal(k) . s) u,
+    States are in real form (see real_form): a complex (N, ncomp) array u
+    of stored components is passed as the (2N, ncomp) real array
+    x = [Re(u / D); Im(u / D)], whose transpose is C-contiguous, so each
+    component's 2N values are one contiguous row.  The monomials b_p(k) are
+    real and every block R_p = conj(D_out) C_p D_in of the table is real
+    (see parity_phase), so M_j(t, k) u = D_out y with
 
-    where b(k) is the monomial basis of the mode, const the constant block,
-    flat the live k-monomial blocks stacked for one matmul and s the
-    coefficients of the blocks that are multiples of the identity (on both
-    backgrounds the k_a^2 blocks of lichnerowicz and connection_wave, whose
-    sum is the one per-mode scalar g^{ab} k_a k_b).  Blocks that are exactly
-    zero (the k_a k_b blocks on a diagonal metric) are skipped.  at() and
-    rate() re-time the three terms of each order as C * t**E, or its exact
+        y^T = R_0 x^T + sum_live (R_p x^T) * b_p + (sum_scal s_p b_p) * x^T,
+
+    one real matrix product per block (one batched matmul over the stacked
+    blocks) and a product along the contiguous mode axis, with b_p repeated
+    for both halves, summed over the blocks elementwise.  R_0 is the
+    constant block, the live blocks are the k-monomial blocks that are
+    nonzero and not multiples of the identity, and s the coefficients of
+    those that are (on both backgrounds the k_a^2 blocks of lichnerowicz
+    and connection_wave, whose sum is the one per-mode scalar
+    g^{ab} k_a k_b), also summed elementwise.  Blocks that are exactly zero
+    (the k_a k_b blocks on a diagonal metric) are skipped.  Each block is
+    its own product and every sum is elementwise, so a mode's result does
+    not depend on where it sits in the array, and Hermitian data stay
+    exactly Hermitian; one product of all blocks stacked on the output axis
+    would not.  at() and rate() re-time the two arrays of each order (the
+    stacked blocks, the scalar coefficients) as R * t**E, or its exact
     t-derivative, and re-pack nothing.
 
     The families returned by at() and rate() share the monomial basis and
@@ -643,8 +713,9 @@ class FamilyAction:
         return _lead_is_identity(self._terms[-1])
 
     def monic_closure(self, u: np.ndarray, ud: np.ndarray) -> np.ndarray:
-        """u'' = -(M_1 u' + M_0 u): the second time derivative that the
-        equation M_2 u'' + M_1 u' + M_0 u = 0 fixes when M_2 = identity."""
+        """u'' = -(M_1 u' + M_0 u) in real form: the second time derivative
+        that the equation M_2 u'' + M_1 u' + M_0 u = 0 fixes when
+        M_2 = identity."""
         if not self._monic:
             raise InternalError(
                 f"spacetime.FamilyAction: {self.kind} operator is not monic in "
@@ -656,35 +727,47 @@ class FamilyAction:
         out += self.apply(1, ud)
         return np.negative(out, out=out)
 
-    def apply(self, j: int, u: np.ndarray) -> np.ndarray:
-        """M_j(k) u_k for all modes, without materializing the matrices."""
-        const, flat, scal = self._terms[j]
-        out = u @ const
-        if not (flat.size or scal.size):
-            return out
+    def apply(self, j: int, x: np.ndarray) -> np.ndarray:
+        """The real form of M_j(k) u_k for all modes from the real form x of
+        u, (2N, ncomp_in) -> (2N, ncomp_out), both with C-contiguous
+        transposes; the matrices are never materialised."""
+        if x.dtype != float or len(x) != 2 * len(self.basis):
+            raise ValueError(
+                f"FamilyAction.apply takes the real form of {len(self.basis)} modes, "
+                f"a ({2 * len(self.basis)}, ncomp) float array, got {x.dtype} {x.shape}"
+            )
+        blocks, scal = self._terms[j]
+        xt = x.T
+        if len(blocks) == 1:
+            out = blocks[0] @ xt
+            if not scal.size:
+                return out.T
         if j not in self._scratch:
             lay = self._layout[j]
-            # the buffers are kept across calls: fresh ones per call are
-            # paged in anew whenever glibc has trimmed the heap top under
-            # them, which at nmax 2 was some 20k page faults and a quarter
-            # of the time of a short Kasner run; the scalar basis is stored
-            # complex so its product with the coefficients casts nothing
+            # the buffers are kept across calls: fresh ones are paged in
+            # anew whenever glibc has trimmed the heap top under them; a
+            # first Kasner evolve at nmax 8 (2457 modes, 172 applies) in a
+            # new process took 9355 minor page faults with fresh buffers per
+            # call and 8116 with these
+            twice = np.concatenate([self.basis, self.basis]).T
             self._scratch[j] = (
-                np.ascontiguousarray(self.basis[:, lay.live]),
-                self.basis[:, lay.scal].astype(complex),
-                np.empty((len(u), len(lay.live), u.shape[1]), complex),
-                np.empty_like(out),
+                np.ascontiguousarray(twice[lay.live])[:, None, :],
+                np.ascontiguousarray(twice[lay.scal]),
+                np.empty((len(blocks), len(blocks[0]), len(x))),
+                np.empty((len(scal), len(x))),
             )
-        basis, basis_scal, W, term = self._scratch[j]
-        if flat.size:
-            np.multiply(basis[:, :, None], u[:, None, :], out=W)
-            np.matmul(W.reshape(len(u), -1), flat, out=term)
-            out += term
+        basis, basis_scal, terms, scalars = self._scratch[j]
+        if len(blocks) > 1:
+            # one matrix product per block, each scaled by its monomial
+            np.matmul(blocks, xt, out=terms)
+            terms[1:] *= basis
+            out = np.sum(terms, axis=0)
         if scal.size:
-            # the identity blocks, as one per-mode scalar times u
-            np.multiply(u, (basis_scal @ scal)[:, None], out=term)
+            # the identity blocks, as one per-mode scalar times x
+            np.multiply(basis_scal, scal[:, None], out=scalars)
+            term = np.multiply(xt, np.sum(scalars, axis=0), out=terms[0])
             out += term
-        return out
+        return out.T
 
     def rate(self) -> FamilyAction:
         """The family of exact time derivatives d/dt M_j(t, k) on the same

@@ -333,6 +333,30 @@ def test_evolve_run_and_determinism(tmp_path, capsys):
     ).read_bytes()
 
 
+def test_evolve_manifest_counts_the_rk4_steps(tmp_path, capsys):
+    # samples 1.0, 1.05, 1.1 at dt 2e-2: ceil(0.05 / 0.02) = 3 steps each;
+    # the Minkowski torus is solved in closed form and takes none
+    runs = {
+        "kasner": ("background.kind = kasner\nbackground.p = 2/3, 2/3, -1/3\n"
+                   "evolve.t0 = 1.0\nevolve.t1 = 1.1\nevolve.dt = 2e-2\n", 6),
+        "minkowski": ("background.kind = minkowski-torus\nevolve.t1 = 2.0\n", 0),
+    }
+    for name, (text, steps) in runs.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text + "lattice.nmax = 1\nevolve.samples = 3\n")
+        manifests = []
+        for out in ("a", "b"):
+            assert run_cli(["evolve", "--config", str(cfg),
+                            "--out", str(tmp_path / name / out)]) == 0
+            manifest = json.loads((tmp_path / name / out / "manifest.json").read_text())
+            assert manifest["rk4_steps"] == steps, name
+            manifest.pop("timings")
+            manifests.append(manifest)
+        # apart from its wall times, a manifest is the same on every run
+        assert manifests[0] == manifests[1]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("key, value", [
     ("evolve.t0", "nan"), ("evolve.t0", "-inf"), ("evolve.t1", "nan"), ("evolve.t1", "inf"),
     ("evolve.dt", "inf"), ("evolve.dt", "nan"), ("evolve.sobolev", "nan"),

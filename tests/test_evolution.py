@@ -32,8 +32,10 @@ from linwave.slices import apply_slice_operator, slice_geometry
 from linwave.spacetime import (
     FamilyAction,
     assemble_mode_operator,
+    complex_form,
     induced_data_state,
     nu_jet_conversion,
+    real_form,
     spacetime_background,
 )
 
@@ -53,6 +55,16 @@ def hermitian_pair(lat, rng, comps):
     )
     perm = lat.negation_permutation()
     return 0.5 * (arr + np.conj(arr[perm]))
+
+
+def real(*arrays):
+    """The real forms (see real_form) of complex 4D one-form or sym2 arrays."""
+    return tuple(real_form(a, 4) for a in arrays)
+
+
+def cplx(*arrays):
+    """The complex arrays of real forms of 4D one-form or sym2 arrays."""
+    return tuple(complex_form(a, 4) for a in arrays)
 
 
 def standing_wave_pair(lat):
@@ -413,8 +425,9 @@ def test_lie_trajectory_derivative_is_exact():
         assert err <= 1e-8 * np.max(np.abs(want)), (bg.kind, err)
     lie = FamilyAction(MINK, "lie_of_g", 0.0, lat.modes)
     conn = FamilyAction(MINK, "connection_wave", 0.0, lat.modes)
-    Wdd = -(conn.apply(1, Wd0) + conn.apply(0, W0))
-    exact = lie.apply(0, Wd0) + lie.apply(1, Wdd)
+    X0, Xd0 = real(W0, Wd0)
+    Xdd = -(conn.apply(1, Xd0) + conn.apply(0, X0))
+    exact, = cplx(lie.apply(0, Xd0) + lie.apply(1, Xdd))
     assert np.array_equal(traj.derivs[0], exact)
 
 
@@ -522,25 +535,52 @@ def test_half_indices_pick_one_mode_of_each_pair():
 
 
 def test_half_lattice_evolution_is_bit_identical_to_full():
+    _assert_half_lattice_evolution_is_bit_identical_to_full(LAT)
+
+
+def test_half_lattice_evolution_is_bit_identical_to_full_at_nmax_8():
+    # at nmax 8 a mode's result would depend on its column in a matrix
+    # product that stacked the blocks of a family (see FamilyAction)
+    _assert_half_lattice_evolution_is_bit_identical_to_full(ModeLattice(3, 8))
+
+
+def _assert_half_lattice_evolution_is_bit_identical_to_full(lat):
     rng = np.random.default_rng(31)
-    U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
-    wave = FamilyAction(KAS, "lichnerowicz", 1.0, LAT.modes)
+    U0, Ud0 = hermitian_pair(lat, rng, 10), hermitian_pair(lat, rng, 10)
+    wave = FamilyAction(KAS, "lichnerowicz", 1.0, lat.modes)
 
     def rhs(wave_t, y):
         return (y[1], wave_t.monic_closure(*y))
 
     times = [1.0, 1.05, 1.1]
-    traj = evolve_state(KAS, LAT, 1.0, U0, Ud0, 1.1, 1e-2, sample_times=times)
-    y = (U0, Ud0)
+    traj = evolve_state(KAS, lat, 1.0, U0, Ud0, 1.1, 1e-2, sample_times=times)
+    x = real(U0, Ud0)
     for i, (t0, t1) in enumerate(zip(times, times[1:])):
-        y = _rk4(wave.at, rhs, t0, y, t1, 1e-2)
+        x = _rk4(wave.at, rhs, t0, x, t1, 1e-2)
+        y = cplx(*x)
         assert np.array_equal(traj.states[i + 1], y[0])
         assert np.array_equal(traj.derivs[i + 1], y[1])
-        seg = evolve_state(KAS, LAT, t0, traj.states[i], traj.derivs[i], t1, 1e-2,
+        seg = evolve_state(KAS, lat, t0, traj.states[i], traj.derivs[i], t1, 1e-2,
                            sample_times=[t1])
         assert np.array_equal(seg.states[0], y[0]) and np.array_equal(seg.derivs[0], y[1])
-    assert _is_exactly_hermitian(traj.states, LAT, 1)
-    assert _is_exactly_hermitian(traj.derivs, LAT, 1)
+    assert _is_exactly_hermitian(traj.states, lat, 1)
+    assert _is_exactly_hermitian(traj.derivs, lat, 1)
+
+
+@pytest.mark.parametrize("nmax", [6, 8])
+def test_full_lattice_recovery_keeps_hermitian_data_exactly_hermitian(nmax):
+    # mode k and mode -k must see the same arithmetic wherever they sit in
+    # the state: each block of a family is its own matrix product and the
+    # per-mode scalar an elementwise sum (see FamilyAction)
+    lat = ModeLattice(3, nmax)
+    rng = np.random.default_rng(45)
+    y = real(*(hermitian_pair(lat, rng, c) for c in (4, 4, 10, 10)))
+    families = [FamilyAction(KAS, kind, 1.0, lat.modes)
+                for kind in ("lichnerowicz", "div_trace_reversed", "connection_wave")]
+    y = _rk4(lambda t: [f.at(t) for f in families], evolution._recovery_rhs,
+             1.0, y, 1.03, 1e-2)
+    for x in cplx(*y):
+        assert np.any(x.imag) and _is_exactly_hermitian(x, lat, 0)
 
 
 def _rk4_four_stage_times(at, rhs, t0, y, t1, dt):
@@ -618,7 +658,7 @@ def _count_re_times(monkeypatch):
 ])
 def test_rk4_re_times_each_family_twice_per_step(monkeypatch, kinds, rhs, comps):
     rng = np.random.default_rng(43)
-    y = tuple(hermitian_pair(LAT, rng, c) for c in comps)
+    y = real(*(hermitian_pair(LAT, rng, c) for c in comps))
     families = [FamilyAction(KAS, kind, 1.0, LAT.modes) for kind in kinds]
     timed = _count_re_times(monkeypatch)
     for t0, t1, dt, steps in [(1.0, 1.1, 1e-2, 10), (1.1, 1.0, 3e-3, 34),
@@ -695,9 +735,10 @@ def test_minkowski_real_data_take_the_half_lattice_in_closed_form(monkeypatch):
                   for kind in ("lie_of_g", "connection_wave"))
     for i, t in enumerate(times):
         W, Wd = _closed_form(LAT, W0, Wd0, t - 0.5)
-        Wdd = conn.monic_closure(W, Wd)  # the static Lie operator has no rate
-        assert np.array_equal(lie.states[i], lie0.apply(0, W) + lie0.apply(1, Wd))
-        assert np.array_equal(lie.derivs[i], lie0.apply(0, Wd) + lie0.apply(1, Wdd))
+        X, Xd = real(W, Wd)
+        Xdd = conn.monic_closure(X, Xd)  # the static Lie operator has no rate
+        assert np.array_equal(lie.states[i], *cplx(lie0.apply(0, X) + lie0.apply(1, Xd)))
+        assert np.array_equal(lie.derivs[i], *cplx(lie0.apply(0, Xd) + lie0.apply(1, Xdd)))
     built.clear()
     rec = recover_gauge_vector(lie)
     integrated = [b for b in built if b[0] != "lie_of_g"]
@@ -810,7 +851,8 @@ def _full_lattice_diagnostics(traj, sobolev_order=0.5):
     out = []
     for t, U, Ud in zip(traj.times, traj.states, traj.derivs):
         div = FamilyAction(bg, "div_trace_reversed", t, lat.modes)
-        gauge = np.sqrt(np.sum(np.abs(div.apply(0, U) + div.apply(1, Ud)) ** 2))
+        X, Xd = real(U, Ud)
+        gauge = np.sqrt(np.sum(np.abs(*cplx(div.apply(0, X) + div.apply(1, Xd))) ** 2))
         h, m = induced_data_state(bg, t, lat, U, Ud)
         geom = bg.slice_at(t)
         res = dphi(InitialDataPair(h, m, geom))
@@ -819,7 +861,7 @@ def _full_lattice_diagnostics(traj, sobolev_order=0.5):
         terms = np.einsum("ka,ab,kb->k", k, geom.metric_inv, k) * fro[0] + fro[1]
         scale = [sobolev_norm(SpectralField(lat, "scalar", terms[:, None]), s)
                  for s in (0.0, 1.0)]
-        Udd = FamilyAction(bg, "lichnerowicz", t, lat.modes).monic_closure(U, Ud)
+        Udd, = cplx(FamilyAction(bg, "lichnerowicz", t, lat.modes).monic_closure(X, Xd))
         stack = [U, Ud, Udd]
         energies = [
             np.sqrt(np.sum((1.0 + k2) ** (sobolev_order - j) * np.einsum(

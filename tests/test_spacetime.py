@@ -18,6 +18,7 @@ from linwave.spacetime import (
     FamilyAction,
     _leib,
     assemble_mode_operator,
+    complex_form,
     family_coefficients,
     jet_add,
     jet_apply,
@@ -28,6 +29,8 @@ from linwave.spacetime import (
     jet_lie_of_g,
     jet_matrices,
     nu_jet_conversion,
+    parity_phase,
+    real_form,
     spacetime_background,
     unknown_jet,
 )
@@ -252,6 +255,12 @@ def _complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _apply(act, j, u):
+    """act.apply on complex components u, through the real form."""
+    dim = act.background.dim
+    return complex_form(act.apply(j, real_form(u, dim)), dim)
+
+
 def _probe_modes(n):
     """k = 0, +-e_a and e_a + e_b: the ten probes that fix a quadratic in k."""
     eye = np.eye(n)
@@ -339,16 +348,17 @@ def test_family_tables_hold_exact_zeros_or_true_entries():
 
 def _dense_from_layout(act, terms):
     """The (npoly, ncomp_out, ncomp_in) matrices C_j that a layout of
-    FamilyAction stands for: its constant block, live blocks and identity
-    multiples put back in place."""
+    FamilyAction stands for: its constant and live blocks and identity
+    multiples put back in place, rotated back from the real form by the
+    parity phase D (C = D_out R conj(D_in))."""
     dense = []
-    for lay, (const, flat, scal) in zip(act._layout, terms):
-        ncomp_in, ncomp_out = const.shape
-        C = np.zeros((10, ncomp_out, ncomp_in), complex)
-        C[0] = const.T
-        C[lay.live] = flat.reshape(len(lay.live), ncomp_in, ncomp_out).transpose(0, 2, 1)
-        C[lay.scal] = scal[:, None, None] * np.eye(ncomp_out, ncomp_in)
-        dense.append(C)
+    for lay, (blocks, scal) in zip(act._layout, terms):
+        ncomp_out, ncomp_in = blocks[0].shape
+        R = np.zeros((10, ncomp_out, ncomp_in))
+        R[[0, *lay.live]] = blocks
+        R[lay.scal] = scal[:, None, None] * np.eye(ncomp_out, ncomp_in)
+        D_out, D_in = parity_phase(ncomp_out, 4), parity_phase(ncomp_in, 4)
+        dense.append(D_out[:, None] * R * np.conj(D_in))
     return dense
 
 
@@ -403,7 +413,7 @@ def test_family_action_matches_direct_assembly():
                     u /= np.max(np.abs(u))
                     us = [np.zeros_like(u)] * j + [u]
                     want, scale = _dense_reference(bg, kind, t, APPLY_MODES, us)
-                    err = float(np.max(np.abs(act.apply(j, u) - want)))
+                    err = float(np.max(np.abs(_apply(act, j, u) - want)))
                     # scale by at least 1, as in the table test above
                     scale = max(1.0, scale)
                     assert err <= 1e-13 * scale, (bg.p, kind, t, j, err / scale)
@@ -452,11 +462,11 @@ def test_family_action_rate_is_exact_derivative():
                 plus, _ = _dense_reference(bg, "lie_of_g", t + eps, APPLY_MODES, us)
                 minus, _ = _dense_reference(bg, "lie_of_g", t - eps, APPLY_MODES, us)
                 want = (plus - minus) / (2 * eps)
-                err = float(np.max(np.abs(rate.apply(j, u) - want)))
+                err = float(np.max(np.abs(_apply(rate, j, u) - want)))
                 assert err <= 1e-8 * float(np.max(np.abs(want))), (p, t, j)
     for t in (0.0, 1.7):
         rate = FamilyAction(MINK, "lie_of_g", t, APPLY_MODES).rate()
-        assert all(np.max(np.abs(rate.apply(j, u))) == 0.0 for j in (0, 1))
+        assert all(np.max(np.abs(_apply(rate, j, u))) == 0.0 for j in (0, 1))
 
 
 def test_monic_check_runs_once_per_family(monkeypatch):
@@ -470,9 +480,9 @@ def test_monic_check_runs_once_per_family(monkeypatch):
 
     monkeypatch.setattr(FamilyAction, "is_monic", counting)
     wave = FamilyAction(KAS, "lichnerowicz", 1.0, lat.modes)
-    u = np.ones((lat.num_modes, 10), complex)
+    x = real_form(np.ones((lat.num_modes, 10), complex), 4)
     for t in (1.0, 1.5, 2.0):
-        wave.at(t).monic_closure(u, u)
+        wave.at(t).monic_closure(x, x)
     assert calls == [1.0]
 
 
@@ -482,7 +492,8 @@ def test_monic_closure_in_place_is_bit_identical():
     rng = np.random.default_rng(9)
     lat = ModeLattice(3, 2)
     shape = (lat.num_modes, 10)
-    u, ud = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    u, ud = (real_form(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 4)
+             for _ in range(2))
     for bg, t in ((KAS, 1.3), (MINK, 0.4)):
         wave = FamilyAction(bg, "lichnerowicz", t, lat.modes)
         got = wave.monic_closure(u, ud)
@@ -507,3 +518,96 @@ def test_monic_lead_with_a_power_of_t_is_refused(monkeypatch):
     with pytest.raises(RuntimeError, match="lichnerowicz has a nonzero exponent of t"):
         FamilyAction(KAS, "lichnerowicz", 1.0, ModeLattice(3, 1).modes)
     FamilyAction(KAS, "div_trace_reversed", 1.0, ModeLattice(3, 1).modes)
+
+
+def _parity_backgrounds():
+    return ([MINK, spacetime_background("minkowski-torus", n=2)]
+            + [spacetime_background("kasner", p=p)
+               for p in (KASNER_P, (1.0, 0.0, 0.0), (-1 / 3, 2 / 3, 2 / 3))])
+
+
+def test_coefficient_tables_are_real_in_the_parity_phase():
+    # spatial inversion x -> -x: the k_a blocks are imaginary and join
+    # components of opposite parity, every other block is real and joins
+    # components of the same parity, so conj(D_out) C_p D_in is real
+    from linwave.spacetime import _coefficient_table
+
+    for bg in _parity_backgrounds():
+        for kind in OPERATOR_KINDS:
+            for C, lay in zip(family_coefficients(bg, kind, 1.0),
+                              _coefficient_table(bg, kind, 1.0)[2]):
+                _, ncomp_out, ncomp_in = C.shape
+                D_out, D_in = parity_phase(ncomp_out, bg.dim), parity_phase(ncomp_in, bg.dim)
+                R = np.conj(D_out)[:, None] * C * D_in
+                assert not np.any(R.imag), (bg.kind, bg.n, bg.p, kind)
+                assert all(x.dtype == float for x in lay.coeffs)
+
+
+def test_a_block_of_the_wrong_parity_is_refused(monkeypatch):
+    from linwave import spacetime
+
+    probe = spacetime._probe_coefficients
+
+    def flipped(background, kind):
+        A = probe(background, kind)
+        # the first nonzero k_a block, made real
+        j, p = next((j, p) for j, C in enumerate(A) for p in range(1, background.n + 1)
+                    if np.any(C[p]))
+        A[j][p] = 1j * A[j][p]
+        return A
+
+    monkeypatch.setattr(spacetime, "_TABLES", {})
+    monkeypatch.setattr(spacetime, "_probe_coefficients", flipped)
+    for bg in (MINK, KAS):
+        with pytest.raises(InternalError, match="d_ric is not real in the parity phase"):
+            spacetime._coefficient_table(bg, "d_ric", 1.0)
+
+
+def _complex_apply(act, j, C, u):
+    """M_j(k) u on the complex components u of every mode, as FamilyAction
+    evaluated it before the real form, kept as the reference: u times the
+    constant block, one complex product of the outer product
+    W = b_live(k) x u with the stacked live blocks, and the identity blocks
+    as one per-mode scalar times u, all from the complex table C
+    (npoly, ncomp_out, ncomp_in) of order j."""
+    lay = act._layout[j]
+    flat = C[lay.live].transpose(0, 2, 1).reshape(-1, C.shape[1])
+    scal = np.diagonal(C[lay.scal], axis1=1, axis2=2).mean(axis=1)
+    out = u @ C[0].T
+    W = act.basis[:, lay.live, None] * u[:, None, :]
+    out += W.reshape(len(u), -1) @ flat
+    if scal.size:
+        out += (act.basis[:, lay.scal] @ scal)[:, None] * u
+    return out
+
+
+@pytest.mark.parametrize("nmax", [2, 8])
+def test_real_form_matches_the_complex_evaluator(nmax):
+    from linwave.spacetime import _coefficient_table
+
+    rng = np.random.default_rng(10)
+    for bg in _parity_backgrounds():
+        modes = ModeLattice(bg.n, nmax).modes
+        for kind in OPERATOR_KINDS:
+            A, E, _ = _coefficient_table(bg, kind, 1.0)
+            for t in (0.6, 1.7):
+                act = FamilyAction(bg, kind, t, modes)
+                tables = (
+                    (act, [C * t ** e for C, e in zip(A, E)]),
+                    (act.rate(), [C * e * t ** np.where(e == 0, 0.0, e - 1.0)
+                                  for C, e in zip(A, E)]),
+                )
+                for fam, Cs in tables:
+                    for j, C in enumerate(Cs):
+                        u = _complex_normal(rng, (len(modes), C.shape[2]))
+                        want = _complex_apply(act, j, C, u)
+                        err = np.max(np.abs(_apply(fam, j, u) - want))
+                        assert err <= 1e-15 * np.max(np.abs(want)), (bg.p, kind, t, j)
+                if act.is_monic():
+                    u, ud = (_complex_normal(rng, (len(modes), A[0].shape[2]))
+                             for _ in range(2))
+                    want = -(_complex_apply(act, 1, tables[0][1][1], ud)
+                             + _complex_apply(act, 0, tables[0][1][0], u))
+                    got = complex_form(act.monic_closure(real_form(u, bg.dim),
+                                                         real_form(ud, bg.dim)), bg.dim)
+                    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
