@@ -268,6 +268,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.background == "minkowski-torus":
         bg = spacetime_background("minkowski-torus", n=3)
         t = 0.0

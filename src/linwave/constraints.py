@@ -7,8 +7,9 @@ Nonlinear constraints of a slice (g~, k~):
 
 constraint_residual evaluates them on the background itself (its Berger
 branch is the invariant Phi).
-dphi evaluates the full linearisation around the background slice data,
-including every extrinsic-curvature term; dphi_oracle re-derives it from
+dphi_modes is their linearisation DPhi, one formula over the slice
+operators of slices.py for both backends and any set of torus modes, and
+dphi evaluates it on a pair; dphi_oracle re-derives it from
 the nonlinear map by central differencing, with the nonlinear scalar
 curvature computed pointwise through 4th-order finite differences.  On a
 band-limited field each stencil is an exact Fourier multiplier, so the
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import invariant as inv
 from .fields import SpectralField, analyze, sobolev_norm, sym2_index_pairs, sym2_to_full
-from .slices import SliceGeometry, apply_slice_operator, scalar_times, slice_norm
+from .slices import SliceGeometry, slice_norm, slice_operator, slice_pairing
 from .spacetime import (
     CauchyJet,
     FamilyAction,
@@ -272,72 +273,48 @@ def _torus_constraint_fields(p1, p2, lat, npts: int):
 
 
 def dphi(pair: InitialDataPair) -> ConstraintResidual:
-    """Full linearisation of Phi around the background slice data, with its
-    H^0 and H^1 norms on a torus."""
+    """DPhi(h~, m~) of a pair (dphi_modes on its stored coefficients, at
+    every lattice mode on a torus), with its norms."""
     geom = pair.geom
-    if not geom.is_torus:
-        return _dphi_invariant(pair)
-    lat = pair.h.lattice
-    dphi1, dphi2 = dphi_modes(geom, lat.modes, pair.h.coeffs, pair.m.coeffs)
-    scalar = SpectralField(lat, "scalar", dphi1[:, None])
-    oneform = SpectralField(lat, "one-form", dphi2)
-    return ConstraintResidual.with_norms(geom, scalar, oneform)
+    if geom.is_torus:
+        lat = pair.h.lattice
+        d1, d2 = dphi_modes(geom, lat.modes, pair.h.coeffs, pair.m.coeffs)
+        return ConstraintResidual.with_norms(
+            geom, SpectralField(lat, "scalar", d1), SpectralField(lat, "one-form", d2))
+    d1, d2 = dphi_modes(geom, None, pair.h.components[None], pair.m.components[None])
+    return ConstraintResidual.with_norms(
+        geom, inv.InvariantField("scalar", d1[0]), inv.InvariantField("one-form", d2[0]))
 
 
 def dphi_modes(geom: SliceGeometry, modes, h: np.ndarray, m: np.ndarray):
-    """DPhi of per-mode torus data: the kernel of dphi on any set of modes.
+    """The linearised constraint map, written once:
 
-    modes is (N, n) integer; h and m hold the stored sym2 coefficients
-    (N, ncomp) of h~ and m~ at those modes.  Returns DPhi_1 (N,) and
-    DPhi_2 (N, n).  Every mode is independent, so a subset of the lattice
-    gives the same rows as the whole.  Contractions with the constant
-    background tensors are one matmul over the flattened (N, n*n) full
-    matrices; those with k are batched (1, n) @ (n, n) products per mode.
+        DPhi_1 = div div h + Delta tr h - g~(Ric, h) + g~(A, h)
+                 - 2 (g~(k~, m) - tr k~ tr m),   A = 2 (k~ o k~ - tr k~ k~),
+        DPhi_2 = -(div hbar) . (g~^-1 k~) + (1/2) d g~(k~, h) + div m - d tr m,
+
+    (k~ o k~)_ab = k~_ac g^cd k~_db, Delta the positive Laplacian; the term
+    g~(h, nabla k~(., X)) is dropped, as nabla k~ = 0 on every supported
+    slice.  h and m are stored sym2 coefficients (B, ncomp) at the modes of
+    slices.slice_operator; returns DPhi_1 (B, 1) and DPhi_2 (B, n).
     """
-    n = geom.n
-    G = geom.metric
-    gi = geom.metric_inv
-    K = geom.extrinsic
-    k = np.asarray(modes, float)
-    kup = k @ gi.T
-    H = sym2_to_full(h, n)
-    M = sym2_to_full(m, n)
+    gi, K = geom.metric_inv, geom.extrinsic
+
+    def op(kind, rank, c):
+        return slice_operator(geom, kind, rank, c, modes)
+
     trK = np.trace(gi @ K)
-    kok = K @ gi @ K  # (k~ o k~)_ab = g~(k~(a,.), k~(b,.))
-    A_up = gi @ (2.0 * (kok - trK * K)) @ gi
-    K_up = gi @ K @ gi
-    ric_up = gi @ geom.ricci @ gi  # zero on flat slices; kept in the code path
-    # A:h = sum_ab A_ab h_ab for the rows A = g~^-1, K^, A^ - Ric^ (h) and
-    # g~^-1, K^ (m)
-    tr_h, gKh, Ah = (H.reshape(-1, n * n) @ np.stack(
-        [gi.ravel(), K_up.ravel(), (A_up - ric_up).ravel()], axis=1)).T
-    tr_m, gKm = (M.reshape(-1, n * n) @ np.stack([gi.ravel(), K_up.ravel()], axis=1)).T
-    kk = kup[:, :, None] * kup[:, None, :]
-    divdivh = -(kk.reshape(-1, 1, n * n) @ H.reshape(-1, n * n, 1))[:, 0, 0]
-    k2 = np.einsum("ka,ka->k", kup, k)
-    dphi1 = divdivh + k2 * tr_h + Ah - 2.0 * (gKm - trK * tr_m)
-    # DPhi_2: the term g~(h~, nabla k~(., X)) vanishes identically here
-    # because the background extrinsic curvature is parallel on a flat slice.
-    hbar = H - 0.5 * tr_h[:, None, None] * G
-    divhbar = 1j * (kup[:, None, :] @ hbar)[:, 0]
-    term2 = -divhbar @ (gi @ K)
-    term34 = 0.5j * k * gKh[:, None]
-    term5 = 1j * ((kup[:, None, :] @ M)[:, 0] - tr_m[:, None] * k)
-    return dphi1, term2 + term34 + term5
-
-
-def _dphi_invariant(pair: InitialDataPair) -> ConstraintResidual:
-    geom = pair.geom
-    # k~ = 0 on the invariant backend: DPhi reduces to
-    # (div div h~ - g~(Ric, h~),  div(m~ - (tr m~) g~));  d tr terms are
-    # derivatives of invariant scalars and vanish identically.
-    div_h = apply_slice_operator(geom, "divergence", pair.h)
-    scalar = (apply_slice_operator(geom, "divergence", div_h)
-              - apply_slice_operator(geom, "ricci_pairing", pair.h))
-    tr_m = apply_slice_operator(geom, "trace", pair.m)
-    oneform = apply_slice_operator(
-        geom, "divergence", pair.m - scalar_times(geom, tr_m, geom.metric))
-    return ConstraintResidual.with_norms(geom, scalar, oneform)
+    A = 2.0 * (K @ gi @ K - trK * K)
+    tr_h, tr_m = op("trace", "sym2", h), op("trace", "sym2", m)
+    div_h = op("divergence", "sym2", h)
+    dphi1 = (op("divergence", "one-form", div_h)
+             + op("laplacian", "scalar", tr_h)
+             - slice_pairing(geom, geom.ricci, h) + slice_pairing(geom, A, h)
+             - 2.0 * (slice_pairing(geom, K, m) - trK * tr_m))
+    div_hbar = div_h - 0.5 * op("d", "scalar", tr_h)  # g~ is parallel
+    dphi2 = (-div_hbar @ (gi @ K) + 0.5 * op("d", "scalar", slice_pairing(geom, K, h))
+             + op("divergence", "sym2", m) - op("d", "scalar", tr_m))
+    return dphi1, dphi2
 
 
 def dphi_oracle(pair: InitialDataPair) -> ConstraintResidual:

@@ -416,7 +416,7 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeri
         gauge.append(weighted_norm(div_t.apply(0, X) + div_t.apply(1, Xd), w_gauge, multr))
         h, m = induced_data_modes(bg, t, modes, U, Ud)
         r1, r2 = dphi_modes(bg.slice_at(t), modes, h, m)
-        d1.append(weighted_norm(r1[:, None], w1, mult))
+        d1.append(weighted_norm(r1, w1, mult))
         d2.append(weighted_norm(r2, w2, mult1))
         stack = [X, Xd, wave.at(t).monic_closure(X, Xd)]
         en.append(_energy_norms(k2r, multr, w_sym, stack, sobolev_order))

@@ -7,17 +7,16 @@ Three slice kinds are supported:
                         spatially constant, hence still a flat metric.
   * BergerInvariant:    invariant sector of a Berger sphere (invariant.py).
 
-apply_slice_operator is the one implementation of every slice operator
-(trace, trace reversal, divergence, Laplacian, d, Hessian, the Lie
-derivatives of the metric and of the extrinsic curvature, the conformal
-Killing operator L, L* and L*L, and the Ricci pairing g~(Ric, h)) on both
-backends, so an equation written with it holds for either.  Each operator
-is written once, in _full_operator, as contractions with g~^-1 of one
-covariant derivative nabla, and a backend supplies only that nabla: i k_a
-per mode on a torus, invariant.nabla on Berger.  The ranks each operator
-takes and returns are one table, _RANKS, checked once.  scalar_times
-multiplies a scalar field by a constant tensor of the slice (g~, k~ or
-Ric), so the zeroth-order terms of an equation are written once too.
+slice_operator is the one implementation of every slice operator on both
+backends, on stored coefficients at any set of torus modes, and
+apply_slice_operator its front for fields.  Each operator is written once,
+in _full_operator, as contractions with g~^-1 of one covariant derivative
+nabla, and a backend supplies only that nabla: i k_a per mode on a torus,
+invariant.nabla on Berger.  The ranks each operator takes and returns are
+one table, _RANKS, checked once.  With a constant symmetric tensor T of
+the slice (g~, k~, Ric), scalar_times is the sym2 field f T of a scalar f
+and slice_pairing the scalar g~(T, h), so zeroth-order terms are written
+once too.
 slice_norm, slice_inner and slice_max_abs are the matching L^2 norm, inner
 product and largest coefficient modulus.  operator_matrices reads the
 per-mode matrices of a linear map built from these (P, P(beta, N), DPhi)
@@ -132,9 +131,12 @@ def slice_geometry(kind: str, **params) -> SliceGeometry:
             raise ValueError(f"Kasner slice time t0 must be finite, got {t0}")
         if t0 <= 0:
             raise ValueError("Kasner slice time must be positive (t = 0 is singular)")
-        g = np.diag(t0 ** (2 * p))
-        k = np.diag(p * t0 ** (2 * p - 1))
-        return SliceGeometry(kind, 3, g, k, {"p": p, "t0": t0})
+        with np.errstate(all="ignore"):  # refused below, not warned about
+            g, k = t0 ** (2 * p), p * t0 ** (2 * p - 1)
+            if not np.all(np.isfinite([g, 1.0 / g, k])):
+                raise ValueError(f"Kasner slice time t0 must be finite with g~, g~^-1 and k~ "
+                                 f"finite at it, got {t0!r}")
+        return SliceGeometry(kind, 3, np.diag(g), np.diag(k), {"p": p, "t0": t0})
     if kind == "berger":
         lam = params.get("lam")
         lam = float(inv.SCALAR_FLAT_LAMBDA if lam is None else lam)
@@ -198,53 +200,75 @@ def scalar_times(geom: SliceGeometry, f, T: np.ndarray) -> "SpectralField | inv.
     """The sym2 field f T of a scalar field f and a constant symmetric
     tensor T of the slice (its metric, k~ or Ric), given as a full matrix."""
     _check_field(geom, f)
-    _need(f, ("scalar",), "scalar_times")
+    _need(f.rank, ("scalar",), "scalar_times")
     T = sym2_from_full(T, geom.n)
     if geom.is_torus:
         return SpectralField(f.lattice, "sym2", f.coeffs[:, :1] * T)
     return inv.InvariantField("sym2", f.components[0] * T)
 
 
+def slice_pairing(geom: SliceGeometry, T: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """g~(T, h) = g^ip g^jq T_ij h_pq (B, 1) of a constant symmetric tensor T
+    (full (n, n)) and stored sym2 coefficients h (B, ncomp)."""
+    gi = geom.metric_inv
+    return _contract(gi @ T @ gi, _full_tensors(h, "sym2", geom.n))[:, None]
+
+
 def apply_slice_operator(
     geom: SliceGeometry, kind: str, field
 ) -> "SpectralField | inv.InvariantField":
-    """Apply a slice differential operator.
+    """slice_operator on a field's stored coefficients (and lattice modes)."""
+    _check_field(geom, field)
+    if geom.is_torus:
+        out = slice_operator(geom, kind, field.rank, field.coeffs, field.lattice.modes)
+        return SpectralField(field.lattice, _RANKS[kind][field.rank], out)
+    out = slice_operator(geom, kind, field.rank, field.components[None])
+    return inv.InvariantField(_RANKS[kind][field.rank], out[0])
+
+
+def slice_operator(geom: SliceGeometry, kind: str, rank: str, c: np.ndarray,
+                   modes=None) -> np.ndarray:
+    """A slice differential operator on the stored coefficients c (B, ncomp)
+    of a field of `rank`, at the integer modes (B, n) of a torus (any set:
+    each mode is independent) or with modes None and B = 1 on Berger.
+    Returns the stored coefficients of the result.
 
     Kinds: trace, trace_reverse, divergence (of a one-form or a sym2
     tensor), laplacian, d, hessian, lie_metric (beta -> Lie_beta g~),
     lie_extrinsic (beta -> Lie_beta k~), conformal_killing, its adjoint
-    ckl_adjoint and ckl_normal = L*L, and ricci_pairing, the scalar
-    g~(Ric, h) of a sym2 tensor h.  The ranks each takes and returns are
-    _RANKS; an unknown kind or a rank not there is a ValueError.
+    ckl_adjoint and ckl_normal = L*L, and ricci_pairing, slice_pairing
+    with Ric.  The ranks each takes and returns are _RANKS; an unknown kind
+    or a rank not there is a ValueError.
     """
-    _check_field(geom, field)
     if kind not in _RANKS:
         raise ValueError(f"unknown slice operator kind {kind!r}")
-    _need(field, _RANKS[kind], kind)
-    if kind == "trace_reverse":
-        tr = apply_slice_operator(geom, "trace", field)
-        return field - scalar_times(geom, tr, geom.metric) * 0.5
-    # stored components (B, ncomp) -> full tensors (n, ..., n, B) with the
-    # batch axis last, B the modes of a torus field and 1 on Berger, and back
+    _need(rank, _RANKS[kind], kind)
+    if kind == "ricci_pairing":
+        return slice_pairing(geom, geom.ricci, c)
     n = geom.n
-    c = (field.coeffs if geom.is_torus else field.components[None]).T
-    if field.rank == "sym2":
-        c = c[sym2_to_full(np.arange(len(c)), n)]
-    T = np.ascontiguousarray(c[0] if field.rank == "scalar" else c)
-    rank = _RANKS[kind][field.rank]
-    out = _full_operator(geom, kind, _covariant_derivative(geom, field), T)
+    out = _full_operator(geom, kind, _covariant_derivative(geom, modes), _full_tensors(c, rank, n))
     out = out.reshape(-1, out.shape[-1])
-    if rank == "sym2":  # the rows of the stored upper triangle
+    if _RANKS[kind][rank] == "sym2":  # the rows of the stored upper triangle
         out = out[sym2_from_full(np.arange(n * n).reshape(n, n), n)]
-    out = np.ascontiguousarray(out.T)
-    if geom.is_torus:
-        return SpectralField(field.lattice, rank, out)
-    return inv.InvariantField(rank, out[0])
+    return np.ascontiguousarray(out.T)
 
 
-def _need(field, ranks, kind: str):
-    if field.rank not in ranks:
-        raise ValueError(f"operator {kind!r} expects rank {' or '.join(ranks)}, got {field.rank}")
+def _full_tensors(c: np.ndarray, rank: str, n: int) -> np.ndarray:
+    """Stored coefficients (B, ncomp) -> full tensors (n, ..., n, B)."""
+    c = c.T
+    if rank == "sym2":
+        c = c[sym2_to_full(np.arange(len(c)), n)]
+    return np.ascontiguousarray(c[0] if rank == "scalar" else c)
+
+
+def _contract(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A^{ab} X_{ab...} over the first two slots of X."""
+    return (A.ravel() @ X.reshape(A.size, -1)).reshape(X.shape[2:])
+
+
+def _need(rank: str, ranks, kind: str):
+    if rank not in ranks:
+        raise ValueError(f"operator {kind!r} expects rank {' or '.join(ranks)}, got {rank}")
 
 
 def _check_field(geom: SliceGeometry, field):
@@ -259,13 +283,13 @@ def _check_field(geom: SliceGeometry, field):
         raise ValueError(f"field dimension {field.lattice.n} != slice dimension {geom.n}")
 
 
-def _covariant_derivative(geom: SliceGeometry, field):
+def _covariant_derivative(geom: SliceGeometry, modes):
     """The backend's nabla on full tensors (n, ..., n, B) with the batch axis
     last: nabla T (n, n, ..., n, B), derivative index first.  On a torus it
-    is i k_a per mode; on Berger, whose invariant frame components are
-    constant, inv.nabla."""
+    is i k_a at the integer modes (B, n); on Berger, whose invariant frame
+    components are constant, inv.nabla."""
     if geom.is_torus:
-        ik = np.ascontiguousarray(1j * field.lattice.modes.T)
+        ik = np.ascontiguousarray(1j * modes.T)
         return lambda T: ik.reshape((geom.n,) + (1,) * (T.ndim - 1) + ik.shape[1:]) * T
     geo = geom.invariant_geometry
     return lambda T: inv.nabla(geo, T[..., 0])[..., None]
@@ -278,25 +302,23 @@ def _full_operator(geom: SliceGeometry, kind: str, nabla, T: np.ndarray) -> np.n
     is a matrix product over the leading slots."""
     n, g, gi = geom.n, geom.metric, geom.metric_inv
 
-    def contract(A, X):
-        # A^{ab} X_{ab...} over the first two slots of X
-        return (A.ravel() @ X.reshape(n * n, -1)).reshape(X.shape[2:])
-
     def div(X):
-        return contract(gi, nabla(X))
+        return _contract(gi, nabla(X))
 
     def sym(A):
         return A + np.swapaxes(A, 0, 1)
 
     def conformal_killing(w):
         Dw = nabla(w)
-        return sym(Dw) - (2.0 / n) * g[..., None] * contract(gi, Dw)
+        return sym(Dw) - (2.0 / n) * g[..., None] * _contract(gi, Dw)
 
     def ckl_adjoint(h):
-        return -2.0 * div(h) + (2.0 / n) * nabla(contract(gi, h))
+        return -2.0 * div(h) + (2.0 / n) * nabla(_contract(gi, h))
 
     if kind == "trace":
-        return contract(gi, T)
+        return _contract(gi, T)
+    if kind == "trace_reverse":
+        return T - g[..., None] * _contract(gi, T) * 0.5
     if kind == "divergence":
         return div(T)
     if kind == "d":
@@ -309,7 +331,7 @@ def _full_operator(geom: SliceGeometry, kind: str, nabla, T: np.ndarray) -> np.n
         Df = nabla(T)
         if T.ndim == 1:
             return -div(Df)
-        return -div(Df - np.swapaxes(Df, 0, 1)) - nabla(contract(gi, Df))
+        return -div(Df - np.swapaxes(Df, 0, 1)) - nabla(_contract(gi, Df))
     if kind == "lie_metric":
         return sym(nabla(T))
     if kind == "lie_extrinsic":
@@ -321,10 +343,7 @@ def _full_operator(geom: SliceGeometry, kind: str, nabla, T: np.ndarray) -> np.n
         return conformal_killing(T)
     if kind == "ckl_adjoint":
         return ckl_adjoint(T)
-    if kind == "ckl_normal":
-        return ckl_adjoint(conformal_killing(T))
-    # ricci_pairing: g^ip g^jq Ric_ij h_pq
-    return contract(gi @ geom.ricci @ gi, T)
+    return ckl_adjoint(conformal_killing(T))  # ckl_normal
 
 
 # ---------------------------------------------------------------------------

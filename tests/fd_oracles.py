@@ -12,13 +12,20 @@ reference for the grid-last kernel in `linwave.constraints`.
 
 `berger_matrix` reads the matrix of one slice operator on an invariant
 slice, and `milnor_slice` is a scalar-flat invariant slice off the Berger
-axis.
+axis.  `kasner_triples` are the Kasner exponents the spacetime and
+constraint tests sweep.
+
+`reference_dphi_modes` and `reference_dphi_invariant` are DPhi written out
+separately on each backend, per torus mode by hand and on Berger through
+the k~ = 0 reduction: the references for the one formula
+`linwave.constraints.dphi_modes`.
 """
 
 import numpy as np
 
 import linwave.invariant as inv
-from linwave.slices import SliceGeometry, apply_slice_operator, operator_matrices
+from linwave.fields import sym2_to_full
+from linwave.slices import SliceGeometry, apply_slice_operator, operator_matrices, scalar_times
 
 FD_EPS = 1e-3
 
@@ -181,3 +188,53 @@ def milnor_slice(b):
     at invariant.SCALAR_FLAT_LAMBDA)."""
     geo = inv.InvariantGeometry(np.diag([(np.sqrt(b) + 1.0) ** 2, b, 1.0]))
     return SliceGeometry("berger", 3, geo.metric, np.zeros((3, 3)), {"geometry": geo})
+
+
+def kasner_triples():
+    # the generic triple is p_i = 1/3 + 2/3 cos(0.7 + 2 pi i / 3)
+    generic = tuple(1 / 3 + 2 / 3 * np.cos(0.7 + 2 * np.pi * i / 3) for i in range(3))
+    return ((2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0), (1.0, 0.0, 0.0), generic)
+
+
+def reference_dphi_modes(geom, modes, h, m):
+    """DPhi_1 (N,) and DPhi_2 (N, n) of torus data: the stored sym2
+    coefficients h and m (N, ncomp) at the integer modes (N, n), contracted
+    by hand per mode (d -> i k, g~^-1 k written kup)."""
+    n = geom.n
+    G = geom.metric
+    gi = geom.metric_inv
+    K = geom.extrinsic
+    k = np.asarray(modes, float)
+    kup = k @ gi.T
+    H = sym2_to_full(h, n)
+    M = sym2_to_full(m, n)
+    trK = np.trace(gi @ K)
+    kok = K @ gi @ K  # (k~ o k~)_ab = g~(k~(a,.), k~(b,.))
+    A_up = gi @ (2.0 * (kok - trK * K)) @ gi
+    K_up = gi @ K @ gi
+    ric_up = gi @ geom.ricci @ gi
+    tr_h, gKh, Ah = (H.reshape(-1, n * n) @ np.stack(
+        [gi.ravel(), K_up.ravel(), (A_up - ric_up).ravel()], axis=1)).T
+    tr_m, gKm = (M.reshape(-1, n * n) @ np.stack([gi.ravel(), K_up.ravel()], axis=1)).T
+    kk = kup[:, :, None] * kup[:, None, :]
+    divdivh = -(kk.reshape(-1, 1, n * n) @ H.reshape(-1, n * n, 1))[:, 0, 0]
+    k2 = np.einsum("ka,ka->k", kup, k)
+    dphi1 = divdivh + k2 * tr_h + Ah - 2.0 * (gKm - trK * tr_m)
+    hbar = H - 0.5 * tr_h[:, None, None] * G
+    divhbar = 1j * (kup[:, None, :] @ hbar)[:, 0]
+    term2 = -divhbar @ (gi @ K)
+    term34 = 0.5j * k * gKh[:, None]
+    term5 = 1j * ((kup[:, None, :] @ M)[:, 0] - tr_m[:, None] * k)
+    return dphi1, term2 + term34 + term5
+
+
+def reference_dphi_invariant(geom, h, m):
+    """(DPhi_1, DPhi_2) of invariant fields on a slice with k~ = 0:
+    (div div h~ - g~(Ric, h~), div(m~ - (tr m~) g~)); the d tr terms are
+    derivatives of invariant scalars and vanish identically."""
+    div_h = apply_slice_operator(geom, "divergence", h)
+    scalar = (apply_slice_operator(geom, "divergence", div_h)
+              - apply_slice_operator(geom, "ricci_pairing", h))
+    tr_m = apply_slice_operator(geom, "trace", m)
+    oneform = apply_slice_operator(geom, "divergence", m - scalar_times(geom, tr_m, geom.metric))
+    return scalar, oneform

@@ -159,6 +159,16 @@ def test_check_identities_exit_zero(capsys):
     assert all(r["value"] <= 1e-10 for r in out["results"])
 
 
+@pytest.mark.parametrize("suite", ["identities", "constraints"])
+@pytest.mark.parametrize("trials", [0, -2])
+def test_check_refuses_fewer_than_one_trial(suite, trials, capsys):
+    # zero trials would report an empty, vacuously passing result list
+    assert run_cli(["check", "--suite", suite, "--trials", str(trials)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--trials must be >= 1, got {trials}" in captured.err
+
+
 def test_background_subcommand(capsys):
     assert run_cli(["background", "--kind", "berger"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -183,6 +193,9 @@ def test_unsupported_torus_dimension_is_refused(n, capsys):
     (["--kind", "kasner", "--p", "2/3,2/3,-1/3", "--t0", "inf"], "t0"),
     (["--kind", "berger", "--lam", "inf"], "lam"),
     (["--kind", "berger", "--lam", "nan"], "lam"),
+    (["--kind", "kasner", "--p", "1,0,0", "--t0", "1e300"], "t0"),
+    (["--kind", "kasner", "--p", "2/3,2/3,-1/3", "--t0", "1e-200"], "t0"),
+    (["--kind", "kasner", "--p", "1,0,0", "--t0", "1e-300"], "t0"),
 ])
 def test_background_refuses_parameters_that_are_not_finite(capsys, argv, name):
     rc = run_cli(["background", *argv])

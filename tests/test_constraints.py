@@ -14,6 +14,7 @@ from linwave.constraints import (
     _stencil_symbols,
     _torus_constraint_fields,
     dphi,
+    dphi_modes,
     dphi_oracle,
     normal_identities,
 )
@@ -32,7 +33,13 @@ from linwave.fields import (
 from linwave.slices import slice_geometry
 from linwave.spacetime import CauchyJet, spacetime_background
 
-from fd_oracles import phi_pointwise_reference
+from fd_oracles import (
+    kasner_triples,
+    milnor_slice,
+    phi_pointwise_reference,
+    reference_dphi_invariant,
+    reference_dphi_modes,
+)
 
 KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
 
@@ -121,15 +128,56 @@ def test_dphi_matches_oracle_kasner_slice():
 
 
 def test_dphi_matches_oracle_berger():
+    # on the scalar-flat Berger sphere, and on curved slices off it: a
+    # squashed Berger sphere and a Milnor slice with three distinct axes
     rng = np.random.default_rng(12)
-    pair = InitialDataPair(
-        inv.InvariantField("sym2", rng.standard_normal(6)),
-        inv.InvariantField("sym2", rng.standard_normal(6)),
-        slice_geometry("berger"),
-    )
-    a, b = dphi(pair), dphi_oracle(pair)
-    assert abs(a.scalar.components[0] - b.scalar.components[0]) < 1e-7
-    assert np.max(np.abs(a.oneform.components - b.oneform.components)) < 1e-7
+    for geom in (slice_geometry("berger"), slice_geometry("berger", lam=2.7), milnor_slice(1.5)):
+        pair = InitialDataPair(
+            inv.InvariantField("sym2", rng.standard_normal(6)),
+            inv.InvariantField("sym2", rng.standard_normal(6)),
+            geom,
+        )
+        a, b = dphi(pair), dphi_oracle(pair)
+        assert abs(a.scalar.components[0] - b.scalar.components[0]) < 1e-7
+        assert np.max(np.abs(a.oneform.components - b.oneform.components)) < 1e-7
+
+
+@pytest.mark.parametrize("geom", [
+    slice_geometry("flat-torus", n=3),
+    slice_geometry("flat-torus", n=2),
+    *(slice_geometry("kasner", p=p, t0=t0) for p in kasner_triples() for t0 in (0.7, 1.3)),
+], ids=["torus3", "torus2", *(f"kasner{i}-t{t0}" for i in range(3) for t0 in (0.7, 1.3))])
+def test_dphi_matches_the_per_mode_torus_reference(geom):
+    # the one formula against DPhi contracted by hand per mode, on the whole
+    # lattice (through dphi) and on the half lattice the diagnostics read
+    rng = np.random.default_rng(14)
+    lat = ModeLattice(geom.n, 3)
+    h, m = random_field(lat, "sym2", rng), random_field(lat, "sym2", rng)
+    res = dphi(InitialDataPair(h, m, geom))
+    idx = lat.half_indices()
+    for got, rows in (((res.scalar.coeffs, res.oneform.coeffs), np.arange(lat.num_modes)),
+                      (dphi_modes(geom, lat.modes[idx], h.coeffs[idx], m.coeffs[idx]), idx)):
+        want1, want2 = reference_dphi_modes(geom, lat.modes[rows], h.coeffs[rows], m.coeffs[rows])
+        for g, w in ((got[0], want1[:, None]), (got[1], want2)):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("geom", [
+    slice_geometry("berger"),
+    slice_geometry("berger", lam=2.7),
+    slice_geometry("berger", lam=1.0),
+    milnor_slice(1.5),
+], ids=["lam4", "lam2.7", "lam1", "milnor1.5"])
+def test_dphi_matches_the_invariant_reference(geom):
+    # with k~ = 0 every k~ term of the one formula is an exact zero, so the
+    # k~-free reduction is reproduced bit for bit
+    rng = np.random.default_rng(15)
+    h, m = (inv.InvariantField("sym2", rng.standard_normal(6)) for _ in range(2))
+    res = dphi(InitialDataPair(h, m, geom))
+    want1, want2 = reference_dphi_invariant(geom, h, m)
+    assert np.array_equal(res.scalar.components, want1.components)
+    assert np.array_equal(res.oneform.components, want2.components)
 
 
 def test_dphi_is_linear():

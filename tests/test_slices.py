@@ -44,6 +44,10 @@ def test_kasner_exponent_validation():
     ("kasner", dict(p=KASNER_P, t0=np.inf), "t0"),
     ("berger", dict(lam=np.inf), "lam"),
     ("berger", dict(lam=np.nan), "lam"),
+    # finite t0 at which g~ (1e600), k~ (1e333) or g~^-1 (1e600) overflows
+    ("kasner", dict(p=[1.0, 0.0, 0.0], t0=1e300), "t0"),
+    ("kasner", dict(p=KASNER_P, t0=1e-200), "t0"),
+    ("kasner", dict(p=[1.0, 0.0, 0.0], t0=1e-300), "t0"),
 ])
 def test_geometry_refuses_parameters_that_are_not_finite(kind, params, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):

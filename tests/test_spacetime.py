@@ -35,7 +35,7 @@ from linwave.spacetime import (
     unknown_jet,
 )
 
-from fd_oracles import fd_d_ric, fd_lichnerowicz, fd_ricci, metric_fn, mode_apply
+from fd_oracles import fd_d_ric, fd_lichnerowicz, fd_ricci, kasner_triples, metric_fn, mode_apply
 
 KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
 MINK = spacetime_background("minkowski-torus", n=3)
@@ -245,12 +245,6 @@ APPLY_MODES = np.array(
 )
 
 
-def _kasner_triples():
-    # the generic triple is p_i = 1/3 + 2/3 cos(0.7 + 2 pi i / 3)
-    generic = tuple(1 / 3 + 2 / 3 * np.cos(0.7 + 2 * np.pi * i / 3) for i in range(3))
-    return (KASNER_P, (1.0, 0.0, 0.0), generic)
-
-
 def _complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -273,7 +267,7 @@ def test_family_coefficient_table_matches_direct_assembly():
     # C_j(1) * t**E_j against the symbolic jet assembly at t itself
     modes = _probe_modes(3)
     basis = monomial_basis(modes)
-    for p in _kasner_triples():
+    for p in kasner_triples():
         bg = spacetime_background("kasner", p=p)
         for kind in OPERATOR_KINDS:
             for t in (0.3, 1.0, 1.7, 2.9):
@@ -296,7 +290,7 @@ def test_family_coefficient_table_matches_direct_assembly():
 
 
 def _table_backgrounds():
-    return [MINK] + [spacetime_background("kasner", p=p) for p in _kasner_triples()]
+    return [MINK] + [spacetime_background("kasner", p=p) for p in kasner_triples()]
 
 
 def _reflection_signs(ncomp, dim, index):
@@ -402,7 +396,7 @@ def _dense_reference(bg, kind, t, modes, us):
 
 def test_family_action_matches_direct_assembly():
     rng = np.random.default_rng(6)
-    backgrounds = [MINK] + [spacetime_background("kasner", p=p) for p in _kasner_triples()]
+    backgrounds = [MINK] + [spacetime_background("kasner", p=p) for p in kasner_triples()]
     for bg in backgrounds:
         for kind in OPERATOR_KINDS:
             ncomp = 10 if kind in ("lichnerowicz", "div_trace_reversed", "d_ric") else 4
@@ -453,7 +447,7 @@ def test_family_action_rate_is_exact_derivative():
     rng = np.random.default_rng(8)
     u = _complex_normal(rng, (len(APPLY_MODES), 4))
     eps = 1e-6
-    for p in _kasner_triples():
+    for p in kasner_triples():
         bg = spacetime_background("kasner", p=p)
         for t in (0.3, 1.7):
             rate = FamilyAction(bg, "lie_of_g", t, APPLY_MODES).rate()
