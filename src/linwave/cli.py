@@ -94,6 +94,10 @@ def _geometry_from_args(args):
             raise ConfigError(f"--{flag} does not apply to --kind {args.kind}")
     if args.kind == "kasner" and "p" not in given:
         raise ConfigError("kasner requires --p")
+    # checked on every kind: Berger builds no lattice, so nothing else would
+    nmax = getattr(args, "nmax", None)
+    if nmax is not None and nmax < 1:
+        raise ConfigError(f"nmax must be >= 1, got {nmax}")
     return slice_geometry(args.kind, **given)
 
 
@@ -463,3 +467,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

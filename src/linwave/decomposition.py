@@ -159,22 +159,37 @@ def _least_squares(geom: SliceGeometry, A: np.ndarray, y: np.ndarray, rows, cols
     rcond KERNEL_TOL in u = Rd^-1 pinv(Rc A Rd^-1) Rc y, where R^T R is the
     pointwise Gram matrix of a rank tuple (the volume factor cancels).
     Slice operators have real coefficients, so on a torus A(-k) = conj A(k)
-    and the pinv is taken on lattice.half_indices() only; each -k partner
-    takes its conjugate, for real and complex y alike."""
+    and the fit runs on lattice.half_indices() only, each of those modes
+    also fitting its -k partner's data with the conjugate pinv, for real
+    and complex y alike.
+
+    On a torus A must be injective at every k != 0, as P(beta, N) is on the
+    flat torus: there the fit solves the normal equations, one small Gram
+    matrix B^H B per mode, and the rank-revealing pinv runs at k = 0 only."""
     Rc, Rd = (_gram_factor(geom, ranks) for ranks in (rows, cols))
     Rd_inv = np.linalg.inv(Rd)
     m, r, c = A.shape
     # Rc A Rd^-1 as one GEMM: X -> Rc X Rd^-1 is kron(Rc, Rd^-T) on rows of X
     B = (A.reshape(m, r * c) @ np.kron(Rc, Rd_inv.T).T).reshape(m, r, c)
+    ry = y @ Rc.T
     if lattice is None:
-        pinv = np.linalg.pinv(B, rcond=KERNEL_TOL)
+        z = np.einsum("mcr,mr->mc", np.linalg.pinv(B, rcond=KERNEL_TOL), ry)
     else:
         half = lattice.half_indices()
-        pinv = np.empty((m, c, r), B.dtype)
-        pinv_half = np.linalg.pinv(B[half], rcond=KERNEL_TOL)
-        pinv[lattice.negation_permutation()[half]] = np.conj(pinv_half)
-        pinv[half] = pinv_half  # last, so k = 0, its own partner, keeps its own
-    z = np.einsum("mcr,mr->mc", pinv, y @ Rc.T)
+        partner = lattice.negation_permutation()[half]
+        zero = np.searchsorted(half, lattice.mode_index((0,) * lattice.n))
+        B_half = B[half]
+        # each half mode fits its own data and, as pinv(-k) = conj pinv(k),
+        # the conjugate of its partner's: two right-hand sides per mode
+        rhs = np.stack([ry[half], np.conj(ry[partner])], axis=-1)
+        adj = np.conj(np.swapaxes(B_half, 1, 2))
+        gram = adj @ B_half
+        gram[zero] = np.eye(c)  # singular at k = 0, whose fit is the pinv below
+        w = np.linalg.solve(gram, adj @ rhs)
+        w[zero] = np.linalg.pinv(B_half[zero], rcond=KERNEL_TOL) @ rhs[zero]
+        z = np.empty((m, c), w.dtype)
+        z[partner] = np.conj(w[..., 1])
+        z[half] = w[..., 0]  # last, so k = 0, its own partner, keeps its own
     return z @ Rd_inv.T
 
 

@@ -15,8 +15,13 @@ The assembly works with "jets": a JetTensor stores, for a tensor field
 T linear in an unknown mode function u(t) and its time derivatives,
 the coefficient of u^{(j)} in every component of T, together with
 enough precomputed time derivatives of those coefficients that further
-covariant derivatives can be taken exactly.  Five operator kinds are
-assembled (OPERATOR_KINDS): lichnerowicz (box_L h), div_trace_reversed
+covariant derivatives can be taken exactly.  The wave covector k stays
+symbolic: each coefficient is a polynomial in i k, held as one real
+coefficient per monomial [1, i k_a, (i k_a)^2, i k_a i k_b], and a
+spatial derivative multiplies by i k_a, a fixed shift of the monomials.
+Every operator is at most quadratic in k, so one real assembly gives its
+whole coefficient table (see family_coefficients).  Five operator kinds
+are assembled (OPERATOR_KINDS): lichnerowicz (box_L h), div_trace_reversed
 (div hbar), d_ric (DRic h), lie_of_g (Lie_V g) and connection_wave
 (nabla*nabla V); each has a reader in the evolution or constraint code.
 
@@ -28,7 +33,9 @@ RingR h(X,Y) = tr_g h(R(.,X)Y, .), box_L h = nabla*nabla h - 2 RingR h.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import functools
+import itertools
+from dataclasses import dataclass, replace
 from math import comb
 from typing import NamedTuple
 
@@ -38,8 +45,6 @@ from .errors import InternalError
 from .fields import (
     SpectralField,
     monomial_basis,
-    quadratic_coefficients,
-    quadratic_probes,
     sym2_from_full,
     sym2_index_pairs,
     sym2_to_full,
@@ -62,15 +67,19 @@ def _pow_derivs(coef: float, expo: float, t: float, depth: int) -> np.ndarray:
 def _leib(A: np.ndarray, B: np.ndarray, sub: str) -> np.ndarray:
     """Leibniz rule for derivative stacks: A, B are (depth+1, ...) arrays of
     successive time derivatives; returns the derivative stack of the
-    contraction described by `sub` (einsum over the trailing axes)."""
+    contraction described by `sub` (einsum over the trailing axes).  A
+    derivative of A of order >= 1 that is exactly zero is skipped."""
     depth = min(A.shape[0], B.shape[0]) - 1
-    pieces = []
+    out = None
     for d in range(depth + 1):
-        acc = 0.0
         for m in range(d + 1):
-            acc = acc + comb(d, m) * np.einsum(sub, A[m], B[d - m])
-        pieces.append(acc)
-    return np.array(pieces)
+            if m and not np.any(A[m]):
+                continue
+            term = np.einsum(sub, A[m], B[d - m])
+            if out is None:
+                out = np.zeros((depth + 1,) + term.shape, term.dtype)
+            out[d] += comb(d, m) * term
+    return out
 
 
 @dataclass(frozen=True)
@@ -166,19 +175,53 @@ def spacetime_background(kind: str, **params) -> SpacetimeBackground:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _k_monomials(n: int, degree: int) -> np.ndarray:
+    """Exponent rows e of the monomials (i k)^e of degree <= `degree` in
+    n variables, by degree and, through degree 2, in the order of
+    fields.monomial_basis: [1, i k_a, (i k_a)^2, i k_a i k_b (a < b)]."""
+    eye = np.eye(n, dtype=int)
+    rows = [np.zeros(n, int)]
+    for d in range(1, degree + 1):
+        # the squares (one distinct index) before the cross terms
+        combos = sorted(itertools.combinations_with_replacement(range(n), d),
+                        key=lambda c: len(set(c)))
+        rows += [eye[list(c)].sum(axis=0) for c in combos]
+    out = np.array(rows)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _k_shift(n: int, degree: int) -> tuple:
+    """Multiplication by i k_a on a jet's monomials: (low, targets), where
+    the monomials 0..low-1 are those below the top degree and targets[a]
+    lists the monomial that (i k_a) times each of them is."""
+    mono = _k_monomials(n, degree)
+    index = {tuple(e): m for m, e in enumerate(mono)}
+    low = int(np.sum(mono.sum(axis=1) < degree))
+    targets = tuple(np.array([index[tuple(e)] for e in mono[:low] + np.eye(n, dtype=int)[a]])
+                    for a in range(n))
+    return low, targets
+
+
 @dataclass
 class JetTensor:
-    """Tensor field on a single spatial mode, linear in (u, u', u'', ...).
+    """Tensor field on a single spatial mode k, linear in (u, u', u'', ...),
+    with k kept symbolic.
 
-    data[d, j, i_1..i_r, c] is the d-th time derivative of the coefficient
-    multiplying u^{(j)}_c in the tensor component T_{i_1..i_r}.  All lower
-    indices; raising happens through explicit metric contractions.
+    data[d, j, i_1..i_r, Y] is the d-th time derivative of the coefficient
+    multiplying (i k)^e u^{(j)}_c in the tensor component T_{i_1..i_r}: the
+    hidden axis Y runs over the pairs (monomial e, component c), monomial
+    major, with the monomials of _k_monomials(n, degree).  Every
+    coefficient is real.  All lower indices; raising happens through
+    explicit metric contractions.
     """
 
     bg: SpacetimeBackground
     t: float
-    k: np.ndarray  # spatial wave covector, length n
     data: np.ndarray
+    degree: int = 2  # the highest power of k the jet holds
 
     @property
     def depth(self) -> int:
@@ -192,30 +235,23 @@ class JetTensor:
     def rank(self) -> int:
         return self.data.ndim - 3
 
-    @property
-    def ncomp(self) -> int:
-        return self.data.shape[-1]
 
-    def k_ext(self) -> np.ndarray:
-        out = np.zeros(self.bg.dim)
-        out[1:] = self.k
-        return out
-
-
-def unknown_jet(bg: SpacetimeBackground, t: float, k, rank: str, depth: int) -> JetTensor:
-    """The identity jet of the unknown itself (sym2 or one-form)."""
-    k = np.asarray(k, float)
+def unknown_jet(bg: SpacetimeBackground, t: float, rank: str, depth: int,
+                degree: int = 2) -> JetTensor:
+    """The identity jet of the unknown itself (sym2 or one-form): the
+    constant monomial of every component."""
     dim = bg.dim
     if rank == "sym2":
-        ncomp = dim * (dim + 1) // 2
-        data = np.zeros((depth + 1, 1, dim, dim, ncomp), complex)
-        data[0, 0] = np.moveaxis(sym2_to_full(np.eye(ncomp), dim), 0, -1)
+        eye = np.moveaxis(sym2_to_full(np.eye(dim * (dim + 1) // 2), dim), 0, -1)
     elif rank == "one-form":
-        data = np.zeros((depth + 1, 1, dim, dim), complex)
-        data[0, 0] = np.eye(dim)
+        eye = np.eye(dim)
     else:
         raise ValueError(f"unsupported unknown rank {rank!r}")
-    return JetTensor(bg, t, k, data)
+    ncomp = eye.shape[-1]
+    data = np.zeros((depth + 1, 1) + eye.shape[:-1]
+                    + (len(_k_monomials(bg.n, degree)) * ncomp,))
+    data[0, 0, ..., :ncomp] = eye
+    return JetTensor(bg, t, data, degree)
 
 
 def jet_add(a: JetTensor, b: JetTensor, ca: float = 1.0, cb: float = 1.0) -> JetTensor:
@@ -224,14 +260,14 @@ def jet_add(a: JetTensor, b: JetTensor, ca: float = 1.0, cb: float = 1.0) -> Jet
     shape = (depth + 1, order + 1) + a.data.shape[2:]
     if a.data.shape[2:] != b.data.shape[2:]:
         raise ValueError("jet shape mismatch")
-    data = np.zeros(shape, complex)
+    data = np.zeros(shape, np.result_type(a.data, b.data))
     data[:, : a.order + 1] += ca * a.data[: depth + 1]
     data[:, : b.order + 1] += cb * b.data[: depth + 1]
-    return JetTensor(a.bg, a.t, a.k, data)
+    return replace(a, data=data)
 
 
 def jet_scale(a: JetTensor, c: float) -> JetTensor:
-    return JetTensor(a.bg, a.t, a.k, c * a.data)
+    return replace(a, data=c * a.data)
 
 
 def jet_apply(F_derivs: np.ndarray, J: JetTensor, sub: str) -> JetTensor:
@@ -243,37 +279,53 @@ def jet_apply(F_derivs: np.ndarray, J: JetTensor, sub: str) -> JetTensor:
     """
     fin, rest = sub.split(",")
     jin, jout = rest.split("->")
-    # hidden axes: O = u-derivative order, Y = unknown component
+    # hidden axes: O = u-derivative order, Y = (k-monomial, unknown component)
     ss = f"{fin},O{jin}Y->O{jout}Y"
-    return JetTensor(J.bg, J.t, J.k, _leib(F_derivs, J.data, ss))
+    return replace(J, data=_leib(F_derivs, J.data, ss))
 
 
 def jet_nabla(J: JetTensor) -> JetTensor:
     """Covariant derivative; the new (lower) index comes first."""
     if J.depth < 1:
         raise ValueError("jet depth exhausted; start with a deeper unknown jet")
-    bg, t = J.bg, J.t
-    dim = bg.dim
+    bg, dim, r = J.bg, J.bg.dim, J.rank
     depth = J.depth - 1
-    order = J.order + 1
-    r = J.rank
-    pad = np.zeros((J.depth + 1, order + 1) + J.data.shape[2:], complex)
-    pad[:, : J.order + 1] = J.data
-    out = np.zeros((depth + 1, order + 1) + (dim,) * (r + 1) + (J.ncomp,), complex)
+    npoly = len(_k_monomials(bg.n, J.degree))
+    low, targets = _k_shift(bg.n, J.degree)
+    data = J.data[: depth + 1]
+    src = data.reshape(data.shape[:-1] + (npoly, -1))  # (..., monomial, component)
+    if np.any(src[..., low:, :]):
+        raise InternalError(
+            f"spacetime.jet_nabla: a term of k-degree {J.degree + 1}; the jet "
+            f"holds monomials up to degree {J.degree}"
+        )
+    out = np.zeros((depth + 1, J.order + 2) + (dim,) * (r + 1) + J.data.shape[-1:],
+                   J.data.dtype)
     # time direction: d/dt acts on the coefficients and shifts u-derivatives
-    out[:, :, 0] = pad[1 : depth + 2]
-    out[:, 1:, 0] += pad[: depth + 1, :-1]
-    # spatial directions: multiplication by i k_a on the mode
-    kx = J.k_ext()
-    for a in range(1, dim):
-        out[:, :, a] = 1j * kx[a] * pad[: depth + 1]
-    # Christoffel corrections, one per original index slot
-    gam = bg.gamma_derivs(t, depth)
-    letters = "abcdef"[:r]
-    for s in range(r):
-        jin = letters[:s] + "z" + letters[s + 1 :]
-        out -= _leib(gam, pad, f"zn{letters[s]},O{jin}Y->On{letters}Y")
-    return JetTensor(bg, t, J.k, out)
+    out[:, : J.order + 1, 0] = J.data[1:]
+    out[:, 1:, 0] += data
+    # spatial directions: i k_a raises each monomial of Y by one degree
+    dst = out.reshape(out.shape[:-1] + (npoly, -1))[:, : J.order + 1]
+    for a, target in enumerate(targets):
+        dst[:, :, 1 + a][..., target, :] = src[..., :low, :]
+    # Christoffel corrections, one per original index slot: each is one
+    # GEMM of Gamma^z_{n s} against the jet with slot s moved to the front.
+    # The top-degree monomials are zero (checked above), so only the
+    # leading `low` monomials of Y take part
+    gam = bg.gamma_derivs(J.t, depth)
+    ylow = low * (J.data.shape[-1] // npoly)
+    for d in range(depth + 1):
+        acc = out[d, : J.order + 1, ..., :ylow]
+        for m in range(d + 1):
+            if not np.any(gam[m]):
+                continue  # every stack on the Minkowski torus
+            G = comb(d, m) * gam[m].reshape(dim, dim * dim).T  # (n s, z)
+            for s in range(r):
+                X = np.moveaxis(data[d - m, ..., :ylow], 1 + s, 0)
+                T = (G @ X.reshape(dim, -1)).reshape((dim, dim) + X.shape[1:])
+                # T[n, s, O, ...] -> acc[O, n, ..., s at its slot, ...]
+                np.subtract(acc, np.moveaxis(T, (0, 1, 2), (1, 2 + s, 0)), out=acc)
+    return replace(J, data=out)
 
 
 def jet_trace(J: JetTensor) -> JetTensor:
@@ -335,7 +387,7 @@ def jet_d_ric(J: JetTensor) -> JetTensor:
         + np.einsum("dobxay->doxaby", A)
         - A
     )
-    K = jet_nabla(JetTensor(J.bg, J.t, J.k, C))  # K_{e x a b} = nabla_e C_{xab}
+    K = jet_nabla(replace(J, data=C))  # K_{e x a b} = nabla_e C_{xab}
     gi = J.bg.metric_inv_derivs(J.t, K.depth)
     term1 = jet_apply(gi, K, "ex,exab->ab")
     term2 = jet_apply(gi, K, "cx,axcb->ab")
@@ -345,8 +397,7 @@ def jet_d_ric(J: JetTensor) -> JetTensor:
 def jet_lie_of_g(J: JetTensor) -> JetTensor:
     """V one-form jet -> (Lie_{V#} g)_{ab} = nabla_a V_b + nabla_b V_a."""
     D = jet_nabla(J)
-    sym = D.data + np.einsum("dobay->doaby", D.data)
-    return JetTensor(J.bg, J.t, J.k, sym)
+    return replace(D, data=D.data + np.einsum("dobay->doaby", D.data))
 
 
 _JET_FUNCS = {
@@ -360,24 +411,39 @@ OPERATOR_KINDS = tuple(_JET_FUNCS)
 
 
 def jet_matrices(J: JetTensor) -> list[np.ndarray]:
-    """Read the depth-0 slice off a rank-1 or rank-2 jet as component
-    matrices [M_0, M_1, ...] with (T)_comp = sum_j M_j u^{(j)}."""
+    """Read the depth-0 slice off a rank-1 or rank-2 jet as its polynomial
+    coefficient matrices [C_0, C_1, ...], each (npoly, ncomp_out, ncomp_in),
+    with (T)_comp = sum_j sum_p k^p (C_j)_p u^{(j)} over the monomials p of
+    the jet (monomial_basis order through degree 2).  The jet holds the
+    coefficient C'_p of (i k)^p, so C_p = i^deg(p) C'_p, exactly."""
+    mono = _k_monomials(J.bg.n, J.degree)
+    phase = np.array([1.0, 1j, -1.0, -1j])[mono.sum(axis=1) % 4]
+    data = J.data[0]
+    data = data.reshape(data.shape[:-1] + (len(mono), -1))  # (O, idx..., p, c)
     if J.rank == 1:
-        return [J.data[0, j] for j in range(J.order + 1)]
-    if J.rank == 2:
-        out = []
-        for full in np.moveaxis(J.data[0], -1, 1):  # (ncomp_in, dim, dim) per order
-            asym = float(np.max(np.abs(full - np.transpose(full, (0, 2, 1)))))
+        tables = np.moveaxis(data, 1, 2)
+    elif J.rank == 2:
+        for full in data:
+            asym = float(np.max(np.abs(full - np.swapaxes(full, 0, 1))))
             scale = max(1.0, float(np.max(np.abs(full))))
             if asym > 1e-10 * scale:
                 raise InternalError(
                     f"spacetime.jet_matrices: rank-2 jet output not symmetric "
                     f"(defect {asym:.2e})"
                 )
-            # row-major (ncomp_out, ncomp_in), so M @ u keeps BLAS's row-major path
-            out.append(np.ascontiguousarray(sym2_from_full(full, J.bg.dim).T))
-        return out
-    raise ValueError("only rank-1/rank-2 jets convert to mode matrices")
+        tables = np.swapaxes(sym2_from_full(np.moveaxis(data, (1, 2), (3, 4)), J.bg.dim),
+                             -1, -2)
+    else:
+        raise ValueError("only rank-1/rank-2 jets convert to mode matrices")
+    return [phase[:, None, None] * C for C in tables]
+
+
+def _assembled_coefficients(background: SpacetimeBackground, kind: str, t: float) -> list:
+    """The coefficient matrices [C_0, C_1, ...] of a mode operator at time
+    t, each (npoly, ncomp_out, ncomp_in) in the monomial basis of
+    fields.monomial_basis: one jet assembly with k kept symbolic."""
+    rank, func, depth = _JET_FUNCS[kind]
+    return jet_matrices(func(unknown_jet(background, t, rank, depth)))
 
 
 @dataclass(frozen=True)
@@ -389,24 +455,18 @@ class ModeOperator:
     k: tuple
 
     def matrices(self, t: float) -> list[np.ndarray]:
-        rank, func, depth = _JET_FUNCS[self.kind]
-        J = unknown_jet(self.background, t, np.asarray(self.k, float), rank, depth)
-        return jet_matrices(func(J))
+        """[M_0, M_1, ...] at time t: sum_p k^p C_p from a fresh symbolic
+        assembly at t itself (one per call), so it does not go through the
+        homothety law of the family tables."""
+        basis = monomial_basis(np.array([self.k]))[0]
+        return [np.tensordot(basis, C, 1)
+                for C in _assembled_coefficients(self.background, self.kind, t)]
 
 
 def assemble_mode_operator(background: SpacetimeBackground, kind: str, k) -> ModeOperator:
     if kind not in _JET_FUNCS:
         raise ValueError(f"unsupported operator kind {kind!r}; known: {OPERATOR_KINDS}")
     return ModeOperator(background, kind, tuple(np.asarray(k, float)))
-
-
-def _probe_coefficients(background: SpacetimeBackground, kind: str) -> list:
-    """Polynomial coefficient matrices of a mode operator at t = 1, by ten
-    probe assemblies (k = 0, +-e_a, e_a + e_b); see family_coefficients."""
-    n = background.n
-    return [quadratic_coefficients(np.stack(mats), n)
-            for mats in zip(*(assemble_mode_operator(background, kind, k).matrices(1.0)
-                              for k in quadratic_probes(n)))]
 
 
 def _component_weights(w: np.ndarray, ncomp: int) -> np.ndarray:
@@ -448,17 +508,20 @@ def _homothety_exponents(background: SpacetimeBackground, kind: str, shapes) -> 
 # (background kind, n, p, operator kind) -> (C_j(1) list, E_j list, layout_j list)
 _TABLES: dict = {}
 
-# Probe entries (real and imaginary parts apart) at or below this many units
+# Table entries (real and imaginary parts apart) at or below this many units
 # in the last place of the table's scale (its largest entry, at least 1) are
-# round-off and are set to exactly zero.  At t = 1 every metric and
-# Christoffel entry of both backgrounds is O(1), and each probe coefficient
-# is a difference of at most six assembled matrices, so its round-off is a
-# few ulp.  On the five kinds, on the Minkowski torus and the three Kasner
-# triples of the tests, it is at most 0.8 ulp, mostly on the k_a k_b blocks
-# of lichnerowicz, d_ric and connection_wave on a diagonal metric; it is at
-# most 2.1 ulp on five more random triples.  Zeroing a true entry this small
-# would move the operator by less than the probes' own error; the smallest
-# true entry seen is 3e-2 of the scale (7e-4 on the random triples).
+# round-off and are set to exactly zero.  The table is one assembly at
+# t = 1, where every metric and Christoffel entry of both backgrounds is
+# O(1), and every entry that the k-structure makes zero comes out exactly
+# zero.  The round-off left sits in the constant block of order 0 of d_ric
+# and connection_wave on Kasner: entries that vanish only through the
+# Kasner conditions sum p = sum p^2 = 1, which floating-point exponents meet
+# to round-off.  There are 16 such entries on the three named Kasner triples
+# of the tests and 6 on the generic one, at most 0.75 ulp (none on the
+# Minkowski torus or on (1, 0, 0)), and at most 3.4 ulp on 50 random
+# triples.  Zeroing a true entry this small would move the operator by
+# less than its own round-off; the smallest true entry seen is 3e-2 of the
+# scale (7e-5 on the random triples).
 _ROUNDOFF_ULPS = 64
 
 
@@ -576,14 +639,15 @@ def family_coefficients(background: SpacetimeBackground, kind: str, t: float) ->
     """Polynomial coefficient matrices of a mode operator.
 
     The per-mode matrices are quadratic polynomials in k (each spatial
-    derivative contributes one factor i k), so ten probe assemblies
-    (k = 0, +-e_a, e_a + e_b) recover the exact coefficients in the
-    monomial basis [1, k_a..., k_a^2..., k_a k_b (a < b)...].
+    derivative contributes one factor i k), with coefficients in the
+    monomial basis [1, k_a..., k_a^2..., k_a k_b (a < b)...]: one jet
+    assembly with k kept symbolic gives the coefficient C'_p of (i k)^p,
+    and C_p = i^deg(p) C'_p.
 
     Returns [C_0, C_1, ...] with C_j of shape (npoly, ncomp_out, ncomp_in).
 
-    The probes run once per (background, kind), at t = 1, on first use;
-    entries at the level of their round-off are set to exactly zero (see
+    The assembly runs once per (background, kind), at t = 1, on first use;
+    entries at the level of its round-off are set to exactly zero (see
     _ROUNDOFF_ULPS).  Kasner is self-similar, so every entry of C_j(t) is a
     single power of t and C_j(t) = C_j(1) * t**E_j holds exactly, with
 
@@ -614,7 +678,7 @@ def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
     )
     table = _TABLES.get(key)
     if table is None:
-        A = _probe_coefficients(background, kind)
+        A = _assembled_coefficients(background, kind, 1.0)
         scale = max(1.0, max(float(np.max(np.abs(C))) for C in A))
         bound = _ROUNDOFF_ULPS * np.finfo(float).eps * scale
         for C in A:

@@ -19,12 +19,21 @@ constraint tests sweep.
 separately on each backend, per torus mode by hand and on Berger through
 the k~ = 0 reduction: the references for the one formula
 `linwave.constraints.dphi_modes`.
+
+`reference_mode_matrices` assembles a spacetime mode operator at one
+concrete wave covector k, with complex jets on which each spatial
+derivative multiplies by i k_a: the per-k reference for the coefficient
+tables that `linwave.spacetime` assembles once with k kept symbolic.
 """
+
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
 import linwave.invariant as inv
-from linwave.fields import sym2_to_full
+from linwave import spacetime
+from linwave.fields import sym2_from_full, sym2_to_full
 from linwave.slices import SliceGeometry, apply_slice_operator, operator_matrices, scalar_times
 
 FD_EPS = 1e-3
@@ -238,3 +247,61 @@ def reference_dphi_invariant(geom, h, m):
     tr_m = apply_slice_operator(geom, "trace", m)
     oneform = apply_slice_operator(geom, "divergence", m - scalar_times(geom, tr_m, geom.metric))
     return scalar, oneform
+
+
+@dataclass
+class ConcreteJet(spacetime.JetTensor):
+    """A jet at one concrete mode k: data[d, j, i_1..i_r, c] is complex, with
+    the hidden axis the unknown's components alone."""
+
+    k: np.ndarray | None = None
+
+
+def concrete_unknown_jet(bg, t, k, rank, depth):
+    """The identity jet of the unknown (sym2 or one-form) at the mode k."""
+    dim = bg.dim
+    if rank == "sym2":
+        ncomp = dim * (dim + 1) // 2
+        data = np.zeros((depth + 1, 1, dim, dim, ncomp), complex)
+        data[0, 0] = np.moveaxis(sym2_to_full(np.eye(ncomp), dim), 0, -1)
+    else:
+        data = np.zeros((depth + 1, 1, dim, dim), complex)
+        data[0, 0] = np.eye(dim)
+    return ConcreteJet(bg, t, data, k=np.asarray(k, float))
+
+
+def concrete_jet_nabla(J):
+    """Covariant derivative of a ConcreteJet (new index first): the spatial
+    directions multiply by i k_a, the Christoffel terms by one Leibniz
+    einsum per index slot."""
+    bg, t = J.bg, J.t
+    dim = bg.dim
+    depth = J.depth - 1
+    order = J.order + 1
+    r = J.rank
+    pad = np.zeros((J.depth + 1, order + 1) + J.data.shape[2:], complex)
+    pad[:, : J.order + 1] = J.data
+    out = np.zeros((depth + 1, order + 1) + (dim,) * (r + 1) + J.data.shape[-1:], complex)
+    out[:, :, 0] = pad[1 : depth + 2]
+    out[:, 1:, 0] += pad[: depth + 1, :-1]
+    for a in range(1, dim):
+        out[:, :, a] = 1j * J.k[a - 1] * pad[: depth + 1]
+    gam = bg.gamma_derivs(t, depth)
+    letters = "abcdef"[:r]
+    for s in range(r):
+        jin = letters[:s] + "z" + letters[s + 1 :]
+        out -= spacetime._leib(gam, pad, f"zn{letters[s]},O{jin}Y->On{letters}Y")
+    return ConcreteJet(bg, t, out, k=J.k)
+
+
+def reference_mode_matrices(bg, kind, t, k):
+    """[M_0, M_1, ...] of the operator `kind` at time t and mode k: the
+    library's operator formulas run on concrete-k jets, with
+    concrete_jet_nabla in place of the symbolic jet_nabla."""
+    rank, func, depth = spacetime._JET_FUNCS[kind]
+    with mock.patch.object(spacetime, "jet_nabla", concrete_jet_nabla):
+        out = func(concrete_unknown_jet(bg, t, k, rank, depth)).data[0]
+    if out.ndim == 3:  # one-form output: (order, dim, ncomp_in)
+        return list(out)
+    # sym2 output: (order, dim, dim, ncomp_in) -> (order, ncomp_out, ncomp_in)
+    return list(np.swapaxes(sym2_from_full(np.moveaxis(out, -1, 1), bg.dim), 1, 2))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,31 @@ def test_check_refuses_fewer_than_one_trial(suite, trials, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--trials must be >= 1, got {trials}" in captured.err
+
+
+@pytest.mark.parametrize("command, nmax", [("decompose", -3), ("moncrief", 0),
+                                            ("gauge-data", -5)])
+def test_berger_refuses_an_nmax_below_one(command, nmax, capsys):
+    # Berger builds no lattice, yet the flag is refused as on the flat torus
+    for kind in ("berger", "flat-torus"):
+        assert run_cli([command, "--kind", kind, "--nmax", str(nmax)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"nmax must be >= 1, got {nmax}" in captured.err
+
+
+@pytest.mark.parametrize("module", ["linwave", "linwave.cli"])
+def test_module_entry_points_run_the_cli(module):
+    # both reach main(): an unknown flag is a usage error, exit 2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", module, "--definitely-not-a-flag"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: linwave")
 
 
 def test_background_subcommand(capsys):

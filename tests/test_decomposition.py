@@ -432,6 +432,31 @@ def test_moncrief_batched_solve_matches_per_mode_lstsq():
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_moncrief_normal_equations_match_the_pinv_path():
+    # on the torus every k != 0 of the half lattice solves the normal
+    # equations of P(beta, N), which is injective there; against the
+    # rank-revealing pinv on every mode (the path Berger and k = 0 take)
+    from linwave.decomposition import MONCRIEF_RANKS, _least_squares
+
+    rng = np.random.default_rng(11)
+    for n, nmax in ((3, 8), (2, 6)):
+        geom = slice_geometry("flat-torus", n=n)
+        lat = ModeLattice(n, nmax)
+        pair = InitialDataPair(random_field(lat, "sym2", rng), random_field(lat, "sym2", rng),
+                               geom)
+
+        def P(beta, N):
+            gauge = gauge_producing_data(N, beta, geom)
+            return gauge.h, gauge.m
+
+        A = operator_matrices(geom, P, MONCRIEF_RANKS, lat)
+        y = np.concatenate([pair.h.coeffs, pair.m.coeffs], axis=1)
+        ranks = ("sym2", "sym2")
+        got = _least_squares(geom, A, y, ranks, MONCRIEF_RANKS, lat)
+        want = _least_squares(geom, A, y, ranks, MONCRIEF_RANKS)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
+
+
 def test_moncrief_on_berger():
     rng = np.random.default_rng(8)
     pair = InitialDataPair(

@@ -28,6 +28,7 @@ from linwave.spacetime import (
     jet_lichnerowicz,
     jet_lie_of_g,
     jet_matrices,
+    jet_nabla,
     nu_jet_conversion,
     parity_phase,
     real_form,
@@ -35,7 +36,15 @@ from linwave.spacetime import (
     unknown_jet,
 )
 
-from fd_oracles import fd_d_ric, fd_lichnerowicz, fd_ricci, kasner_triples, metric_fn, mode_apply
+from fd_oracles import (
+    fd_d_ric,
+    fd_lichnerowicz,
+    fd_ricci,
+    kasner_triples,
+    metric_fn,
+    mode_apply,
+    reference_mode_matrices,
+)
 
 KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
 MINK = spacetime_background("minkowski-torus", n=3)
@@ -160,17 +169,23 @@ def test_kasner_d_ric_against_fd_oracle():
     assert np.max(np.abs(got - want)) < 1e-6 * np.max(np.abs(want))
 
 
+# the jet identities below hold for every k at once: the jets keep k
+# symbolic, and every polynomial coefficient of the residual must vanish
+
+
 def test_gauge_solutions_in_kernel_of_d_ric():
+    # DRic(Lie_V g) is cubic in k, so V's jet holds monomials up to degree 3
     for bg, t in [(MINK, 0.0), (KAS, 1.4)]:
-        V = unknown_jet(bg, t, K, "one-form", 5)
+        V = unknown_jet(bg, t, "one-form", 5, degree=3)
         mats = jet_matrices(jet_d_ric(jet_lie_of_g(V)))
+        assert mats[0].shape[0] == 20  # every monomial of degree <= 3 in k
         assert max(np.max(np.abs(m)) for m in mats) < 1e-12
 
 
 def test_d_ric_decomposes_into_lichnerowicz_plus_lie():
     # DRic h = (1/2)(box_L h + Lie_{(div hbar)#} g) for arbitrary h
     for bg, t in [(MINK, 0.0), (KAS, 1.4)]:
-        H = unknown_jet(bg, t, K, "sym2", 5)
+        H = unknown_jet(bg, t, "sym2", 5)
         lie = jet_lie_of_g(jet_div_trace_reversed(H))
         rhs = jet_add(jet_lichnerowicz(H), lie, 0.5, 0.5)
         resid = jet_add(jet_d_ric(H), rhs, 1.0, -1.0)
@@ -179,8 +194,17 @@ def test_d_ric_decomposes_into_lichnerowicz_plus_lie():
 
 def test_killing_wave_identity():
     for bg, t in [(MINK, 0.0), (KAS, 1.4)]:
-        mats = jet_matrices(jet_killing_wave(unknown_jet(bg, t, K, "one-form", 2)))
+        mats = jet_matrices(jet_killing_wave(unknown_jet(bg, t, "one-form", 2)))
         assert max(np.max(np.abs(m)) for m in mats) < 1e-12
+
+
+def test_a_term_of_k_degree_three_is_an_internal_error():
+    # the tables are quadratic in k: a third spatial derivative of a jet
+    # that holds monomials up to degree 2 has nowhere to go
+    for bg, t in [(MINK, 0.0), (KAS, 1.4)]:
+        J = jet_nabla(jet_nabla(unknown_jet(bg, t, "one-form", 3)))
+        with pytest.raises(InternalError, match="a term of k-degree 3"):
+            jet_nabla(J)
 
 
 def test_nu_jet_conversion_matches_kasner_christoffels():
@@ -228,7 +252,7 @@ def test_nu_conversion_is_identity_on_minkowski():
 
 
 def test_asymmetric_rank2_jet_is_an_internal_error():
-    J = unknown_jet(MINK, 0.0, K, "sym2", 0)
+    J = unknown_jet(MINK, 0.0, "sym2", 0)
     J.data[0, 0, 0, 1] += 1.0  # h_01 no longer equals h_10
     with pytest.raises(InternalError, match="spacetime.jet_matrices: rank-2 jet"):
         jet_matrices(J)
@@ -255,17 +279,9 @@ def _apply(act, j, u):
     return complex_form(act.apply(j, real_form(u, dim)), dim)
 
 
-def _probe_modes(n):
-    """k = 0, +-e_a and e_a + e_b: the ten probes that fix a quadratic in k."""
-    eye = np.eye(n)
-    modes = [np.zeros(n)] + [s * eye[a] for a in range(n) for s in (1.0, -1.0)]
-    modes += [eye[a] + eye[b] for a in range(n) for b in range(a + 1, n)]
-    return np.array(modes)
-
-
 def test_family_coefficient_table_matches_direct_assembly():
     # C_j(1) * t**E_j against the symbolic jet assembly at t itself
-    modes = _probe_modes(3)
+    modes = APPLY_MODES
     basis = monomial_basis(modes)
     for p in kasner_triples():
         bg = spacetime_background("kasner", p=p)
@@ -291,6 +307,26 @@ def test_family_coefficient_table_matches_direct_assembly():
 
 def _table_backgrounds():
     return [MINK] + [spacetime_background("kasner", p=p) for p in kasner_triples()]
+
+
+def test_symbolic_tables_match_the_per_mode_reference():
+    # one assembly with k symbolic against a complex assembly at each
+    # concrete k (i k_a per spatial derivative), at modes that are not the
+    # probes k = 0, +-e_a, e_a + e_b and at times other than the table's t = 1
+    backgrounds = _table_backgrounds() + [spacetime_background("minkowski-torus", n=2)]
+    for bg in backgrounds:
+        modes = APPLY_MODES[:, : bg.n]
+        basis = monomial_basis(modes)
+        for kind in OPERATOR_KINDS:
+            for t in (0.3, 1.0, 1.7, 2.9):
+                table = [np.einsum("mp,pij->mij", basis, C)
+                         for C in family_coefficients(bg, kind, t)]
+                ref = [np.stack(mats) for mats in zip(*(
+                    reference_mode_matrices(bg, kind, t, k) for k in modes))]
+                assert len(table) == len(ref)
+                scale = max(1.0, max(float(np.max(np.abs(r))) for r in ref))
+                err = max(float(np.max(np.abs(a - r))) for a, r in zip(table, ref))
+                assert err <= 1e-13 * scale, (bg.kind, bg.n, bg.p, kind, t, err / scale)
 
 
 def _reflection_signs(ncomp, dim, index):
@@ -322,7 +358,7 @@ def test_coefficient_tables_are_reflection_covariant():
 
 
 def test_family_tables_hold_exact_zeros_or_true_entries():
-    # the probes' round-off is set to exactly zero when a table is built;
+    # the assembly's round-off is set to exactly zero when a table is built;
     # what is left is far above it (the smallest true entry is 3e-2 of the
     # scale), in the real and the imaginary parts alike
     for bg in _table_backgrounds():
@@ -540,10 +576,10 @@ def test_coefficient_tables_are_real_in_the_parity_phase():
 def test_a_block_of_the_wrong_parity_is_refused(monkeypatch):
     from linwave import spacetime
 
-    probe = spacetime._probe_coefficients
+    assembled = spacetime._assembled_coefficients
 
-    def flipped(background, kind):
-        A = probe(background, kind)
+    def flipped(background, kind, t):
+        A = assembled(background, kind, t)
         # the first nonzero k_a block, made real
         j, p = next((j, p) for j, C in enumerate(A) for p in range(1, background.n + 1)
                     if np.any(C[p]))
@@ -551,7 +587,7 @@ def test_a_block_of_the_wrong_parity_is_refused(monkeypatch):
         return A
 
     monkeypatch.setattr(spacetime, "_TABLES", {})
-    monkeypatch.setattr(spacetime, "_probe_coefficients", flipped)
+    monkeypatch.setattr(spacetime, "_assembled_coefficients", flipped)
     for bg in (MINK, KAS):
         with pytest.raises(InternalError, match="d_ric is not real in the parity phase"):
             spacetime._coefficient_table(bg, "d_ric", 1.0)
