@@ -14,14 +14,17 @@ the nonlinear map by central differencing, with the nonlinear scalar
 curvature computed pointwise through 4th-order finite differences.  On a
 band-limited field each stencil is an exact Fourier multiplier, so the
 grid values and every stencil come from one batched synthesis of the
-coefficients times the stencil symbols: the numbers the stencils give on
-exact offset grids, with no interpolation and no differencing of grids.
-The fields are real and every symbol satisfies s(-k) = conj(s(k)), so the
-synthesis reads only the Hermitian half k_n >= 0 of each spectrum,
-refused up front when the coefficients are not Hermitian (the samples
-would come out complex).  Samples keep the grid axis last and contiguous,
-(..., n, n, P), and the pointwise Phi contracts over the tensor axes with
-P innermost.
+coefficients times the stencil symbols (and eps): the numbers the stencils
+give on exact offset grids, with no interpolation and no differencing of
+grids.  The fields are real and every symbol satisfies s(-k) = conj(s(k)),
+so the synthesis reads only the Hermitian half k_n >= 0 of each spectrum,
+refused up front, naming h~ or m~, when the coefficients are not
+Hermitian (the samples would come out complex).  Samples keep the grid
+axis last and contiguous, (..., n, n, P), and the pointwise Phi contracts
+over the tensor axes with P innermost, two operands at a time: Ricci's
+second-derivative part is three contractions of the sampled second
+derivatives with g~^-1, and no temporary holds more than n^3 values per
+grid point.
 normal_identities checks the two identities linking the linearised Ricci
 tensor to dphi on extendable Cauchy jets.
 """
@@ -157,10 +160,11 @@ def _stencil_symbols(modes: np.ndarray, step: float, second: bool) -> np.ndarray
     return np.stack(rows)
 
 
-def _stencil_samples(field: SpectralField, npts: int, step: float, second: bool):
-    """Values of a band-limited sym2 field on the npts^n grid and its
-    4th-order stencil derivatives there, as full (..., n, n, P) matrices
-    with the P = npts^n grid points last and contiguous.
+def _stencil_samples(field: SpectralField, npts: int, step: float, second: bool,
+                     name: str = "field", scale: float = 1.0):
+    """Values of a band-limited sym2 field times `scale` on the npts^n grid
+    and its 4th-order stencil derivatives there, as full (..., n, n, P)
+    matrices with the P = npts^n grid points last and contiguous.
 
     The stencils act as exact Fourier multipliers (`_stencil_symbols`), so
     the values and every stencil come from one batched synthesis: the same
@@ -170,39 +174,49 @@ def _stencil_samples(field: SpectralField, npts: int, step: float, second: bool)
     It is synthesized one axis at a time by a matrix product with
     E[x, k] = exp(i x k), (npts, 2 nmax + 1), on the first n - 1 axes; on
     the last the samples are the real part against exp(i k x) with weight
-    1 at k_n = 0 and 2 otherwise.  That half determines the samples only
-    if the coefficients are Hermitian, so they are checked first, in place
-    of checking the samples: every symbol satisfies s(-k) = conj(s(k)), so
+    1 at k_n = 0 and 2 otherwise, one real matrix product on the (re, im)
+    pairs of the complex rows.  That half determines the samples only if
+    the coefficients are Hermitian, so they are checked first, in place of
+    checking the samples: every symbol satisfies s(-k) = conj(s(k)), so
     the imaginary part of row r is the synthesis of s_r times the
     anti-Hermitian part of the coefficients.  Every row is real when that
     part vanishes, and the identity row (s = 1) is complex when it does not.
-    Returns (f, df, d2f): f[c, d, p] = f_cd, df[a, c, d, p] = D_a f_cd and
-    d2f[e, a, c, d, p] = D_e D_a f_cd; d2f is None unless `second`.
+    The refusal names the field as `name`; `scale` multiplies the symbols,
+    after the check.  Returns (f, df, d2f): f[c, d, p] = f_cd,
+    df[a, c, d, p] = D_a f_cd and d2f[e, a, c, d, p] = D_e D_a f_cd; d2f is
+    None unless `second`.
     """
     lat = field.lattice
     n, nmax, m, ncomp = lat.n, lat.nmax, lat.modes_per_axis, field.ncomp
     try:
         field.check_hermitian(tol=1e-10)
     except ValueError as err:
-        raise ValueError(f"metric samples came out complex; data not real: {err}") from None
+        raise ValueError(f"{name} samples came out complex; data not real: {err}") from None
     half = (slice(None),) * (n - 1) + (slice(nmax, None),)
-    modes = lat.modes.reshape((m,) * n + (n,))[half].reshape(-1, n)
-    coeffs = field.coeffs.reshape((m,) * n + (ncomp,))[half].reshape(-1, 1, ncomp)
-    symbols = _stencil_symbols(modes, step, second)
-    rows = symbols.T[:, :, None] * coeffs  # [k, r, c]: symbol r times component c
+    modes = lat.modes.reshape((m,) * n + (n,))[half]
+    symbols = _stencil_symbols(modes.reshape(-1, n), step, second)
+    symbols *= scale
+    nsym = len(symbols)
+    # rows[k1 .. k_{n-1}, r, c, k_n]: symbol r times component c, with the
+    # half axis k_n innermost, C-ordered so every reshape below is a view
+    S = np.moveaxis(symbols.reshape((nsym,) + modes.shape[:-1]), 0, n - 1)
+    C = np.moveaxis(field.coeffs.reshape((m,) * n + (ncomp,))[half], -1, n - 1)
+    rows = np.multiply(S[..., :, None, :], C[..., None, :, :], order="C")
     k = np.arange(-nmax, nmax + 1)
     E = np.exp(2j * np.pi / npts * (np.outer(np.arange(npts), k) % npts))
     for ax in range(n - 1):  # grid axes ahead, mode axes behind
         rows = E @ rows.reshape((npts,) * ax + (m, -1))
     last = np.where(k[nmax:] == 0, 1.0, 2.0) * E[:, nmax:]
-    grids = (last @ rows.reshape(npts ** (n - 1), nmax + 1, -1)).real.reshape(npts ** n, -1)
-    grids = np.ascontiguousarray(grids.T).reshape(len(symbols), ncomp, -1)
-    full = grids[:, sym2_to_full(np.arange(ncomp), n)]
-    f, df = full[0], full[1:n + 1]
+    W = np.empty((2 * (nmax + 1), npts))
+    W[0::2], W[1::2] = last.real.T, -last.imag.T  # Re(z w) = Re z Re w - Im z Im w
+    grids = (rows.reshape(-1, nmax + 1).view(float) @ W).reshape(-1, nsym * ncomp, npts)
+    grids = np.ascontiguousarray(np.moveaxis(grids, 1, 0)).reshape(nsym, ncomp, -1)
+    full = sym2_to_full(np.arange(ncomp), n)
+    f, df = grids[0, full], grids[np.arange(1, n + 1)[:, None, None], full]
     if not second:
         return f, df, None
     # the D_a D_b rows are themselves sym2-ordered in (a, b)
-    return f, df, full[sym2_to_full(np.arange(n + 1, len(full)), n)]
+    return f, df, grids[sym2_to_full(np.arange(n + 1, nsym), n)[..., None, None], full]
 
 
 def _cofactor_inverse(g):
@@ -224,36 +238,47 @@ def _phi_pointwise(g, dg, d2g, k, dk):
 
     Axis conventions: p = grid point, the last and contiguous axis of every
     array; g and k have axes [c, d, p]; dg and dk have axes [a, c, d, p] =
-    d_a g_cd; d2g has axes [e, a, c, d, p] = d_e d_a g_cd.  Returns Phi_1
-    with axes [p] and Phi_2 with axes [x, p].  Each contraction is a plain
-    einsum whose innermost loop runs along p.
+    d_a g_cd; d2g has axes [e, a, c, d, p] = d_e d_a g_cd, symmetric in
+    (e, a) and in (c, d).  Returns Phi_1 with axes [p] and Phi_2 with axes
+    [x, p].  Each contraction is a plain einsum of two operands whose
+    innermost loop runs along p; no temporary has more than n^3 values per
+    point, so d2g is only ever read.
     """
     gi = _cofactor_inverse(g)
-    dgi = -np.einsum("cep,aefp,fdp->acdp", gi, dg, gi)
-    # half Koszul bracket br[a, d, b, p] = (d_a g_db + d_b g_da - d_d g_ab) / 2,
-    # so Gamma^c_ab = g^cd br[a, d, b] and
-    # d_e Gamma^c_ab = d_e g^cd br[a, d, b] + g^cd d_e br[a, d, b]
-    br = dg + np.einsum("bdap->adbp", dg) - np.einsum("dabp->adbp", dg)
-    br *= 0.5
-    dbr = d2g + np.einsum("ebdap->eadbp", d2g) - np.einsum("edabp->eadbp", d2g)
-    dbr *= 0.5
-    gam = np.einsum("cdp,adbp->cabp", gi, br)
     # Ric_ab = d_c Gamma^c_ab - d_a Gamma^c_cb + Gamma^c_cm Gamma^m_ab
-    #          - Gamma^c_am Gamma^m_cb, the two traces of d Gamma taken directly
-    ric = np.einsum("ccdp,adbp->abp", dgi, br)
-    ric += np.einsum("cdp,cadbp->abp", gi, dbr)
-    ric -= np.einsum("acdp,cdbp->abp", dgi, br)
-    ric -= np.einsum("cdp,acdbp->abp", gi, dbr)
+    #          - Gamma^c_am Gamma^m_cb.  The d2g part of the two traces of
+    # d Gamma is (Y + Y^T - T2 - T3) / 2 with Y_ab = g^cd d_a d_d g_cb,
+    # T2_ab = g^cd d_c d_d g_ab and T3_ab = g^cd d_a d_b g_cd (exact, as d2g
+    # is symmetric in both slot pairs)
+    ric = np.einsum("cdp,adcbp->abp", gi, d2g)
+    ric = ric + np.swapaxes(ric, 0, 1)
+    ric -= np.einsum("cdp,cdabp->abp", gi, d2g)
+    ric -= np.einsum("cdp,abcdp->abp", gi, d2g)
+    ric *= 0.5
+    # gdg[a, c, f] = g^ce d_a g_ef, so d_a g^cd = -gdg[a, c, f] g^fd, and
+    # Gamma^c_ab = (gdg[a, c, b] + gdg[b, c, a] - g^cd d_d g_ab) / 2
+    gdg = np.einsum("cep,aefp->acfp", gi, dg)
+    gam = np.einsum("cdp,dabp->cabp", gi, dg)
+    np.subtract(np.einsum("acbp->cabp", gdg), gam, out=gam)
+    gam += np.einsum("bcap->cabp", gdg)
+    gam *= 0.5
+    # d_e Gamma^c_ab = d_e g^cd g_df Gamma^f_ab + g^cd d_e (g_df Gamma^f_ab),
+    # whose d g^-1 part -gdg[e, c, f] Gamma^f_ab the two traces take at
+    # e = c and at (e, a) -> (a, c)
+    ric -= np.einsum("ccfp,fabp->abp", gdg, gam)
+    ric += np.einsum("acfp,fcbp->abp", gdg, gam)
     ric += np.einsum("ccmp,mabp->abp", gam, gam)
     ric -= np.einsum("camp,mcbp->abp", gam, gam)
     ku = np.einsum("acp,cbp->abp", gi, k)  # k^a_b
     trk = np.einsum("aap->p", ku)
     phi1 = np.einsum("abp,abp->p", gi, ric) - np.einsum("abp,bap->p", ku, ku) + trk ** 2
     phi2 = np.einsum("abp,abxp->xp", gi, dk)
-    phi2 -= np.einsum("abp,mabp,mxp->xp", gi, gam, k)
-    phi2 -= np.einsum("abp,maxp,bmp->xp", gi, gam, k)
-    # minus d_x tr k
-    phi2 -= np.einsum("xabp,abp->xp", dgi, k) + np.einsum("abp,xabp->xp", gi, dk)
+    # g^ab Gamma^m_ab k_mx and g^ab Gamma^m_ax k_bm = Gamma^m_ax k^a_m
+    phi2 -= np.einsum("mp,mxp->xp", np.einsum("abp,mabp->mp", gi, gam), k)
+    phi2 -= np.einsum("maxp,amp->xp", gam, ku)
+    # minus d_x tr k = -(d_x g^ab k_ab + g^ab d_x k_ab), d_x g^ab k_ab = -gdg[x, a, f] k^f_a
+    phi2 += np.einsum("xafp,fap->xp", gdg, ku)
+    phi2 -= np.einsum("abp,xabp->xp", gi, dk)
     return phi1, phi2
 
 
@@ -343,14 +368,17 @@ def dphi_oracle(pair: InitialDataPair) -> ConstraintResidual:
         raise ValueError("oracle needs pointwise values; distributional data rejected")
     lat = pair.h.lattice
     npts = _grid_size(lat)
-    h, dh, d2h = _stencil_samples(pair.h, npts, ORACLE_STEP, second=True)
-    m, dm, _ = _stencil_samples(pair.m, npts, ORACLE_STEP, second=False)
+    h, dh, d2h = _stencil_samples(pair.h, npts, ORACLE_STEP, second=True, name="h~", scale=eps)
+    m, dm, _ = _stencil_samples(pair.m, npts, ORACLE_STEP, second=False, name="m~", scale=eps)
     G, K = pair.geom.metric[..., None], pair.geom.extrinsic[..., None]
-    # The stencil symbols vanish at k = 0, so the constant background enters
-    # the values only: the stencils of g~ +- eps h~ are +- eps times those
-    # of h~, and G never cancels between offset grids.
-    p1p, p2p = _phi_pointwise(G + eps * h, eps * dh, eps * d2h, K + eps * m, eps * dm)
-    p1m, p2m = _phi_pointwise(G - eps * h, -eps * dh, -eps * d2h, K - eps * m, -eps * dm)
+    # The samples are those of eps h~ and eps m~.  The stencil symbols vanish
+    # at k = 0, so the constant background enters the values only: the
+    # stencils of g~ +- eps h~ are +- those of eps h~, and G never cancels
+    # between offset grids.  The minus evaluation negates them in place.
+    p1p, p2p = _phi_pointwise(G + h, dh, d2h, K + m, dm)
+    for d in (dh, d2h, dm):
+        np.negative(d, out=d)
+    p1m, p2m = _phi_pointwise(G - h, dh, d2h, K - m, dm)
     scalar, oneform = _torus_constraint_fields(
         (p1p - p1m) / (2 * eps), (p2p - p2m) / (2 * eps), lat, npts)
     return ConstraintResidual.with_norms(geom, scalar, oneform)

@@ -12,8 +12,10 @@ backends, on stored coefficients at any set of torus modes, and
 apply_slice_operator its front for fields.  Each operator is written once,
 in _full_operator, as contractions with g~^-1 of one covariant derivative
 nabla, and a backend supplies only that nabla: i k_a per mode on a torus,
-invariant.nabla on Berger.  The ranks each operator takes and returns are
-one table, _RANKS, checked once.  With a constant symmetric tensor T of
+invariant.nabla on Berger.  nabla also takes the tensor its derivative
+index is contracted against, so the torus divergence never forms
+nabla T.  The ranks each operator takes and returns are one table,
+_RANKS, checked once.  With a constant symmetric tensor T of
 the slice (g~, k~, Ric), scalar_times is the sym2 field f T of a scalar f
 and slice_pairing the scalar g~(T, h), so zeroth-order terms are written
 once too.
@@ -285,14 +287,30 @@ def _check_field(geom: SliceGeometry, field):
 
 def _covariant_derivative(geom: SliceGeometry, modes):
     """The backend's nabla on full tensors (n, ..., n, B) with the batch axis
-    last: nabla T (n, n, ..., n, B), derivative index first.  On a torus it
-    is i k_a at the integer modes (B, n); on Berger, whose invariant frame
-    components are constant, inv.nabla."""
+    last: nabla(T) is nabla T (n, n, ..., n, B), derivative index first, and
+    nabla(T, A) is A^{ab} nabla_a T_b... for a constant (n, n) tensor A, the
+    derivative index contracted with T's first slot.  On a torus nabla is
+    i k_a at the integer modes (B, n), and nabla(T, A) contracts A with i k
+    first, so nabla T is never formed; on Berger, whose invariant frame
+    components are constant, it is inv.nabla."""
     if geom.is_torus:
         ik = np.ascontiguousarray(1j * modes.T)
-        return lambda T: ik.reshape((geom.n,) + (1,) * (T.ndim - 1) + ik.shape[1:]) * T
+
+        def nabla(T, A=None):
+            if A is None:
+                return ik.reshape((geom.n,) + (1,) * (T.ndim - 1) + ik.shape[1:]) * T
+            w = A.T @ ik  # w_b = A^{ab} i k_a, one row per slot b of T
+            out = w[0] * T[0]
+            for b in range(1, geom.n):
+                out += w[b] * T[b]
+            return out
+        return nabla
     geo = geom.invariant_geometry
-    return lambda T: inv.nabla(geo, T[..., 0])[..., None]
+
+    def nabla(T, A=None):
+        DT = inv.nabla(geo, T[..., 0])[..., None]
+        return DT if A is None else _contract(A, DT)
+    return nabla
 
 
 def _full_operator(geom: SliceGeometry, kind: str, nabla, T: np.ndarray) -> np.ndarray:
@@ -303,7 +321,7 @@ def _full_operator(geom: SliceGeometry, kind: str, nabla, T: np.ndarray) -> np.n
     n, g, gi = geom.n, geom.metric, geom.metric_inv
 
     def div(X):
-        return _contract(gi, nabla(X))
+        return nabla(X, gi)
 
     def sym(A):
         return A + np.swapaxes(A, 0, 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,8 +61,8 @@ def phi(gdata, kdata, geom):
                 inv.InvariantField("one-form", phi2))
     lat = gdata.lattice
     npts = _grid_size(lat)
-    g, dg, d2g = _stencil_samples(gdata, npts, ORACLE_STEP, second=True)
-    k, dk, _ = _stencil_samples(kdata, npts, ORACLE_STEP, second=False)
+    g, dg, d2g = _stencil_samples(gdata, npts, ORACLE_STEP, second=True, name="g~")
+    k, dk, _ = _stencil_samples(kdata, npts, ORACLE_STEP, second=False, name="k~")
     return _torus_constraint_fields(*_phi_pointwise(g, dg, d2g, k, dk), lat, npts)
 
 
@@ -86,6 +88,39 @@ def test_nonlinear_phi_vanishes_on_backgrounds():
                    for x in (geomb.metric, geomb.extrinsic)), geomb)
     assert (p1.rank, p2.rank) == ("scalar", "one-form")
     assert abs(p1.components[0]) < 1e-12 and np.max(np.abs(p2.components)) < 1e-12
+
+
+def pulled_back(T, lat, npts=16):
+    """The pull-back J^T T J of a constant tensor T under the torus map
+    x1 += 0.3 sin x2, x2 += 0.2 sin(x1 + x3), as a sym2 field on lat: the
+    Jacobian J is I plus trigonometric terms of degree 1, so J^T T J is
+    band-limited at nmax 2 and analyze reads it exactly."""
+    x = 2.0 * np.pi * np.arange(npts) / npts
+    x1, x2, x3 = np.meshgrid(x, x, x, indexing="ij")
+    J = np.broadcast_to(np.eye(3), (npts,) * 3 + (3, 3)).copy()
+    J[..., 0, 1] = 0.3 * np.cos(x2)
+    J[..., 1, 0] = J[..., 1, 2] = 0.2 * np.cos(x1 + x3)
+    return analyze(sym2_from_full(np.einsum("...ia,ij,...jb->...ab", J, T, J), 3), "sym2", lat)
+
+
+def test_phi_vanishes_on_a_background_in_curvilinear_coordinates():
+    # Phi is diffeomorphism covariant, so the pull-back of a flat or Kasner
+    # slice satisfies the nonlinear constraints pointwise.  Unlike the
+    # background itself, the pulled-back g~ is not constant, so every term of
+    # the kernel is exercised: measured worst 1.9e-13 (Phi_1, stencil
+    # truncation) and 1.4e-14 (Phi_2).  With the sign of T3 flipped Phi_1
+    # reads 0.51, of Gamma^c_am Gamma^m_cb 0.07 and of Gamma^c_cm Gamma^m_ab
+    # 0.04; with the d g^-1 part of d_x tr k flipped Phi_2 reads 0.12
+    lat = ModeLattice(3, 2)
+    npts = _grid_size(lat)
+    for geom in (slice_geometry("flat-torus", n=3), slice_geometry("kasner", p=KASNER_P, t0=1.3)):
+        gdata, kdata = pulled_back(geom.metric, lat), pulled_back(geom.extrinsic, lat)
+        assert np.max(np.abs(gdata.coeffs[lat.mode_index((2, 0, 2))])) > 1e-3
+        g, dg, d2g = _stencil_samples(gdata, npts, ORACLE_STEP, second=True)
+        k, dk, _ = _stencil_samples(kdata, npts, ORACLE_STEP, second=False)
+        p1, p2 = _phi_pointwise(g, dg, d2g, k, dk)
+        assert np.max(np.abs(p1)) <= 2e-13
+        assert np.max(np.abs(p2)) <= 1.5e-14
 
 
 def test_nonlinear_phi_detects_round_sphere_curvature():
@@ -214,17 +249,17 @@ def test_oracle_rejects_complex_samples():
     h = random_field(lat, "sym2", rng, decay=2.0)
     h.coeffs[lat.mode_index((1, 0, 0))] += 1e-3j  # breaks c_{-k} = conj(c_k)
     pair = InitialDataPair(h, zero_field(lat, "sym2"), geom)
-    with pytest.raises(ValueError, match="came out complex"):
+    with pytest.raises(ValueError, match="h~ samples came out complex"):
         dphi_oracle(pair)
     m = random_field(lat, "sym2", rng, decay=2.0)
     m.coeffs[lat.mode_index((0, 1, -1))] += 1e-3j
     pair = InitialDataPair(random_field(lat, "sym2", rng, decay=2.0), m, geom)
-    with pytest.raises(ValueError, match="came out complex"):
+    with pytest.raises(ValueError, match="m~ samples came out complex"):
         dphi_oracle(pair)
     g, k = background_pair(geom, lat)
-    with pytest.raises(ValueError, match="came out complex"):
+    with pytest.raises(ValueError, match="g~ samples came out complex"):
         phi(g + h, k, geom)
-    with pytest.raises(ValueError, match="came out complex"):
+    with pytest.raises(ValueError, match="k~ samples came out complex"):
         phi(g, k + m, geom)
 
 
@@ -385,6 +420,32 @@ def test_pointwise_kernel_matches_the_reference_kernel():
             assert p1.shape == r1.shape and p2.shape == r2.T.shape
             assert np.max(np.abs(p1 - r1)) <= 1e-12 * (np.max(np.abs(r1)) + trK2)
             assert np.max(np.abs(p2 - r2.T)) <= 1e-12 * np.max(np.abs(r2))
+
+
+def test_pointwise_kernel_transient_memory_is_bounded():
+    # tracemalloc peak of one kernel call above its inputs, per grid point,
+    # at nmax 8 (4913 points): measured 92.1 doubles.  A kernel that forms
+    # the rank-5 bracket of d2g (n^4 values per point, twice) takes 203
+    lat = ModeLattice(3, 8)
+    npts = _grid_size(lat)
+    rng = np.random.default_rng(23)
+    geom = slice_geometry("kasner", p=KASNER_P, t0=1.3)
+    h, dh, d2h = _stencil_samples(random_field(lat, "sym2", rng, decay=2.0),
+                                  npts, ORACLE_STEP, second=True)
+    m, dm, _ = _stencil_samples(random_field(lat, "sym2", rng, decay=2.0),
+                                npts, ORACLE_STEP, second=False)
+    eps = ORACLE_EPS
+    args = (geom.metric[..., None] + eps * h, eps * dh, eps * d2h,
+            geom.extrinsic[..., None] + eps * m, eps * dm)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _phi_pointwise(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    per_point = peak / (8 * npts ** 3)
+    assert per_point <= 105.0, per_point
 
 
 def reference_samples(field, npts, step, second):
