@@ -219,9 +219,11 @@ def cmd_evolve(args) -> int:
         t1 = t0 + 1.0
     outdir = Path(args.out or cfg.get("output.dir"))
     outdir.mkdir(parents=True, exist_ok=True)
+    tic_init = time.perf_counter()
     pair = _initial_pair(cfg, geom)
     tic = time.perf_counter()
     jet = build_cauchy_jet(pair, bg, t0=t0)
+    toc_jet = time.perf_counter()
     samples = np.linspace(t0, t1, cfg.get("evolve.samples"))
     traj = evolve(jet, t1, dt=cfg.get("evolve.dt"), sample_times=samples)
     tic_diag = time.perf_counter()
@@ -237,6 +239,7 @@ def cmd_evolve(args) -> int:
 
     save_pair(pair, outdir / "initial")
     save_pair(extract_induced_data(traj, t1), outdir / "final")
+    toc_out = time.perf_counter()
 
     checks = {}
     tol_g = cfg.get("tolerance.gauge")
@@ -261,7 +264,9 @@ def cmd_evolve(args) -> int:
         "pass": ok,
         "rk4_steps": rk4_steps(t0, samples, cfg.get("evolve.dt")),
         "seed": cfg.get("initial.seed"),
-        "timings": {"evolve_seconds": toc - tic, "diagnostics_seconds": toc - tic_diag},
+        "timings": {"initial_data_seconds": tic - tic_init, "jet_seconds": toc_jet - tic,
+                    "evolve_seconds": toc - tic, "diagnostics_seconds": toc - tic_diag,
+                    "output_seconds": toc_out - toc},
         "version": __version__,
     }
     (outdir / "manifest.json").write_text(

@@ -15,22 +15,25 @@ pure-gauge connection wave equation and the joint (V, h) system of gauge
 recovery; it samples each system's first unknown and its rate, so gauge
 recovery keeps V and V' only.  The background chooses the method: closed
 form on the Minkowski torus (which takes no dt) and classical 4th-order
-RK4 at a fixed dt on Kasner.  It takes real data (c_{-k} = conj(c_k)) on
-half the lattice and mirrors them, with output identical to sampling every
-mode.  Between the samples of an RK4 run the state is held in the real
-form of spacetime.real_form, in which every mode operator is a real matrix
-per k-monomial block: [Re; Im] of the parity-rotated components, 2N rows
-for N modes, with each component's 2N values contiguous, so a block is one
-real matrix product over all modes.  Samples, trajectories and every
-function of this module take and return the complex (N, ncomp)
-components; the functions that apply a family convert to and from the real
-form.  A trajectory holds its samples only; induced data are extracted at
-sample times.  Diagnostics track the gauge residual, the constraint
-residuals of the induced data, and the wave energies E_0 and E_1; on real
-trajectories they are evaluated on the same half, with each +-k pair
-counted twice in the norms, and on any other trajectory on the full
-lattice.  The gauge vector field of a pure-gauge solution is recovered by
-solving the connection wave equation nabla*nabla V = -div(hbar).
+RK4 at a fixed dt on Kasner.  It writes each sample once, into its row of
+the two (samples, modes, ncomp) trajectory arrays.  Real data
+(c_{-k} = conj(c_k)) run on half the lattice, and each sample is written to
+the kept rows and, conjugated, to their partners, with output identical to
+sampling every mode.  Between the samples of an RK4 run the state is held
+in the real form of spacetime.real_form, in which every mode operator is a
+real matrix per k-monomial block: [Re; Im] of the parity-rotated
+components, 2N rows for N modes, with each component's 2N values
+contiguous, so a block is one real matrix product over all modes.
+Samples, trajectories and every function of this module take and return
+the complex (N, ncomp) components; the functions that apply a family
+convert to and from the real form.  A trajectory holds its samples only;
+induced data are extracted at sample times.  Diagnostics track the gauge
+residual, the constraint residuals of the induced data, and the wave
+energies E_0 and E_1; on real trajectories they are evaluated on the same
+half, with each +-k pair counted twice in the norms, and on any other
+trajectory on the full lattice.  The gauge vector field of a pure-gauge
+solution is recovered by solving the connection wave equation
+nabla*nabla V = -div(hbar).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .constraints import InitialDataPair, dphi_modes
 from .fields import (
     SpectralField,
     component_weights,
-    sym2_from_full,
+    sym2_congruence_matrix,
     sym2_to_full,
     weighted_norm,
     zero_field,
@@ -136,11 +139,9 @@ def build_cauchy_jet(pair: InitialDataPair, background: SpacetimeBackground,
     ):
         raise ValueError("initial-data slice does not match the background slice")
     lat = pair.h.lattice
-    n = geom.n
-    h = sym2_to_full(pair.h.coeffs, n)
-    m = sym2_to_full(pair.m.coeffs, n)
-    hk = np.einsum("kab,bc,cd->kad", h, geom.metric_inv, geom.extrinsic)
-    mix = hk + np.transpose(hk, (0, 2, 1))  # h~ o k~ + k~ o h~
+    # h~ o k~ + k~ o h~ is X -> A^T X + X A at X = h~, A = g~^-1 k~, applied
+    # to the stored components of h~
+    mix = pair.h.coeffs @ sym2_congruence_matrix(geom.metric_inv @ geom.extrinsic)
     return CauchyJet(
         background,
         t0,
@@ -150,7 +151,7 @@ def build_cauchy_jet(pair: InitialDataPair, background: SpacetimeBackground,
         apply_slice_operator(geom, "trace", pair.m) * -2.0,
         apply_slice_operator(
             geom, "divergence", apply_slice_operator(geom, "trace_reverse", pair.h)),
-        SpectralField(lat, "sym2", sym2_from_full(2.0 * m - mix, n)),
+        SpectralField(lat, "sym2", 2.0 * pair.m.coeffs - mix),
     )
 
 
@@ -232,45 +233,51 @@ def _exactly_real(lattice, arrays) -> bool:
     return all(np.array_equal(x[perm], np.conj(x)) for x in arrays)
 
 
-def _on_real_half(lattice, y0, run):
-    """run(modes, y0) yields samples, each the pair of (modes, ncomp)
-    arrays of the system's first unknown and its rate; returns them as a
-    list on the full lattice.
+def _on_real_half(lattice, y0, count, run):
+    """run(modes, y0) yields count samples, each the pair of (modes, ncomp)
+    arrays of the system's first unknown and its rate; returns the two
+    (count, num_modes, ncomp) arrays of the samples on the full lattice.
+    They are allocated when the first sample arrives, and sample i is
+    written once, into row i, as it is yielded.
 
     The mode operators have real coefficients, so evolution keeps
     c_{-k} = conj(c_k).  When every array of y0 satisfies it exactly, run
-    sees only the modes of lattice.half_indices() and the two arrays of
-    each state are mirrored as it is yielded; otherwise run sees the full
-    lattice.  Each mode evolves on its own, so the kept modes match a
-    full-lattice run."""
-    if not _exactly_real(lattice, y0):
-        return list(run(lattice.modes, y0))
-    perm = lattice.negation_permutation()
-    half = lattice.half_indices()
-
-    def mirror(x):
-        full = np.empty((lattice.num_modes,) + x.shape[1:], x.dtype)
-        # conjugates first, so k = 0 keeps its own value; + 0.0 turns the
-        # -0.0 imaginary part that conj gives a real coefficient into +0.0
-        full[perm[half]] = np.conj(x) + 0.0
-        full[half] = x
-        return full
-
-    return [tuple(mirror(x) for x in y)
-            for y in run(lattice.modes[half], tuple(x[half] for x in y0))]
+    sees only the modes of lattice.half_indices(), and each sample is
+    written to those rows and, conjugated, to their partners; otherwise run
+    sees every mode.  Each mode evolves on its own, so the kept modes match
+    a full-lattice run."""
+    if _exactly_real(lattice, y0):
+        rows = lattice.half_indices()
+        partners = lattice.negation_permutation()[rows]
+    else:
+        rows, partners = slice(None), None
+    out = None
+    for i, y in enumerate(run(lattice.modes[rows], tuple(x[rows] for x in y0))):
+        if out is None:
+            out = tuple(np.empty((count, lattice.num_modes) + x.shape[1:], x.dtype)
+                        for x in y)
+        for full, x in zip(out, y):
+            if partners is not None:
+                # conjugates first, so k = 0 keeps its own value; + 0.0 turns
+                # the -0.0 imaginary part that conj gives a real coefficient
+                # into +0.0
+                full[i, partners] = np.conj(x) + 0.0
+            full[i, rows] = x
+    return out
 
 
 def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
     """The one sampler of the mode systems: the sampled state (y[0], y[1])
     at each of times of y' = rhs(families, y), y(t0) = y0, with families
-    one FamilyAction per name in kinds on the modes sampled.  On the
-    Minkowski torus, which takes no dt, exact(families, k2, y0, times - t0)
-    yields them in closed form (k2 = |k|^2 per mode).  On Kasner y0 is
-    converted to the real form once (see real_form), _rk4 steps it to the
-    samples in order (see _segments), re-timing the families once per
-    distinct stage time (see _rk4), and each sample is converted back.
-    Runs on the real half of the lattice when y0 allows it (see
-    _on_real_half)."""
+    one FamilyAction per name in kinds on the modes sampled, returned as
+    two (len(times), num_modes, ncomp) arrays into which each sample is
+    written once (see _on_real_half).  On the Minkowski torus, which takes
+    no dt, exact(families, k2, y0, times - t0) yields them in closed form
+    (k2 = |k|^2 per mode).  On Kasner y0 is converted to the real form once
+    (see real_form), _rk4 steps it to the samples in order (see _segments),
+    re-timing the families once per distinct stage time (see _rk4), and
+    each sample is converted back.  Runs on the real half of the lattice
+    when y0 allows it (see _on_real_half)."""
     closed = bg.kind == "minkowski-torus"
     if closed and dt is not None:
         raise ValueError(
@@ -279,6 +286,8 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
         raise ValueError(
             f"time-dependent backgrounds need a positive finite dt, got dt = {dt}")
     times = np.asarray(times, float)
+    if not len(times):
+        raise ValueError("evolution needs at least one sample time")
     for tau in (t0, *times):
         _require_finite_time(tau)
 
@@ -297,7 +306,7 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
                 y = _rk4(at, rhs, seg[0], y, seg[1], dt)
             yield tuple(complex_form(x, bg.dim) for x in y[:2])
 
-    return _on_real_half(lattice, y0, run)
+    return _on_real_half(lattice, y0, len(times), run)
 
 
 def _monic_rhs(families, y):
@@ -326,10 +335,9 @@ def evolve_state(bg: SpacetimeBackground, lattice, t0: float, U0, Ud0,
     sample_times = np.asarray(sample_times, float)
     if bg.kind == "kasner" and (min(t0, t_end) <= 0 or np.min(sample_times) <= 0):
         raise ValueError("Kasner evolution cannot reach the singularity t <= 0")
-    ys = _samples(bg, lattice, ("lichnerowicz",), _monic_rhs, t0, (U0, Ud0),
-                  sample_times, dt, _harmonic)
-    return Trajectory(bg, lattice, sample_times, np.array([y[0] for y in ys]),
-                      np.array([y[1] for y in ys]), dt=dt)
+    states, derivs = _samples(bg, lattice, ("lichnerowicz",), _monic_rhs, t0, (U0, Ud0),
+                              sample_times, dt, _harmonic)
+    return Trajectory(bg, lattice, sample_times, states, derivs, dt=dt)
 
 
 def evolve(jet: CauchyJet, t_end: float, dt: float | None = None,
@@ -490,11 +498,10 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
     lat = traj.lattice
     times = traj.times
     V, Vd = _gauge_initial_state(bg, traj.states[0])
-    ys = _samples(
+    Vs, Vds = _samples(
         bg, lat, ("lichnerowicz", "div_trace_reversed", "connection_wave"), _recovery_rhs,
         times[0], (V, Vd, traj.states[0], traj.derivs[0]), times, traj.dt, _recovery_exact,
     )
-    Vs, Vds = [y[0] for y in ys], [y[1] for y in ys]
     wsym = component_weights("sym2", bg.dim)
     lie0 = FamilyAction(bg, "lie_of_g", times[0], lat.modes)
     dev, rel = [], []
@@ -506,9 +513,7 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
         s = weighted_norm(traj.states[i], wsym)
         dev.append(d)
         rel.append(d / max(s, 1e-30))
-    return GaugeRecovery(
-        times.copy(), np.array(Vs), np.array(Vds), np.array(dev), np.array(rel)
-    )
+    return GaugeRecovery(times.copy(), Vs, Vds, np.array(dev), np.array(rel))
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +532,12 @@ def lie_trajectory(bg: SpacetimeBackground, lattice, times, W0, Wd0,
     family_coefficients), differentiated in closed form.
     """
     times = np.asarray(times, float)
-    Ws = _samples(bg, lattice, ("connection_wave",), _monic_rhs, times[0], (W0, Wd0),
-                  times, dt, _harmonic)
+    Ws, Wds = _samples(bg, lattice, ("connection_wave",), _monic_rhs, times[0], (W0, Wd0),
+                       times, dt, _harmonic)
     conn, lie0 = (FamilyAction(bg, kind, times[0], lattice.modes)
                   for kind in ("connection_wave", "lie_of_g"))
     states, derivs = [], []
-    for tau, (W, Wd) in zip(times, Ws):
+    for tau, W, Wd in zip(times, Ws, Wds):
         W, Wd = real_form(W, bg.dim), real_form(Wd, bg.dim)
         Wdd = conn.at(tau).monic_closure(W, Wd)
         lie = lie0.at(tau)

@@ -61,6 +61,18 @@ def sym2_from_full(full, n: int) -> np.ndarray:
     return np.take(full.reshape(full.shape[:-2] + (n * n,)), i * n + j, axis=-1)
 
 
+def sym2_congruence_matrix(a) -> np.ndarray:
+    """The (ncomp, ncomp) matrix M of the map X -> A^T X + X A on stored
+    sym2 components, for any (n, n) matrix A, symmetric or not: for
+    symmetric X with stored components x, sym2_from_full(A^T X + X A)
+    == x @ M.  Row c is the image of the c-th unit component; M is real
+    when A is."""
+    a = np.asarray(a)
+    n = a.shape[0]
+    xa = sym2_to_full(np.eye(rank_components("sym2", n)), n) @ a  # X A per unit X
+    return sym2_from_full(xa + np.swapaxes(xa, -1, -2), n)  # A^T X = (X A)^T
+
+
 def component_weights(rank: str, n: int) -> np.ndarray:
     """Multiplicity of each stored component in a full index contraction."""
     if rank == "sym2":

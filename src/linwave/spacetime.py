@@ -45,6 +45,8 @@ from .errors import InternalError
 from .fields import (
     SpectralField,
     monomial_basis,
+    rank_components,
+    sym2_congruence_matrix,
     sym2_from_full,
     sym2_index_pairs,
     sym2_to_full,
@@ -882,22 +884,22 @@ class CauchyJet:
 
 def _stored_from_blocks(nn: SpectralField, nf: SpectralField, sp: SpectralField):
     """Stored spacetime components (num_modes, ncomp) of the tensor with
-    blocks h(nu,nu), h(nu,.) and h(.,.)."""
+    blocks h(nu,nu), h(nu,.) and h(.,.), each gathered into its columns."""
     n = sp.lattice.n
-    full = np.zeros((sp.lattice.num_modes, n + 1, n + 1), complex)
-    full[:, 0, 0] = nn.coeffs[:, 0]
-    full[:, 0, 1:] = full[:, 1:, 0] = nf.coeffs
-    full[:, 1:, 1:] = sym2_to_full(sp.coeffs, n)
-    return sym2_from_full(full, n + 1)
+    ncomp = rank_components("sym2", n + 1)
+    slot = sym2_to_full(np.arange(ncomp), n + 1)  # stored index of h_mu nu
+    out = np.empty((sp.lattice.num_modes, ncomp), complex)
+    out[:, slot[0, 0]] = nn.coeffs[:, 0]
+    out[:, slot[0, 1:]] = nf.coeffs
+    out[:, sym2_from_full(slot[1:, 1:], n)] = sp.coeffs
+    return out
 
 
 def _time_connection_terms(background: SpacetimeBackground, t: float, U: np.ndarray):
     """Gamma^m_{0a} h_mb + Gamma^m_{0b} h_am in stored components, which is
-    d/dt h_ab - (nabla_nu h)_ab at unit lapse."""
-    gam0 = background.gamma_derivs(t, 0)[0][:, 0, :]  # Gamma^m_{0 a}
-    full = sym2_to_full(U, background.dim)
-    corr = np.einsum("ma,kmb->kab", gam0, full) + np.einsum("mb,kam->kab", gam0, full)
-    return sym2_from_full(corr, background.dim)
+    d/dt h_ab - (nabla_nu h)_ab at unit lapse: X -> A^T X + X A at
+    A = Gamma^m_{0a}."""
+    return U @ sym2_congruence_matrix(background.gamma_derivs(t, 0)[0][:, 0, :])
 
 
 def nu_jet_conversion(jet: CauchyJet) -> tuple[np.ndarray, np.ndarray]:

@@ -367,7 +367,12 @@ def test_evolve_run_and_determinism(tmp_path, capsys):
     # real data: diagnostics evaluate k = 0 and one mode of each +-k pair
     assert manifest["diagnostics_modes"] == len(ModeLattice(3, 2).half_indices())
     timings = manifest["timings"]
-    assert 0.0 < timings["diagnostics_seconds"] <= timings["evolve_seconds"]
+    assert set(timings) == {"initial_data_seconds", "jet_seconds", "evolve_seconds",
+                            "diagnostics_seconds", "output_seconds"}
+    assert all(v > 0.0 for v in timings.values())
+    # evolve_seconds spans the jet build, the evolution and the diagnostics
+    assert (timings["jet_seconds"] + timings["diagnostics_seconds"]
+            <= timings["evolve_seconds"])
     assert (tmp_path / "r1" / "initial.h.lwf").exists()
     assert (tmp_path / "r1" / "final.m.lwf").exists()
     assert (tmp_path / "r1" / "initial.h.lwf").read_bytes() == (

@@ -12,6 +12,7 @@ from linwave.fields import (
     l2_inner,
     random_field,
     sobolev_norm,
+    sym2_congruence_matrix,
     sym2_from_full,
     sym2_index_pairs,
     sym2_to_full,
@@ -52,6 +53,20 @@ def test_sym2_converters_round_trip_in_index_pair_order(n):
         assert np.array_equal(full[..., j, i], c[..., a])
     # the upper triangle is what is stored; the lower one is never read
     assert np.array_equal(sym2_from_full(np.triu(full[0, 0]), n), c[0, 0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sym2_congruence_matrix_applies_a_transpose_x_plus_x_a(n):
+    rng = np.random.default_rng(10 + n)
+    ncomp = n * (n + 1) // 2
+    a = rng.standard_normal((n, n))  # not symmetric
+    x = rng.standard_normal((7, ncomp)) + 1j * rng.standard_normal((7, ncomp))
+    M = sym2_congruence_matrix(a)
+    assert M.shape == (ncomp, ncomp) and M.dtype == float
+    X = sym2_to_full(x, n)
+    want = sym2_from_full(a.T @ X + X @ a, n)
+    assert np.max(np.abs(x @ M - want)) <= 1e-15 * np.max(np.abs(want))
+    assert not np.any(x @ sym2_congruence_matrix(np.zeros((n, n))))
 
 
 def test_analyze_synthesize_round_trip():

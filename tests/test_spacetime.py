@@ -251,6 +251,59 @@ def test_nu_conversion_is_identity_on_minkowski():
     assert np.max(np.abs(Ud[:, 0] - jet.dh_nn.coeffs[:, 0])) == 0.0
 
 
+def _stored_from_packed_blocks(nn, nf, sp):
+    """The stored components of the tensor with blocks h(nu,nu), h(nu,.)
+    and h(.,.), by filling a zeroed (N, n+1, n+1) tensor and packing it."""
+    n = sp.lattice.n
+    full = np.zeros((sp.lattice.num_modes, n + 1, n + 1), complex)
+    full[:, 0, 0] = nn.coeffs[:, 0]
+    full[:, 0, 1:] = full[:, 1:, 0] = nf.coeffs
+    full[:, 1:, 1:] = sym2_to_full(sp.coeffs, n)
+    return sym2_from_full(full, n + 1)
+
+
+def _time_connection_on_tensors(bg, t, U):
+    """Gamma^m_{0a} h_mb + Gamma^m_{0b} h_am contracted on (N, 4, 4) tensors."""
+    gam0 = bg.gamma_derivs(t, 0)[0][:, 0, :]
+    full = sym2_to_full(U, bg.dim)
+    return sym2_from_full(np.einsum("ma,kmb->kab", gam0, full)
+                          + np.einsum("mb,kam->kab", gam0, full), bg.dim)
+
+
+def _random_jet(bg, t, lat, rng):
+    return CauchyJet(
+        bg, t,
+        random_field(lat, "scalar", rng), random_field(lat, "one-form", rng),
+        random_field(lat, "sym2", rng), random_field(lat, "scalar", rng),
+        random_field(lat, "one-form", rng), random_field(lat, "sym2", rng),
+    )
+
+
+@pytest.mark.parametrize("bg, t", [(MINK, 0.0), (KAS, 1.0), (KAS, 1.3)])
+def test_nu_jet_conversion_matches_the_tensor_contractions_bit_for_bit(bg, t):
+    # the blocks are gathered straight into their stored columns and the
+    # connection terms contracted on stored components; with exponents in
+    # thirds every sum of two Christoffels is exact, so nothing moves
+    rng = np.random.default_rng(6)
+    jet = _random_jet(bg, t, ModeLattice(3, 2), rng)
+    jet.dh_sp.coeffs[0] = -0.0  # signed zeros are kept too
+    U, Ud = nu_jet_conversion(jet)
+    H = _stored_from_packed_blocks(jet.h_nn, jet.h_n, jet.h_sp)
+    Nu = _stored_from_packed_blocks(jet.dh_nn, jet.dh_n, jet.dh_sp)
+    assert U.tobytes() == H.tobytes()
+    assert Ud.tobytes() == (Nu + _time_connection_on_tensors(bg, t, H)).tobytes()
+
+
+def test_nu_jet_conversion_matches_the_tensor_contractions_for_any_exponents():
+    bg = spacetime_background("kasner", p=(-2.0 / 7.0, 3.0 / 7.0, 6.0 / 7.0))
+    rng = np.random.default_rng(7)
+    jet = _random_jet(bg, 1.7, ModeLattice(3, 2), rng)
+    U, Ud = nu_jet_conversion(jet)
+    want = (_stored_from_packed_blocks(jet.dh_nn, jet.dh_n, jet.dh_sp)
+            + _time_connection_on_tensors(bg, 1.7, U))
+    assert np.max(np.abs(Ud - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_asymmetric_rank2_jet_is_an_internal_error():
     J = unknown_jet(MINK, 0.0, "sym2", 0)
     J.data[0, 0, 0, 1] += 1.0  # h_01 no longer equals h_10
