@@ -241,17 +241,20 @@ def cmd_evolve(args) -> int:
     save_pair(extract_induced_data(traj, t1), outdir / "final")
     toc_out = time.perf_counter()
 
+    # the largest residual of each kind, at its (first) sample time
+    name = "dphi2" if diag.dphi2_residual.max() > diag.dphi1_residual.max() else "dphi1"
+    worst = {}
+    for check, series in (("gauge", diag.gauge_residual),
+                          ("constraint", getattr(diag, f"{name}_residual"))):
+        i = int(np.argmax(series))
+        worst[check] = {"t": float(diag.times[i]), "value": float(series[i])}
+    worst["constraint"]["residual"] = name
     checks = {}
-    tol_g = cfg.get("tolerance.gauge")
-    if tol_g is not None:
-        checks["gauge"] = {"value": float(diag.gauge_residual.max()),
-                           "tolerance": tol_g,
-                           "pass": bool(diag.gauge_residual.max() <= tol_g)}
-    tol_c = cfg.get("tolerance.constraint")
-    if tol_c is not None:
-        worst = float(max(diag.dphi1_residual.max(), diag.dphi2_residual.max()))
-        checks["constraint"] = {"value": worst, "tolerance": tol_c,
-                                "pass": bool(worst <= tol_c)}
+    for check, tol in (("gauge", cfg.get("tolerance.gauge")),
+                       ("constraint", cfg.get("tolerance.constraint"))):
+        if tol is not None:
+            value = worst[check]["value"]
+            checks[check] = {"value": value, "tolerance": tol, "pass": bool(value <= tol)}
     ok = all(c["pass"] for c in checks.values())
     manifest = {
         "background": kind,
@@ -268,6 +271,7 @@ def cmd_evolve(args) -> int:
                     "evolve_seconds": toc - tic, "diagnostics_seconds": toc - tic_diag,
                     "output_seconds": toc_out - toc},
         "version": __version__,
+        "worst": worst,
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"

@@ -159,9 +159,10 @@ def _least_squares(geom: SliceGeometry, A: np.ndarray, y: np.ndarray, rows, cols
     rcond KERNEL_TOL in u = Rd^-1 pinv(Rc A Rd^-1) Rc y, where R^T R is the
     pointwise Gram matrix of a rank tuple (the volume factor cancels).
     Slice operators have real coefficients, so on a torus A(-k) = conj A(k)
-    and the fit runs on lattice.half_indices() only, each of those modes
-    also fitting its -k partner's data with the conjugate pinv, for real
-    and complex y alike.
+    and the fit runs on the rows lattice.half only, read as views, each of
+    those modes also fitting its -k partner's data with the conjugate pinv,
+    for real and complex y alike: the partners of the half are its rows of
+    y[::-1], and k = 0 is its last row (see lattice.negation_permutation).
 
     On a torus A must be injective at every k != 0, as P(beta, N) is on the
     flat torus: there the fit solves the normal equations, one small Gram
@@ -175,20 +176,19 @@ def _least_squares(geom: SliceGeometry, A: np.ndarray, y: np.ndarray, rows, cols
     if lattice is None:
         z = np.einsum("mcr,mr->mc", np.linalg.pinv(B, rcond=KERNEL_TOL), ry)
     else:
-        half = lattice.half_indices()
-        partner = lattice.negation_permutation()[half]
-        zero = np.searchsorted(half, lattice.mode_index((0,) * lattice.n))
+        half = lattice.half
+        zero = half.stop - 1
         B_half = B[half]
         # each half mode fits its own data and, as pinv(-k) = conj pinv(k),
         # the conjugate of its partner's: two right-hand sides per mode
-        rhs = np.stack([ry[half], np.conj(ry[partner])], axis=-1)
+        rhs = np.stack([ry[half], np.conj(ry[::-1][half])], axis=-1)
         adj = np.conj(np.swapaxes(B_half, 1, 2))
         gram = adj @ B_half
         gram[zero] = np.eye(c)  # singular at k = 0, whose fit is the pinv below
         w = np.linalg.solve(gram, adj @ rhs)
         w[zero] = np.linalg.pinv(B_half[zero], rcond=KERNEL_TOL) @ rhs[zero]
         z = np.empty((m, c), w.dtype)
-        z[partner] = np.conj(w[..., 1])
+        z[zero:] = np.conj(w[::-1, :, 1])  # partners: row zero + j is at -k of row zero - j
         z[half] = w[..., 0]  # last, so k = 0, its own partner, keeps its own
     return z @ Rd_inv.T
 

@@ -17,21 +17,24 @@ recovery keeps V and V' only.  The background chooses the method: closed
 form on the Minkowski torus (which takes no dt) and classical 4th-order
 RK4 at a fixed dt on Kasner.  It writes each sample once, into its row of
 the two (samples, modes, ncomp) trajectory arrays.  Real data
-(c_{-k} = conj(c_k)) run on half the lattice, and each sample is written to
-the kept rows and, conjugated, to their partners, with output identical to
-sampling every mode.  Between the samples of an RK4 run the state is held
-in the real form of spacetime.real_form, in which every mode operator is a
-real matrix per k-monomial block: [Re; Im] of the parity-rotated
-components, 2N rows for N modes, with each component's 2N values
-contiguous, so a block is one real matrix product over all modes.
+(c_{-k} = conj(c_k)) run on the contiguous Hermitian half of the lattice,
+ModeLattice.half: in the lattice's C order k -> -k reverses the mode
+index, so the half is a view of the first rows, ending with k = 0, and
+each sample is written to the kept rows and, conjugated and reversed, to
+their partners, with output identical to sampling every mode.  Between
+the samples of an RK4 run the state is held in the real form of
+spacetime.real_form, in which every mode operator is a real matrix per
+k-monomial block: [Re; Im] of the parity-rotated components, 2N rows for
+N modes, with each component's 2N values contiguous, so a block is one
+real matrix product over all modes.
 Samples, trajectories and every function of this module take and return
 the complex (N, ncomp) components; the functions that apply a family
 convert to and from the real form.  A trajectory holds its samples only;
 induced data are extracted at sample times.  Diagnostics track the gauge
 residual, the constraint residuals of the induced data, and the wave
-energies E_0 and E_1; on real trajectories they are evaluated on the same
-half, with each +-k pair counted twice in the norms, and on any other
-trajectory on the full lattice.  The gauge vector field of a pure-gauge
+energies E_0 and E_1; on real trajectories they are evaluated on views of
+the same half, with each +-k pair counted twice in the norms, and on any
+other trajectory on the full lattice.  The gauge vector field of a pure-gauge
 solution is recovered by solving the connection wave equation
 nabla*nabla V = -div(hbar).
 """
@@ -227,10 +230,13 @@ def _rk4(at, rhs, t0, y, t1, dt):
 
 
 def _exactly_real(lattice, arrays) -> bool:
-    """True when every (num_modes, ncomp) array satisfies the Hermitian
-    symmetry c_{-k} = conj(c_k) of a real field exactly, with no tolerance."""
-    perm = lattice.negation_permutation()
-    return all(np.array_equal(x[perm], np.conj(x)) for x in arrays)
+    """True when every (num_modes, ncomp) array on lattice satisfies the
+    Hermitian symmetry c_{-k} = conj(c_k) of a real field exactly, with no
+    tolerance (+-0 equal, NaN unequal).  x[::-1] is x at -k, a view (see
+    lattice.negation_permutation), and the symmetry of a pair holds at both
+    of its modes when it holds at one, so the rows lattice.half are tested."""
+    half = lattice.half
+    return all(np.array_equal(x[::-1][half], np.conj(x[half])) for x in arrays)
 
 
 def _on_real_half(lattice, y0, count, run):
@@ -242,26 +248,25 @@ def _on_real_half(lattice, y0, count, run):
 
     The mode operators have real coefficients, so evolution keeps
     c_{-k} = conj(c_k).  When every array of y0 satisfies it exactly, run
-    sees only the modes of lattice.half_indices(), and each sample is
-    written to those rows and, conjugated, to their partners; otherwise run
+    sees views of the rows lattice.half of y0 and of the modes, and each
+    sample x is written to those rows and, conjugated, to their partners:
+    rows half.stop - 1 onwards, which hold x[::-1] at -k.  Otherwise run
     sees every mode.  Each mode evolves on its own, so the kept modes match
     a full-lattice run."""
-    if _exactly_real(lattice, y0):
-        rows = lattice.half_indices()
-        partners = lattice.negation_permutation()[rows]
-    else:
-        rows, partners = slice(None), None
+    rows = lattice.half if _exactly_real(lattice, y0) else slice(None)
     out = None
     for i, y in enumerate(run(lattice.modes[rows], tuple(x[rows] for x in y0))):
         if out is None:
             out = tuple(np.empty((count, lattice.num_modes) + x.shape[1:], x.dtype)
                         for x in y)
         for full, x in zip(out, y):
-            if partners is not None:
+            if rows.stop is not None:
                 # conjugates first, so k = 0 keeps its own value; + 0.0 turns
                 # the -0.0 imaginary part that conj gives a real coefficient
                 # into +0.0
-                full[i, partners] = np.conj(x) + 0.0
+                partners = full[i, rows.stop - 1:]
+                np.conjugate(x[::-1], out=partners)
+                partners += 0.0
             full[i, rows] = x
     return out
 
@@ -394,20 +399,19 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeri
     at every stored sample time.
 
     When every state and derivative sample is exactly Hermitian (the test
-    of _on_real_half), only the modes of lattice.half_indices() are
-    evaluated, and each sum counts k = 0 once and every other mode twice,
-    for itself and -k: every operator here has real coefficients, so the
-    terms of k and -k are equal.  Any other trajectory is evaluated on the
-    full lattice, each mode once."""
+    of _on_real_half, redone here because trajectory arrays are mutable),
+    each sample is read through views of the rows lattice.half, and each
+    sum weights its terms by lattice.half_weights(): k = 0 once and every
+    other mode twice, for itself and -k, since every operator here has real
+    coefficients, so the terms of k and -k are equal.  Any other trajectory
+    is evaluated on the full lattice, each mode once."""
     _check_energy_args(sobolev_order)
     bg, lat = traj.background, traj.lattice
     if _exactly_real(lat, [*traj.states, *traj.derivs]):
-        idx = lat.half_indices()
-        mult = np.where(lat.negation_permutation()[idx] == idx, 1.0, 2.0)
+        rows, mult = lat.half, lat.half_weights()
     else:
-        idx = np.arange(lat.num_modes)
-        mult = np.ones(lat.num_modes)
-    modes = lat.modes[idx]
+        rows, mult = slice(None), np.ones(lat.num_modes)
+    modes = lat.modes[rows]
     k2 = np.sum(modes ** 2, axis=1)
     k2r, multr = np.tile(k2, 2), np.tile(mult, 2)  # per row of the real form
     div = FamilyAction(bg, "div_trace_reversed", traj.times[0], modes)
@@ -418,7 +422,7 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeri
     mult1 = mult * (1.0 + k2)  # the H^1 weight of DPhi_2
     gauge, d1, d2, en = [], [], [], []
     for i, t in enumerate(traj.times):
-        U, Ud = traj.states[i][idx], traj.derivs[i][idx]
+        U, Ud = traj.states[i, rows], traj.derivs[i, rows]
         X, Xd = real_form(U, bg.dim), real_form(Ud, bg.dim)
         div_t = div.at(t)
         gauge.append(weighted_norm(div_t.apply(0, X) + div_t.apply(1, Xd), w_gauge, multr))

@@ -122,19 +122,30 @@ class ModeLattice:
         return idx
 
     def negation_permutation(self) -> np.ndarray:
-        """Index permutation implementing k -> -k."""
-        m = self.modes_per_axis
-        rev = np.arange(m)[::-1]
-        perm = np.arange(self.num_modes).reshape((m,) * self.n)
-        for ax in range(self.n):
-            perm = np.take(perm, rev, axis=ax)
-        return perm.ravel()
+        """Index permutation implementing k -> -k.  Each axis runs over the
+        symmetric range -nmax..nmax in C order, so negating k reverses the
+        flat index: row i's partner is num_modes - 1 - i, and x[::-1] is
+        x at -k as a view."""
+        return np.arange(self.num_modes - 1, -1, -1)
+
+    @property
+    def half(self) -> slice:
+        """The Hermitian half, rows 0..(num_modes - 1) / 2: one mode of each
+        +-k pair, then k = 0 as its last row, whose coefficients determine a
+        real field's.  The partners of x[half] are x[::-1][half]."""
+        return slice(0, (self.num_modes + 1) // 2)
 
     def half_indices(self) -> np.ndarray:
-        """Indices idx <= negation_permutation()[idx]: k = 0 and one mode of
-        each +-k pair, whose coefficients determine a real field's."""
-        perm = self.negation_permutation()
-        return np.flatnonzero(np.arange(self.num_modes) <= perm)
+        """The rows of `half` as an index array: idx <= negation_permutation()[idx]."""
+        return np.arange(self.half.stop)
+
+    def half_weights(self) -> np.ndarray:
+        """Per row of `half`, how often its term counts in a sum over the
+        whole lattice whose terms at k and -k are equal: 2 for itself and
+        its partner, 1 for k = 0 (the last row)."""
+        w = np.full(self.half.stop, 2.0)
+        w[-1] = 1.0
+        return w
 
 
 @dataclass
@@ -170,8 +181,7 @@ class SpectralField:
         return SpectralField(self.lattice, self.rank, self.coeffs.copy(), self.dirac)
 
     def hermitian_defect(self) -> float:
-        perm = self.lattice.negation_permutation()
-        return float(np.max(np.abs(self.coeffs[perm] - np.conj(self.coeffs))))
+        return float(np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))))
 
     def check_hermitian(self, tol: float = HERMITIAN_TOL):
         defect = self.hermitian_defect()
@@ -237,24 +247,6 @@ def analyze(samples: np.ndarray, rank: str, lattice: ModeLattice) -> SpectralFie
     idx = tuple((modes[:, ax] % samples.shape[ax]) for ax in range(n))
     coeffs[:] = spec[idx]
     return SpectralField(lattice, rank, coeffs)
-
-
-def synthesize(field: SpectralField, grid_size: int) -> np.ndarray:
-    """Evaluate the truncated series on the uniform grid x_j = 2 pi j / N.
-
-    Returns a real array of shape (N,)*n + (ncomp,) (component axis dropped
-    for scalars).  Grid offsets are supported via `synthesize_shifted`.
-    """
-    field.check_hermitian()
-    out = synthesize_shifted(field, grid_size, None)
-    imag = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(out.real))))
-    if imag > 1e-12 * scale:
-        raise ValueError(f"synthesis produced imaginary part {imag:.3e}")
-    out = out.real
-    if field.rank == "scalar":
-        out = out[..., 0]
-    return out
 
 
 def synthesize_shifted(field: SpectralField, grid_size: int, shift=None) -> np.ndarray:
@@ -369,34 +361,6 @@ def dirac_partial_sum(order: int, s: float, truncation: int) -> float:
     return total
 
 
-def distributional_coefficients(
-    lattice: ModeLattice, order: int, axis: int, components, rank: str = "sym2"
-) -> SpectralField:
-    """Truncation of delta^(order)(x_axis) placed on the given components.
-
-    The Dirac comb on the circle has coefficients 1/(2 pi); its order-th
-    derivative carries the multiplier (i k_axis)^order.  `components` is a
-    component index or list of indices of the target rank.
-    """
-    if order < 0:
-        raise ValueError(f"derivative order must be >= 0, got {order}")
-    if not 0 <= axis < lattice.n:
-        raise ValueError(f"axis {axis} out of range for n={lattice.n}")
-    ncomp = rank_components(rank, lattice.n)
-    comps = [components] if np.isscalar(components) else list(components)
-    for c in comps:
-        if not 0 <= c < ncomp:
-            raise ValueError(f"component {c} out of range for rank {rank}")
-    modes = lattice.modes
-    online = np.all(np.delete(modes, axis, axis=1) == 0, axis=1)
-    line = np.where(online, (1j * modes[:, axis]) ** order / (2 * np.pi), 0.0)
-    coeffs = np.zeros((lattice.num_modes, ncomp), complex)
-    for c in comps:
-        coeffs[:, c] = line
-    dirac = (order, axis, comps[0]) if len(comps) == 1 else None
-    return SpectralField(lattice, rank, coeffs, dirac=dirac)
-
-
 def random_field(
     lattice: ModeLattice,
     rank: str,
@@ -412,8 +376,7 @@ def random_field(
     raw = rng.standard_normal((lattice.num_modes, ncomp)) + 1j * rng.standard_normal(
         (lattice.num_modes, ncomp)
     )
-    perm = lattice.negation_permutation()
-    coeffs = 0.5 * (raw + np.conj(raw[perm]))
+    coeffs = 0.5 * (raw + np.conj(raw[::-1]))  # raw at -k, see negation_permutation
     if decay > 0:
         k2 = np.sum(lattice.modes ** 2, axis=1)
         coeffs *= np.exp(-k2 / (2.0 * decay ** 2))[:, None]

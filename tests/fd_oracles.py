@@ -20,6 +20,11 @@ separately on each backend, per torus mode by hand and on Berger through
 the k~ = 0 reduction: the references for the one formula
 `linwave.constraints.dphi_modes`.
 
+`synthesize` evaluates a real field on a uniform grid, and
+`distributional_coefficients` truncates a Dirac-derivative line
+distribution: test inputs and pointwise references for the field
+transforms, the slice oracle and the split.
+
 `reference_mode_matrices` assembles a spacetime mode operator at one
 concrete wave covector k, with complex jets on which each spatial
 derivative multiplies by i k_a: the per-k reference for the coefficient
@@ -33,7 +38,14 @@ import numpy as np
 
 import linwave.invariant as inv
 from linwave import spacetime
-from linwave.fields import sym2_from_full, sym2_to_full
+from linwave.fields import (
+    ModeLattice,
+    SpectralField,
+    rank_components,
+    sym2_from_full,
+    sym2_to_full,
+    synthesize_shifted,
+)
 from linwave.slices import SliceGeometry, apply_slice_operator, operator_matrices, scalar_times
 
 FD_EPS = 1e-3
@@ -305,3 +317,49 @@ def reference_mode_matrices(bg, kind, t, k):
         return list(out)
     # sym2 output: (order, dim, dim, ncomp_in) -> (order, ncomp_out, ncomp_in)
     return list(np.swapaxes(sym2_from_full(np.moveaxis(out, -1, 1), bg.dim), 1, 2))
+
+
+def synthesize(field: SpectralField, grid_size: int) -> np.ndarray:
+    """Evaluate the truncated series on the uniform grid x_j = 2 pi j / N.
+
+    Returns a real array of shape (N,)*n + (ncomp,) (component axis dropped
+    for scalars).  Grid offsets are supported via `synthesize_shifted`.
+    """
+    field.check_hermitian()
+    out = synthesize_shifted(field, grid_size, None)
+    imag = float(np.max(np.abs(out.imag))) if out.size else 0.0
+    scale = max(1.0, float(np.max(np.abs(out.real))))
+    if imag > 1e-12 * scale:
+        raise ValueError(f"synthesis produced imaginary part {imag:.3e}")
+    out = out.real
+    if field.rank == "scalar":
+        out = out[..., 0]
+    return out
+
+
+def distributional_coefficients(
+    lattice: ModeLattice, order: int, axis: int, components, rank: str = "sym2"
+) -> SpectralField:
+    """Truncation of delta^(order)(x_axis) placed on the given components.
+
+    The Dirac comb on the circle has coefficients 1/(2 pi); its order-th
+    derivative carries the multiplier (i k_axis)^order.  `components` is a
+    component index or list of indices of the target rank.
+    """
+    if order < 0:
+        raise ValueError(f"derivative order must be >= 0, got {order}")
+    if not 0 <= axis < lattice.n:
+        raise ValueError(f"axis {axis} out of range for n={lattice.n}")
+    ncomp = rank_components(rank, lattice.n)
+    comps = [components] if np.isscalar(components) else list(components)
+    for c in comps:
+        if not 0 <= c < ncomp:
+            raise ValueError(f"component {c} out of range for rank {rank}")
+    modes = lattice.modes
+    online = np.all(np.delete(modes, axis, axis=1) == 0, axis=1)
+    line = np.where(online, (1j * modes[:, axis]) ** order / (2 * np.pi), 0.0)
+    coeffs = np.zeros((lattice.num_modes, ncomp), complex)
+    for c in comps:
+        coeffs[:, c] = line
+    dirac = (order, axis, comps[0]) if len(comps) == 1 else None
+    return SpectralField(lattice, rank, coeffs, dirac=dirac)

@@ -36,7 +36,6 @@ from linwave.fields import (
     dirac_partial_sum,
     random_field,
     sobolev_norm,
-    synthesize,
     zero_field,
 )
 from linwave.slices import (
@@ -44,6 +43,8 @@ from linwave.slices import (
     slice_geometry,
 )
 from linwave.spacetime import CauchyJet, spacetime_background
+
+from fd_oracles import synthesize
 
 KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
 TORUS = slice_geometry("flat-torus", n=3)

@@ -24,7 +24,6 @@ from linwave.fields import (
     ModeLattice,
     SpectralField,
     analyze,
-    distributional_coefficients,
     random_field,
     sym2_from_full,
     sym2_index_pairs,
@@ -36,6 +35,7 @@ from linwave.slices import slice_geometry
 from linwave.spacetime import CauchyJet, spacetime_background
 
 from fd_oracles import (
+    distributional_coefficients,
     kasner_triples,
     milnor_slice,
     phi_pointwise_reference,

@@ -19,7 +19,6 @@ from linwave.decomposition import (
 from linwave.fields import (
     ModeLattice,
     SpectralField,
-    distributional_coefficients,
     random_field,
     sym2_from_full,
     sym2_to_full,
@@ -32,7 +31,7 @@ from linwave.spacetime import (
     spacetime_background,
 )
 
-from fd_oracles import berger_matrix, milnor_slice
+from fd_oracles import berger_matrix, distributional_coefficients, milnor_slice
 
 KASNER_P = (2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
 TORUS = slice_geometry("flat-torus", n=3)

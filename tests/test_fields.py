@@ -8,7 +8,6 @@ from linwave.fields import (
     analyze,
     component_weights,
     dirac_partial_sum,
-    distributional_coefficients,
     l2_inner,
     random_field,
     sobolev_norm,
@@ -16,10 +15,11 @@ from linwave.fields import (
     sym2_from_full,
     sym2_index_pairs,
     sym2_to_full,
-    synthesize,
     zero_field,
 )
 from linwave.slices import slice_geometry
+
+from fd_oracles import distributional_coefficients, synthesize
 
 
 def test_lattice_counts_and_lookup():
@@ -28,6 +28,62 @@ def test_lattice_counts_and_lookup():
     assert np.array_equal(lat.modes[lat.mode_index((1, -2, 0))], (1, -2, 0))
     perm = lat.negation_permutation()
     assert np.array_equal(-lat.modes[perm], lat.modes)
+
+
+def _take_per_axis_negation(n, nmax):
+    """k -> -k built without the index reversal: np.take of the reversed
+    axis range on each axis of the (2 nmax + 1)^n box of flat indices."""
+    m = 2 * nmax + 1
+    perm = np.arange(m ** n).reshape((m,) * n)
+    for ax in range(n):
+        perm = np.take(perm, np.arange(m)[::-1], axis=ax)
+    return perm.ravel()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("nmax", [0, 1, 2, 5])
+def test_negation_is_index_reversal(n, nmax):
+    # C order over the symmetric box [-nmax, nmax]^n: k -> -k reverses the
+    # flat index, and the Hermitian half is the first (N + 1) / 2 rows,
+    # ending with k = 0.  ModeLattice refuses nmax 0, so the one-mode box is
+    # checked on its mode table alone
+    r = np.arange(-nmax, nmax + 1)
+    modes = np.stack([g.ravel() for g in np.meshgrid(*[r] * n, indexing="ij")], axis=-1)
+    N = len(modes)
+    perm = _take_per_axis_negation(n, nmax)
+    half = np.flatnonzero(np.arange(N) <= perm)
+    assert np.array_equal(modes[::-1], -modes)
+    assert np.array_equal(perm, np.arange(N)[::-1])
+    assert np.array_equal(half, np.arange((N + 1) // 2))
+    assert not modes[half[-1]].any()
+    if nmax == 0:
+        with pytest.raises(ValueError, match="nmax must be >= 1"):
+            ModeLattice(n, nmax)
+        return
+    lat = ModeLattice(n, nmax)
+    assert np.array_equal(lat.modes, modes)
+    assert np.array_equal(lat.negation_permutation(), perm)
+    assert np.array_equal(lat.half_indices(), half)
+    assert np.array_equal(np.arange(N)[lat.half], half)
+    assert np.array_equal(lat.half_weights(), np.where(perm[half] == half, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("rank", ["scalar", "one-form", "sym2"])
+def test_random_field_and_defect_match_the_permuted_formulas_bit_for_bit(rank):
+    # raw[::-1] is raw at -k: a seeded random_field is the permuted gather
+    # 0.5 (raw + conj(raw[perm])) byte for byte, with and without decay,
+    # and hermitian_defect reads the permuted defect
+    for lat, decay in ((ModeLattice(3, 4), 0.0), (ModeLattice(2, 5), 1.5)):
+        perm = _take_per_axis_negation(lat.n, lat.nmax)
+        got = random_field(lat, rank, np.random.default_rng(61), decay).coeffs
+        rng = np.random.default_rng(61)
+        raw = rng.standard_normal(got.shape) + 1j * rng.standard_normal(got.shape)
+        want = 0.5 * (raw + np.conj(raw[perm]))
+        if decay > 0:
+            want *= np.exp(-np.sum(lat.modes ** 2, axis=1) / (2.0 * decay ** 2))[:, None]
+        assert got.tobytes() == want.tobytes()
+        defect = SpectralField(lat, rank, raw).hermitian_defect()
+        assert defect == np.max(np.abs(raw[perm] - np.conj(raw))) > 0.1
 
 
 def test_lattice_modes_are_built_once_and_read_only():
