@@ -19,12 +19,13 @@ gauge-producing data on arbitrary slices, and kernel bases.
 
 P and P(beta, N) are written once, as maps of slice fields (P(beta, N) is
 gauge_producing_data on a slice with k~ = 0), and slices.operator_matrices
-reads their per-mode matrices off them on either backend.  Only the split
-solve is per backend: the torus inverts P mode by mode, Berger takes the
-least-norm least-squares solution, as the one Moncrief solve does on both.
-Everything else (the defining equations, P*, forming gamma from the solved
-parts and the residual reports) is written once too, with the operators,
-scalar_times, norms and inner products of slices.py.
+reads their per-mode matrices off them on either backend (with i k kept
+symbolic on a torus).  Only the split solve is per backend: the torus
+inverts P mode by mode, Berger takes the least-norm least-squares solution,
+as the one Moncrief solve does on both.  Everything else (the defining
+equations, P*, forming gamma from the solved parts and the residual
+reports) is written once too, with the operators, scalar_times, norms and
+inner products of slices.py.
 """
 
 from __future__ import annotations
@@ -321,7 +322,7 @@ def moncrief_project(pair: InitialDataPair) -> MoncriefSplit:
     beta, N = slice_unstack(geom, MONCRIEF_RANKS, u, lat)
     gauge_h, gauge_m = slice_unstack(geom, ("sym2", "sym2"), np.einsum("mri,mi->mr", A, u), lat)
     out = MoncriefSplit(N, beta, gauge_h, gauge_m, pair.h - gauge_h, pair.m - gauge_m)
-    out.report = _moncrief_report(out, geom)
+    out.report = _moncrief_report(out, pair)
     return out
 
 
@@ -336,15 +337,18 @@ def moncrief_p_star(h, m, geom: SliceGeometry):
             div(div(m)) - apply_slice_operator(geom, "ricci_pairing", m))
 
 
-def _moncrief_report(split: MoncriefSplit, geom: SliceGeometry) -> dict:
+def _moncrief_report(split: MoncriefSplit, pair: InitialDataPair) -> dict:
+    """P* of the remainder, and |<gauge, gamma>| / (||h~||^2 + ||m~||^2): its
+    round-off grows with the data (on pure-gauge data gamma is round-off)."""
+    geom = pair.geom
     r1, r2 = moncrief_p_star(split.gamma_h, split.gamma_m, geom)
-    ortho = slice_inner(geom, split.gauge_h, split.gamma_h) + slice_inner(
-        geom, split.gauge_m, split.gamma_m
-    )
+    ortho = (slice_inner(geom, split.gauge_h, split.gamma_h)
+             + slice_inner(geom, split.gauge_m, split.gamma_m))
+    scale = slice_inner(geom, pair.h, pair.h) + slice_inner(geom, pair.m, pair.m)
     return {
         "p_star_oneform": slice_norm(geom, r1),
         "p_star_scalar": slice_norm(geom, r2),
-        "orthogonality": abs(ortho),
+        "orthogonality": abs(ortho) / scale if scale else 0.0,
     }
 
 

@@ -15,14 +15,21 @@ contractions.  Snapshots write the components in this order.  This module
 is the one place that knows the layout: every other module converts
 between stored components and full matrices with `sym2_to_full` and
 `sym2_from_full`.
+
+Polynomials in k keep one coefficient per monomial of `k_monomials`, the one
+monomial order: `times_ik` multiplies them by i k_a, `ik_phase` turns those
+of (i k)^e into those of k^e and `monomial_basis` evaluates k^e per mode.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
+
+from .errors import InternalError
 
 RANKS = ("scalar", "one-form", "sym2")
 
@@ -304,22 +311,54 @@ def monomial_basis(modes) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def quadratic_probes(n: int) -> np.ndarray:
-    """The probe modes k = 0, e_a, -e_a, e_a + e_b (a < b), (npoly, n) floats."""
-    eye = np.eye(n)
-    a, b = np.triu_indices(n, 1)
-    return np.concatenate([np.zeros((1, n)), eye, -eye, eye[a] + eye[b]])
+@cache
+def k_monomials(n: int, degree: int) -> np.ndarray:
+    """Exponent rows e of the monomials (i k)^e of degree <= `degree` in n
+    variables, by degree, the squares (one distinct index) before the cross
+    terms: [1, i k_a, (i k_a)^2, i k_a i k_b (a < b)] through degree 2."""
+    eye = np.eye(n, dtype=int)
+    rows = [np.zeros(n, int)]
+    for d in range(1, degree + 1):
+        combos = sorted(itertools.combinations_with_replacement(range(n), d),
+                        key=lambda c: len(set(c)))
+        rows += [eye[list(c)].sum(axis=0) for c in combos]
+    out = np.array(rows)
+    out.flags.writeable = False
+    return out
 
 
-def quadratic_coefficients(values: np.ndarray, n: int) -> np.ndarray:
-    """monomial_basis coefficients of a quadratic polynomial in k from its
-    values at quadratic_probes(n), stacked on axis 0."""
-    a, b = np.triu_indices(n, 1)
-    c0, plus, minus = values[0], values[1:n + 1], values[n + 1:2 * n + 1]
-    lin = (plus - minus) / 2.0
-    diag = (plus + minus) / 2.0 - c0
-    cross = values[2 * n + 1:] - c0 - lin[a] - lin[b] - diag[a] - diag[b]
-    return np.concatenate([c0[None], lin, diag, cross])
+@cache
+def k_shift(n: int, degree: int) -> tuple:
+    """Multiplication by i k_a on k_monomials(n, degree): (low, targets), where
+    the monomials 0..low-1 are those below the top degree and targets[a]
+    lists the monomial that (i k_a) times each of them is."""
+    mono = k_monomials(n, degree)
+    index = {tuple(e): m for m, e in enumerate(mono)}
+    low = int(np.sum(mono.sum(axis=1) < degree))
+    targets = tuple(np.array([index[tuple(e)] for e in mono[:low] + np.eye(n, dtype=int)[a]])
+                    for a in range(n))
+    return low, targets
+
+
+def times_ik(c: np.ndarray, n: int, layer: str, degree: int = 2, out=None) -> np.ndarray:
+    """i k_a c, a = 1..n on a new leading axis, of coefficients c (..., npoly)
+    of k_monomials(n, degree) on the last axis, written into `out` (zeros of
+    shape (n,) + c.shape) if given.  A term of the top degree would leave
+    the table: InternalError, naming `layer`."""
+    low, targets = k_shift(n, degree)
+    if np.any(c[..., low:]):
+        raise InternalError(f"{layer}: a term of k-degree {degree + 1}; the monomials "
+                            f"run up to degree {degree}")
+    out = np.zeros((n,) + c.shape, c.dtype) if out is None else out
+    for a, target in enumerate(targets):
+        out[a][..., target] = c[..., :low]
+    return out
+
+
+def ik_phase(n: int, degree: int = 2) -> np.ndarray:
+    """i^deg(e) per monomial of k_monomials(n, degree): the coefficient of
+    k^e is i^deg(e) times that of (i k)^e, exactly."""
+    return np.array([1.0, 1j, -1.0, -1j])[k_monomials(n, degree).sum(axis=1) % 4]
 
 
 def sobolev_norm(field: SpectralField, s: float) -> float:

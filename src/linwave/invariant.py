@@ -8,7 +8,7 @@ these are constant, so only the connection terms remain.  It is all the
 Berger backend of slices.apply_slice_operator needs, which writes every
 slice operator from it, and slices.operator_matrices reads the matrix of a
 map (such as the split operator P of decomposition.py) off its action on
-unit fields.  gram_matrix gives the volume-weighted inner products.
+unit invariant fields.  gram_matrix gives the volume-weighted inner products.
 
 Conventions:
   * frame bracket [e_i, e_j] = 2 eps_{ijk} e_k (SU(2)),

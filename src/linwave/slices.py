@@ -12,17 +12,17 @@ backends, on stored coefficients at any set of torus modes, and
 apply_slice_operator its front for fields.  Each operator is written once,
 in _full_operator, as contractions with g~^-1 of one covariant derivative
 nabla, and a backend supplies only that nabla: i k_a per mode on a torus,
-invariant.nabla on Berger.  nabla also takes the tensor its derivative
-index is contracted against, so the torus divergence never forms
-nabla T.  The ranks each operator takes and returns are one table,
-_RANKS, checked once.  With a constant symmetric tensor T of
-the slice (g~, k~, Ric), scalar_times is the sym2 field f T of a scalar f
-and slice_pairing the scalar g~(T, h), so zeroth-order terms are written
-once too.
+or the shift fields.times_ik with i k symbolic, invariant.nabla on Berger.
+nabla also takes the tensor its derivative index is contracted against,
+so the torus divergence never forms nabla T.  The ranks each operator
+takes and returns are one table, _RANKS, checked once.  With a constant
+symmetric tensor T of the slice (g~, k~, Ric), scalar_times is the sym2
+field f T of a scalar f and slice_pairing the scalar g~(T, h), so
+zeroth-order terms are written once too.
 slice_norm, slice_inner and slice_max_abs are the matching L^2 norm, inner
 product and largest coefficient modulus.  operator_matrices reads the
 per-mode matrices of a linear map built from these (P, P(beta, N), DPhi)
-off unit fields.
+off one application per column with i k symbolic.
 Sign conventions: Delta = delta d + d delta (positive), delta = -div,
 Hess(phi)_{ij} = -k_i k_j phi per mode, L* h = -2 div h + (2/n) d tr h,
 trace reversal h - (1/2)(tr h) g.
@@ -31,23 +31,22 @@ trace reversal h - (1/2)(tr h) g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import invariant as inv
-from .errors import InternalError
 from .fields import (
-    ModeLattice,
     SpectralField,
+    ik_phase,
     l2_inner,
     monomial_basis,
-    quadratic_coefficients,
-    quadratic_probes,
     rank_components,
     sobolev_norm,
     sym2_from_full,
     sym2_to_full,
+    times_ik,
 )
 
 
@@ -290,10 +289,10 @@ def _covariant_derivative(geom: SliceGeometry, modes):
     last: nabla(T) is nabla T (n, n, ..., n, B), derivative index first, and
     nabla(T, A) is A^{ab} nabla_a T_b... for a constant (n, n) tensor A, the
     derivative index contracted with T's first slot.  On a torus nabla is
-    i k_a at the integer modes (B, n), and nabla(T, A) contracts A with i k
-    first, so nabla T is never formed; on Berger, whose invariant frame
-    components are constant, it is inv.nabla."""
-    if geom.is_torus:
+    i k_a at the integer modes (B, n), where nabla(T, A) never forms nabla T,
+    or with modes None the shift times_ik on B monomials (i k)^e; on Berger,
+    whose invariant frame components are constant, it is inv.nabla."""
+    if geom.is_torus and modes is not None:
         ik = np.ascontiguousarray(1j * modes.T)
 
         def nabla(T, A=None):
@@ -305,10 +304,11 @@ def _covariant_derivative(geom: SliceGeometry, modes):
                 out += w[b] * T[b]
             return out
         return nabla
-    geo = geom.invariant_geometry
+    derivative = (partial(times_ik, n=geom.n, layer="slices.operator_matrices") if geom.is_torus
+                  else lambda T: inv.nabla(geom.invariant_geometry, T[..., 0])[..., None])
 
     def nabla(T, A=None):
-        DT = inv.nabla(geo, T[..., 0])[..., None]
+        DT = derivative(T)
         return DT if A is None else _contract(A, DT)
     return nabla
 
@@ -387,24 +387,21 @@ def operator_matrices(geom: SliceGeometry, F, ranks, lattice=None) -> np.ndarray
     """Per-mode matrices (modes, rows, cols) of a linear map F from fields of
     `ranks` to a tuple of fields, in slice_stack order.  Slice operators act
     mode by mode, so F of the unit field of one input component (the same
-    at every mode) is that column.  On a torus F, of order at most 2, runs
-    on ModeLattice(n, 1) only: its quadratic coefficients are read off the
-    probes, checked on the other modes there (InternalError if F is not
-    quadratic) and evaluated on `lattice`."""
+    at every mode) is that column.  On a torus F runs with i k symbolic (see
+    _covariant_derivative) on the unit field at the constant monomial, its
+    rows are the coefficients C'_e of (i k)^e, and the matrices on `lattice`
+    are monomial_basis @ C, C_e = i^deg(e) C'_e (InternalError at k-degree 3)."""
     n = geom.n
     if geom.is_torus and (lattice is None or lattice.n != n):
         raise ValueError(f"torus operator matrices need a mode lattice of dimension {n}")
-    probe = ModeLattice(n, 1)
-    eye = np.eye(sum(rank_components(r, n) for r in ranks))
-    nmodes = probe.num_modes if geom.is_torus else 1
-    M = np.stack([slice_stack(geom, F(*slice_unstack(geom, ranks, np.tile(e, (nmodes, 1)), probe)))
-                  for e in eye], axis=-1)
+    phase = ik_phase(n)
+    rows = SimpleNamespace(n=n, num_modes=len(phase), modes=None)  # symbolic modes
+    ncols = sum(rank_components(r, n) for r in ranks)
+    units = np.zeros((ncols, rows.num_modes if geom.is_torus else 1, ncols))
+    units[:, 0] = np.eye(ncols)
+    M = np.stack([slice_stack(geom, F(*slice_unstack(geom, ranks, u, rows))) for u in units],
+                 axis=-1)
     if not geom.is_torus:
         return M
-    idx = [probe.mode_index(k) for k in quadratic_probes(n).astype(int)]
-    C = quadratic_coefficients(M[idx], n).reshape(len(idx), -1)
-    dev = np.max(np.abs(monomial_basis(probe.modes) @ C - M.reshape(nmodes, -1)))
-    if dev > 1e-12 * max(1.0, np.max(np.abs(M))):  # probe round-off
-        raise InternalError(f"slices.operator_matrices: the map is not quadratic in k "
-                            f"(deviation {dev:.3e} from its probe fit)")
+    C = (phase[:, None, None] * M).reshape(len(phase), -1)
     return (monomial_basis(lattice.modes) @ C).reshape((lattice.num_modes,) + M.shape[1:])

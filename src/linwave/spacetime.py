@@ -17,8 +17,8 @@ the coefficient of u^{(j)} in every component of T, together with
 enough precomputed time derivatives of those coefficients that further
 covariant derivatives can be taken exactly.  The wave covector k stays
 symbolic: each coefficient is a polynomial in i k, held as one real
-coefficient per monomial [1, i k_a, (i k_a)^2, i k_a i k_b], and a
-spatial derivative multiplies by i k_a, a fixed shift of the monomials.
+coefficient per monomial of fields.k_monomials, and a spatial derivative
+multiplies by i k_a, a fixed shift of the monomials (fields.times_ik).
 Every operator is at most quadratic in k, so one real assembly gives its
 whole coefficient table (see family_coefficients).  Five operator kinds
 are assembled (OPERATOR_KINDS): lichnerowicz (box_L h), div_trace_reversed
@@ -33,8 +33,6 @@ RingR h(X,Y) = tr_g h(R(.,X)Y, .), box_L h = nabla*nabla h - 2 RingR h.
 from __future__ import annotations
 
 import copy
-import functools
-import itertools
 from dataclasses import dataclass, replace
 from math import comb
 from typing import NamedTuple
@@ -44,12 +42,16 @@ import numpy as np
 from .errors import InternalError
 from .fields import (
     SpectralField,
+    ik_phase,
+    k_monomials,
+    k_shift,
     monomial_basis,
     rank_components,
     sym2_congruence_matrix,
     sym2_from_full,
     sym2_index_pairs,
     sym2_to_full,
+    times_ik,
 )
 from .slices import SliceGeometry, kasner_exponents, slice_geometry
 
@@ -177,36 +179,6 @@ def spacetime_background(kind: str, **params) -> SpacetimeBackground:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _k_monomials(n: int, degree: int) -> np.ndarray:
-    """Exponent rows e of the monomials (i k)^e of degree <= `degree` in
-    n variables, by degree and, through degree 2, in the order of
-    fields.monomial_basis: [1, i k_a, (i k_a)^2, i k_a i k_b (a < b)]."""
-    eye = np.eye(n, dtype=int)
-    rows = [np.zeros(n, int)]
-    for d in range(1, degree + 1):
-        # the squares (one distinct index) before the cross terms
-        combos = sorted(itertools.combinations_with_replacement(range(n), d),
-                        key=lambda c: len(set(c)))
-        rows += [eye[list(c)].sum(axis=0) for c in combos]
-    out = np.array(rows)
-    out.flags.writeable = False
-    return out
-
-
-@functools.cache
-def _k_shift(n: int, degree: int) -> tuple:
-    """Multiplication by i k_a on a jet's monomials: (low, targets), where
-    the monomials 0..low-1 are those below the top degree and targets[a]
-    lists the monomial that (i k_a) times each of them is."""
-    mono = _k_monomials(n, degree)
-    index = {tuple(e): m for m, e in enumerate(mono)}
-    low = int(np.sum(mono.sum(axis=1) < degree))
-    targets = tuple(np.array([index[tuple(e)] for e in mono[:low] + np.eye(n, dtype=int)[a]])
-                    for a in range(n))
-    return low, targets
-
-
 @dataclass
 class JetTensor:
     """Tensor field on a single spatial mode k, linear in (u, u', u'', ...),
@@ -215,7 +187,7 @@ class JetTensor:
     data[d, j, i_1..i_r, Y] is the d-th time derivative of the coefficient
     multiplying (i k)^e u^{(j)}_c in the tensor component T_{i_1..i_r}: the
     hidden axis Y runs over the pairs (monomial e, component c), monomial
-    major, with the monomials of _k_monomials(n, degree).  Every
+    major, with the monomials of fields.k_monomials(n, degree).  Every
     coefficient is real.  All lower indices; raising happens through
     explicit metric contractions.
     """
@@ -250,8 +222,7 @@ def unknown_jet(bg: SpacetimeBackground, t: float, rank: str, depth: int,
     else:
         raise ValueError(f"unsupported unknown rank {rank!r}")
     ncomp = eye.shape[-1]
-    data = np.zeros((depth + 1, 1) + eye.shape[:-1]
-                    + (len(_k_monomials(bg.n, degree)) * ncomp,))
+    data = np.zeros((depth + 1, 1) + eye.shape[:-1] + (len(k_monomials(bg.n, degree)) * ncomp,))
     data[0, 0, ..., :ncomp] = eye
     return JetTensor(bg, t, data, degree)
 
@@ -292,27 +263,22 @@ def jet_nabla(J: JetTensor) -> JetTensor:
         raise ValueError("jet depth exhausted; start with a deeper unknown jet")
     bg, dim, r = J.bg, J.bg.dim, J.rank
     depth = J.depth - 1
-    npoly = len(_k_monomials(bg.n, J.degree))
-    low, targets = _k_shift(bg.n, J.degree)
+    npoly = len(k_monomials(bg.n, J.degree))
+    low = k_shift(bg.n, J.degree)[0]
     data = J.data[: depth + 1]
     src = data.reshape(data.shape[:-1] + (npoly, -1))  # (..., monomial, component)
-    if np.any(src[..., low:, :]):
-        raise InternalError(
-            f"spacetime.jet_nabla: a term of k-degree {J.degree + 1}; the jet "
-            f"holds monomials up to degree {J.degree}"
-        )
     out = np.zeros((depth + 1, J.order + 2) + (dim,) * (r + 1) + J.data.shape[-1:],
                    J.data.dtype)
     # time direction: d/dt acts on the coefficients and shifts u-derivatives
     out[:, : J.order + 1, 0] = J.data[1:]
     out[:, 1:, 0] += data
     # spatial directions: i k_a raises each monomial of Y by one degree
-    dst = out.reshape(out.shape[:-1] + (npoly, -1))[:, : J.order + 1]
-    for a, target in enumerate(targets):
-        dst[:, :, 1 + a][..., target, :] = src[..., :low, :]
+    dst = out.reshape(out.shape[:-1] + (npoly, -1))[:, : J.order + 1, 1:]
+    times_ik(np.swapaxes(src, -1, -2), bg.n, "spacetime.jet_nabla", J.degree,
+             out=np.swapaxes(np.moveaxis(dst, 2, 0), -1, -2))
     # Christoffel corrections, one per original index slot: each is one
     # GEMM of Gamma^z_{n s} against the jet with slot s moved to the front.
-    # The top-degree monomials are zero (checked above), so only the
+    # The top-degree monomials are zero (times_ik checks), so only the
     # leading `low` monomials of Y take part
     gam = bg.gamma_derivs(J.t, depth)
     ylow = low * (J.data.shape[-1] // npoly)
@@ -416,12 +382,11 @@ def jet_matrices(J: JetTensor) -> list[np.ndarray]:
     """Read the depth-0 slice off a rank-1 or rank-2 jet as its polynomial
     coefficient matrices [C_0, C_1, ...], each (npoly, ncomp_out, ncomp_in),
     with (T)_comp = sum_j sum_p k^p (C_j)_p u^{(j)} over the monomials p of
-    the jet (monomial_basis order through degree 2).  The jet holds the
-    coefficient C'_p of (i k)^p, so C_p = i^deg(p) C'_p, exactly."""
-    mono = _k_monomials(J.bg.n, J.degree)
-    phase = np.array([1.0, 1j, -1.0, -1j])[mono.sum(axis=1) % 4]
+    the jet (fields.k_monomials order).  The jet holds the coefficient
+    C'_p of (i k)^p, so C_p = i^deg(p) C'_p, exactly (fields.ik_phase)."""
+    phase = ik_phase(J.bg.n, J.degree)
     data = J.data[0]
-    data = data.reshape(data.shape[:-1] + (len(mono), -1))  # (O, idx..., p, c)
+    data = data.reshape(data.shape[:-1] + (len(phase), -1))  # (O, idx..., p, c)
     if J.rank == 1:
         tables = np.moveaxis(data, 1, 2)
     elif J.rank == 2:
@@ -489,11 +454,7 @@ def _homothety_exponents(background: SpacetimeBackground, kind: str, shapes) -> 
     w = np.zeros((n + 1, n + 1), int)  # w_t = 1, w_i = 1 - p_i
     w[:, 0] = 1
     w[1:, 1:] = -np.eye(n, dtype=int)
-    ws = w[1:]
-    mono = np.concatenate([
-        np.zeros((1, n + 1), int), ws, 2 * ws,
-        [ws[a] + ws[b] for a in range(n) for b in range(a + 1, n)],
-    ])
+    mono = k_monomials(n, 2) @ w[1:]  # W of each k-monomial
     # every kind but lie_of_g contracts once with g^{-1}, which scales by lam^-2
     c = 0 if kind == "lie_of_g" else -2
     p1 = np.concatenate([[1.0], np.asarray(background.p, float)])
@@ -641,10 +602,9 @@ def family_coefficients(background: SpacetimeBackground, kind: str, t: float) ->
     """Polynomial coefficient matrices of a mode operator.
 
     The per-mode matrices are quadratic polynomials in k (each spatial
-    derivative contributes one factor i k), with coefficients in the
-    monomial basis [1, k_a..., k_a^2..., k_a k_b (a < b)...]: one jet
-    assembly with k kept symbolic gives the coefficient C'_p of (i k)^p,
-    and C_p = i^deg(p) C'_p.
+    derivative contributes one factor i k), with coefficients on the
+    monomials of fields.k_monomials: one jet assembly with k kept symbolic
+    gives the coefficient C'_p of (i k)^p, and C_p = i^deg(p) C'_p.
 
     Returns [C_0, C_1, ...] with C_j of shape (npoly, ncomp_out, ncomp_in).
 

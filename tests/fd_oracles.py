@@ -11,9 +11,10 @@ oracle written with the grid axis in the middle of every array, the
 reference for the grid-last kernel in `linwave.constraints`.
 
 `berger_matrix` reads the matrix of one slice operator on an invariant
-slice, and `milnor_slice` is a scalar-flat invariant slice off the Berger
-axis.  `kasner_triples` are the Kasner exponents the spacetime and
-constraint tests sweep.
+slice, `direct_mode_matrices` the per-mode matrices of a linear map of
+torus slice fields at the modes of a lattice, and `milnor_slice` is a
+scalar-flat invariant slice off the Berger axis.  `kasner_triples` are
+the Kasner exponents the spacetime and constraint tests sweep.
 
 `reference_dphi_modes` and `reference_dphi_invariant` are DPhi written out
 separately on each backend, per torus mode by hand and on Berger through
@@ -46,7 +47,14 @@ from linwave.fields import (
     sym2_to_full,
     synthesize_shifted,
 )
-from linwave.slices import SliceGeometry, apply_slice_operator, operator_matrices, scalar_times
+from linwave.slices import (
+    SliceGeometry,
+    apply_slice_operator,
+    operator_matrices,
+    scalar_times,
+    slice_stack,
+    slice_unstack,
+)
 
 FD_EPS = 1e-3
 
@@ -201,6 +209,18 @@ def berger_matrix(geom, kind: str, rank: str) -> np.ndarray:
     """Matrix of the slice operator `kind` on invariant fields of `rank`,
     read off apply_slice_operator by slices.operator_matrices."""
     return operator_matrices(geom, lambda f: (apply_slice_operator(geom, kind, f),), (rank,))[0]
+
+
+def direct_mode_matrices(geom, F, ranks, lattice) -> np.ndarray:
+    """Per-mode matrices (modes, rows, cols) of a linear map F of torus slice
+    fields, F run on the unit fields of `lattice` itself (i k numeric at
+    every mode), with no fit: the exact reference for slices.operator_matrices,
+    which keeps i k symbolic."""
+    ncols = sum(rank_components(r, geom.n) for r in ranks)
+    return np.stack([
+        slice_stack(geom, F(*slice_unstack(geom, ranks, np.tile(e, (lattice.num_modes, 1)),
+                                           lattice)))
+        for e in np.eye(ncols)], axis=-1)
 
 
 def milnor_slice(b):

@@ -252,6 +252,14 @@ def test_decompose_and_moncrief_subcommands(capsys):
     capsys.readouterr()
 
 
+def test_moncrief_orthogonality_is_relative_to_the_data(capsys):
+    """The orthogonality figure is |<gauge, gamma>| / (||h~||^2 + ||m~||^2);
+    its absolute value grows with the data, to 2.3e-10 on this lattice."""
+    assert run_cli(["moncrief", "--kind", "flat-torus", "--nmax", "8", "--seed", "1"]) == 0
+    report = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+    assert report["orthogonality"] <= 1e-15
+
+
 def test_spectrum_reproduces_membership_pattern(capsys):
     rc = run_cli([
         "spectrum", "--order", "2",

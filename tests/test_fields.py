@@ -8,13 +8,17 @@ from linwave.fields import (
     analyze,
     component_weights,
     dirac_partial_sum,
+    ik_phase,
+    k_monomials,
     l2_inner,
+    monomial_basis,
     random_field,
     sobolev_norm,
     sym2_congruence_matrix,
     sym2_from_full,
     sym2_index_pairs,
     sym2_to_full,
+    times_ik,
     zero_field,
 )
 from linwave.slices import slice_geometry
@@ -266,3 +270,23 @@ def test_hermitian_symmetry_of_random_fields():
     rng = np.random.default_rng(0)
     f = random_field(ModeLattice(3, 3), "sym2", rng)
     assert f.hermitian_defect() < 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_monomial_basis_follows_the_one_monomial_order(n):
+    """monomial_basis writes the monomials of k_monomials(n, 2) out column by
+    column; it equals the product form bit for bit.  times_ik maps each
+    monomial below degree 2 to its product with k_a, and ik_phase is
+    i^deg."""
+    mono = k_monomials(n, 2)
+    k = ModeLattice(n, 3).modes
+    assert np.array_equal(monomial_basis(k), np.prod(k[:, None, :] ** mono, axis=-1))
+    assert mono.shape == (1 + 2 * n + n * (n - 1) // 2, n)
+    rng = np.random.default_rng(3)
+    low = int(np.sum(mono.sum(axis=1) < 2))
+    c = np.zeros((3, len(mono)))
+    c[:, :low] = rng.standard_normal((3, low))
+    shifted = times_ik(c, n, "test")  # (n, 3, npoly): coefficients of (i k)^e
+    basis = monomial_basis(k) * ik_phase(n)  # (i k)^e per mode
+    for a in range(n):
+        assert np.allclose(shifted[a] @ basis.T, 1j * k[:, a] * (c @ basis.T), rtol=0, atol=1e-12)

@@ -1,5 +1,6 @@
-"""Every name a module of src/linwave imports is used in that module, and no
-module reads a private name of another."""
+"""Every name a module of src/linwave imports is used in that module, no
+module reads a private name of another, and every public definition is named
+by the library or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -107,3 +108,45 @@ def test_every_config_key_and_operator_kind_has_a_library_reader():
     assert not unread, f"config keys no module reads: {unread}"
     unnamed = set(spacetime._JET_FUNCS) - named
     assert not unnamed, f"operator kinds no module names: {unnamed}"
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+# Public definitions that no module of src/linwave and no file of perfbench/
+# names, kept on purpose.
+UNNAMED_PUBLIC = {
+    "kernel_basis": "criterion 5's kernel count, library API",
+    "assemble_mode_operator": "the per-k ModeOperator, until ROADMAP items 1 and 8",
+}
+
+
+def _named(path) -> set:
+    """Every name a file reads, imports or gives as an attribute or a string
+    (the benchmark tracer names the functions it wraps by string)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_definition_is_named_by_the_library_or_the_benchmark():
+    """Every public top-level function or class of src/linwave is named by
+    some module of src/linwave other than at its own definition, or by a
+    file under perfbench/, apart from UNNAMED_PUBLIC: a helper that only
+    tests call does not belong in src/."""
+    paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    named = set().union(*map(_named, paths))
+    public = {node.name for path in sorted(SRC.glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    unnamed = public - named
+    assert unnamed == set(UNNAMED_PUBLIC), (
+        f"public definitions nothing names: {sorted(unnamed - set(UNNAMED_PUBLIC))}; "
+        f"allowed but named or gone: {sorted(set(UNNAMED_PUBLIC) - unnamed)}")

@@ -1,8 +1,17 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 import linwave.invariant as inv
-from linwave.constraints import constraint_residual
+from linwave.constraints import constraint_residual, dphi_modes
+from linwave.decomposition import (
+    MONCRIEF_RANKS,
+    SPLIT_RANKS,
+    gauge_producing_data,
+    split_operator,
+    split_params,
+)
 from linwave.errors import InternalError
 from linwave.fields import (
     ModeLattice,
@@ -22,9 +31,10 @@ from linwave.slices import (
     slice_inner,
     slice_max_abs,
     slice_norm,
+    slice_stack,
 )
 
-from fd_oracles import berger_matrix, milnor_slice
+from fd_oracles import berger_matrix, direct_mode_matrices, milnor_slice
 
 KASNER_P = [2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0]
 
@@ -273,18 +283,48 @@ def test_slice_norm_on_both_backends():
         assert abs(slice_inner(geom, f, f) - want ** 2) <= 1e-13 * want ** 2
 
 
-@pytest.mark.parametrize("kind, rank", [
-    ("divergence", "sym2"), ("hessian", "scalar"), ("lie_extrinsic", "one-form"),
-    ("ckl_normal", "one-form"), ("trace_reverse", "sym2"),
+def _linear_map(name: str, geom):
+    """(F, input ranks) of a linear map of slice fields: one slice operator
+    (kind-rank), the split operator P of a slot, the Moncrief P(beta, N) or
+    DPhi."""
+    if name in ("position", "momentum"):
+        return partial(split_operator, split_params(name, geom.n), geom), SPLIT_RANKS
+    if name == "moncrief":
+        def P(beta, N):
+            gauge = gauge_producing_data(N, beta, geom)
+            return gauge.h, gauge.m
+        return P, MONCRIEF_RANKS
+    if name == "dphi":
+        def D(h, m):
+            d1, d2 = dphi_modes(geom, h.lattice.modes, h.coeffs, m.coeffs)
+            return SpectralField(h.lattice, "scalar", d1), SpectralField(h.lattice, "one-form", d2)
+        return D, ("sym2", "sym2")
+    kind, rank = name.split("-", 1)
+    return (lambda f: (apply_slice_operator(geom, kind, f),)), (rank,)
+
+
+@pytest.mark.parametrize("name", [
+    "divergence-sym2", "hessian-scalar", "lie_extrinsic-one-form", "ckl_normal-one-form",
+    "trace_reverse-sym2", "position", "momentum", "moncrief", "dphi",
 ])
-def test_operator_matrices_act_as_the_operator_on_every_mode(kind, rank):
-    lat = ModeLattice(3, 3)
+def test_operator_matrices_act_as_the_operator_on_every_mode(name):
+    """operator_matrices, read off one symbolic-k application per column,
+    equals the map run on the unit fields of the lattice itself, to 1e-15
+    of its largest entry, and acts as the map on random fields."""
     rng = np.random.default_rng(7)
-    for geom in (slice_geometry("flat-torus", n=3), slice_geometry("kasner", p=KASNER_P, t0=1.3)):
-        f = random_field(lat, rank, rng)
-        M = operator_matrices(geom, lambda g: (apply_slice_operator(geom, kind, g),), (rank,), lat)
-        want = apply_slice_operator(geom, kind, f).coeffs
-        got = np.einsum("mij,mj->mi", M, f.coeffs)
+    cases = [(slice_geometry("flat-torus", n=3), nmax) for nmax in (1, 2, 3)]
+    cases += [(slice_geometry("flat-torus", n=2), 4),
+              (slice_geometry("kasner", p=KASNER_P, t0=1.3), 3),
+              (slice_geometry("kasner", p=(1.0, 0.0, 0.0), t0=0.7), 3)]
+    for geom, nmax in cases:
+        lat = ModeLattice(geom.n, nmax)
+        F, ranks = _linear_map(name, geom)
+        M = operator_matrices(geom, F, ranks, lat)
+        ref = direct_mode_matrices(geom, F, ranks, lat)
+        assert np.max(np.abs(M - ref)) <= 1e-15 * np.max(np.abs(ref)), (geom.kind, nmax)
+        fields = [random_field(lat, r, rng) for r in ranks]
+        want = slice_stack(geom, F(*fields))
+        got = np.einsum("mij,mj->mi", M, slice_stack(geom, fields))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -295,7 +335,7 @@ def test_operator_matrices_refuse_a_map_of_order_three():
         return (apply_slice_operator(geom, "divergence",
                                      apply_slice_operator(geom, "hessian", N)),)
 
-    with pytest.raises(InternalError, match="not quadratic"):
+    with pytest.raises(InternalError, match="a term of k-degree 3"):
         operator_matrices(geom, div_hess, ("scalar",), ModeLattice(3, 2))
     with pytest.raises(ValueError, match="mode lattice"):
         operator_matrices(geom, div_hess, ("scalar",))
