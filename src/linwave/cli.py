@@ -241,13 +241,14 @@ def cmd_evolve(args) -> int:
     save_pair(extract_induced_data(traj, t1), outdir / "final")
     toc_out = time.perf_counter()
 
-    # the largest residual of each kind, at its (first) sample time
+    # the largest residual of each kind, at its (first) sample time, and its worst mode
     name = "dphi2" if diag.dphi2_residual.max() > diag.dphi1_residual.max() else "dphi1"
     worst = {}
-    for check, series in (("gauge", diag.gauge_residual),
-                          ("constraint", getattr(diag, f"{name}_residual"))):
+    for check, key in (("gauge", "gauge"), ("constraint", name)):
+        series = getattr(diag, f"{key}_residual")
         i = int(np.argmax(series))
-        worst[check] = {"t": float(diag.times[i]), "value": float(series[i])}
+        worst[check] = {"t": float(diag.times[i]), "value": float(series[i]),
+                        "mode": diag.worst_modes[key][i].tolist()}
     worst["constraint"]["residual"] = name
     checks = {}
     for check, tol in (("gauge", cfg.get("tolerance.gauge")),

@@ -7,8 +7,8 @@ Nonlinear constraints of a slice (g~, k~):
 
 constraint_residual evaluates them on the background itself (its Berger
 branch is the invariant Phi).
-dphi_modes is their linearisation DPhi, one formula over the slice
-operators of slices.py for both backends and any set of torus modes, and
+slices.dphi_modes is their linearisation DPhi, one formula over the slice
+operators for both backends and any set of torus modes (imported here), and
 dphi evaluates it on a pair; dphi_oracle re-derives it from
 the nonlinear map by central differencing, with the nonlinear scalar
 curvature computed pointwise through 4th-order finite differences.  On a
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import invariant as inv
 from .fields import SpectralField, analyze, sobolev_norm, sym2_index_pairs, sym2_to_full
-from .slices import SliceGeometry, slice_norm, slice_operator, slice_pairing
+from .slices import SliceGeometry, dphi_modes, slice_norm
 from .spacetime import (
     CauchyJet,
     FamilyAction,
@@ -309,37 +309,6 @@ def dphi(pair: InitialDataPair) -> ConstraintResidual:
     d1, d2 = dphi_modes(geom, None, pair.h.components[None], pair.m.components[None])
     return ConstraintResidual.with_norms(
         geom, inv.InvariantField("scalar", d1[0]), inv.InvariantField("one-form", d2[0]))
-
-
-def dphi_modes(geom: SliceGeometry, modes, h: np.ndarray, m: np.ndarray):
-    """The linearised constraint map, written once:
-
-        DPhi_1 = div div h + Delta tr h - g~(Ric, h) + g~(A, h)
-                 - 2 (g~(k~, m) - tr k~ tr m),   A = 2 (k~ o k~ - tr k~ k~),
-        DPhi_2 = -(div hbar) . (g~^-1 k~) + (1/2) d g~(k~, h) + div m - d tr m,
-
-    (k~ o k~)_ab = k~_ac g^cd k~_db, Delta the positive Laplacian; the term
-    g~(h, nabla k~(., X)) is dropped, as nabla k~ = 0 on every supported
-    slice.  h and m are stored sym2 coefficients (B, ncomp) at the modes of
-    slices.slice_operator; returns DPhi_1 (B, 1) and DPhi_2 (B, n).
-    """
-    gi, K = geom.metric_inv, geom.extrinsic
-
-    def op(kind, rank, c):
-        return slice_operator(geom, kind, rank, c, modes)
-
-    trK = np.trace(gi @ K)
-    A = 2.0 * (K @ gi @ K - trK * K)
-    tr_h, tr_m = op("trace", "sym2", h), op("trace", "sym2", m)
-    div_h = op("divergence", "sym2", h)
-    dphi1 = (op("divergence", "one-form", div_h)
-             + op("laplacian", "scalar", tr_h)
-             - slice_pairing(geom, geom.ricci, h) + slice_pairing(geom, A, h)
-             - 2.0 * (slice_pairing(geom, K, m) - trK * tr_m))
-    div_hbar = div_h - 0.5 * op("d", "scalar", tr_h)  # g~ is parallel
-    dphi2 = (-div_hbar @ (gi @ K) + 0.5 * op("d", "scalar", slice_pairing(geom, K, h))
-             + op("divergence", "sym2", m) - op("d", "scalar", tr_m))
-    return dphi1, dphi2
 
 
 def dphi_oracle(pair: InitialDataPair) -> ConstraintResidual:

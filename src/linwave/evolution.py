@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import InitialDataPair, dphi_modes
+from .constraints import InitialDataPair
 from .fields import (
     SpectralField,
     component_weights,
@@ -60,7 +60,6 @@ from .spacetime import (
     FamilyAction,
     SpacetimeBackground,
     complex_form,
-    induced_data_modes,
     induced_data_state,
     nu_jet_conversion,
     real_form,
@@ -108,6 +107,9 @@ class DiagnosticsSeries:
     dphi2_residual: np.ndarray
     energies: np.ndarray  # (T, 2): E_0 and E_1
     modes: int  # modes evaluated per sample: the half lattice for real data
+    # "gauge", "dphi1", "dphi2" -> (T, n): per sample, the integer mode of
+    # the largest per-mode term of that residual (see _residual)
+    worst_modes: dict
 
 
 @dataclass
@@ -393,10 +395,21 @@ def wave_energies(bg: SpacetimeBackground, lattice, t: float, U, Ud,
     return _energy_norms(k2, 1.0, component_weights("sym2", bg.dim), stack, sobolev_order)
 
 
+def _residual(x: np.ndarray, w: np.ndarray, mult: np.ndarray, sobolev=1.0):
+    """weighted_norm(x, w, mult) of the real form x (see real_form) of N
+    modes, mult per row, and the row among the N of the largest per-mode
+    term sobolev * sum_c w_c |u_c|^2 (the first of tied k and -k)."""
+    dens = np.square(x) @ w  # x is real: the |x|^2 of weighted_norm, exactly
+    n = len(dens) // 2
+    return float(np.sqrt(np.sum(mult * dens))), int(np.argmax(sobolev * (dens[:n] + dens[n:])))
+
+
 def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeries:
     """Gauge residual ||div hbar||, the constraint residuals ||DPhi_1||_H0
-    and ||DPhi_2||_H1 of the induced data, and the wave energies (E_0, E_1)
-    at every stored sample time.
+    and ||DPhi_2||_H1 of the induced data, the wave energies (E_0, E_1),
+    and the mode of the largest per-mode term of each residual, at every
+    stored sample time.  The residuals are the families div_trace_reversed
+    and dphi_induced (DPhi of the induced data) on the sample's real forms.
 
     When every state and derivative sample is exactly Hermitian (the test
     of _on_real_half, redone here because trajectory arrays are mutable),
@@ -414,27 +427,28 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeri
     modes = lat.modes[rows]
     k2 = np.sum(modes ** 2, axis=1)
     k2r, multr = np.tile(k2, 2), np.tile(mult, 2)  # per row of the real form
-    div = FamilyAction(bg, "div_trace_reversed", traj.times[0], modes)
-    wave = FamilyAction(bg, "lichnerowicz", traj.times[0], modes)
+    div, wave, con = (FamilyAction(bg, kind, traj.times[0], modes)
+                      for kind in ("div_trace_reversed", "lichnerowicz", "dphi_induced"))
     w_gauge = component_weights("one-form", bg.dim)
     w_sym = component_weights("sym2", bg.dim)
     w1, w2 = component_weights("scalar", bg.n), component_weights("one-form", bg.n)
-    mult1 = mult * (1.0 + k2)  # the H^1 weight of DPhi_2
-    gauge, d1, d2, en = [], [], [], []
+    sob1 = 1.0 + k2  # the H^1 weight of DPhi_2
+    mult1 = np.tile(mult * sob1, 2)
+    res, en = [], []
     for i, t in enumerate(traj.times):
-        U, Ud = traj.states[i, rows], traj.derivs[i, rows]
-        X, Xd = real_form(U, bg.dim), real_form(Ud, bg.dim)
-        div_t = div.at(t)
-        gauge.append(weighted_norm(div_t.apply(0, X) + div_t.apply(1, Xd), w_gauge, multr))
-        h, m = induced_data_modes(bg, t, modes, U, Ud)
-        r1, r2 = dphi_modes(bg.slice_at(t), modes, h, m)
-        d1.append(weighted_norm(r1, w1, mult))
-        d2.append(weighted_norm(r2, w2, mult1))
+        X, Xd = real_form(traj.states[i, rows], bg.dim), real_form(traj.derivs[i, rows], bg.dim)
+        div_t, con_t = div.at(t), con.at(t)
+        r = con_t.apply(0, X) + con_t.apply(1, Xd)  # DPhi_1, then DPhi_2
+        res.append([_residual(div_t.apply(0, X) + div_t.apply(1, Xd), w_gauge, multr),
+                    _residual(r[:, :1], w1, multr), _residual(r[:, 1:], w2, mult1, sob1)])
+        del r  # freed before the energies' temporaries: a lower peak heap
         stack = [X, Xd, wave.at(t).monic_closure(X, Xd)]
         en.append(_energy_norms(k2r, multr, w_sym, stack, sobolev_order))
+    res = np.array(res)  # (T, residual, (norm, row)); a row index is exact as a float
+    worst = modes[res[..., 1].astype(int)]
     return DiagnosticsSeries(
-        traj.times.copy(), np.array(gauge), np.array(d1), np.array(d2), np.array(en),
-        len(modes),
+        traj.times.copy(), *res[..., 0].T, np.array(en), len(modes),
+        {key: worst[:, j] for j, key in enumerate(("gauge", "dphi1", "dphi2"))},
     )
 
 

@@ -142,10 +142,6 @@ class ModeLattice:
         real field's.  The partners of x[half] are x[::-1][half]."""
         return slice(0, (self.num_modes + 1) // 2)
 
-    def half_indices(self) -> np.ndarray:
-        """The rows of `half` as an index array: idx <= negation_permutation()[idx]."""
-        return np.arange(self.half.stop)
-
     def half_weights(self) -> np.ndarray:
         """Per row of `half`, how often its term counts in a sum over the
         whole lattice whose terms at k and -k are equal: 2 for itself and

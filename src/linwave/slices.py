@@ -19,10 +19,12 @@ takes and returns are one table, _RANKS, checked once.  With a constant
 symmetric tensor T of the slice (g~, k~, Ric), scalar_times is the sym2
 field f T of a scalar f and slice_pairing the scalar g~(T, h), so
 zeroth-order terms are written once too.
+dphi_modes is the linearised constraint map DPhi, written once over them.
 slice_norm, slice_inner and slice_max_abs are the matching L^2 norm, inner
-product and largest coefficient modulus.  operator_matrices reads the
-per-mode matrices of a linear map built from these (P, P(beta, N), DPhi)
-off one application per column with i k symbolic.
+product and largest coefficient modulus.  symbolic_coefficients reads the
+k-polynomial coefficients of a linear map built from these (P, P(beta, N),
+DPhi, DPhi of induced spacetime data) off one application on all its unit
+columns with i k symbolic; operator_matrices evaluates them on a lattice.
 Sign conventions: Delta = delta d + d delta (positive), delta = -div,
 Hess(phi)_{ij} = -k_i k_j phi per mode, L* h = -2 div h + (2/n) d tr h,
 trace reversal h - (1/2)(tr h) g.
@@ -31,7 +33,7 @@ trace reversal h - (1/2)(tr h) g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -290,8 +292,9 @@ def _covariant_derivative(geom: SliceGeometry, modes):
     nabla(T, A) is A^{ab} nabla_a T_b... for a constant (n, n) tensor A, the
     derivative index contracted with T's first slot.  On a torus nabla is
     i k_a at the integer modes (B, n), where nabla(T, A) never forms nabla T,
-    or with modes None the shift times_ik on B monomials (i k)^e; on Berger,
-    whose invariant frame components are constant, it is inv.nabla."""
+    or with modes None the shift times_ik on B rows that are groups of the
+    monomials (i k)^e, each group one symbolic field; on Berger, whose
+    invariant frame components are constant, it is inv.nabla."""
     if geom.is_torus and modes is not None:
         ik = np.ascontiguousarray(1j * modes.T)
 
@@ -304,8 +307,12 @@ def _covariant_derivative(geom: SliceGeometry, modes):
                 out += w[b] * T[b]
             return out
         return nabla
-    derivative = (partial(times_ik, n=geom.n, layer="slices.operator_matrices") if geom.is_torus
-                  else lambda T: inv.nabla(geom.invariant_geometry, T[..., 0])[..., None])
+
+    def derivative(T):
+        if not geom.is_torus:
+            return inv.nabla(geom.invariant_geometry, T[..., 0])[..., None]
+        groups = T.reshape(T.shape[:-1] + (-1, len(ik_phase(geom.n))))  # (..., group, e)
+        return times_ik(groups, geom.n, "slices.slice_operator").reshape((geom.n,) + T.shape)
 
     def nabla(T, A=None):
         DT = derivative(T)
@@ -364,6 +371,38 @@ def _full_operator(geom: SliceGeometry, kind: str, nabla, T: np.ndarray) -> np.n
     return ckl_adjoint(conformal_killing(T))  # ckl_normal
 
 
+def dphi_modes(geom: SliceGeometry, modes, h: np.ndarray, m: np.ndarray):
+    """The linearised constraint map, written once:
+
+        DPhi_1 = div div h + Delta tr h - g~(Ric, h) + g~(A, h)
+                 - 2 (g~(k~, m) - tr k~ tr m),   A = 2 (k~ o k~ - tr k~ k~),
+        DPhi_2 = -(div hbar) . (g~^-1 k~) + (1/2) d g~(k~, h) + div m - d tr m,
+
+    (k~ o k~)_ab = k~_ac g^cd k~_db, Delta the positive Laplacian; the term
+    g~(h, nabla k~(., X)) is dropped, as nabla k~ = 0 on every supported
+    slice.  h and m are stored sym2 coefficients (B, ncomp) at the modes of
+    slice_operator (symbolic rows with modes None on a torus); returns
+    DPhi_1 (B, 1) and DPhi_2 (B, n).
+    """
+    gi, K = geom.metric_inv, geom.extrinsic
+
+    def op(kind, rank, c):
+        return slice_operator(geom, kind, rank, c, modes)
+
+    trK = np.trace(gi @ K)
+    A = 2.0 * (K @ gi @ K - trK * K)
+    tr_h, tr_m = op("trace", "sym2", h), op("trace", "sym2", m)
+    div_h = op("divergence", "sym2", h)
+    dphi1 = (op("divergence", "one-form", div_h)
+             + op("laplacian", "scalar", tr_h)
+             - slice_pairing(geom, geom.ricci, h) + slice_pairing(geom, A, h)
+             - 2.0 * (slice_pairing(geom, K, m) - trK * tr_m))
+    div_hbar = div_h - 0.5 * op("d", "scalar", tr_h)  # g~ is parallel
+    dphi2 = (-div_hbar @ (gi @ K) + 0.5 * op("d", "scalar", slice_pairing(geom, K, h))
+             + op("divergence", "sym2", m) - op("d", "scalar", tr_m))
+    return dphi1, dphi2
+
+
 # ---------------------------------------------------------------------------
 # Per-mode matrices of a linear map of slice fields
 # ---------------------------------------------------------------------------
@@ -383,25 +422,36 @@ def slice_unstack(geom: SliceGeometry, ranks, u: np.ndarray, lattice=None) -> tu
                  for r, b in zip(ranks, np.split(u, ends[:-1], axis=1)))
 
 
+def symbolic_coefficients(n: int, ncols: int, apply) -> np.ndarray:
+    """The coefficients C (npoly, rows, ncols) of k^e of a linear map acting
+    mode by mode on a torus, read off one application with i k symbolic
+    (see _covariant_derivative): apply maps stored rows (ncols * npoly,
+    ncols), a group of npoly monomial rows per column with its unit at the
+    constant monomial, to output rows whose groups hold the coefficients
+    C'_e of (i k)^e; C_e = i^deg(e) C'_e (InternalError at k-degree 3)."""
+    phase = ik_phase(n)
+    units = np.zeros((ncols, len(phase), ncols))
+    units[:, 0] = np.eye(ncols)
+    out = apply(units.reshape(-1, ncols)).reshape(ncols, len(phase), -1)
+    return phase[:, None, None] * np.moveaxis(out, 0, -1)
+
+
 def operator_matrices(geom: SliceGeometry, F, ranks, lattice=None) -> np.ndarray:
     """Per-mode matrices (modes, rows, cols) of a linear map F from fields of
     `ranks` to a tuple of fields, in slice_stack order.  Slice operators act
     mode by mode, so F of the unit field of one input component (the same
-    at every mode) is that column.  On a torus F runs with i k symbolic (see
-    _covariant_derivative) on the unit field at the constant monomial, its
-    rows are the coefficients C'_e of (i k)^e, and the matrices on `lattice`
-    are monomial_basis @ C, C_e = i^deg(e) C'_e (InternalError at k-degree 3)."""
+    at every mode) is that column.  On a torus F runs once, on the symbolic
+    rows of symbolic_coefficients, and the matrices on `lattice` are
+    monomial_basis @ C; on Berger, one mode, it runs once per column."""
     n = geom.n
     if geom.is_torus and (lattice is None or lattice.n != n):
         raise ValueError(f"torus operator matrices need a mode lattice of dimension {n}")
-    phase = ik_phase(n)
-    rows = SimpleNamespace(n=n, num_modes=len(phase), modes=None)  # symbolic modes
     ncols = sum(rank_components(r, n) for r in ranks)
-    units = np.zeros((ncols, rows.num_modes if geom.is_torus else 1, ncols))
-    units[:, 0] = np.eye(ncols)
-    M = np.stack([slice_stack(geom, F(*slice_unstack(geom, ranks, u, rows))) for u in units],
-                 axis=-1)
     if not geom.is_torus:
-        return M
-    C = (phase[:, None, None] * M).reshape(len(phase), -1)
-    return (monomial_basis(lattice.modes) @ C).reshape((lattice.num_modes,) + M.shape[1:])
+        return np.stack([slice_stack(geom, F(*slice_unstack(geom, ranks, u[None])))
+                         for u in np.eye(ncols)], axis=-1)
+    rows = SimpleNamespace(n=n, num_modes=ncols * len(ik_phase(n)), modes=None)  # symbolic
+    C = symbolic_coefficients(
+        n, ncols, lambda u: slice_stack(geom, F(*slice_unstack(geom, ranks, u, rows))))
+    return (monomial_basis(lattice.modes) @ C.reshape(len(C), -1)).reshape(
+        (lattice.num_modes,) + C.shape[1:])

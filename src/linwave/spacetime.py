@@ -20,10 +20,12 @@ symbolic: each coefficient is a polynomial in i k, held as one real
 coefficient per monomial of fields.k_monomials, and a spatial derivative
 multiplies by i k_a, a fixed shift of the monomials (fields.times_ik).
 Every operator is at most quadratic in k, so one real assembly gives its
-whole coefficient table (see family_coefficients).  Five operator kinds
-are assembled (OPERATOR_KINDS): lichnerowicz (box_L h), div_trace_reversed
+whole coefficient table (see family_coefficients).  Six operator kinds
+have tables (OPERATOR_KINDS): lichnerowicz (box_L h), div_trace_reversed
 (div hbar), d_ric (DRic h), lie_of_g (Lie_V g) and connection_wave
-(nabla*nabla V); each has a reader in the evolution or constraint code.
+(nabla*nabla V) from jets, and dphi_induced (DPhi of the induced slice
+data) off the slice code with i k symbolic (slices.symbolic_coefficients);
+each has a reader in the evolution or constraint code.
 
 Sign conventions: nabla*nabla = -tr nabla^2 (positive),
 R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z,
@@ -53,7 +55,8 @@ from .fields import (
     sym2_to_full,
     times_ik,
 )
-from .slices import SliceGeometry, kasner_exponents, slice_geometry
+from .slices import (SliceGeometry, dphi_modes, kasner_exponents, slice_geometry,
+                     slice_operator, symbolic_coefficients)
 
 
 def _pow_derivs(coef: float, expo: float, t: float, depth: int) -> np.ndarray:
@@ -375,7 +378,7 @@ _JET_FUNCS = {
     "lie_of_g": ("one-form", jet_lie_of_g, 1),
     "connection_wave": ("one-form", jet_connection_laplacian, 2),
 }
-OPERATOR_KINDS = tuple(_JET_FUNCS)
+OPERATOR_KINDS = (*_JET_FUNCS, "dphi_induced")  # the last off the slice route
 
 
 def jet_matrices(J: JetTensor) -> list[np.ndarray]:
@@ -408,9 +411,26 @@ def jet_matrices(J: JetTensor) -> list[np.ndarray]:
 def _assembled_coefficients(background: SpacetimeBackground, kind: str, t: float) -> list:
     """The coefficient matrices [C_0, C_1, ...] of a mode operator at time
     t, each (npoly, ncomp_out, ncomp_in) in the monomial basis of
-    fields.monomial_basis: one jet assembly with k kept symbolic."""
+    fields.monomial_basis: one assembly with k kept symbolic."""
+    if kind == "dphi_induced":
+        return _dphi_induced_coefficients(background, t)
     rank, func, depth = _JET_FUNCS[kind]
     return jet_matrices(func(unknown_jet(background, t, rank, depth)))
+
+
+def _dphi_induced_coefficients(background: SpacetimeBackground, t: float) -> list:
+    """[C_0, C_1] of the map (U, U') -> (DPhi_1, DPhi_2) of the induced data
+    (induced_data_modes, then slices.dphi_modes), each (npoly, dim, ncomp),
+    the rows DPhi_1, DPhi_2 read as a spacetime one-form: one application of
+    slices.symbolic_coefficients, its columns U (order 0), then U'."""
+    ncomp = rank_components("sym2", background.dim)
+
+    def apply(units):
+        h, m = induced_data_modes(background, t, None, units[:, :ncomp], units[:, ncomp:])
+        return np.concatenate(dphi_modes(background.slice_at(t), None, h, m), axis=1)
+
+    C = symbolic_coefficients(background.n, 2 * ncomp, apply)
+    return [C[..., :ncomp], C[..., ncomp:]]
 
 
 @dataclass(frozen=True)
@@ -431,7 +451,7 @@ class ModeOperator:
 
 
 def assemble_mode_operator(background: SpacetimeBackground, kind: str, k) -> ModeOperator:
-    if kind not in _JET_FUNCS:
+    if kind not in OPERATOR_KINDS:
         raise ValueError(f"unsupported operator kind {kind!r}; known: {OPERATOR_KINDS}")
     return ModeOperator(background, kind, tuple(np.asarray(k, float)))
 
@@ -455,8 +475,9 @@ def _homothety_exponents(background: SpacetimeBackground, kind: str, shapes) -> 
     w[:, 0] = 1
     w[1:, 1:] = -np.eye(n, dtype=int)
     mono = k_monomials(n, 2) @ w[1:]  # W of each k-monomial
-    # every kind but lie_of_g contracts once with g^{-1}, which scales by lam^-2
-    c = 0 if kind == "lie_of_g" else -2
+    # every kind but lie_of_g contracts once with g^{-1} (lam^-2); DPhi_1 = 2 G(nu,nu)
+    # and DPhi_2 = G(nu,.) carry one more time index than their one-form layout
+    c = {"lie_of_g": 0, "dphi_induced": -3}.get(kind, -2)
     p1 = np.concatenate([[1.0], np.asarray(background.p, float)])
     out = []
     for j, (_, ncomp_out, ncomp_in) in enumerate(shapes):
@@ -619,7 +640,9 @@ def family_coefficients(background: SpacetimeBackground, kind: str, t: float) ->
     t -> lam t, x^i -> lam^(1 - p_i) x^i (which scales g by lam^2), W of a
     component or k-monomial is the sum of its index weights, and c = -2 for
     every kind except lie_of_g (c = 0), which is the one kind without a
-    g^{-1} contraction.  On the Minkowski torus E = 0.
+    g^{-1} contraction, and dphi_induced (c = -3), whose output is laid out
+    as a one-form but carries one more time index.  On the Minkowski torus
+    E = 0.
     """
     A, E, _ = _coefficient_table(background, kind, t)
     return [C * t ** e for C, e in zip(A, E)]
@@ -713,7 +736,7 @@ class FamilyAction:
         self.background, self.kind = background, kind
         self.basis = monomial_basis(modes)
         self._layout = _coefficient_table(background, kind, t)[2]
-        self._scratch = {}  # order j -> (live basis, scalar basis, buffers)
+        self._scratch = {}  # order j -> (bases, buffers); "terms" -> shared buffer
         self._retime(t)
         self._monic = self.is_monic()
 
@@ -774,12 +797,16 @@ class FamilyAction:
             # anew whenever glibc has trimmed the heap top under them; a
             # first Kasner evolve at nmax 8 (2457 modes, 172 applies) in a
             # new process took 9355 minor page faults with fresh buffers per
-            # call and 8116 with these
+            # call and 8116 with these.  All orders share one stacked-product
+            # buffer: each apply has summed it into its result on return
+            if "terms" not in self._scratch:
+                most = max(len(t[0]) for t in self._terms)
+                self._scratch["terms"] = np.empty((most, len(blocks[0]), len(x)))
             twice = np.concatenate([self.basis, self.basis]).T
             self._scratch[j] = (
                 np.ascontiguousarray(twice[lay.live])[:, None, :],
                 np.ascontiguousarray(twice[lay.scal]),
-                np.empty((len(blocks), len(blocks[0]), len(x))),
+                self._scratch["terms"][: len(blocks)],
                 np.empty((len(scal), len(x))),
             )
         basis, basis_scal, terms, scalars = self._scratch[j]
@@ -889,22 +916,23 @@ def induced_data_state(
 def induced_data_modes(background: SpacetimeBackground, t: float, modes,
                        U: np.ndarray, Udot: np.ndarray):
     """Stored sym2 coefficients (h~, m~), each (N, ncomp), of the per-mode
-    state (U, dU/dt) at the integer modes (N, n): the kernel of
-    induced_data_state on any set of modes."""
+    state (U, dU/dt) at the integer modes (N, n), or on symbolic rows with
+    modes None (see slices.slice_operator): the kernel of induced_data_state
+    on any set of modes."""
     # With unit lapse and zero shift Gamma^0_ij = k~_ij, Gamma^i_0j = k~^i_j
     # and Gamma^i_jk = 0, so every k~^i_j h term cancels between the three
-    # covariant derivatives and, per mode,
-    # m~_ij = 1/2 (d/dt h_ij + h_00 k~_ij - i (k_i h_0j + k_j h_0i)).
+    # covariant derivatives and
+    # m~ = 1/2 (d/dt h_ij + h_00 k~_ij - Lie_{h_0.} g~), where on the torus
+    # slice Lie_{h_0.} g~ = i (k_i h_0j + k_j h_0i) per mode.
     n = background.n
+    geom = background.slice_at(t)
     slot = sym2_to_full(np.arange(U.shape[1]), n + 1)  # stored index of h_mu nu
     sp = sym2_from_full(slot[1:, 1:], n)
-    i, j = (sym2_from_full(ix, n) for ix in np.indices((n, n)))  # (i, j) per component
-    ktilde = background.slice_at(t).extrinsic
 
     def cols(x, idx):  # np.take keeps the result C-contiguous
         return np.take(x, idx, axis=1)
 
-    h0 = cols(U, slot[0, 1:])  # h_0i
-    kh = 1j * cols(modes, i) * cols(h0, j) + 1j * cols(modes, j) * cols(h0, i)
-    m = 0.5 * (cols(Udot, sp) + U[:, slot[0, 0], None] * ktilde[i, j] - kh)
+    lie = slice_operator(geom, "lie_metric", "one-form", cols(U, slot[0, 1:]), modes)
+    m = 0.5 * (cols(Udot, sp) + U[:, slot[0, 0], None] * sym2_from_full(geom.extrinsic, n)
+               - lie)
     return cols(U, sp), m

@@ -19,7 +19,7 @@ the Kasner exponents the spacetime and constraint tests sweep.
 `reference_dphi_modes` and `reference_dphi_invariant` are DPhi written out
 separately on each backend, per torus mode by hand and on Berger through
 the k~ = 0 reduction: the references for the one formula
-`linwave.constraints.dphi_modes`.
+`linwave.slices.dphi_modes`.
 
 `synthesize` evaluates a real field on a uniform grid, and
 `distributional_coefficients` truncates a Dirac-derivative line
@@ -29,7 +29,8 @@ transforms, the slice oracle and the split.
 `reference_mode_matrices` assembles a spacetime mode operator at one
 concrete wave covector k, with complex jets on which each spatial
 derivative multiplies by i k_a: the per-k reference for the coefficient
-tables that `linwave.spacetime` assembles once with k kept symbolic.
+tables that `linwave.spacetime` assembles once with k kept symbolic.  For
+dphi_induced it runs the numeric slice route at k instead.
 """
 
 from dataclasses import dataclass
@@ -50,6 +51,7 @@ from linwave.fields import (
 from linwave.slices import (
     SliceGeometry,
     apply_slice_operator,
+    dphi_modes,
     operator_matrices,
     scalar_times,
     slice_stack,
@@ -329,7 +331,19 @@ def concrete_jet_nabla(J):
 def reference_mode_matrices(bg, kind, t, k):
     """[M_0, M_1, ...] of the operator `kind` at time t and mode k: the
     library's operator formulas run on concrete-k jets, with
-    concrete_jet_nabla in place of the symbolic jet_nabla."""
+    concrete_jet_nabla in place of the symbolic jet_nabla.  For
+    dphi_induced, which has no jet, the numeric slice route at k:
+    induced_data_modes and then dphi_modes on each unit column of U (M_0)
+    and of U' (M_1), the output rows (DPhi_1, DPhi_2)."""
+    if kind == "dphi_induced":
+        ncomp = rank_components("sym2", bg.dim)
+        modes = np.tile(np.asarray(k, float), (ncomp, 1))
+        units = (np.eye(ncomp), np.zeros((ncomp, ncomp)))
+        out = []
+        for U, Udot in (units, units[::-1]):
+            h, m = spacetime.induced_data_modes(bg, t, modes, U, Udot)
+            out.append(np.concatenate(dphi_modes(bg.slice_at(t), modes, h, m), axis=1).T)
+        return out
     rank, func, depth = spacetime._JET_FUNCS[kind]
     with mock.patch.object(spacetime, "jet_nabla", concrete_jet_nabla):
         out = func(concrete_unknown_jet(bg, t, k, rank, depth)).data[0]

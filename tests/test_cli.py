@@ -373,20 +373,26 @@ def test_evolve_run_and_determinism(tmp_path, capsys):
     assert manifest["pass"] is True
     assert manifest["config"]["initial.seed"] == 3
     # real data: diagnostics evaluate k = 0 and one mode of each +-k pair
-    assert manifest["diagnostics_modes"] == len(ModeLattice(3, 2).half_indices())
+    assert manifest["diagnostics_modes"] == ModeLattice(3, 2).half.stop
     # the worst residuals, read off the CSV's columns (17 digits round-trip a
     # double) at the first sample of the largest value, are the checked
-    # figures, and the second run reports the same
+    # figures, each with the integer mode of its largest per-mode term, and
+    # the second run writes the same manifest apart from its timings
     cols = dict(zip(header.split(","),
                     np.array([[float(c) for c in r.split(",")] for r in csv1.splitlines()[1:]]).T))
     res = "dphi2" if cols["dphi2_res"].max() > cols["dphi1_res"].max() else "dphi1"
     want = {check: {"t": cols["t"][np.argmax(cols[col])], "value": cols[col].max()}
             for check, col in (("gauge", "gauge_res"), ("constraint", f"{res}_res"))}
     want["constraint"]["residual"] = res
+    modes = {check: manifest["worst"][check].pop("mode") for check in want}
     assert manifest["worst"] == want
     for check in want:
         assert manifest["checks"][check]["value"] == want[check]["value"]
-    assert json.loads((tmp_path / "r2" / "manifest.json").read_text())["worst"] == want
+    manifest2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
+    for check, k in modes.items():
+        assert len(k) == 3 and all(isinstance(c, int) and abs(c) <= 2 for c in k), k
+        assert manifest2["worst"][check].pop("mode") == k
+    assert {**manifest2, "timings": None} == {**manifest, "timings": None}
     timings = manifest["timings"]
     assert set(timings) == {"initial_data_seconds", "jet_seconds", "evolve_seconds",
                             "diagnostics_seconds", "output_seconds"}

@@ -536,7 +536,7 @@ def _count_builds(monkeypatch):
 
 def test_half_indices_pick_one_mode_of_each_pair():
     for lat in (ModeLattice(3, 8), ModeLattice(2, 3)):
-        half = lat.half_indices()
+        half = np.arange(lat.half.stop)
         perm = lat.negation_permutation()
         assert len(half) == (lat.num_modes + 1) // 2
         assert np.array_equal(np.union1d(half, perm[half]), np.arange(lat.num_modes))
@@ -688,7 +688,7 @@ def test_sampler_re_times_the_wave_twice_per_step(monkeypatch):
 def test_real_data_take_the_half_lattice_and_complex_data_the_full(monkeypatch):
     rng = np.random.default_rng(32)
     U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
-    half = len(LAT.half_indices())
+    half = LAT.half.stop
     built = _count_builds(monkeypatch)
     times = [1.0, 1.01, 1.02]
     # one family for the whole run, however many samples it has
@@ -728,7 +728,7 @@ def test_minkowski_real_data_take_the_half_lattice_in_closed_form(monkeypatch):
     rng = np.random.default_rng(37)
     U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
     W0, Wd0 = hermitian_pair(LAT, rng, 4), hermitian_pair(LAT, rng, 4)
-    half = len(LAT.half_indices())
+    half = LAT.half.stop
     times = np.array([0.5, 1.2, 3.9])
     built = _count_builds(monkeypatch)
     traj = evolve_state(MINK, LAT, 0.5, U0, Ud0, 3.9, sample_times=times)
@@ -815,7 +815,7 @@ def _mirror_and_stack(lattice, y0, count, run):
     """Reference for _on_real_half: each sample mirrored to a new pair of
     full-lattice arrays, the pairs kept in a list and stacked at the end."""
     perm = lattice.negation_permutation()
-    half = lattice.half_indices()
+    half = np.arange(lattice.half.stop)
     if not evolution._exactly_real(lattice, y0):
         ys = list(run(lattice.modes, y0))
     else:
@@ -1002,7 +1002,7 @@ def test_real_diagnostics_take_the_half_lattice_and_match_the_full():
         lat = traj.lattice
         assert _is_exactly_hermitian(traj.states, lat, 1)
         diag = diagnostics(traj, sobolev_order=0.5)
-        assert diag.modes == len(lat.half_indices())
+        assert diag.modes == lat.half.stop
         assert min(diag.dphi1_residual.min(), diag.dphi2_residual.min()) > 1e-3
         _assert_matches_full_lattice(traj, diag)
 
@@ -1016,6 +1016,38 @@ def test_complex_diagnostics_take_the_full_lattice_and_match():
         diag = diagnostics(nudged, sobolev_order=0.5)
         assert diag.modes == lat.num_modes
         _assert_matches_full_lattice(nudged, diag)
+
+
+def test_diagnostics_name_the_mode_of_the_largest_residual_term():
+    # per sample, the mode diagnostics reports for each residual carries the
+    # largest per-mode term of its norm on the full lattice (k and -k tie on
+    # real data), from the slow path: div hbar per mode, and dphi of the
+    # induced data with the H^1 weight on DPhi_2; on real data it is a row
+    # of the half lattice
+    for traj in _real_trajectories():
+        bg, lat = traj.background, traj.lattice
+        states = traj.states.copy()
+        states[1, 5, 3] += 1e-12  # off Hermitian symmetry: the full lattice
+        nudged = Trajectory(bg, lat, traj.times, states, traj.derivs, traj.dt)
+        sob = 1.0 + np.sum(lat.modes ** 2, axis=1)
+        for tr, rows in ((traj, lat.half.stop), (nudged, lat.num_modes)):
+            diag = diagnostics(tr)
+            worst = np.stack([diag.worst_modes[key] for key in ("gauge", "dphi1", "dphi2")],
+                             axis=1)
+            assert worst.shape == (len(tr.times), 3, lat.n) and worst.dtype == lat.modes.dtype
+            for i, t in enumerate(tr.times):
+                U, Ud = tr.states[i], tr.derivs[i]
+                div = FamilyAction(bg, "div_trace_reversed", t, lat.modes)
+                X, Xd = real(U, Ud)
+                g, = cplx(div.apply(0, X) + div.apply(1, Xd))
+                h, m = induced_data_state(bg, t, lat, U, Ud)
+                res = dphi(InitialDataPair(h, m, bg.slice_at(t)))
+                terms = (np.sum(np.abs(g) ** 2, axis=1), np.abs(res.scalar.coeffs[:, 0]) ** 2,
+                         sob * np.sum(np.abs(res.oneform.coeffs) ** 2, axis=1))
+                for k, term in zip(worst[i], terms):
+                    idx = lat.mode_index(k)
+                    assert idx < rows, (k, rows)
+                    assert term[idx] >= (1.0 - 1e-12) * term.max(), (i, k)
 
 
 def test_half_lattice_diagnostics_count_the_zero_mode_once():
@@ -1033,7 +1065,7 @@ def test_half_lattice_diagnostics_count_the_zero_mode_once():
         arr[0, neg] = np.conj(arr[0, k])
     traj = Trajectory(MINK, lat, np.array([0.0]), states, derivs)
     diag = diagnostics(traj)
-    assert diag.modes == len(lat.half_indices())
+    assert diag.modes == lat.half.stop
     want = wave_energies(MINK, lat, 0.0, states[0], derivs[0])
     assert np.max(np.abs(diag.energies[0] - want)) <= 1e-14 * np.max(want)
     only_zero = Trajectory(MINK, lat, np.array([0.0]), states * 0, derivs.copy())

@@ -67,7 +67,7 @@ def test_negation_is_index_reversal(n, nmax):
     lat = ModeLattice(n, nmax)
     assert np.array_equal(lat.modes, modes)
     assert np.array_equal(lat.negation_permutation(), perm)
-    assert np.array_equal(lat.half_indices(), half)
+    assert np.array_equal(np.arange(lat.half.stop), half)
     assert np.array_equal(np.arange(N)[lat.half], half)
     assert np.array_equal(lat.half_weights(), np.where(perm[half] == half, 1.0, 2.0))
 

@@ -95,9 +95,9 @@ def _strings(path, calls_to=None) -> set:
 
 def test_every_config_key_and_operator_kind_has_a_library_reader():
     """Every key of config.SCHEMA is read (cfg.get) by a module of
-    src/linwave other than config.py, and every kind of spacetime._JET_FUNCS
-    is named by one other than spacetime.py: a value that only tests set is
-    a dead knob."""
+    src/linwave other than config.py, and every kind of
+    spacetime.OPERATOR_KINDS is named by one other than spacetime.py: a
+    value that only tests set is a dead knob."""
     from linwave import config, spacetime
 
     others = {home: [p for p in SRC.glob("*.py") if p.name != home]
@@ -106,7 +106,7 @@ def test_every_config_key_and_operator_kind_has_a_library_reader():
     named = set().union(*(_strings(p) for p in others["spacetime.py"]))
     unread = set(config.SCHEMA) - read
     assert not unread, f"config keys no module reads: {unread}"
-    unnamed = set(spacetime._JET_FUNCS) - named
+    unnamed = set(spacetime.OPERATOR_KINDS) - named
     assert not unnamed, f"operator kinds no module names: {unnamed}"
 
 
@@ -122,7 +122,8 @@ UNNAMED_PUBLIC = {
 
 def _named(path) -> set:
     """Every name a file reads, imports or gives as an attribute or a string
-    (the benchmark tracer names the functions it wraps by string)."""
+    (the benchmark tracer names the functions it wraps by string, a method
+    as "Class.method", so each part of a dotted name counts)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     out = _used_names(tree)
     for node in ast.walk(tree):
@@ -132,20 +133,34 @@ def _named(path) -> set:
             out.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out.update(parts)
+    return out
+
+
+def _public_definitions(path) -> set:
+    """The public top-level functions and classes of a module, and the
+    public methods (properties included) of its public classes."""
+    out = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                out |= {f.name for f in node.body
+                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
     return out
 
 
 def test_every_public_definition_is_named_by_the_library_or_the_benchmark():
-    """Every public top-level function or class of src/linwave is named by
-    some module of src/linwave other than at its own definition, or by a
-    file under perfbench/, apart from UNNAMED_PUBLIC: a helper that only
-    tests call does not belong in src/."""
+    """Every public top-level function or class of src/linwave, and every
+    public method of a public class, is named by some module of src/linwave
+    other than at its own definition, or by a file under perfbench/, apart
+    from UNNAMED_PUBLIC: a helper that only tests call does not belong in
+    src/."""
     paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     named = set().union(*map(_named, paths))
-    public = {node.name for path in sorted(SRC.glob("*.py"))
-              for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")}
+    public = set().union(*map(_public_definitions, sorted(SRC.glob("*.py"))))
     unnamed = public - named
     assert unnamed == set(UNNAMED_PUBLIC), (
         f"public definitions nothing names: {sorted(unnamed - set(UNNAMED_PUBLIC))}; "

@@ -488,7 +488,8 @@ def test_family_action_matches_direct_assembly():
     backgrounds = [MINK] + [spacetime_background("kasner", p=p) for p in kasner_triples()]
     for bg in backgrounds:
         for kind in OPERATOR_KINDS:
-            ncomp = 10 if kind in ("lichnerowicz", "div_trace_reversed", "d_ric") else 4
+            ncomp = 10 if kind in ("lichnerowicz", "div_trace_reversed", "d_ric",
+                                   "dphi_induced") else 4
             for t in (0.3, 1.7):
                 act = FamilyAction(bg, kind, t, APPLY_MODES)
                 for j in range(act.order() + 1):
