@@ -15,28 +15,26 @@ pure-gauge connection wave equation and the joint (V, h) system of gauge
 recovery; it samples each system's first unknown and its rate, so gauge
 recovery keeps V and V' only.  The background chooses the method: closed
 form on the Minkowski torus (which takes no dt) and classical 4th-order
-RK4 at a fixed dt on Kasner.  It writes each sample once, into its row of
-the two (samples, modes, ncomp) trajectory arrays.  Real data
-(c_{-k} = conj(c_k)) run on the contiguous Hermitian half of the lattice,
-ModeLattice.half: in the lattice's C order k -> -k reverses the mode
-index, so the half is a view of the first rows, ending with k = 0, and
-each sample is written to the kept rows and, conjugated and reversed, to
-their partners, with output identical to sampling every mode.  Between
-the samples of an RK4 run the state is held in the real form of
-spacetime.real_form, in which every mode operator is a real matrix per
+RK4 at a fixed dt on Kasner.  Real data (c_{-k} = conj(c_k)) run on the
+contiguous Hermitian half of the lattice, ModeLattice.half: in the
+lattice's C order k -> -k reverses the mode index, so the half is a view
+of the first rows, ending with k = 0.  The state is held in the real form
+of spacetime.real_form, in which every mode operator is a real matrix per
 k-monomial block: [Re; Im] of the parity-rotated components, 2N rows for
 N modes, with each component's 2N values contiguous, so a block is one
-real matrix product over all modes.
-Samples, trajectories and every function of this module take and return
-the complex (N, ncomp) components; the functions that apply a family
-convert to and from the real form.  A trajectory holds its samples only;
-induced data are extracted at sample times.  Diagnostics track the gauge
-residual, the constraint residuals of the induced data, and the wave
-energies E_0 and E_1; on real trajectories they are evaluated on views of
-the same half, with each +-k pair counted twice in the norms, and on any
-other trajectory on the full lattice.  The gauge vector field of a pure-gauge
-solution is recovered by solving the connection wave equation
-nabla*nabla V = -div(hbar).
+real matrix product over all modes.  The sampler writes each sample once,
+in that form, on the rows it ran on, and a Trajectory keeps them so: its
+complex (samples, modes, ncomp) arrays, with the partner rows conjugated
+and reversed, are built only when read, identical to sampling every
+mode.  Every public function of this module takes and returns complex
+(N, ncomp) components.  A trajectory holds its samples only; induced data
+are extracted at sample times.  Diagnostics track the gauge residual, the
+constraint residuals of the induced data, and the wave energies E_0 and
+E_1; on real trajectories they are evaluated on the same half, with each
++-k pair counted twice in the norms, and on any other trajectory on the
+full lattice.  The gauge vector field of a pure-gauge solution is
+recovered by solving the connection wave equation nabla*nabla V =
+-div(hbar).
 """
 
 from __future__ import annotations
@@ -73,16 +71,28 @@ SLICE_MATCH_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Trajectory:
-    """Per-mode solution samples for a whole lattice of modes."""
+    """Per-mode solution samples for a whole lattice of modes: states and
+    derivs are (T, num_modes, ncomp) complex arrays.  A trajectory of
+    _samples keeps the rows the sampler wrote (see _on_real_half) and
+    builds the complex arrays on the first read of states or derivs; from
+    then on they are its only copy, so a write through them reaches every
+    later reader.  state_at builds only the sample it returns."""
 
-    background: SpacetimeBackground
-    lattice: object
-    times: np.ndarray
-    states: np.ndarray  # (T, num_modes, ncomp)
-    derivs: np.ndarray
-    dt: float | None = None  # RK4 step on Kasner; None on the Minkowski torus
+    def __init__(self, background: SpacetimeBackground, lattice, times: np.ndarray,
+                 states: np.ndarray, derivs: np.ndarray, dt: float | None = None):
+        self.background, self.lattice, self.times = background, lattice, times
+        self.dt = dt  # RK4 step on Kasner; None on the Minkowski torus
+        self._full, self._rows = (states, derivs), None
+
+    states = property(lambda self: self._complete()[0])
+    derivs = property(lambda self: self._complete()[1])
+
+    def _complete(self):
+        if self._rows is not None:
+            self._full, self._rows = _full_lattice(self.lattice, self.background.dim,
+                                                   *self._rows), None
+        return self._full
 
     def state_at(self, tau: float):
         """The stored sample (state, time derivative) at tau, to 1e-12;
@@ -94,7 +104,22 @@ class Trajectory:
                 f"{len(self.times)} samples from {self.times[0]} to {self.times[-1]}"
             )
         i = hit[0]
-        return self.states[i].copy(), self.derivs[i].copy()
+        if self._rows is None:
+            return self.states[i].copy(), self.derivs[i].copy()
+        rows, *stored = self._rows
+        return tuple(a[0] for a in _full_lattice(self.lattice, self.background.dim, rows,
+                                                 *(X[i:i + 1] for X in stored)))
+
+    def _real_samples(self):
+        """(rows, samples): the lattice rows to read, and per sample the real
+        forms of its state and rate on them (see diagnostics)."""
+        if self._rows is not None:
+            rows, X, Xd = self._rows
+            return rows, zip(X.transpose(0, 2, 1), Xd.transpose(0, 2, 1))
+        U, Ud, dim = *self._full, self.background.dim
+        rows = self.lattice.half if _exactly_real(self.lattice, [*U, *Ud]) else slice(None)
+        return rows, ((real_form(u[rows], dim), real_form(ud[rows], dim))
+                      for u, ud in zip(U, Ud))
 
 
 @dataclass
@@ -242,49 +267,61 @@ def _exactly_real(lattice, arrays) -> bool:
 
 
 def _on_real_half(lattice, y0, count, run):
-    """run(modes, y0) yields count samples, each the pair of (modes, ncomp)
-    arrays of the system's first unknown and its rate; returns the two
-    (count, num_modes, ncomp) arrays of the samples on the full lattice.
-    They are allocated when the first sample arrives, and sample i is
-    written once, into row i, as it is yielded.
+    """run(modes, y0) yields count samples, each the pair of real forms
+    (see real_form) of the system's first unknown and its rate on modes;
+    returns (rows, X, Xd): the lattice rows run saw, and two
+    (count, ncomp, 2 len(rows)) arrays, into which sample i is written
+    once, as it is yielded, as the transpose X[i].T of its real form.
 
     The mode operators have real coefficients, so evolution keeps
     c_{-k} = conj(c_k).  When every array of y0 satisfies it exactly, run
-    sees views of the rows lattice.half of y0 and of the modes, and each
-    sample x is written to those rows and, conjugated, to their partners:
-    rows half.stop - 1 onwards, which hold x[::-1] at -k.  Otherwise run
-    sees every mode.  Each mode evolves on its own, so the kept modes match
-    a full-lattice run."""
+    sees views of the rows lattice.half of y0 and of the modes; on the
+    full lattice their partners, rows half.stop - 1 onwards, hold them
+    conjugated and reversed (see _full_lattice).  Otherwise run sees every
+    mode.  Each mode evolves on its own, so the kept modes match a
+    full-lattice run."""
     rows = lattice.half if _exactly_real(lattice, y0) else slice(None)
-    out = None
-    for i, y in enumerate(run(lattice.modes[rows], tuple(x[rows] for x in y0))):
-        if out is None:
-            out = tuple(np.empty((count, lattice.num_modes) + x.shape[1:], x.dtype)
-                        for x in y)
-        for full, x in zip(out, y):
+    modes = lattice.modes[rows]
+    out = tuple(np.empty((count, x.shape[1], 2 * len(modes))) for x in y0[:2])
+    for i, y in enumerate(run(modes, tuple(x[rows] for x in y0))):
+        for stored, x in zip(out, y):
+            stored[i] = x.T
+    return (rows, *out)
+
+
+def _full_lattice(lattice, dim, rows, *stored):
+    """The complex (T, num_modes, ncomp) array of each array of samples
+    that _on_real_half wrote on rows."""
+    full = []
+    for X in stored:
+        out = np.empty((len(X), lattice.num_modes, X.shape[1]), complex)
+        for u, x in zip(out, X):
+            kept = complex_form(x.T, dim)
             if rows.stop is not None:
                 # conjugates first, so k = 0 keeps its own value; + 0.0 turns
                 # the -0.0 imaginary part that conj gives a real coefficient
                 # into +0.0
-                partners = full[i, rows.stop - 1:]
-                np.conjugate(x[::-1], out=partners)
+                partners = u[rows.stop - 1:]
+                np.conjugate(kept[::-1], out=partners)
                 partners += 0.0
-            full[i, rows] = x
-    return out
+            u[rows] = kept
+            del kept  # freed before the next sample is converted: a lower peak
+        full.append(out)
+    return full
 
 
 def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
     """The one sampler of the mode systems: the sampled state (y[0], y[1])
     at each of times of y' = rhs(families, y), y(t0) = y0, with families
-    one FamilyAction per name in kinds on the modes sampled, returned as
-    two (len(times), num_modes, ncomp) arrays into which each sample is
-    written once (see _on_real_half).  On the Minkowski torus, which takes
-    no dt, exact(families, k2, y0, times - t0) yields them in closed form
-    (k2 = |k|^2 per mode).  On Kasner y0 is converted to the real form once
-    (see real_form), _rk4 steps it to the samples in order (see _segments),
-    re-timing the families once per distinct stage time (see _rk4), and
-    each sample is converted back.  Runs on the real half of the lattice
-    when y0 allows it (see _on_real_half)."""
+    one FamilyAction per name in kinds on the modes sampled, returned as a
+    Trajectory whose samples are written once, in real form (see
+    _on_real_half).  On the Minkowski torus, which takes no dt,
+    exact(families, k2, y0, times - t0) yields them in closed form as
+    complex arrays (k2 = |k|^2 per mode), each converted to the real form
+    once.  On Kasner y0 is converted to the real form once (see real_form)
+    and _rk4 steps it to the samples in order (see _segments), re-timing
+    the families once per distinct stage time (see _rk4).  Runs on the
+    real half of the lattice when y0 allows it (see _on_real_half)."""
     closed = bg.kind == "minkowski-torus"
     if closed and dt is not None:
         raise ValueError(
@@ -301,7 +338,8 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
     def run(modes, y):
         families = [FamilyAction(bg, kind, t0, modes) for kind in kinds]
         if closed:
-            yield from exact(families, np.sum(modes ** 2, axis=1), y, times - t0)
+            for sample in exact(families, np.sum(modes ** 2, axis=1), y, times - t0):
+                yield tuple(real_form(x, bg.dim) for x in sample)
             return
 
         def at(t):
@@ -311,9 +349,11 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
         for seg in _segments(t0, times):
             if seg:
                 y = _rk4(at, rhs, seg[0], y, seg[1], dt)
-            yield tuple(complex_form(x, bg.dim) for x in y[:2])
+            yield y[:2]
 
-    return _on_real_half(lattice, y0, len(times), run)
+    traj = Trajectory(bg, lattice, times, None, None, dt)
+    traj._rows = _on_real_half(lattice, y0, len(times), run)
+    return traj
 
 
 def _monic_rhs(families, y):
@@ -342,9 +382,8 @@ def evolve_state(bg: SpacetimeBackground, lattice, t0: float, U0, Ud0,
     sample_times = np.asarray(sample_times, float)
     if bg.kind == "kasner" and (min(t0, t_end) <= 0 or np.min(sample_times) <= 0):
         raise ValueError("Kasner evolution cannot reach the singularity t <= 0")
-    states, derivs = _samples(bg, lattice, ("lichnerowicz",), _monic_rhs, t0, (U0, Ud0),
-                              sample_times, dt, _harmonic)
-    return Trajectory(bg, lattice, sample_times, states, derivs, dt=dt)
+    return _samples(bg, lattice, ("lichnerowicz",), _monic_rhs, t0, (U0, Ud0),
+                    sample_times, dt, _harmonic)
 
 
 def evolve(jet: CauchyJet, t_end: float, dt: float | None = None,
@@ -411,19 +450,18 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeri
     stored sample time.  The residuals are the families div_trace_reversed
     and dphi_induced (DPhi of the induced data) on the sample's real forms.
 
-    When every state and derivative sample is exactly Hermitian (the test
-    of _on_real_half, redone here because trajectory arrays are mutable),
-    each sample is read through views of the rows lattice.half, and each
-    sum weights its terms by lattice.half_weights(): k = 0 once and every
-    other mode twice, for itself and -k, since every operator here has real
-    coefficients, so the terms of k and -k are equal.  Any other trajectory
-    is evaluated on the full lattice, each mode once."""
+    The samples are read in real form.  A trajectory of _samples is read
+    on the rows the sampler wrote, with no test and no conversion.  Complex
+    arrays are read through views of the rows lattice.half when every state
+    and derivative sample is exactly Hermitian (the test of _on_real_half,
+    redone because the arrays are mutable), else on every mode.  On the
+    half each sum weights its terms by lattice.half_weights(): k = 0 once
+    and every other mode twice, for itself and -k, since every operator
+    here has real coefficients, so the terms of k and -k are equal."""
     _check_energy_args(sobolev_order)
     bg, lat = traj.background, traj.lattice
-    if _exactly_real(lat, [*traj.states, *traj.derivs]):
-        rows, mult = lat.half, lat.half_weights()
-    else:
-        rows, mult = slice(None), np.ones(lat.num_modes)
+    rows, samples = traj._real_samples()
+    mult = lat.half_weights() if rows.stop is not None else np.ones(lat.num_modes)
     modes = lat.modes[rows]
     k2 = np.sum(modes ** 2, axis=1)
     k2r, multr = np.tile(k2, 2), np.tile(mult, 2)  # per row of the real form
@@ -435,8 +473,7 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeri
     sob1 = 1.0 + k2  # the H^1 weight of DPhi_2
     mult1 = np.tile(mult * sob1, 2)
     res, en = [], []
-    for i, t in enumerate(traj.times):
-        X, Xd = real_form(traj.states[i, rows], bg.dim), real_form(traj.derivs[i, rows], bg.dim)
+    for t, (X, Xd) in zip(traj.times, samples):
         div_t, con_t = div.at(t), con.at(t)
         r = con_t.apply(0, X) + con_t.apply(1, Xd)  # DPhi_1, then DPhi_2
         res.append([_residual(div_t.apply(0, X) + div_t.apply(1, Xd), w_gauge, multr),
@@ -516,10 +553,11 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
     lat = traj.lattice
     times = traj.times
     V, Vd = _gauge_initial_state(bg, traj.states[0])
-    Vs, Vds = _samples(
+    rec = _samples(
         bg, lat, ("lichnerowicz", "div_trace_reversed", "connection_wave"), _recovery_rhs,
         times[0], (V, Vd, traj.states[0], traj.derivs[0]), times, traj.dt, _recovery_exact,
     )
+    Vs, Vds = rec.states, rec.derivs
     wsym = component_weights("sym2", bg.dim)
     lie0 = FamilyAction(bg, "lie_of_g", times[0], lat.modes)
     dev, rel = [], []
@@ -550,12 +588,12 @@ def lie_trajectory(bg: SpacetimeBackground, lattice, times, W0, Wd0,
     family_coefficients), differentiated in closed form.
     """
     times = np.asarray(times, float)
-    Ws, Wds = _samples(bg, lattice, ("connection_wave",), _monic_rhs, times[0], (W0, Wd0),
-                       times, dt, _harmonic)
+    w = _samples(bg, lattice, ("connection_wave",), _monic_rhs, times[0], (W0, Wd0),
+                 times, dt, _harmonic)
     conn, lie0 = (FamilyAction(bg, kind, times[0], lattice.modes)
                   for kind in ("connection_wave", "lie_of_g"))
     states, derivs = [], []
-    for tau, W, Wd in zip(times, Ws, Wds):
+    for tau, W, Wd in zip(times, w.states, w.derivs):
         W, Wd = real_form(W, bg.dim), real_form(Wd, bg.dim)
         Wdd = conn.at(tau).monic_closure(W, Wd)
         lie = lie0.at(tau)

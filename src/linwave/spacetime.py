@@ -513,14 +513,17 @@ class _OrderLayout(NamedTuple):
     """One order j of a family's table in the real form FamilyAction.apply
     reads.
 
-    `coeffs` and `exponents` are the pairs (the constant block and then the
-    `live` blocks, stacked as one (1 + len(live), ncomp_out, ncomp_in)
-    array; one coefficient per `scal` block), so the real form of M_j's
-    part at time t is coeffs * t**exponents, term by term.  Every block is
-    real: it is conj(D_out) C_p D_in, with D the parity phase of
-    parity_phase.  `live` lists the monomials p >= 1 whose block is nonzero
-    and not a multiple of the identity; `scal` those whose block is one."""
+    `coeffs` and `exponents` are the pairs (the constant block when `const`
+    and then the `live` blocks, stacked as one (const + len(live),
+    ncomp_out, ncomp_in) array; one coefficient per `scal` block), so the
+    real form of M_j's part at time t is coeffs * t**exponents, term by
+    term.  Every block is real: it is conj(D_out) C_p D_in, with D the
+    parity phase of parity_phase.  `const` says whether the constant block
+    is nonzero, `live` lists the monomials p >= 1 whose block is nonzero
+    and not a multiple of the identity, and `scal` those whose block is
+    one; no block kept is exactly zero."""
 
+    const: bool
     live: np.ndarray
     scal: np.ndarray
     coeffs: tuple
@@ -601,6 +604,7 @@ def _order_layout(C: np.ndarray, E: np.ndarray, bound: float, dim: int,
             f"phase (imaginary part up to {np.max(np.abs(R.imag)):.2e})"
         )
     R = R.real
+    const = bool(np.any(R[0]))
     live, scal, scal_c, scal_e = [], [], [], []
     for p in range(1, len(R)):
         if not np.any(R[p]):
@@ -612,10 +616,10 @@ def _order_layout(C: np.ndarray, E: np.ndarray, bound: float, dim: int,
             scal.append(p)
             scal_c.append(s)
             scal_e.append(E[p, 0, 0])
+    kept = [0] * const + live
     return _OrderLayout(
-        np.array(live, int), np.array(scal, int),
-        (R[[0, *live]], np.array(scal_c, float)),
-        (E[[0, *live]], np.array(scal_e, float)),
+        const, np.array(live, int), np.array(scal, int),
+        (R[kept], np.array(scal_c, float)), (E[kept], np.array(scal_e, float)),
     )
 
 
@@ -675,7 +679,7 @@ def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
             E = _homothety_exponents(background, kind, [C.shape for C in A])
         layout = [_order_layout(C, e, bound, background.dim, kind)
                   for C, e in zip(A, E)]
-        if _lead_is_identity(layout[-1].coeffs) and np.any(E[-1][A[-1] != 0]):
+        if _lead_is_identity(layout[-1], layout[-1].coeffs) and np.any(E[-1][A[-1] != 0]):
             raise InternalError(
                 f"spacetime.family_coefficients: the monic leading coefficient of "
                 f"{kind} has a nonzero exponent of t"
@@ -684,15 +688,14 @@ def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
     return table
 
 
-def _lead_is_identity(lead: tuple) -> bool:
-    """True when a leading coefficient, given as the coefficient pair of
-    an _OrderLayout, is the identity matrix: its constant block is I and
-    every k-monomial block 0, to 1e-12."""
+def _lead_is_identity(layout: _OrderLayout, lead: tuple) -> bool:
+    """True when a leading coefficient, given as a coefficient pair in
+    layout (see _OrderLayout), is the identity matrix: its constant block
+    is I and every k-monomial block 0, to 1e-12."""
     blocks, scal = lead
-    const = blocks[0]
-    if const.shape[0] != const.shape[1]:
+    if not layout.const or blocks.shape[1] != blocks.shape[2]:
         return False
-    dev = max(np.max(np.abs(const - np.eye(len(const)))),
+    dev = max(np.max(np.abs(blocks[0] - np.eye(blocks.shape[1]))),
               np.max(np.abs(blocks[1:]), initial=0.0), np.max(np.abs(scal), initial=0.0))
     return dev <= 1e-12
 
@@ -718,13 +721,15 @@ class FamilyAction:
     those that are (on both backgrounds the k_a^2 blocks of lichnerowicz
     and connection_wave, whose sum is the one per-mode scalar
     g^{ab} k_a k_b), also summed elementwise.  Blocks that are exactly zero
-    (the k_a k_b blocks on a diagonal metric) are skipped.  Each block is
-    its own product and every sum is elementwise, so a mode's result does
-    not depend on where it sits in the array, and Hermitian data stay
-    exactly Hermitian; one product of all blocks stacked on the output axis
-    would not.  at() and rate() re-time the two arrays of each order (the
-    stacked blocks, the scalar coefficients) as R * t**E, or its exact
-    t-derivative, and re-pack nothing.
+    (the k_a k_b blocks on a diagonal metric, the constant block of most
+    Minkowski orders) are skipped, and an order with no block left returns
+    zero without a product.  Each block is its own product and every sum
+    is elementwise, so a mode's result does not depend on where it sits in
+    the array, and Hermitian data stay exactly Hermitian; one product of
+    all blocks stacked on the output axis would not.  at() and rate()
+    re-time the two arrays of each order (the stacked blocks, the scalar
+    coefficients) as R * t**E, or its exact t-derivative, and re-pack
+    nothing.
 
     The families returned by at() and rate() share the monomial basis and
     apply's scratch buffers with this one, so one family must not be applied
@@ -759,7 +764,7 @@ class FamilyAction:
 
     def is_monic(self) -> bool:
         """True when the leading d/dt coefficient is the identity matrix."""
-        return _lead_is_identity(self._terms[-1])
+        return _lead_is_identity(self._layout[-1], self._terms[-1])
 
     def monic_closure(self, u: np.ndarray, ud: np.ndarray) -> np.ndarray:
         """u'' = -(M_1 u' + M_0 u) in real form: the second time derivative
@@ -770,10 +775,12 @@ class FamilyAction:
                 f"spacetime.FamilyAction: {self.kind} operator is not monic in "
                 f"d/dt at t = {self.t:g}; cannot solve for the second derivative"
             )
-        # accumulated in place: apply returns a fresh array, and the sum
-        # is the same as apply(1, ud) + apply(0, u) because + commutes
+        # accumulated in place: apply returns a fresh array, and the sum is
+        # apply(1, ud) + apply(0, u) because + commutes; a zero order 1
+        # (the Minkowski wave operators) adds nothing
         out = self.apply(0, u)
-        out += self.apply(1, ud)
+        if self._terms[1][0].size or self._terms[1][1].size:
+            out += self.apply(1, ud)
         return np.negative(out, out=out)
 
     def apply(self, j: int, x: np.ndarray) -> np.ndarray:
@@ -786,13 +793,12 @@ class FamilyAction:
                 f"a ({2 * len(self.basis)}, ncomp) float array, got {x.dtype} {x.shape}"
             )
         blocks, scal = self._terms[j]
+        lay = self._layout[j]
         xt = x.T
-        if len(blocks) == 1:
-            out = blocks[0] @ xt
-            if not scal.size:
-                return out.T
+        if len(blocks) == lay.const and not scal.size:
+            # the constant block alone, or an order that is zero altogether
+            return (blocks[0] @ xt if lay.const else np.zeros((blocks.shape[1], len(x)))).T
         if j not in self._scratch:
-            lay = self._layout[j]
             # the buffers are kept across calls: fresh ones are paged in
             # anew whenever glibc has trimmed the heap top under them; a
             # first Kasner evolve at nmax 8 (2457 modes, 172 applies) in a
@@ -801,7 +807,7 @@ class FamilyAction:
             # buffer: each apply has summed it into its result on return
             if "terms" not in self._scratch:
                 most = max(len(t[0]) for t in self._terms)
-                self._scratch["terms"] = np.empty((most, len(blocks[0]), len(x)))
+                self._scratch["terms"] = np.empty((most, blocks.shape[1], len(x)))
             twice = np.concatenate([self.basis, self.basis]).T
             self._scratch[j] = (
                 np.ascontiguousarray(twice[lay.live])[:, None, :],
@@ -810,16 +816,19 @@ class FamilyAction:
                 np.empty((len(scal), len(x))),
             )
         basis, basis_scal, terms, scalars = self._scratch[j]
-        if len(blocks) > 1:
-            # one matrix product per block, each scaled by its monomial
+        out = None
+        if len(blocks):
+            # one matrix product per block, each k-monomial one scaled by
+            # its monomial
             np.matmul(blocks, xt, out=terms)
-            terms[1:] *= basis
+            terms[lay.const:] *= basis
             out = np.sum(terms, axis=0)
         if scal.size:
             # the identity blocks, as one per-mode scalar times x
             np.multiply(basis_scal, scal[:, None], out=scalars)
-            term = np.multiply(xt, np.sum(scalars, axis=0), out=terms[0])
-            out += term
+            if out is None:
+                return (xt * np.sum(scalars, axis=0)).T
+            out += np.multiply(xt, np.sum(scalars, axis=0), out=terms[0])
         return out.T
 
     def rate(self) -> FamilyAction:

@@ -811,24 +811,30 @@ def test_half_lattice_runs_are_linear_in_complex_data():
         assert _is_exactly_hermitian(getattr(ry, a), lat, 1)
 
 
-def _mirror_and_stack(lattice, y0, count, run):
-    """Reference for _on_real_half: each sample mirrored to a new pair of
-    full-lattice arrays, the pairs kept in a list and stacked at the end."""
-    perm = lattice.negation_permutation()
-    half = np.arange(lattice.half.stop)
-    if not evolution._exactly_real(lattice, y0):
-        ys = list(run(lattice.modes, y0))
-    else:
-        def mirror(x):
-            full = np.empty((lattice.num_modes,) + x.shape[1:], x.dtype)
-            full[perm[half]] = np.conj(x) + 0.0
-            full[half] = x
-            return full
+def _mirror_and_stack(dim):
+    """Reference for _on_real_half: each sample, in complex form, mirrored
+    to a new pair of full-lattice arrays, the pairs kept in a list and
+    stacked at the end, and returned as samples on every row."""
+    def sampler(lattice, y0, count, run):
+        perm = lattice.negation_permutation()
+        half = np.arange(lattice.half.stop)
+        if not evolution._exactly_real(lattice, y0):
+            ys = [tuple(complex_form(x, dim) for x in y) for y in run(lattice.modes, y0)]
+        else:
+            def mirror(x):
+                x = complex_form(x, dim)
+                full = np.empty((lattice.num_modes,) + x.shape[1:], x.dtype)
+                full[perm[half]] = np.conj(x) + 0.0
+                full[half] = x
+                return full
 
-        ys = [tuple(mirror(x) for x in y)
-              for y in run(lattice.modes[half], tuple(x[half] for x in y0))]
-    assert len(ys) == count
-    return np.array([y[0] for y in ys]), np.array([y[1] for y in ys])
+            ys = [tuple(mirror(x) for x in y)
+                  for y in run(lattice.modes[half], tuple(x[half] for x in y0))]
+        assert len(ys) == count
+        # the real form and back is exact, signed zeros included
+        return (slice(None), *(np.array([real_form(y[j], dim).T for y in ys]) for j in (0, 1)))
+
+    return sampler
 
 
 @pytest.mark.parametrize("bg, times, dt", [(MINK, [0.5, 1.2, 1.2, 3.9], None),
@@ -838,7 +844,8 @@ def _mirror_and_stack(lattice, y0, count, run):
 def test_sampler_writes_what_mirroring_and_stacking_wrote(monkeypatch, bg, times, dt,
                                                           nudge, system):
     # bit for bit, signed zeros included, on real data (the half lattice)
-    # and on data nudged off Hermitian symmetry (the full lattice)
+    # and on data nudged off Hermitian symmetry (the full lattice): the
+    # sampler's rows, read through the complex arrays of the trajectory
     rng = np.random.default_rng(46)
     U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
     Ud0[LAT.mode_index((1, 0, 2)), 3] += nudge
@@ -850,9 +857,12 @@ def test_sampler_writes_what_mirroring_and_stacking_wrote(monkeypatch, bg, times
         args = (("lichnerowicz", "div_trace_reversed", "connection_wave"),
                 evolution._recovery_rhs, times[0], (V0, Vd0, U0, Ud0), times, dt,
                 evolution._recovery_exact)
-    got = evolution._samples(bg, LAT, *args)
-    monkeypatch.setattr(evolution, "_on_real_half", _mirror_and_stack)
-    want = evolution._samples(bg, LAT, *args)
+    traj = evolution._samples(bg, LAT, *args)
+    assert traj._rows[0] == (LAT.half if nudge == 0.0 else slice(None))
+    got = traj.states, traj.derivs
+    monkeypatch.setattr(evolution, "_on_real_half", _mirror_and_stack(bg.dim))
+    ref = evolution._samples(bg, LAT, *args)
+    want = ref.states, ref.derivs
     assert evolution._exactly_real(LAT, [*got[0], *got[1]]) == (nudge == 0.0)
     for g, w in zip(got, want):
         assert g.shape == w.shape == (len(times), LAT.num_modes, w.shape[2])
@@ -860,10 +870,14 @@ def test_sampler_writes_what_mirroring_and_stacking_wrote(monkeypatch, bg, times
 
 
 def test_evolve_keeps_little_beyond_its_trajectory():
-    # tracemalloc peak of evolve above the trajectory it returns (15 samples
-    # at nmax 4, 3.5 MB): measured 0.22 of the trajectory's bytes.  A sampler
-    # that keeps each mirrored sample in a list and stacks them at the end
-    # holds the trajectory twice and reads 1.10
+    # tracemalloc peak of evolve above the samples it keeps, in units of
+    # the complex (15, num_modes, 10) arrays of the same samples (nmax 4,
+    # 3.5 MB): measured 0.22, the same bytes as when evolve kept those
+    # arrays (set-up and one sample's temporaries).  A sampler that keeps
+    # each sample in a list and stacks them at the end holds the kept
+    # samples twice and reads 0.57.  Real data keep the half lattice
+    # in real form: at most 0.51 of the complex arrays (0.501, the half
+    # includes k = 0)
     lat = ModeLattice(3, 4)
     rng = np.random.default_rng(47)
     pair = gauge_producing_data(random_field(lat, "scalar", rng),
@@ -878,8 +892,11 @@ def test_evolve_keeps_little_beyond_its_trajectory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept = traj.states.nbytes + traj.derivs.nbytes
-    assert peak - kept <= 0.25 * kept, (peak - kept) / kept
+    rows, X, Xd = traj._rows
+    kept = X.nbytes + Xd.nbytes
+    full = traj.states.nbytes + traj.derivs.nbytes
+    assert rows == lat.half and kept <= 0.51 * full, kept / full
+    assert peak - kept <= 0.25 * full, (peak - kept) / full
 
 
 def test_exactly_real_compares_without_a_permuted_copy():
@@ -1073,3 +1090,75 @@ def test_half_lattice_diagnostics_count_the_zero_mode_once():
     e0 = diagnostics(only_zero).energies[0, 0]
     w = component_weights("sym2", 4)
     assert abs(e0 - np.sqrt(np.abs(derivs[0, zero]) ** 2 @ w)) <= 1e-14 * e0
+
+
+# ---------------------------------------------------------------------------
+# Trajectories kept as the sampler wrote them
+# ---------------------------------------------------------------------------
+
+
+def _sampled_trajectory(bg):
+    """evolve of random (constraint-violating) real data at nmax 8, kept in
+    the sampler's real-form rows on the half lattice."""
+    rng = np.random.default_rng(49)
+    lat = ModeLattice(3, 8)
+    geom = TORUS if bg is MINK else KSLICE
+    pair = InitialDataPair(random_field(lat, "sym2", rng), random_field(lat, "sym2", rng), geom)
+    if bg is MINK:
+        traj = evolve(build_cauchy_jet(pair, bg), 3.0, sample_times=[0.0, 1.1, 3.0])
+    else:
+        traj = evolve(build_cauchy_jet(pair, bg), 1.02, dt=1e-2, sample_times=[1.0, 1.01, 1.02])
+    assert traj._rows is not None and traj._rows[0] == lat.half
+    return traj
+
+
+def _series_bytes(diag):
+    return [diag.times.tobytes(), diag.gauge_residual.tobytes(), diag.dphi1_residual.tobytes(),
+            diag.dphi2_residual.tobytes(), diag.energies.tobytes(), diag.modes,
+            *(diag.worst_modes[key].tobytes() for key in ("gauge", "dphi1", "dphi2"))]
+
+
+@pytest.mark.parametrize("bg", [MINK, KAS], ids=["minkowski", "kasner"])
+def test_diagnostics_of_sampled_rows_equal_those_of_the_full_arrays(bg):
+    # residuals, energies and worst modes read off the sampler's rows equal,
+    # bit for bit, those of a trajectory built from the complex arrays
+    traj = _sampled_trajectory(bg)
+    got = diagnostics(traj, sobolev_order=0.5)
+    assert traj._rows is not None  # diagnostics built no complex array
+    full = Trajectory(bg, traj.lattice, traj.times, traj.states.copy(), traj.derivs.copy(),
+                      traj.dt)
+    want = diagnostics(full, sobolev_order=0.5)
+    assert got.modes == traj.lattice.half.stop
+    assert _series_bytes(got) == _series_bytes(want)
+
+
+@pytest.mark.parametrize("bg", [MINK, KAS], ids=["minkowski", "kasner"])
+def test_a_write_through_the_states_reaches_diagnostics(bg):
+    # once built, the complex arrays are the trajectory's only copy
+    traj = _sampled_trajectory(bg)
+    traj.states[1, 5, 3] += 1e-13j  # one coefficient off Hermitian symmetry
+    assert traj._rows is None
+    assert diagnostics(traj).modes == traj.lattice.num_modes
+
+
+@pytest.mark.parametrize("bg", [MINK, KAS], ids=["minkowski", "kasner"])
+def test_state_at_builds_only_the_sample_it_returns(bg):
+    # tracemalloc peak of state_at above its start, in units of the complex
+    # (state, rate) pair it returns (nmax 8, 1.57 MB): measured 1.37, the
+    # pair, the kept rows of one array in complex form and the conversion's
+    # temporaries; building the complex arrays of all three samples reads
+    # above 3
+    traj = _sampled_trajectory(bg)
+    lat, t = traj.lattice, traj.times[1]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        U, Ud = traj.state_at(t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert traj._rows is not None
+    pair = U.nbytes + Ud.nbytes
+    assert U.shape == Ud.shape == (lat.num_modes, 10)
+    assert peak <= 1.5 * pair, peak / pair
+    assert U.tobytes() == traj.states[1].tobytes() and Ud.tobytes() == traj.derivs[1].tobytes()

@@ -436,9 +436,9 @@ def _dense_from_layout(act, terms):
     parity phase D (C = D_out R conj(D_in))."""
     dense = []
     for lay, (blocks, scal) in zip(act._layout, terms):
-        ncomp_out, ncomp_in = blocks[0].shape
+        ncomp_out, ncomp_in = blocks.shape[1:]
         R = np.zeros((10, ncomp_out, ncomp_in))
-        R[[0, *lay.live]] = blocks
+        R[[0] * lay.const + lay.live.tolist()] = blocks
         R[lay.scal] = scal[:, None, None] * np.eye(ncomp_out, ncomp_in)
         D_out, D_in = parity_phase(ncomp_out, 4), parity_phase(ncomp_in, 4)
         dense.append(D_out[:, None] * R * np.conj(D_in))
@@ -572,7 +572,10 @@ def test_monic_check_runs_once_per_family(monkeypatch):
 
 def test_monic_closure_in_place_is_bit_identical():
     # the closure accumulates apply(1, ud) into apply(0, u) in place; IEEE
-    # addition commutes, so it equals the out-of-place sum bit for bit
+    # addition commutes, so it equals the out-of-place sum bit for bit.  On
+    # the Minkowski torus order 1 is zero altogether and is not added, so
+    # the closure is -apply(0, u) bit for bit, and the sum up to the sign
+    # of zeros
     rng = np.random.default_rng(9)
     lat = ModeLattice(3, 2)
     shape = (lat.num_modes, 10)
@@ -583,7 +586,66 @@ def test_monic_closure_in_place_is_bit_identical():
         got = wave.monic_closure(u, ud)
         want = -(wave.apply(1, ud) + wave.apply(0, u))
         assert np.array_equal(got, want)
+        if bg is MINK:
+            assert not np.any(wave.apply(1, ud))
+            want = -wave.apply(0, u)
         assert got.tobytes() == want.tobytes()
+
+
+def _dense_block_apply(act, j, x):
+    """act.apply(j, x) with every block of the table multiplied: each
+    monomial block of order j that is not a multiple of the identity, the
+    constant one and exactly zero ones included, one product scaled by its
+    monomial, summed over the stacked blocks, then the identity blocks as
+    one per-mode scalar times x, as apply sums them."""
+    from linwave.spacetime import _coefficient_table
+
+    A, E, _ = _coefficient_table(act.background, act.kind, act.t)
+    C, e, lay = A[j], E[j], act._layout[j]
+    dim = act.background.dim
+    phase = np.conj(parity_phase(C.shape[1], dim))[:, None] * parity_phase(C.shape[2], dim)
+    R = (phase * C).real
+    dense = [p for p in range(len(R)) if p not in lay.scal]
+    basis = np.concatenate([act.basis, act.basis]).T
+    out = np.sum(np.matmul(R[dense] * act.t ** e[dense], x.T) * basis[dense][:, None, :],
+                 axis=0)
+    scal = act._terms[j][1]
+    if scal.size:
+        out += x.T * np.sum(basis[lay.scal] * scal[:, None], axis=0)
+    return out.T
+
+
+def test_zero_blocks_are_dropped_and_apply_matches_the_dense_blocks():
+    # no layout keeps an exactly zero block (the Minkowski constant blocks,
+    # the zero order 1 of its wave operators), and apply and monic_closure
+    # equal multiplying every block, zeros only possibly differing in sign
+    from linwave.spacetime import _coefficient_table
+
+    rng = np.random.default_rng(11)
+    lat = ModeLattice(3, 8)
+    dropped = 0
+    for bg in _table_backgrounds():
+        for kind in OPERATOR_KINDS:
+            A, _, layout = _coefficient_table(bg, kind, 1.0)
+            for C, lay in zip(A, layout):
+                blocks, scal = lay.coeffs
+                assert all(np.any(b) for b in blocks) and np.all(scal != 0), (bg.p, kind)
+                assert lay.const == bool(np.any(C[0]))
+                dropped += not lay.const
+            for modes in (lat.modes[lat.half], lat.modes):
+                act = FamilyAction(bg, kind, 1.3, modes)
+                xs = [rng.standard_normal((C.shape[2], 2 * len(modes))).T for C in A]
+                for j, x in enumerate(xs):
+                    assert np.array_equal(act.apply(j, x), _dense_block_apply(act, j, x)), \
+                        (bg.p, kind, j)
+                if act.is_monic():
+                    want = _dense_block_apply(act, 0, xs[0])
+                    want += _dense_block_apply(act, 1, xs[1])
+                    assert np.array_equal(act.monic_closure(*xs[:2]), -want), (bg.p, kind)
+    assert dropped == 11  # 10 on the Minkowski torus, 1 on Kasner (1, 0, 0)
+    for kind in ("lichnerowicz", "connection_wave"):
+        lay = FamilyAction(MINK, kind, 1.0, APPLY_MODES)._layout[1]
+        assert not (lay.const or lay.live.size or lay.scal.size), kind
 
 
 def test_monic_lead_with_a_power_of_t_is_refused(monkeypatch):
