@@ -80,10 +80,12 @@ class Trajectory:
     later reader.  state_at builds only the sample it returns."""
 
     def __init__(self, background: SpacetimeBackground, lattice, times: np.ndarray,
-                 states: np.ndarray, derivs: np.ndarray, dt: float | None = None):
+                 states: np.ndarray, derivs: np.ndarray, dt: float | None = None,
+                 *, rows: tuple | None = None):
         self.background, self.lattice, self.times = background, lattice, times
         self.dt = dt  # RK4 step on Kasner; None on the Minkowski torus
-        self._full, self._rows = (states, derivs), None
+        # rows: the (rows, X, Xd) of _on_real_half, given instead of states
+        self._full, self._rows = ((states, derivs), None) if rows is None else (None, rows)
 
     states = property(lambda self: self._complete()[0])
     derivs = property(lambda self: self._complete()[1])
@@ -351,9 +353,8 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
                 y = _rk4(at, rhs, seg[0], y, seg[1], dt)
             yield y[:2]
 
-    traj = Trajectory(bg, lattice, times, None, None, dt)
-    traj._rows = _on_real_half(lattice, y0, len(times), run)
-    return traj
+    return Trajectory(bg, lattice, times, None, None, dt,
+                      rows=_on_real_half(lattice, y0, len(times), run))
 
 
 def _monic_rhs(families, y):
@@ -552,10 +553,11 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
     bg = traj.background
     lat = traj.lattice
     times = traj.times
-    V, Vd = _gauge_initial_state(bg, traj.states[0])
+    U0, Ud0 = traj.state_at(times[0])
+    V, Vd = _gauge_initial_state(bg, U0)
     rec = _samples(
         bg, lat, ("lichnerowicz", "div_trace_reversed", "connection_wave"), _recovery_rhs,
-        times[0], (V, Vd, traj.states[0], traj.derivs[0]), times, traj.dt, _recovery_exact,
+        times[0], (V, Vd, U0, Ud0), times, traj.dt, _recovery_exact,
     )
     Vs, Vds = rec.states, rec.derivs
     wsym = component_weights("sym2", bg.dim)

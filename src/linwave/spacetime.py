@@ -679,7 +679,7 @@ def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
             E = _homothety_exponents(background, kind, [C.shape for C in A])
         layout = [_order_layout(C, e, bound, background.dim, kind)
                   for C, e in zip(A, E)]
-        if _lead_is_identity(layout[-1], layout[-1].coeffs) and np.any(E[-1][A[-1] != 0]):
+        if _lead_is_identity(layout[-1].const, layout[-1].coeffs) and np.any(E[-1][A[-1] != 0]):
             raise InternalError(
                 f"spacetime.family_coefficients: the monic leading coefficient of "
                 f"{kind} has a nonzero exponent of t"
@@ -688,12 +688,12 @@ def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
     return table
 
 
-def _lead_is_identity(layout: _OrderLayout, lead: tuple) -> bool:
-    """True when a leading coefficient, given as a coefficient pair in
-    layout (see _OrderLayout), is the identity matrix: its constant block
-    is I and every k-monomial block 0, to 1e-12."""
+def _lead_is_identity(const: bool, lead: tuple) -> bool:
+    """True when a leading coefficient, given as the coefficient pair of
+    an _OrderLayout and its `const` flag, is the identity matrix: its
+    constant block is I and every k-monomial block 0, to 1e-12."""
     blocks, scal = lead
-    if not layout.const or blocks.shape[1] != blocks.shape[2]:
+    if not const or blocks.shape[1] != blocks.shape[2]:
         return False
     dev = max(np.max(np.abs(blocks[0] - np.eye(blocks.shape[1]))),
               np.max(np.abs(blocks[1:]), initial=0.0), np.max(np.abs(scal), initial=0.0))
@@ -764,7 +764,7 @@ class FamilyAction:
 
     def is_monic(self) -> bool:
         """True when the leading d/dt coefficient is the identity matrix."""
-        return _lead_is_identity(self._layout[-1], self._terms[-1])
+        return _lead_is_identity(self._layout[-1].const, self._terms[-1])
 
     def monic_closure(self, u: np.ndarray, ud: np.ndarray) -> np.ndarray:
         """u'' = -(M_1 u' + M_0 u) in real form: the second time derivative
@@ -775,12 +775,10 @@ class FamilyAction:
                 f"spacetime.FamilyAction: {self.kind} operator is not monic in "
                 f"d/dt at t = {self.t:g}; cannot solve for the second derivative"
             )
-        # accumulated in place: apply returns a fresh array, and the sum is
-        # apply(1, ud) + apply(0, u) because + commutes; a zero order 1
-        # (the Minkowski wave operators) adds nothing
+        # accumulated in place: apply returns a fresh array, and the sum
+        # is the same as apply(1, ud) + apply(0, u) because + commutes
         out = self.apply(0, u)
-        if self._terms[1][0].size or self._terms[1][1].size:
-            out += self.apply(1, ud)
+        out += self.apply(1, ud)
         return np.negative(out, out=out)
 
     def apply(self, j: int, x: np.ndarray) -> np.ndarray:
