@@ -163,7 +163,7 @@ def _least_squares(geom: SliceGeometry, A: np.ndarray, y: np.ndarray, rows, cols
     and the fit runs on the rows lattice.half only, read as views, each of
     those modes also fitting its -k partner's data with the conjugate pinv,
     for real and complex y alike: the partners of the half are its rows of
-    y[::-1], and k = 0 is its last row (see lattice.negation_permutation).
+    y[::-1], and k = 0 is its last row (see ModeLattice.half).
 
     On a torus A must be injective at every k != 0, as P(beta, N) is on the
     flat torus: there the fit solves the normal equations, one small Gram

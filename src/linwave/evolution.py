@@ -23,18 +23,17 @@ of spacetime.real_form, in which every mode operator is a real matrix per
 k-monomial block: [Re; Im] of the parity-rotated components, 2N rows for
 N modes, with each component's 2N values contiguous, so a block is one
 real matrix product over all modes.  The sampler writes each sample once,
-in that form, on the rows it ran on, and a Trajectory keeps them so: its
-complex (samples, modes, ncomp) arrays, with the partner rows conjugated
-and reversed, are built only when read, identical to sampling every
-mode.  Every public function of this module takes and returns complex
-(N, ncomp) components.  A trajectory holds its samples only; induced data
-are extracted at sample times.  Diagnostics track the gauge residual, the
-constraint residuals of the induced data, and the wave energies E_0 and
-E_1; on real trajectories they are evaluated on the same half, with each
-+-k pair counted twice in the norms, and on any other trajectory on the
-full lattice.  The gauge vector field of a pure-gauge solution is
-recovered by solving the connection wave equation nabla*nabla V =
--div(hbar).
+in that form, on the rows it ran on, and a Trajectory keeps its samples
+in that form only: its complex (samples, modes, ncomp) arrays, with the
+partner rows conjugated and reversed, are built afresh on every read,
+identical to sampling every mode.  Every public function of this module
+takes and returns complex (N, ncomp) components.  A trajectory holds its
+samples only; induced data are extracted at sample times.  Diagnostics
+track the gauge residual, the constraint residuals of the induced data,
+and the wave energies E_0 and E_1, on the rows the trajectory keeps: on
+the half for real trajectories, with each +-k pair counted twice in the
+norms.  The gauge vector field of a pure-gauge solution is recovered by
+solving the connection wave equation nabla*nabla V = -div(hbar).
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .constraints import InitialDataPair
 from .fields import (
     SpectralField,
     component_weights,
+    rank_components,
     sym2_congruence_matrix,
     sym2_to_full,
     weighted_norm,
@@ -72,33 +72,42 @@ SLICE_MATCH_TOL = 1e-12
 
 
 class Trajectory:
-    """Per-mode solution samples for a whole lattice of modes: states and
-    derivs are (T, num_modes, ncomp) complex arrays.  A trajectory of
-    _samples keeps the rows the sampler wrote (see _on_real_half) and
-    builds the complex arrays on the first read of states or derivs; from
-    then on they are its only copy, so a write through them reaches every
-    later reader.  state_at builds only the sample it returns."""
+    """Per-mode solution samples for a whole lattice of modes, held only as
+    the (rows, X, Xd) of _on_real_half: passed as rows= by the sampler, or
+    converted once from complex (T, num_modes, ncomp) states and derivs.
+    states and derivs build complex (T, num_modes, ncomp) arrays afresh on
+    every read: a read is a copy, and no write reaches the trajectory."""
 
     def __init__(self, background: SpacetimeBackground, lattice, times: np.ndarray,
                  states: np.ndarray, derivs: np.ndarray, dt: float | None = None,
                  *, rows: tuple | None = None):
         self.background, self.lattice, self.times = background, lattice, times
         self.dt = dt  # RK4 step on Kasner; None on the Minkowski torus
-        # rows: the (rows, X, Xd) of _on_real_half, given instead of states
-        self._full, self._rows = ((states, derivs), None) if rows is None else (None, rows)
+        self._rows = rows or _real_rows(background, lattice, times, states, derivs)
 
-    states = property(lambda self: self._complete()[0])
-    derivs = property(lambda self: self._complete()[1])
+    states = property(lambda self: self._complex(self._rows[1]))
+    derivs = property(lambda self: self._complex(self._rows[2]))
 
-    def _complete(self):
-        if self._rows is not None:
-            self._full, self._rows = _full_lattice(self.lattice, self.background.dim,
-                                                   *self._rows), None
-        return self._full
+    def _complex(self, X):
+        """The complex (T, num_modes, ncomp) array of the samples X."""
+        rows = self._rows[0]
+        out = np.empty((len(X), self.lattice.num_modes, X.shape[1]), complex)
+        for u, x in zip(out, X):
+            kept = complex_form(x.T, self.background.dim)
+            if rows.stop is not None:
+                # conjugates first, so k = 0 keeps its own value; + 0.0 turns
+                # the -0.0 imaginary part that conj gives a real coefficient
+                # into +0.0
+                partners = u[rows.stop - 1:]
+                np.conjugate(kept[::-1], out=partners)
+                partners += 0.0
+            u[rows] = kept
+            del kept  # freed before the next sample is converted: a lower peak
+        return out
 
     def state_at(self, tau: float):
-        """The stored sample (state, time derivative) at tau, to 1e-12;
-        ValueError at any other time."""
+        """The stored sample (state, time derivative) at tau, to 1e-12, built
+        alone; ValueError at any other time."""
         hit = np.nonzero(np.abs(self.times - tau) <= 1e-12)[0]
         if not len(hit):
             raise ValueError(
@@ -106,22 +115,7 @@ class Trajectory:
                 f"{len(self.times)} samples from {self.times[0]} to {self.times[-1]}"
             )
         i = hit[0]
-        if self._rows is None:
-            return self.states[i].copy(), self.derivs[i].copy()
-        rows, *stored = self._rows
-        return tuple(a[0] for a in _full_lattice(self.lattice, self.background.dim, rows,
-                                                 *(X[i:i + 1] for X in stored)))
-
-    def _real_samples(self):
-        """(rows, samples): the lattice rows to read, and per sample the real
-        forms of its state and rate on them (see diagnostics)."""
-        if self._rows is not None:
-            rows, X, Xd = self._rows
-            return rows, zip(X.transpose(0, 2, 1), Xd.transpose(0, 2, 1))
-        U, Ud, dim = *self._full, self.background.dim
-        rows = self.lattice.half if _exactly_real(self.lattice, [*U, *Ud]) else slice(None)
-        return rows, ((real_form(u[rows], dim), real_form(ud[rows], dim))
-                      for u, ud in zip(U, Ud))
+        return tuple(self._complex(X[i:i + 1])[0] for X in self._rows[1:])
 
 
 @dataclass
@@ -197,6 +191,13 @@ def _require_finite_time(t):
         raise ValueError(f"evolution times must be finite, got t = {t}")
 
 
+def _sample_times(times) -> np.ndarray:
+    times = np.asarray(times, float)
+    if not len(times):
+        raise ValueError("evolution needs at least one sample time")
+    return times
+
+
 def _step_count(span: float, dt: float) -> int:
     """The number of equal RK4 steps, each at most dt long, that cover span."""
     return max(1, int(np.ceil(abs(span) / dt - 1e-12)))
@@ -262,8 +263,8 @@ def _exactly_real(lattice, arrays) -> bool:
     """True when every (num_modes, ncomp) array on lattice satisfies the
     Hermitian symmetry c_{-k} = conj(c_k) of a real field exactly, with no
     tolerance (+-0 equal, NaN unequal).  x[::-1] is x at -k, a view (see
-    lattice.negation_permutation), and the symmetry of a pair holds at both
-    of its modes when it holds at one, so the rows lattice.half are tested."""
+    ModeLattice.half), and the symmetry of a pair holds at both of its
+    modes when it holds at one, so the rows lattice.half are tested."""
     half = lattice.half
     return all(np.array_equal(x[::-1][half], np.conj(x[half])) for x in arrays)
 
@@ -279,8 +280,8 @@ def _on_real_half(lattice, y0, count, run):
     c_{-k} = conj(c_k).  When every array of y0 satisfies it exactly, run
     sees views of the rows lattice.half of y0 and of the modes; on the
     full lattice their partners, rows half.stop - 1 onwards, hold them
-    conjugated and reversed (see _full_lattice).  Otherwise run sees every
-    mode.  Each mode evolves on its own, so the kept modes match a
+    conjugated and reversed (see Trajectory._complex).  Otherwise run sees
+    every mode.  Each mode evolves on its own, so the kept modes match a
     full-lattice run."""
     rows = lattice.half if _exactly_real(lattice, y0) else slice(None)
     modes = lattice.modes[rows]
@@ -291,25 +292,19 @@ def _on_real_half(lattice, y0, count, run):
     return (rows, *out)
 
 
-def _full_lattice(lattice, dim, rows, *stored):
-    """The complex (T, num_modes, ncomp) array of each array of samples
-    that _on_real_half wrote on rows."""
-    full = []
-    for X in stored:
-        out = np.empty((len(X), lattice.num_modes, X.shape[1]), complex)
-        for u, x in zip(out, X):
-            kept = complex_form(x.T, dim)
-            if rows.stop is not None:
-                # conjugates first, so k = 0 keeps its own value; + 0.0 turns
-                # the -0.0 imaginary part that conj gives a real coefficient
-                # into +0.0
-                partners = u[rows.stop - 1:]
-                np.conjugate(kept[::-1], out=partners)
-                partners += 0.0
-            u[rows] = kept
-            del kept  # freed before the next sample is converted: a lower peak
-        full.append(out)
-    return full
+def _real_rows(bg, lattice, times, states, derivs):
+    """The (rows, X, Xd) of Trajectory for complex samples, written as the
+    sampler writes them, on the half when all of them are exactly Hermitian;
+    ValueError unless each array holds the sym2 components of bg per sample
+    time (at least one) and mode."""
+    T = len(_sample_times(times))
+    want = (T, lattice.num_modes, rank_components("sym2", bg.dim))
+    if np.shape(states) != want or np.shape(derivs) != want:
+        raise ValueError(f"trajectory samples of shapes {np.shape(states)} and {np.shape(derivs)} "
+                         f"do not match the {want} of (sample times, modes, sym2 components)")
+    # run sees the kept rows of every sample: the T states, then the T derivs
+    return _on_real_half(lattice, [*states, *derivs], T, lambda modes, y: (
+        (real_form(u, bg.dim), real_form(ud, bg.dim)) for u, ud in zip(y[:T], y[T:])))
 
 
 def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
@@ -331,9 +326,7 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
     if not closed and (dt is None or not (np.isfinite(dt) and dt > 0)):
         raise ValueError(
             f"time-dependent backgrounds need a positive finite dt, got dt = {dt}")
-    times = np.asarray(times, float)
-    if not len(times):
-        raise ValueError("evolution needs at least one sample time")
+    times = _sample_times(times)
     for tau in (t0, *times):
         _require_finite_time(tau)
 
@@ -444,6 +437,12 @@ def _residual(x: np.ndarray, w: np.ndarray, mult: np.ndarray, sobolev=1.0):
     return float(np.sqrt(np.sum(mult * dens))), int(np.argmax(sobolev * (dens[:n] + dens[n:])))
 
 
+def _row_weights(lattice, rows) -> np.ndarray:
+    """Per kept row, how often its term counts in a sum over the whole
+    lattice (see diagnostics)."""
+    return lattice.half_weights() if rows.stop is not None else np.ones(lattice.num_modes)
+
+
 def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeries:
     """Gauge residual ||div hbar||, the constraint residuals ||DPhi_1||_H0
     and ||DPhi_2||_H1 of the induced data, the wave energies (E_0, E_1),
@@ -451,18 +450,15 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeri
     stored sample time.  The residuals are the families div_trace_reversed
     and dphi_induced (DPhi of the induced data) on the sample's real forms.
 
-    The samples are read in real form.  A trajectory of _samples is read
-    on the rows the sampler wrote, with no test and no conversion.  Complex
-    arrays are read through views of the rows lattice.half when every state
-    and derivative sample is exactly Hermitian (the test of _on_real_half,
-    redone because the arrays are mutable), else on every mode.  On the
-    half each sum weights its terms by lattice.half_weights(): k = 0 once
-    and every other mode twice, for itself and -k, since every operator
-    here has real coefficients, so the terms of k and -k are equal."""
+    The samples are read in real form on the rows the trajectory keeps
+    them on (see Trajectory), with no test and no conversion.  On the half
+    each sum weights its terms by lattice.half_weights(): k = 0 once and
+    every other mode twice, for itself and -k, since every operator here
+    has real coefficients, so the terms of k and -k are equal."""
     _check_energy_args(sobolev_order)
     bg, lat = traj.background, traj.lattice
-    rows, samples = traj._real_samples()
-    mult = lat.half_weights() if rows.stop is not None else np.ones(lat.num_modes)
+    rows, *samples = traj._rows
+    mult = _row_weights(lat, rows)
     modes = lat.modes[rows]
     k2 = np.sum(modes ** 2, axis=1)
     k2r, multr = np.tile(k2, 2), np.tile(mult, 2)  # per row of the real form
@@ -474,7 +470,7 @@ def diagnostics(traj: Trajectory, sobolev_order: float = 0.0) -> DiagnosticsSeri
     sob1 = 1.0 + k2  # the H^1 weight of DPhi_2
     mult1 = np.tile(mult * sob1, 2)
     res, en = [], []
-    for t, (X, Xd) in zip(traj.times, samples):
+    for t, X, Xd in zip(traj.times, *(S.transpose(0, 2, 1) for S in samples)):
         div_t, con_t = div.at(t), con.at(t)
         r = con_t.apply(0, X) + con_t.apply(1, Xd)  # DPhi_1, then DPhi_2
         res.append([_residual(div_t.apply(0, X) + div_t.apply(1, Xd), w_gauge, multr),
@@ -549,10 +545,9 @@ def _recovery_exact(families, k2, y, offsets):
 def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
     """Solve nabla*nabla V = -div(hbar), V|_Sigma = 0, with the slice
     velocity above, jointly with h from its first sample, and report
-    ||h - Lie_V g|| along the trajectory."""
-    bg = traj.background
-    lat = traj.lattice
-    times = traj.times
+    ||h - Lie_V g|| along the trajectory, on the rows it keeps, weighted as
+    in diagnostics."""
+    bg, lat, times = traj.background, traj.lattice, traj.times
     U0, Ud0 = traj.state_at(times[0])
     V, Vd = _gauge_initial_state(bg, U0)
     rec = _samples(
@@ -560,15 +555,16 @@ def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
         times[0], (V, Vd, U0, Ud0), times, traj.dt, _recovery_exact,
     )
     Vs, Vds = rec.states, rec.derivs
+    rows, Xs, _ = traj._rows
+    mult = np.tile(_row_weights(lat, rows), 2)
     wsym = component_weights("sym2", bg.dim)
-    lie0 = FamilyAction(bg, "lie_of_g", times[0], lat.modes)
+    lie0 = FamilyAction(bg, "lie_of_g", times[0], lat.modes[rows])
     dev, rel = [], []
-    for i, t in enumerate(times):
+    for t, X, V, Vd in zip(times, Xs, Vs, Vds):
         lie = lie0.at(t)
-        V, Vd = real_form(Vs[i], bg.dim), real_form(Vds[i], bg.dim)
-        diff = real_form(traj.states[i], bg.dim) - (lie.apply(0, V) + lie.apply(1, Vd))
-        d = weighted_norm(diff, wsym)
-        s = weighted_norm(traj.states[i], wsym)
+        V, Vd = real_form(V[rows], bg.dim), real_form(Vd[rows], bg.dim)
+        d = weighted_norm(X.T - (lie.apply(0, V) + lie.apply(1, Vd)), wsym, mult)
+        s = weighted_norm(X.T, wsym, mult)
         dev.append(d)
         rel.append(d / max(s, 1e-30))
     return GaugeRecovery(times.copy(), Vs, Vds, np.array(dev), np.array(rel))
@@ -587,24 +583,25 @@ def lie_trajectory(bg: SpacetimeBackground, lattice, times, W0, Wd0,
     Such an h solves box_L h = 0, so this produces exact pure-gauge
     solutions to compare against.  The time derivative of the Lie operator
     is exact: each coefficient of its family is a power of t (see
-    family_coefficients), differentiated in closed form.
-    """
-    times = np.asarray(times, float)
+    spacetime._coefficient_table), differentiated in closed form.  h is
+    built in real form on the rows W was sampled on (see _on_real_half)
+    and kept there."""
+    times = _sample_times(times)
     w = _samples(bg, lattice, ("connection_wave",), _monic_rhs, times[0], (W0, Wd0),
                  times, dt, _harmonic)
-    conn, lie0 = (FamilyAction(bg, kind, times[0], lattice.modes)
+    rows, Ws, Wds = w._rows
+    conn, lie0 = (FamilyAction(bg, kind, times[0], lattice.modes[rows])
                   for kind in ("connection_wave", "lie_of_g"))
-    states, derivs = [], []
-    for tau, W, Wd in zip(times, w.states, w.derivs):
-        W, Wd = real_form(W, bg.dim), real_form(Wd, bg.dim)
+    X, Xd = (np.empty((len(times), rank_components("sym2", bg.dim), Ws.shape[2]))
+             for _ in range(2))
+    for i, tau in enumerate(times):
+        W, Wd = Ws[i].T, Wds[i].T
         Wdd = conn.at(tau).monic_closure(W, Wd)
         lie = lie0.at(tau)
         rate = lie.rate()
-        states.append(complex_form(lie.apply(0, W) + lie.apply(1, Wd), bg.dim))
-        derivs.append(complex_form(
-            rate.apply(0, W) + lie.apply(0, Wd) + rate.apply(1, Wd) + lie.apply(1, Wdd),
-            bg.dim))
-    return Trajectory(bg, lattice, times, np.array(states), np.array(derivs), dt=dt)
+        X[i] = (lie.apply(0, W) + lie.apply(1, Wd)).T
+        Xd[i] = (rate.apply(0, W) + lie.apply(0, Wd) + rate.apply(1, Wd) + lie.apply(1, Wdd)).T
+    return Trajectory(bg, lattice, times, None, None, dt, rows=(rows, X, Xd))
 
 
 def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:

@@ -411,7 +411,7 @@ def random_field(
     raw = rng.standard_normal((lattice.num_modes, ncomp)) + 1j * rng.standard_normal(
         (lattice.num_modes, ncomp)
     )
-    coeffs = 0.5 * (raw + np.conj(raw[::-1]))  # raw at -k, see negation_permutation
+    coeffs = 0.5 * (raw + np.conj(raw[::-1]))  # raw at -k, see ModeLattice.half
     if decay > 0:
         k2 = np.sum(lattice.modes ** 2, axis=1)
         coeffs *= np.exp(-k2 / (2.0 * decay ** 2))[:, None]

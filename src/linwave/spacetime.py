@@ -20,7 +20,7 @@ symbolic: each coefficient is a polynomial in i k, held as one real
 coefficient per monomial of fields.k_monomials, and a spatial derivative
 multiplies by i k_a, a fixed shift of the monomials (fields.times_ik).
 Every operator is at most quadratic in k, so one real assembly gives its
-whole coefficient table (see family_coefficients).  Six operator kinds
+whole coefficient table (see _coefficient_table).  Six operator kinds
 have tables (OPERATOR_KINDS): lichnerowicz (box_L h), div_trace_reversed
 (div hbar), d_ric (DRic h), lie_of_g (Lie_V g) and connection_wave
 (nabla*nabla V) from jets, and dphi_induced (DPhi of the induced slice
@@ -681,7 +681,7 @@ def _coefficient_table(background: SpacetimeBackground, kind: str, t: float):
                   for C, e in zip(A, E)]
         if _lead_is_identity(layout[-1].const, layout[-1].coeffs) and np.any(E[-1][A[-1] != 0]):
             raise InternalError(
-                f"spacetime.family_coefficients: the monic leading coefficient of "
+                f"spacetime._coefficient_table: the monic leading coefficient of "
                 f"{kind} has a nonzero exponent of t"
             )
         table = _TABLES[key] = (A, E, layout)

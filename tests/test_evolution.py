@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,9 +26,12 @@ from linwave.fields import (
     SpectralField,
     component_weights,
     random_field,
+    rank_components,
     sobolev_norm,
     sym2_from_full,
+    sym2_index_pairs,
     sym2_to_full,
+    weighted_norm,
     zero_field,
 )
 from linwave.slices import apply_slice_operator, slice_geometry
@@ -348,8 +352,30 @@ def test_minkowski_exact_propagator_refuses_a_non_finite_time(bad):
 def test_minkowski_exact_propagator_refuses_no_sample_times():
     rng = np.random.default_rng(36)
     U0, Ud0 = hermitian_pair(LAT, rng, 10), hermitian_pair(LAT, rng, 10)
+    W0, Wd0 = hermitian_pair(LAT, rng, 4), hermitian_pair(LAT, rng, 4)
     with pytest.raises(ValueError, match="at least one sample time"):
         evolve_state(MINK, LAT, 0.0, U0, Ud0, 1.0, sample_times=[])
+    with pytest.raises(ValueError, match="at least one sample time"):
+        lie_trajectory(MINK, LAT, [], W0, Wd0)
+    empty = np.zeros((0, LAT.num_modes, 10), complex)
+    with pytest.raises(ValueError, match="at least one sample time"):
+        recover_gauge_vector(Trajectory(MINK, LAT, np.array([]), empty, empty))
+
+
+@pytest.mark.parametrize("bg, count, modes, comps", [
+    (MINK, 3, LAT.num_modes, 10),
+    (MINK, 2, LAT.num_modes - 1, 10),
+    (spacetime_background("minkowski-torus", n=2), 2, LAT.num_modes, 10),  # 6 on T^2
+], ids=["a-sample-more-than-the-times", "a-mode-short", "components-of-another-dim"])
+def test_trajectory_refuses_samples_that_do_not_match_its_times_lattice_or_background(
+        bg, count, modes, comps):
+    rng = np.random.default_rng(39)
+    good = np.zeros((2, LAT.num_modes, rank_components("sym2", bg.dim)), complex)
+    bad = rng.standard_normal((count, modes, comps)) + 0j
+    for states, derivs in ((bad, good), (good, bad)):
+        want = f"shapes {states.shape} and {derivs.shape} do not match the {good.shape}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            Trajectory(bg, LAT, np.array([0.0, 1.0]), states, derivs)
 
 
 def test_gauge_recovery_on_difference_trajectory():
@@ -389,9 +415,9 @@ def test_trajectory_difference_compares_backgrounds_by_value():
     rng = np.random.default_rng(9)
     lat = ModeLattice(3, 1)
     times = np.array([1.0, 1.5])
-    shape = (len(times), lat.num_modes, 10)
 
     def traj(bg):
+        shape = (len(times), lat.num_modes, rank_components("sym2", bg.dim))
         return Trajectory(bg, lat, times, rng.standard_normal(shape),
                           rng.standard_normal(shape), dt=1e-2)
 
@@ -702,13 +728,11 @@ def test_real_data_take_the_half_lattice_and_complex_data_the_full(monkeypatch):
     built.clear()
     W0, Wd0 = hermitian_pair(LAT, rng, 4), hermitian_pair(LAT, rng, 4)
     traj = lie_trajectory(KAS, LAT, times, W0, Wd0, dt=1e-2)
-    assert ("connection_wave", half) in built
-    assert built.count(("lie_of_g", LAT.num_modes)) == 1
+    assert built == [("connection_wave", half), ("connection_wave", half), ("lie_of_g", half)]
     built.clear()
     recover_gauge_vector(traj)
-    integrated = [b for b in built if b[0] in ("lichnerowicz", "connection_wave")]
-    assert integrated == [("lichnerowicz", half), ("connection_wave", half)]
-    assert built.count(("lie_of_g", LAT.num_modes)) == 1
+    assert built == [("lichnerowicz", half), ("div_trace_reversed", half),
+                     ("connection_wave", half), ("lie_of_g", half)]
     built.clear()
     recover_gauge_vector(Trajectory(KAS, LAT, traj.times, 1j * traj.states,
                                     1j * traj.derivs, dt=traj.dt))
@@ -738,8 +762,7 @@ def test_minkowski_real_data_take_the_half_lattice_in_closed_form(monkeypatch):
         assert np.array_equal(traj.states[i], U) and np.array_equal(traj.derivs[i], Ud)
     built.clear()
     lie = lie_trajectory(MINK, LAT, times, W0, Wd0)
-    assert built == [("connection_wave", half), ("connection_wave", LAT.num_modes),
-                     ("lie_of_g", LAT.num_modes)]
+    assert built == [("connection_wave", half), ("connection_wave", half), ("lie_of_g", half)]
     lie0, conn = (FamilyAction(MINK, kind, 0.5, LAT.modes)
                   for kind in ("lie_of_g", "connection_wave"))
     for i, t in enumerate(times):
@@ -750,9 +773,8 @@ def test_minkowski_real_data_take_the_half_lattice_in_closed_form(monkeypatch):
         assert np.array_equal(lie.derivs[i], *cplx(lie0.apply(0, Xd) + lie0.apply(1, Xdd)))
     built.clear()
     rec = recover_gauge_vector(lie)
-    integrated = [b for b in built if b[0] != "lie_of_g"]
-    assert integrated == [("lichnerowicz", half), ("div_trace_reversed", half),
-                          ("connection_wave", half)]
+    assert built == [("lichnerowicz", half), ("div_trace_reversed", half),
+                     ("connection_wave", half), ("lie_of_g", half)]
     # a non-Hermitian copy of the same data takes the full lattice
     built.clear()
     evolve_state(MINK, LAT, 0.5, 1j * U0, 1j * Ud0, 3.9, sample_times=times)
@@ -953,6 +975,49 @@ def test_symplectic_current_is_conserved_on_kasner():
     assert drift <= 1e-11 * np.max(np.abs(J0))
 
 
+def test_kasner_axis_mode_matches_its_bessel_closed_form():
+    # at p = (2/3, 2/3, -1/3) and k = (0, 0, k), h_12 couples to no other
+    # component, and h^1_2 = g^11 h_12 = t^(-4/3) h_12 solves the scalar
+    # wave equation phi'' + phi'/t + k^2 t^(2/3) phi = 0 (sqrt(-g) = t,
+    # g^33 = t^(2/3)); z = 3 k t^(4/3) / 4 has dz/dt = k t^(1/3) and turns
+    # it into Bessel's equation of order 0, so
+    #     h_12 = t^(4/3) (A J_0(z) + B Y_0(z)),
+    # an exact solution that does not come from RK4.  Against it the state
+    # and rate of RK4 over [1, 2] at dt 1e-3 read 3.3e-14 at k = 1 and
+    # 3.1e-12 at k = 3 of their largest value, and halving dt from 2e-3
+    # divides the k = 3 error by 16.0
+    from scipy.special import j0, j1, y0, y1
+
+    lat = ModeLattice(3, 3)
+    c12 = sym2_index_pairs(4).index((1, 2))
+    A, B = 0.8, -0.3
+
+    def exact(k, t):
+        z = 0.75 * k * t ** (4 / 3)
+        Z, dZ = A * j0(z) + B * y0(z), -(A * j1(z) + B * y1(z))  # Z_0' = -Z_1
+        return t ** (4 / 3) * Z, (4 / 3) * t ** (1 / 3) * Z + k * t ** (5 / 3) * dZ
+
+    U0, Ud0 = np.zeros((2, lat.num_modes, 10))
+    axis = {k: [lat.mode_index((0, 0, s * k)) for s in (1, -1)] for k in (1, 3)}
+    for k, rows in axis.items():
+        U0[rows, c12], Ud0[rows, c12] = exact(k, 1.0)  # real: c_-k = conj(c_k)
+    times = np.linspace(1.0, 2.0, 5)
+    others = np.ones((len(times), lat.num_modes, 10), bool)
+    for rows in axis.values():
+        others[:, rows, c12] = False
+    err = {}
+    for dt in (2e-3, 1e-3):
+        traj = evolve_state(KAS, lat, 1.0, U0, Ud0, 2.0, dt, sample_times=times)
+        states, derivs = traj.states, traj.derivs
+        assert not np.any(states[others]) and not np.any(derivs[others]), dt
+        for k, rows in axis.items():
+            want = np.array([exact(k, t) for t in times])
+            got = np.stack([states[:, rows[0], c12], derivs[:, rows[0], c12]], axis=1)
+            err[dt, k] = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert max(err[1e-3, 1], err[1e-3, 3]) <= 1e-11, err
+    assert err[2e-3, 3] >= 14 * err[1e-3, 3], err
+
+
 # ---------------------------------------------------------------------------
 # Diagnostics of real data on half the lattice
 # ---------------------------------------------------------------------------
@@ -1085,8 +1150,9 @@ def test_half_lattice_diagnostics_count_the_zero_mode_once():
     assert diag.modes == lat.half.stop
     want = wave_energies(MINK, lat, 0.0, states[0], derivs[0])
     assert np.max(np.abs(diag.energies[0] - want)) <= 1e-14 * np.max(want)
-    only_zero = Trajectory(MINK, lat, np.array([0.0]), states * 0, derivs.copy())
-    only_zero.derivs[0, [k, neg]] = 0.0
+    zero_derivs = derivs.copy()
+    zero_derivs[0, [k, neg]] = 0.0
+    only_zero = Trajectory(MINK, lat, np.array([0.0]), states * 0, zero_derivs)
     e0 = diagnostics(only_zero).energies[0, 0]
     w = component_weights("sym2", 4)
     assert abs(e0 - np.sqrt(np.abs(derivs[0, zero]) ** 2 @ w)) <= 1e-14 * e0
@@ -1108,7 +1174,7 @@ def _sampled_trajectory(bg):
         traj = evolve(build_cauchy_jet(pair, bg), 3.0, sample_times=[0.0, 1.1, 3.0])
     else:
         traj = evolve(build_cauchy_jet(pair, bg), 1.02, dt=1e-2, sample_times=[1.0, 1.01, 1.02])
-    assert traj._rows is not None and traj._rows[0] == lat.half
+    assert traj._rows[0] == lat.half
     return traj
 
 
@@ -1124,7 +1190,6 @@ def test_diagnostics_of_sampled_rows_equal_those_of_the_full_arrays(bg):
     # bit for bit, those of a trajectory built from the complex arrays
     traj = _sampled_trajectory(bg)
     got = diagnostics(traj, sobolev_order=0.5)
-    assert traj._rows is not None  # diagnostics built no complex array
     full = Trajectory(bg, traj.lattice, traj.times, traj.states.copy(), traj.derivs.copy(),
                       traj.dt)
     want = diagnostics(full, sobolev_order=0.5)
@@ -1133,12 +1198,18 @@ def test_diagnostics_of_sampled_rows_equal_those_of_the_full_arrays(bg):
 
 
 @pytest.mark.parametrize("bg", [MINK, KAS], ids=["minkowski", "kasner"])
-def test_a_write_through_the_states_reaches_diagnostics(bg):
-    # once built, the complex arrays are the trajectory's only copy
+def test_a_read_of_the_states_is_a_copy(bg):
+    # a write into the arrays states and derivs return reaches neither a
+    # later read nor diagnostics: the trajectory keeps its rows only
     traj = _sampled_trajectory(bg)
-    traj.states[1, 5, 3] += 1e-13j  # one coefficient off Hermitian symmetry
-    assert traj._rows is None
-    assert diagnostics(traj).modes == traj.lattice.num_modes
+    before = _series_bytes(diagnostics(traj))
+    states, derivs = traj.states, traj.derivs
+    for arr in (states, derivs):
+        arr[1, 5, 3] += 1e-13j  # one coefficient off Hermitian symmetry
+    assert not np.array_equal(traj.states, states)
+    assert not np.array_equal(traj.derivs, derivs)
+    assert _series_bytes(diagnostics(traj)) == before
+    assert diagnostics(traj).modes == traj.lattice.half.stop
 
 
 @pytest.mark.parametrize("bg", [MINK, KAS], ids=["minkowski", "kasner"])
@@ -1157,8 +1228,87 @@ def test_state_at_builds_only_the_sample_it_returns(bg):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert traj._rows is not None
     pair = U.nbytes + Ud.nbytes
     assert U.shape == Ud.shape == (lat.num_modes, 10)
     assert peak <= 1.5 * pair, peak / pair
     assert U.tobytes() == traj.states[1].tobytes() and Ud.tobytes() == traj.derivs[1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Pure-gauge trajectories and gauge recovery on the sampled rows
+# ---------------------------------------------------------------------------
+
+
+def _full_lattice_lie_trajectory(bg, lattice, times, W0, Wd0, dt):
+    """Reference for lie_trajectory: the sampled W read as complex arrays on
+    every mode, converted back to real form, lie_of_g and connection_wave
+    applied on the full lattice, and the samples kept in lists and
+    stacked."""
+    times = np.asarray(times, float)
+    w = evolution._samples(bg, lattice, ("connection_wave",), evolution._monic_rhs,
+                           times[0], (W0, Wd0), times, dt, evolution._harmonic)
+    conn, lie0 = (FamilyAction(bg, kind, times[0], lattice.modes)
+                  for kind in ("connection_wave", "lie_of_g"))
+    states, derivs = [], []
+    for tau, W, Wd in zip(times, w.states, w.derivs):
+        W, Wd = real_form(W, bg.dim), real_form(Wd, bg.dim)
+        Wdd = conn.at(tau).monic_closure(W, Wd)
+        lie = lie0.at(tau)
+        rate = lie.rate()
+        states.append(complex_form(lie.apply(0, W) + lie.apply(1, Wd), bg.dim))
+        derivs.append(complex_form(
+            rate.apply(0, W) + lie.apply(0, Wd) + rate.apply(1, Wd) + lie.apply(1, Wdd),
+            bg.dim))
+    return np.array(states), np.array(derivs)
+
+
+def _full_lattice_deviation(traj, rec):
+    """Reference for the deviation of recover_gauge_vector: ||h - Lie_V g||
+    per sample from the complex arrays of h and V on every mode."""
+    bg, lat = traj.background, traj.lattice
+    wsym = component_weights("sym2", bg.dim)
+    lie0 = FamilyAction(bg, "lie_of_g", traj.times[0], lat.modes)
+    dev = []
+    for t, U, V, Vd in zip(traj.times, traj.states, rec.V, rec.Vdot):
+        lie = lie0.at(t)
+        V, Vd = real_form(V, bg.dim), real_form(Vd, bg.dim)
+        dev.append(weighted_norm(real_form(U, bg.dim) - (lie.apply(0, V) + lie.apply(1, Vd)),
+                                 wsym))
+    return np.array(dev)
+
+
+def _pure_gauge_cases():
+    """(bg, lattice, times, dt) at nmax 3 on the Minkowski torus and on Kasner."""
+    return [(MINK, ModeLattice(3, 3), [0.5, 1.2, 3.9], None),
+            (KAS, ModeLattice(3, 3), [1.0, 1.013, 1.05], 1e-2)]
+
+
+@pytest.mark.parametrize("c", [1.0, 1.0 + 0.5j], ids=["real", "complex"])
+def test_lie_trajectory_on_the_sampled_rows_equals_the_full_lattice_build(c):
+    # real data keep the half lattice, complex data every mode
+    rng = np.random.default_rng(50)
+    for bg, lat, times, dt in _pure_gauge_cases():
+        W0, Wd0 = c * hermitian_pair(lat, rng, 4), c * hermitian_pair(lat, rng, 4)
+        lie = lie_trajectory(bg, lat, times, W0, Wd0, dt=dt)
+        assert lie._rows[0] == (lat.half if c == 1.0 else slice(None))
+        states, derivs = _full_lattice_lie_trajectory(bg, lat, times, W0, Wd0, dt)
+        assert np.array_equal(lie.states, states), bg.kind
+        assert np.array_equal(lie.derivs, derivs), bg.kind
+
+
+@pytest.mark.parametrize("c", [1.0, 1.0 + 0.5j], ids=["real", "complex"])
+def test_gauge_deviation_on_the_sampled_rows_matches_the_full_lattice(c):
+    # h is evolved random data plus a pure-gauge trajectory, so the
+    # deviation is of the order of h, well above round-off
+    rng = np.random.default_rng(51)
+    for bg, lat, times, dt in _pure_gauge_cases():
+        U0, Ud0 = c * hermitian_pair(lat, rng, 10), c * hermitian_pair(lat, rng, 10)
+        W0, Wd0 = c * hermitian_pair(lat, rng, 4), c * hermitian_pair(lat, rng, 4)
+        wave = evolve_state(bg, lat, times[0], U0, Ud0, times[-1], dt, sample_times=times)
+        lie = lie_trajectory(bg, lat, times, W0, Wd0, dt=dt)
+        traj = Trajectory(bg, lat, wave.times, wave.states + lie.states,
+                          wave.derivs + lie.derivs, dt)
+        rec = recover_gauge_vector(traj)
+        want = _full_lattice_deviation(traj, rec)
+        assert np.all(want > 1e-3)
+        assert np.max(np.abs(rec.deviation - want) / want) <= 1e-14, bg.kind

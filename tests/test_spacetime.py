@@ -655,7 +655,8 @@ def test_monic_lead_with_a_power_of_t_is_refused(monkeypatch):
 
     monkeypatch.setattr(spacetime, "_TABLES", {})
     monkeypatch.setattr(spacetime, "_homothety_exponents", shifted)
-    with pytest.raises(RuntimeError, match="lichnerowicz has a nonzero exponent of t"):
+    with pytest.raises(RuntimeError, match=r"spacetime\._coefficient_table: the monic leading "
+                       "coefficient of lichnerowicz has a nonzero exponent of t"):
         FamilyAction(KAS, "lichnerowicz", 1.0, ModeLattice(3, 1).modes)
     FamilyAction(KAS, "div_trace_reversed", 1.0, ModeLattice(3, 1).modes)
 
