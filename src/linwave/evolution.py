@@ -13,7 +13,8 @@ linearised constraints.  Each Fourier mode evolves independently.  One
 sampler, _samples, produces every trajectory of the wave equation, the
 pure-gauge connection wave equation and the joint (V, h) system of gauge
 recovery; it samples each system's first unknown and its rate, so gauge
-recovery keeps V and V' only.  The background chooses the method: closed
+recovery keeps V and V' only, as a Trajectory on the rows of the
+trajectory it recovers.  The background chooses the method: closed
 form on the Minkowski torus (which takes no dt) and classical 4th-order
 RK4 at a fixed dt on Kasner.  Real data (c_{-k} = conj(c_k)) run on the
 contiguous Hermitian half of the lattice, ModeLattice.half: in the
@@ -33,7 +34,9 @@ track the gauge residual, the constraint residuals of the induced data,
 and the wave energies E_0 and E_1, on the rows the trajectory keeps: on
 the half for real trajectories, with each +-k pair counted twice in the
 norms.  The gauge vector field of a pure-gauge solution is recovered by
-solving the connection wave equation nabla*nabla V = -div(hbar).
+solving the connection wave equation nabla*nabla V = -div(hbar); its
+deviation ||h - Lie_V g||, the pure-gauge trajectories and the difference
+of two trajectories on the half are computed on the rows as well.
 """
 
 from __future__ import annotations
@@ -81,9 +84,10 @@ class Trajectory:
     def __init__(self, background: SpacetimeBackground, lattice, times: np.ndarray,
                  states: np.ndarray, derivs: np.ndarray, dt: float | None = None,
                  *, rows: tuple | None = None):
-        self.background, self.lattice, self.times = background, lattice, times
+        self.background, self.lattice = background, lattice
+        self.times = _sample_times(times)
         self.dt = dt  # RK4 step on Kasner; None on the Minkowski torus
-        self._rows = rows or _real_rows(background, lattice, times, states, derivs)
+        self._rows = rows or _real_rows(background, lattice, self.times, states, derivs)
 
     states = property(lambda self: self._complex(self._rows[1]))
     derivs = property(lambda self: self._complex(self._rows[2]))
@@ -135,13 +139,18 @@ class DiagnosticsSeries:
 
 @dataclass
 class GaugeRecovery:
-    """Recovered gauge one-form V and the deviation ||h - Lie_V g||."""
+    """Recovered gauge one-form V and the deviation ||h - Lie_V g||.  V is
+    kept as the Trajectory the sampler returned (its samples V and V', in
+    real form on the rows they ran on); V and Vdot build complex
+    (T, num_modes, dim) arrays afresh on every read, like Trajectory.states."""
 
     times: np.ndarray
-    V: np.ndarray  # (T, num_modes, dim)
-    Vdot: np.ndarray
+    gauge: Trajectory
     deviation: np.ndarray
     relative_deviation: np.ndarray
+
+    V = property(lambda self: self.gauge.states)
+    Vdot = property(lambda self: self.gauge.derivs)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +278,7 @@ def _exactly_real(lattice, arrays) -> bool:
     return all(np.array_equal(x[::-1][half], np.conj(x[half])) for x in arrays)
 
 
-def _on_real_half(lattice, y0, count, run):
+def _on_real_half(lattice, y0, count, run, rows=None):
     """run(modes, y0) yields count samples, each the pair of real forms
     (see real_form) of the system's first unknown and its rate on modes;
     returns (rows, X, Xd): the lattice rows run saw, and two
@@ -281,9 +290,11 @@ def _on_real_half(lattice, y0, count, run):
     sees views of the rows lattice.half of y0 and of the modes; on the
     full lattice their partners, rows half.stop - 1 onwards, hold them
     conjugated and reversed (see Trajectory._complex).  Otherwise run sees
-    every mode.  Each mode evolves on its own, so the kept modes match a
-    full-lattice run."""
-    rows = lattice.half if _exactly_real(lattice, y0) else slice(None)
+    every mode.  Given rows (lattice.half or slice(None)), run sees those
+    rows and y0 is not tested.  Each mode evolves on its own, so the kept
+    modes match a full-lattice run."""
+    if rows is None:
+        rows = lattice.half if _exactly_real(lattice, y0) else slice(None)
     modes = lattice.modes[rows]
     out = tuple(np.empty((count, x.shape[1], 2 * len(modes))) for x in y0[:2])
     for i, y in enumerate(run(modes, tuple(x[rows] for x in y0))):
@@ -296,8 +307,8 @@ def _real_rows(bg, lattice, times, states, derivs):
     """The (rows, X, Xd) of Trajectory for complex samples, written as the
     sampler writes them, on the half when all of them are exactly Hermitian;
     ValueError unless each array holds the sym2 components of bg per sample
-    time (at least one) and mode."""
-    T = len(_sample_times(times))
+    time and mode."""
+    T = len(times)
     want = (T, lattice.num_modes, rank_components("sym2", bg.dim))
     if np.shape(states) != want or np.shape(derivs) != want:
         raise ValueError(f"trajectory samples of shapes {np.shape(states)} and {np.shape(derivs)} "
@@ -307,7 +318,7 @@ def _real_rows(bg, lattice, times, states, derivs):
         (real_form(u, bg.dim), real_form(ud, bg.dim)) for u, ud in zip(y[:T], y[T:])))
 
 
-def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
+def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact, rows=None):
     """The one sampler of the mode systems: the sampled state (y[0], y[1])
     at each of times of y' = rhs(families, y), y(t0) = y0, with families
     one FamilyAction per name in kinds on the modes sampled, returned as a
@@ -318,7 +329,8 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
     once.  On Kasner y0 is converted to the real form once (see real_form)
     and _rk4 steps it to the samples in order (see _segments), re-timing
     the families once per distinct stage time (see _rk4).  Runs on the
-    real half of the lattice when y0 allows it (see _on_real_half)."""
+    given rows, or else on the real half of the lattice when y0 allows it
+    (see _on_real_half)."""
     closed = bg.kind == "minkowski-torus"
     if closed and dt is not None:
         raise ValueError(
@@ -347,7 +359,7 @@ def _samples(bg, lattice, kinds, rhs, t0, y0, times, dt, exact):
             yield y[:2]
 
     return Trajectory(bg, lattice, times, None, None, dt,
-                      rows=_on_real_half(lattice, y0, len(times), run))
+                      rows=_on_real_half(lattice, y0, len(times), run, rows))
 
 
 def _monic_rhs(families, y):
@@ -544,30 +556,28 @@ def _recovery_exact(families, k2, y, offsets):
 
 def recover_gauge_vector(traj: Trajectory) -> GaugeRecovery:
     """Solve nabla*nabla V = -div(hbar), V|_Sigma = 0, with the slice
-    velocity above, jointly with h from its first sample, and report
-    ||h - Lie_V g|| along the trajectory, on the rows it keeps, weighted as
-    in diagnostics."""
+    velocity above, jointly with h from its first sample, on the rows the
+    trajectory keeps (see _on_real_half), and report ||h - Lie_V g|| along
+    it from the two sets of rows, weighted as in diagnostics."""
     bg, lat, times = traj.background, traj.lattice, traj.times
+    rows, Xs, _ = traj._rows
     U0, Ud0 = traj.state_at(times[0])
     V, Vd = _gauge_initial_state(bg, U0)
-    rec = _samples(
+    gauge = _samples(
         bg, lat, ("lichnerowicz", "div_trace_reversed", "connection_wave"), _recovery_rhs,
-        times[0], (V, Vd, U0, Ud0), times, traj.dt, _recovery_exact,
+        times[0], (V, Vd, U0, Ud0), times, traj.dt, _recovery_exact, rows,
     )
-    Vs, Vds = rec.states, rec.derivs
-    rows, Xs, _ = traj._rows
     mult = np.tile(_row_weights(lat, rows), 2)
     wsym = component_weights("sym2", bg.dim)
     lie0 = FamilyAction(bg, "lie_of_g", times[0], lat.modes[rows])
     dev, rel = [], []
-    for t, X, V, Vd in zip(times, Xs, Vs, Vds):
+    for t, X, V, Vd in zip(times, Xs, *gauge._rows[1:]):
         lie = lie0.at(t)
-        V, Vd = real_form(V[rows], bg.dim), real_form(Vd[rows], bg.dim)
-        d = weighted_norm(X.T - (lie.apply(0, V) + lie.apply(1, Vd)), wsym, mult)
+        d = weighted_norm(X.T - (lie.apply(0, V.T) + lie.apply(1, Vd.T)), wsym, mult)
         s = weighted_norm(X.T, wsym, mult)
         dev.append(d)
         rel.append(d / max(s, 1e-30))
-    return GaugeRecovery(times.copy(), Vs, Vds, np.array(dev), np.array(rel))
+    return GaugeRecovery(times.copy(), gauge, np.array(dev), np.array(rel))
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +615,18 @@ def lie_trajectory(bg: SpacetimeBackground, lattice, times, W0, Wd0,
 
 
 def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:
-    """Pointwise difference of two trajectories on the same samples."""
+    """Pointwise difference of two trajectories on the same samples.  Two
+    trajectories that both keep the half give the difference of their rows,
+    which is Hermitian too; any other pair goes through the complex arrays,
+    whose difference keeps the rows the constructor chooses for it."""
     if a.background != b.background or a.lattice != b.lattice:
         raise ValueError("trajectories live on different backgrounds")
     if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-12:
         raise ValueError("trajectories have different sample times")
+    if a._rows[0].stop is not None and b._rows[0].stop is not None:
+        rows = (a._rows[0], *(x - y for x, y in zip(a._rows[1:], b._rows[1:])))
+        return Trajectory(a.background, a.lattice, a.times.copy(), None, None,
+                          a.dt or b.dt, rows=rows)
     return Trajectory(
         a.background, a.lattice, a.times.copy(),
         a.states - b.states, a.derivs - b.derivs, dt=a.dt or b.dt,

@@ -297,14 +297,21 @@ def component_gram(rank: str, n: int, metric_inv: np.ndarray) -> np.ndarray:
 
 
 def monomial_basis(modes) -> np.ndarray:
-    """Values of [1, k_a, k_a^2, k_a k_b (a < b)] per mode: (num_modes, npoly)."""
+    """Values of the monomials k^e of k_monomials(n, 2), in its order, per
+    mode: (num_modes, npoly).  Built by degree from the table of k_shift:
+    monomial 0 is 1, the k_a follow it, and each monomial of degree 2 is
+    k_a times one of degree 1 (a cross term is written twice, with the
+    same product)."""
     modes = np.asarray(modes, float)
     n = modes.shape[1]
-    cols = [np.ones(len(modes))]
-    cols += [modes[:, a] for a in range(n)]
-    cols += [modes[:, a] ** 2 for a in range(n)]
-    cols += [modes[:, a] * modes[:, b] for a in range(n) for b in range(a + 1, n)]
-    return np.stack(cols, axis=1)
+    low, targets = k_shift(n, 2)
+    rows = np.empty((len(k_monomials(n, 2)), len(modes)))  # one per monomial
+    rows[0] = 1.0
+    for a, target in enumerate(targets):
+        rows[target[0]] = modes[:, a]
+    for a, target in enumerate(targets):
+        rows[target[1:]] = rows[1:low] * modes[:, a]
+    return rows.T.copy()
 
 
 @cache

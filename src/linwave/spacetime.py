@@ -759,9 +759,6 @@ class FamilyAction:
             for lay in self._layout
         ]
 
-    def order(self) -> int:
-        return len(self._terms) - 1
-
     def is_monic(self) -> bool:
         """True when the leading d/dt coefficient is the identity matrix."""
         return _lead_is_identity(self._layout[-1].const, self._terms[-1])

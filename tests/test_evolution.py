@@ -836,11 +836,14 @@ def test_half_lattice_runs_are_linear_in_complex_data():
 def _mirror_and_stack(dim):
     """Reference for _on_real_half: each sample, in complex form, mirrored
     to a new pair of full-lattice arrays, the pairs kept in a list and
-    stacked at the end, and returned as samples on every row."""
-    def sampler(lattice, y0, count, run):
+    stacked at the end, and returned as samples on every row.  Given rows,
+    it runs on them, as _on_real_half does."""
+    def sampler(lattice, y0, count, run, rows=None):
         perm = lattice.negation_permutation()
         half = np.arange(lattice.half.stop)
-        if not evolution._exactly_real(lattice, y0):
+        if rows is None:
+            rows = lattice.half if evolution._exactly_real(lattice, y0) else slice(None)
+        if rows.stop is None:
             ys = [tuple(complex_form(x, dim) for x in y) for y in run(lattice.modes, y0)]
         else:
             def mirror(x):
@@ -1312,3 +1315,111 @@ def test_gauge_deviation_on_the_sampled_rows_matches_the_full_lattice(c):
         want = _full_lattice_deviation(traj, rec)
         assert np.all(want > 1e-3)
         assert np.max(np.abs(rec.deviation - want) / want) <= 1e-14, bg.kind
+
+
+def _complex_difference(a, b):
+    """Reference for trajectory_difference: the difference of the complex
+    arrays, through the public constructor."""
+    return Trajectory(a.background, a.lattice, a.times.copy(), a.states - b.states,
+                      a.derivs - b.derivs, a.dt or b.dt)
+
+
+def _wave_and_lie(bg, lat, times, dt, rng, c=1.0):
+    """An evolved wave and a pure-gauge trajectory of random data times c."""
+    U0, Ud0 = c * hermitian_pair(lat, rng, 10), c * hermitian_pair(lat, rng, 10)
+    W0, Wd0 = c * hermitian_pair(lat, rng, 4), c * hermitian_pair(lat, rng, 4)
+    return (evolve_state(bg, lat, times[0], U0, Ud0, times[-1], dt, sample_times=times),
+            lie_trajectory(bg, lat, times, W0, Wd0, dt=dt))
+
+
+def test_difference_of_half_row_trajectories_subtracts_their_rows():
+    rng = np.random.default_rng(52)
+    for bg, lat, times, dt in _pure_gauge_cases():
+        wave, lie = _wave_and_lie(bg, lat, times, dt, rng)
+        got, want = trajectory_difference(wave, lie), _complex_difference(wave, lie)
+        assert got._rows[0] == want._rows[0] == lat.half
+        for g, w in zip(got._rows[1:], want._rows[1:]):
+            assert np.array_equal(g, w), bg.kind
+        assert np.array_equal(got.states, want.states), bg.kind
+        assert np.array_equal(got.derivs, want.derivs), bg.kind
+        assert got.dt == dt and np.array_equal(got.times, times)
+
+
+def test_difference_of_other_pairs_keeps_the_rows_of_the_complex_arrays():
+    # a pair with a trajectory on every mode takes the difference of the
+    # complex arrays: on every mode unless that difference is exactly
+    # Hermitian, as the difference of a trajectory with itself is
+    rng = np.random.default_rng(53)
+    for bg, lat, times, dt in _pure_gauge_cases():
+        half, _ = _wave_and_lie(bg, lat, times, dt, rng)
+        full, _ = _wave_and_lie(bg, lat, times, dt, rng, 1.0 + 0.5j)
+        assert (half._rows[0], full._rows[0]) == (lat.half, slice(None))
+        for a, b, rows in ((full, half, slice(None)), (half, full, slice(None)),
+                           (full, full, lat.half)):
+            got, want = trajectory_difference(a, b), _complex_difference(a, b)
+            assert got._rows[0] == want._rows[0] == rows
+            for g, w in zip(got._rows[1:], want._rows[1:]):
+                assert np.array_equal(g, w), bg.kind
+
+
+def test_recovery_runs_on_the_rows_of_its_trajectory():
+    # the first sample is exactly Hermitian and the later ones are not, so
+    # the trajectory keeps every mode, and so does the recovery, though its
+    # initial state would allow the half
+    rng = np.random.default_rng(54)
+    for bg, lat, times, dt in _pure_gauge_cases():
+        wave, lie = _wave_and_lie(bg, lat, times, dt, rng)
+        states, derivs = wave.states + lie.states, wave.derivs + lie.derivs
+        states[1:] *= 1.0 + 0.5j
+        traj = Trajectory(bg, lat, wave.times, states, derivs, dt)
+        assert traj._rows[0] == slice(None)
+        assert evolution._exactly_real(lat, [states[0], derivs[0]])
+        rec = recover_gauge_vector(traj)
+        assert rec.gauge._rows[0] == slice(None)
+        want = _full_lattice_deviation(traj, rec)
+        assert np.all(want > 1e-3)
+        assert np.array_equal(rec.deviation, want), bg.kind
+        # V depends on the first sample alone: the same as on the half, to
+        # round-off, where the half mirrors the partner modes
+        ref = recover_gauge_vector(Trajectory(bg, lat, wave.times, wave.states + lie.states,
+                                              wave.derivs + lie.derivs, dt))
+        assert ref.gauge._rows[0] == lat.half
+        for a in ("V", "Vdot"):
+            want = getattr(ref, a)
+            assert np.max(np.abs(getattr(rec, a) - want)) <= 1e-14 * np.max(np.abs(want)), a
+
+
+def test_half_row_difference_and_recovery_build_no_complex_samples(monkeypatch):
+    rng = np.random.default_rng(55)
+    calls = []
+    build = Trajectory._complex
+
+    def counting(self, X):
+        calls.append(len(X))
+        return build(self, X)
+
+    monkeypatch.setattr(Trajectory, "_complex", counting)
+    for bg, lat, times, dt in _pure_gauge_cases():
+        wave, lie = _wave_and_lie(bg, lat, times, dt, rng)
+        calls.clear()
+        diff = trajectory_difference(wave, lie)
+        assert calls == []
+        recover_gauge_vector(diff)
+        assert calls == [1, 1]  # state_at: the first sample's state and rate
+
+
+def test_a_trajectory_built_with_a_list_of_times_keeps_them_as_floats():
+    rng = np.random.default_rng(56)
+    for bg, lat, times, dt in _pure_gauge_cases():
+        wave, _ = _wave_and_lie(bg, lat, times, dt, rng)
+        traj = Trajectory(bg, lat, list(times), wave.states, wave.derivs, dt)
+        assert traj.times.dtype == float and np.array_equal(traj.times, wave.times)
+        for got, want in zip(traj.state_at(times[1]), (wave.states[1], wave.derivs[1])):
+            assert np.array_equal(got, want)
+        got, want = diagnostics(traj), diagnostics(wave)
+        assert np.array_equal(got.energies, want.energies)
+        assert np.array_equal(got.gauge_residual, want.gauge_residual)
+        got, want = recover_gauge_vector(traj), recover_gauge_vector(wave)
+        assert np.array_equal(got.deviation, want.deviation)
+        assert np.array_equal(got.V, want.V)
+        assert not np.any(trajectory_difference(traj, wave).states)

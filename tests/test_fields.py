@@ -281,6 +281,13 @@ def test_monomial_basis_follows_the_one_monomial_order(n):
     mono = k_monomials(n, 2)
     k = ModeLattice(n, 3).modes
     assert np.array_equal(monomial_basis(k), np.prod(k[:, None, :] ** mono, axis=-1))
+    # the columns written out by hand, byte for byte and in C order, in the
+    # float arithmetic of monomial_basis; -k has components -0.0
+    for q in (1.0 * k, -1.0 * k):
+        cols = [np.ones(len(q))] + [q[:, a] for a in range(n)] + [q[:, a] ** 2 for a in range(n)]
+        cols += [q[:, a] * q[:, b] for a in range(n) for b in range(a + 1, n)]
+        got = monomial_basis(q)
+        assert got.flags.c_contiguous and got.tobytes() == np.stack(cols, axis=1).tobytes()
     assert mono.shape == (1 + 2 * n + n * (n - 1) // 2, n)
     rng = np.random.default_rng(3)
     low = int(np.sum(mono.sum(axis=1) < 2))
